@@ -1,0 +1,321 @@
+"""The endpoint core shared by :class:`Connection` and :class:`MultipathConnection`.
+
+Everything about a reliable, message-aware endpoint that does not depend
+on how many paths it sends over: the application message queue and segment
+carving, the sender :class:`~repro.transport.scoreboard.Scoreboard`, the
+receiver's reassembly and message completion, the lazy retransmission
+timer and the pacer wake-up. Subclasses supply ``_try_send`` (what to send
+next, and where), ``_on_packet`` and ``_on_timeout``.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Dict, List, Optional, Tuple
+
+from repro._compat import hot_dataclass
+from repro.errors import TransportError
+from repro.net.node import Device
+from repro.net.packet import Packet, PacketType
+from repro.sim.events import Event
+from repro.sim.kernel import Simulator
+from repro.transport.scoreboard import Scoreboard, Segment
+
+#: Number of SACK ranges an ACK carries (TCP fits ~3 in options).
+MAX_SACK_RANGES = 3
+
+
+@hot_dataclass
+class OutgoingMessage:
+    """One application message queued on the send side."""
+
+    start: int
+    end: int
+    message_id: int
+    priority: Optional[int]
+    on_acked: Optional[Callable[["OutgoingMessage", float], None]] = None
+    acked_at: Optional[float] = None
+
+    @property
+    def size(self) -> int:
+        return self.end - self.start
+
+
+@hot_dataclass
+class MessageReceipt:
+    """Receiver-side notification for one completed message."""
+
+    message_id: int
+    priority: Optional[int]
+    size: int
+    completed_at: float
+
+
+@hot_dataclass
+class RttRecord:
+    """One RTT measurement, kept for analysis (Fig. 1b)."""
+
+    time: float
+    rtt: float
+    data_channel: Optional[int]
+    ack_channel: Optional[int]
+
+
+class Endpoint:
+    """Message queue, scoreboard, receiver and timers of one endpoint."""
+
+    def __init__(
+        self,
+        sim: Simulator,
+        device: Device,
+        flow_id: int,
+        mss: int,
+        flow_priority: Optional[int],
+        on_message: Optional[Callable[[MessageReceipt], None]],
+        loss_keys: int,
+    ) -> None:
+        self.sim = sim
+        self.device = device
+        self.flow_id = flow_id
+        self.mss = mss
+        self.flow_priority = flow_priority
+        self.on_message = on_message
+
+        # --- send state ---
+        self._write_end = 0
+        self._snd_una = 0
+        self._snd_nxt = 0
+        self._sb = Scoreboard(mss, loss_keys)
+        self._messages: List[OutgoingMessage] = []
+        self._next_message_index = 0  # first message not fully acked
+        self._rto_event: Optional[Event] = None
+        #: Lazy RTO: the deadline that actually matters. Every transmit
+        #: and ACK "re-arms" the timer by storing a new deadline here
+        #: (one float assignment); the single scheduled event checks the
+        #: deadline when it fires and sleeps the remainder. This removes
+        #: the cancel+push pair per packet the eager idiom paid.
+        self._rto_deadline: Optional[float] = None
+        self._pacing_event: Optional[Event] = None
+        self._total_delivered = 0
+        self._auto_message_ids = iter(range(10**9, 2 * 10**9))
+
+        # --- receive state ---
+        self._rcv_nxt = 0
+        self._ooo_ranges: List[Tuple[int, int]] = []
+        self._message_ends: Dict[int, Tuple[int, Optional[int], int]] = {}
+        self._closed = False
+
+        device.register_flow(flow_id, self._on_packet)
+
+    # ==================================================================
+    # Application interface
+    # ==================================================================
+    def send_message(
+        self,
+        size_bytes: int,
+        message_id: Optional[int] = None,
+        priority: Optional[int] = None,
+        on_acked: Optional[Callable[[OutgoingMessage, float], None]] = None,
+    ) -> OutgoingMessage:
+        """Queue one application message of ``size_bytes`` for delivery.
+
+        ``on_acked(message, time)`` fires when every byte of the message has
+        been cumulatively acknowledged. The receiving endpoint's
+        ``on_message`` fires when the peer has the complete message.
+        """
+        if self._closed:
+            raise TransportError(f"flow {self.flow_id}: send on closed connection")
+        if size_bytes <= 0:
+            raise TransportError(f"message size must be positive, got {size_bytes}")
+        if message_id is None:
+            message_id = next(self._auto_message_ids)
+        message = OutgoingMessage(
+            start=self._write_end,
+            end=self._write_end + size_bytes,
+            message_id=message_id,
+            priority=priority,
+            on_acked=on_acked,
+        )
+        self._write_end = message.end
+        self._messages.append(message)
+        self._try_send()
+        return message
+
+    def close(self) -> None:
+        """Stop timers and detach from the device."""
+        if self._closed:
+            return
+        self._closed = True
+        self._rto_deadline = None
+        if self._rto_event is not None:
+            self.sim.cancel(self._rto_event)
+            self._rto_event = None
+        if self._pacing_event is not None:
+            self.sim.cancel(self._pacing_event)
+            self._pacing_event = None
+        self.device.unregister_flow(self.flow_id)
+
+    @property
+    def bytes_unsent(self) -> int:
+        return self._write_end - self._snd_nxt
+
+    def audit_state(self) -> dict:
+        """Internal state snapshot for the invariant monitor.
+
+        Everything :mod:`repro.check` needs to assert the transport's
+        conservation laws without reaching into private fields: sequence
+        bounds, the per-loss-key flight ledger and its recomputation from
+        the segment list, and receive-side contiguity.
+        """
+        state = self._sb.audit()
+        state.update(
+            snd_una=self._snd_una,
+            snd_nxt=self._snd_nxt,
+            write_end=self._write_end,
+            rcv_nxt=self._rcv_nxt,
+            ooo_ranges=list(self._ooo_ranges),
+            closed=self._closed,
+        )
+        return state
+
+    # ==================================================================
+    # Send side
+    # ==================================================================
+    def _message_for_offset(self, offset: int) -> OutgoingMessage:
+        for message in self._messages[self._next_message_index:]:
+            if message.start <= offset < message.end:
+                return message
+        raise TransportError(f"flow {self.flow_id}: no message covers offset {offset}")
+
+    def _carve_segment(self) -> Segment:
+        """The next unsent segment, never straddling a message boundary;
+        committed by advancing ``_snd_nxt`` and filing it on the scoreboard."""
+        message = self._message_for_offset(self._snd_nxt)
+        size = min(self.mss, message.end - self._snd_nxt)
+        return Segment(
+            seq=self._snd_nxt,
+            end_seq=self._snd_nxt + size,
+            sent_at=self.sim.now,
+            delivered_at_send=self._total_delivered,
+            message_id=message.message_id,
+            message_priority=message.priority,
+            message_last=(self._snd_nxt + size == message.end),
+            message_start=message.start,
+            message_size=message.size,
+        )
+
+    def _make_packet(self, ptype: PacketType, payload: int = 0) -> Packet:
+        packet = Packet(flow_id=self.flow_id, ptype=ptype, payload_bytes=payload)
+        packet.created_at = self.sim.now
+        packet.flow_priority = self.flow_priority
+        return packet
+
+    def _data_packet(self, segment: Segment, retransmission: bool) -> Packet:
+        """The DATA packet for ``segment``, carrying its message's tags."""
+        packet = self._make_packet(PacketType.DATA, payload=segment.size)
+        packet.seq = segment.seq
+        packet.end_seq = segment.end_seq
+        packet.is_retransmission = retransmission
+        packet.segment = segment
+        packet.message_id = segment.message_id
+        packet.message_priority = segment.message_priority
+        packet.message_last = segment.message_last
+        packet.message_start = segment.message_start
+        return packet
+
+    def _pacing_wakeup(self) -> None:
+        self._pacing_event = None
+        self._try_send()
+
+    def _fire_acked_messages(self) -> None:
+        while self._next_message_index < len(self._messages):
+            message = self._messages[self._next_message_index]
+            if message.end > self._snd_una:
+                break
+            message.acked_at = self.sim.now
+            if message.on_acked is not None:
+                message.on_acked(message, self.sim.now)
+            self._next_message_index += 1
+
+    # ------------------------------------------------------------------
+    # Retransmission timer
+    # ------------------------------------------------------------------
+    def _arm_rto(self, rto: float) -> None:
+        """Re-arm on outstanding data with timeout ``rto``; disarm otherwise."""
+        if self._snd_una < self._snd_nxt:
+            deadline = self.sim.now + rto
+            self._rto_deadline = deadline
+            event = self._rto_event
+            if event is None or event.cancelled:
+                self._rto_event = self.sim.schedule(rto, self._on_rto)
+            elif deadline < event.time:
+                # The deadline moved *earlier* than the filed event (an
+                # RTO shrink outrunning the clock — e.g. backoff reset
+                # after a blackout). Only this rare case pays the
+                # cancel+push; the common per-packet re-arm is the
+                # deadline store above.
+                self._rto_event = self.sim.reschedule(event, rto, self._on_rto)
+        else:
+            self._rto_deadline = None
+            if self._rto_event is not None:
+                self.sim.cancel(self._rto_event)
+                self._rto_event = None
+
+    def _on_rto(self) -> None:
+        self._rto_event = None
+        if self._closed or self._snd_una >= self._snd_nxt:
+            return
+        deadline = self._rto_deadline
+        if deadline is not None and deadline > self.sim.now:
+            # Re-armed lazily since this event was filed: the timeout
+            # fires at exactly the deadline the eager idiom would have
+            # used — sleep the remainder.
+            self._rto_event = self.sim.schedule_at(deadline, self._on_rto)
+            return
+        self._on_timeout()
+
+    # ==================================================================
+    # Receive side
+    # ==================================================================
+    def _receive(self, packet: Packet) -> None:
+        """Reassemble one data packet and fire the messages it completes."""
+        if packet.end_seq <= self._rcv_nxt:
+            # Pure duplicate. A message-end tag on it must not be recorded
+            # again: segments never straddle a message, so that end was
+            # recorded and fired when the prefix first reached it.
+            return
+        if packet.message_last and packet.message_id is not None:
+            start = packet.message_start if packet.message_start is not None else 0
+            self._message_ends[packet.end_seq] = (
+                packet.message_id,
+                packet.message_priority,
+                start,
+            )
+        self._merge_range(packet.seq, packet.end_seq)
+        self._fire_completed_messages()
+
+    def _merge_range(self, start: int, end: int) -> None:
+        self._ooo_ranges.append((max(start, self._rcv_nxt), end))
+        self._ooo_ranges.sort()
+        merged: List[Tuple[int, int]] = []
+        for lo, hi in self._ooo_ranges:
+            if merged and lo <= merged[-1][1]:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+            else:
+                merged.append((lo, hi))
+        while merged and merged[0][0] <= self._rcv_nxt:
+            self._rcv_nxt = max(self._rcv_nxt, merged.pop(0)[1])
+        self._ooo_ranges = merged
+
+    def _fire_completed_messages(self) -> None:
+        completed = [end for end in self._message_ends if end <= self._rcv_nxt]
+        for end in sorted(completed):
+            message_id, priority, start = self._message_ends.pop(end)
+            if self.on_message is not None:
+                self.on_message(
+                    MessageReceipt(
+                        message_id=message_id,
+                        priority=priority,
+                        size=end - start,
+                        completed_at=self.sim.now,
+                    )
+                )

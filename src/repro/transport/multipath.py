@@ -21,28 +21,20 @@ subflow may be *reinjected* on another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import TransportError
 from repro.net.node import Device
 from repro.net.packet import Packet, PacketType
 from repro.obs.probes import probe_for
-from repro.sim.events import Event
 from repro.sim.kernel import Simulator
 from repro.transport.cc import make_cc
 from repro.transport.cc.base import AckSample, CongestionControl
-from repro.transport.connection import (
-    MessageReceipt,
-    OutgoingMessage,
-    RttRecord,
-    Segment,
-)
+from repro.transport.endpoint import MAX_SACK_RANGES, Endpoint, MessageReceipt, RttRecord
 from repro.transport.rtx import RttEstimator
+from repro.transport.scoreboard import Segment
 from repro.units import DEFAULT_MSS
 
-SACK_REORDER_BYTES_FACTOR = 3
-MAX_SACK_RANGES = 3
 #: Messages at most this large count as latency-bound for the hvc scheduler.
 SMALL_MESSAGE_BYTES = 3000
 
@@ -50,14 +42,21 @@ SCHEDULERS = ("minrtt", "hvc")
 
 
 class Subflow:
-    """Per-channel sending state: CC, RTT estimator, in-flight accounting."""
+    """Per-channel sending state: CC, RTT estimator, and ``in_flight``, the
+    scoreboard's flight ledger for this subflow's loss key (its channel)."""
 
-    def __init__(self, channel_index: int, cc: CongestionControl, min_rto: float) -> None:
+    def __init__(
+        self, channel_index: int, cc: CongestionControl, min_rto: float, flight: List[int]
+    ) -> None:
         self.channel_index = channel_index
         self.cc = cc
         self.rtt = RttEstimator(min_rto=min_rto)
-        self.in_flight = 0
+        self._flight = flight
         self.next_send_time = 0.0
+
+    @property
+    def in_flight(self) -> int:
+        return self._flight[self.channel_index]
 
     def has_window(self, size: int) -> bool:
         return self.in_flight + size <= self.cc.cwnd_bytes
@@ -73,7 +72,7 @@ class Subflow:
         )
 
 
-class MultipathConnection:
+class MultipathConnection(Endpoint):
     """One endpoint of a multipath connection (one subflow per channel)."""
 
     def __init__(
@@ -94,15 +93,16 @@ class MultipathConnection:
             )
         if not device.channels:
             raise TransportError("device has no channels; attach before opening")
-        self.sim = sim
-        self.device = device
-        self.flow_id = flow_id
-        self.mss = mss
+        # One loss key per channel: loss is judged per subflow and flight
+        # booked to the subflow carrying the segment.
+        super().__init__(
+            sim, device, flow_id, mss, flow_priority, on_message,
+            loss_keys=len(device.channels),
+        )
         self.scheduler = scheduler
-        self.flow_priority = flow_priority
-        self.on_message = on_message
+        #: Indexed by channel, which is also the segment's loss key.
         self.subflows: List[Subflow] = [
-            Subflow(i, make_cc(cc, mss=mss), min_rto)
+            Subflow(i, make_cc(cc, mss=mss), min_rto, self._sb.flight)
             for i in range(len(device.channels))
         ]
         self.stats_rtt_records: List[RttRecord] = []
@@ -114,41 +114,9 @@ class MultipathConnection:
         #: wired into an observability context with probes enabled.
         self.obs = probe_for(device, flow_id, multipath=True)
 
-        # Data-level send state (mirrors Connection's, minus per-conn CC).
-        self._write_end = 0
-        self._snd_una = 0
-        self._snd_nxt = 0
-        self._segments: List[Segment] = []
-        self._retx_queue: List[Segment] = []
-        self._highest_sacked = 0
-        self._messages: List[OutgoingMessage] = []
-        self._next_message_index = 0
-        self._total_delivered = 0
-        self._rto_event: Optional[Event] = None
-        #: Lazily-armed timeout instant. Per-transmit/per-ACK re-arms are a
-        #: float store; the filed event sleeps the remainder when it fires
-        #: early (same idiom as Connection._arm_rto).
-        self._rto_deadline: Optional[float] = None
-        self._pacing_event: Optional[Event] = None
-        #: Everything in ``_segments[:_scan_lo]`` is sacked-or-lost, so
-        #: ``_detect_losses`` skips the settled prefix. Reset to 0 by
-        #: ``_retransmit`` (the only lost->False transition that leaves a
-        #: segment unsettled).
-        self._scan_lo = 0
-        #: Per-channel high-water mark of sacked end_seq — the loss
-        #: threshold base, maintained incrementally by ``_apply_sack`` so
-        #: ``_detect_losses`` never rescans the sacked population.
-        self._sack_high: Dict[Optional[int], int] = {}
-        self._auto_message_ids = iter(range(10**9, 2 * 10**9))
-
-        # Receive state.
-        self._rcv_nxt = 0
-        self._ooo_ranges: List[Tuple[int, int]] = []
-        self._message_ends: Dict[int, Tuple[int, Optional[int], int]] = {}
-        self._delivered_message_ends: set = set()
-        self._closed = False
-
-        device.register_flow(flow_id, self._on_packet)
+    @property
+    def bytes_acked(self) -> int:
+        return self._snd_una
 
     # ------------------------------------------------------------------
     # Channel roles
@@ -173,55 +141,6 @@ class MultipathConnection:
             self._live_subflows(),
             key=lambda s: self.device.views[s.channel_index].rate_bps,
         )
-
-    # ------------------------------------------------------------------
-    # Application interface
-    # ------------------------------------------------------------------
-    def send_message(
-        self,
-        size_bytes: int,
-        message_id: Optional[int] = None,
-        priority: Optional[int] = None,
-        on_acked: Optional[Callable[[OutgoingMessage, float], None]] = None,
-    ) -> OutgoingMessage:
-        """Queue one message; semantics match Connection.send_message."""
-        if self._closed:
-            raise TransportError(f"flow {self.flow_id}: send on closed connection")
-        if size_bytes <= 0:
-            raise TransportError(f"message size must be positive, got {size_bytes}")
-        if message_id is None:
-            message_id = next(self._auto_message_ids)
-        message = OutgoingMessage(
-            start=self._write_end,
-            end=self._write_end + size_bytes,
-            message_id=message_id,
-            priority=priority,
-            on_acked=on_acked,
-        )
-        self._write_end = message.end
-        self._messages.append(message)
-        self._try_send()
-        return message
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._rto_deadline = None
-        for event_attr in ("_rto_event", "_pacing_event"):
-            event = getattr(self, event_attr)
-            if event is not None:
-                self.sim.cancel(event)
-                setattr(self, event_attr, None)
-        self.device.unregister_flow(self.flow_id)
-
-    @property
-    def bytes_acked(self) -> int:
-        return self._snd_una
-
-    @property
-    def bytes_unsent(self) -> int:
-        return self._write_end - self._snd_nxt
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -256,58 +175,35 @@ class MultipathConnection:
     # ------------------------------------------------------------------
     # Send path
     # ------------------------------------------------------------------
-    def _message_for_offset(self, offset: int) -> OutgoingMessage:
-        for message in self._messages[self._next_message_index:]:
-            if message.start <= offset < message.end:
-                return message
-        raise TransportError(f"flow {self.flow_id}: no message covers offset {offset}")
-
     def _try_send(self) -> None:
         if self._closed:
             return
+        retx_queue = self._sb.retx_queue
         progress = True
         while progress:
             progress = False
-            if self._retx_queue:
-                segment = self._retx_queue[0]
+            if retx_queue:
+                segment = retx_queue[0]
                 if segment.sacked or segment.end_seq <= self._snd_una:
-                    self._retx_queue.pop(0)
+                    retx_queue.pop(0)
                     progress = True
                     continue
                 subflow = self._pick_subflow(segment)
                 if subflow is not None and not self._pacing_gate(subflow):
-                    self._retx_queue.pop(0)
+                    retx_queue.pop(0)
                     self._retransmit(segment, subflow)
                     progress = True
                 continue
             if self.bytes_unsent <= 0:
                 return
-            probe = self._peek_next_segment()
+            probe = self._carve_segment()
             subflow = self._pick_subflow(probe)
             if subflow is None or self._pacing_gate(subflow):
                 return
-            self._commit_segment(probe)
+            self._snd_nxt = probe.end_seq
+            self._sb.append(probe, subflow.channel_index)
             self._transmit(probe, subflow, retransmission=False)
             progress = True
-
-    def _peek_next_segment(self) -> Segment:
-        message = self._message_for_offset(self._snd_nxt)
-        size = min(self.mss, message.end - self._snd_nxt)
-        return Segment(
-            seq=self._snd_nxt,
-            end_seq=self._snd_nxt + size,
-            sent_at=self.sim.now,
-            delivered_at_send=self._total_delivered,
-            message_id=message.message_id,
-            message_priority=message.priority,
-            message_last=(self._snd_nxt + size == message.end),
-            message_start=message.start,
-            message_size=message.size,
-        )
-
-    def _commit_segment(self, segment: Segment) -> None:
-        self._snd_nxt = segment.end_seq
-        self._segments.append(segment)
 
     def _pacing_gate(self, subflow: Subflow) -> bool:
         if subflow.cc.pacing_rate_bps is None or self.sim.now >= subflow.next_send_time:
@@ -318,103 +214,50 @@ class MultipathConnection:
             )
         return True
 
-    def _pacing_wakeup(self) -> None:
-        self._pacing_event = None
-        self._try_send()
-
     def _retransmit(self, segment: Segment, subflow: Subflow) -> None:
-        segment.lost = False
-        # The segment re-enters the scannable population; restart the
-        # settled-prefix cursor from the head.
-        self._scan_lo = 0
-        segment.retransmitted = True
-        segment.sent_at = self.sim.now
-        segment.no_remark_until = self.sim.now + subflow.srtt
+        """Resend on ``subflow`` — not necessarily the one it was lost on."""
+        self._sb.retransmit(segment, self.sim.now, subflow.srtt, subflow.channel_index)
         self.retransmissions += 1
         self._transmit(segment, subflow, retransmission=True)
 
     def _transmit(self, segment: Segment, subflow: Subflow, retransmission: bool) -> None:
-        packet = Packet(
-            flow_id=self.flow_id, ptype=PacketType.DATA, payload_bytes=segment.size
-        )
-        packet.created_at = self.sim.now
-        packet.flow_priority = self.flow_priority
+        packet = self._data_packet(segment, retransmission)
         packet.channel_hint = subflow.channel_index
-        packet.seq = segment.seq
-        packet.end_seq = segment.end_seq
-        packet.is_retransmission = retransmission
-        packet.message_id = segment.message_id
-        packet.message_priority = segment.message_priority
-        packet.message_last = segment.message_last
-        packet.message_start = segment.message_start
         self.device.send(packet)
         segment.channel = subflow.channel_index
-        subflow.in_flight += segment.size
         pacing = subflow.cc.pacing_rate_bps
         if pacing is not None and pacing > 0:
             interval = (segment.size + 40) * 8 / pacing
             subflow.next_send_time = max(subflow.next_send_time, self.sim.now) + interval
         subflow.cc.on_sent(self.sim.now, segment.size, subflow.in_flight)
-        self._arm_rto()
+        self._arm_rto(self._rto())
 
     # ------------------------------------------------------------------
     # RTO (data-level: earliest outstanding segment, its subflow's RTO)
     # ------------------------------------------------------------------
-    def _arm_rto(self) -> None:
-        if self._snd_una < self._snd_nxt:
-            rto = max(s.rtt.rto for s in self.subflows)
-            deadline = self.sim.now + rto
-            self._rto_deadline = deadline
-            event = self._rto_event
-            if event is None or event.cancelled:
-                self._rto_event = self.sim.schedule(rto, self._on_rto)
-            elif deadline < event.time:
-                # Deadline moved earlier than the filed event (RTO shrink
-                # outrunning the clock). Only this rare case pays the
-                # cancel+push; the common re-arm is the store above.
-                self._rto_event = self.sim.reschedule(event, rto, self._on_rto)
-        else:
-            self._rto_deadline = None
-            if self._rto_event is not None:
-                self.sim.cancel(self._rto_event)
-                self._rto_event = None
+    def _rto(self) -> float:
+        """The one data-level timer waits out the slowest subflow's RTO."""
+        return max(s.rtt.rto for s in self.subflows)
 
-    def _on_rto(self) -> None:
-        self._rto_event = None
-        if self._closed or self._snd_una >= self._snd_nxt:
-            return
-        deadline = self._rto_deadline
-        if deadline is not None and deadline > self.sim.now:
-            # Re-armed lazily since this event was filed — sleep the
-            # remainder; the real timeout fires at exactly the deadline
-            # the eager idiom would have used.
-            self._rto_event = self.sim.schedule_at(deadline, self._on_rto)
-            return
+    def _on_timeout(self) -> None:
         self.timeouts += 1
-        first = next((s for s in self._segments if not s.sacked), None)
+        sb = self._sb
+        first = sb.first_unsacked()
         if first is None:
-            self._arm_rto()
+            self._arm_rto(self._rto())
             return
-        carrier = self._subflow_for(first.channel)
+        carrier = self.subflows[first.key]
         carrier.rtt.on_timeout()
         carrier.cc.on_timeout(self.sim.now)
         if self.obs is not None:
             self.obs.on_subflow_timeout(self, carrier)
         if not first.lost:
-            carrier.in_flight = max(0, carrier.in_flight - first.size)
-            first.lost = True
-        if first in self._retx_queue:
-            self._retx_queue.remove(first)
+            sb.mark_lost(first)
+        if first in sb.retx_queue:
+            sb.retx_queue.remove(first)
         # Reinject on whichever subflow the scheduler prefers now.
         subflow = self._pick_subflow(first) or carrier
         self._retransmit(first, subflow)
-
-    def _subflow_for(self, channel_index: Optional[int]) -> Subflow:
-        if channel_index is not None:
-            for subflow in self.subflows:
-                if subflow.channel_index == channel_index:
-                    return subflow
-        return self.subflows[0]
 
     # ------------------------------------------------------------------
     # Receive path
@@ -428,18 +271,8 @@ class MultipathConnection:
             self._on_ack(packet)
 
     def _on_data(self, packet: Packet) -> None:
-        if packet.message_last and packet.message_id is not None:
-            start = packet.message_start if packet.message_start is not None else 0
-            self._message_ends[packet.end_seq] = (
-                packet.message_id,
-                packet.message_priority,
-                start,
-            )
-        self._merge_range(packet.seq, packet.end_seq)
-        self._fire_completed_messages()
-        ack = Packet(flow_id=self.flow_id, ptype=PacketType.ACK)
-        ack.created_at = self.sim.now
-        ack.flow_priority = self.flow_priority
+        self._receive(packet)
+        ack = self._make_packet(PacketType.ACK)
         ack.ack_seq = self._rcv_nxt
         ack.sack = tuple(self._ooo_ranges[-MAX_SACK_RANGES:])
         ack.seq = packet.seq
@@ -455,40 +288,6 @@ class MultipathConnection:
             ack.channel_hint = packet.channel_index
         self.device.send(ack)
 
-    def _merge_range(self, start: int, end: int) -> None:
-        if end <= self._rcv_nxt:
-            return
-        self._ooo_ranges.append((max(start, self._rcv_nxt), end))
-        self._ooo_ranges.sort()
-        merged: List[Tuple[int, int]] = []
-        for lo, hi in self._ooo_ranges:
-            if merged and lo <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-            else:
-                merged.append((lo, hi))
-        while merged and merged[0][0] <= self._rcv_nxt:
-            self._rcv_nxt = max(self._rcv_nxt, merged.pop(0)[1])
-        self._ooo_ranges = merged
-
-    def _fire_completed_messages(self) -> None:
-        completed = [
-            end
-            for end in self._message_ends
-            if end <= self._rcv_nxt and end not in self._delivered_message_ends
-        ]
-        for end in sorted(completed):
-            message_id, priority, start = self._message_ends.pop(end)
-            self._delivered_message_ends.add(end)
-            if self.on_message is not None:
-                self.on_message(
-                    MessageReceipt(
-                        message_id=message_id,
-                        priority=priority,
-                        size=end - start,
-                        completed_at=self.sim.now,
-                    )
-                )
-
     # ------------------------------------------------------------------
     # ACK processing
     # ------------------------------------------------------------------
@@ -497,17 +296,14 @@ class MultipathConnection:
         if ack_seq > self._snd_nxt:
             return
         newly_acked = max(0, ack_seq - self._snd_una)
-        newest: Optional[Segment] = None
         if newly_acked:
             self._snd_una = ack_seq
             self._total_delivered += newly_acked
             self.delivered_timeline.append((self.sim.now, self._total_delivered))
-            newest = self._ack_segments_below(ack_seq)
-        sacked_newest = self._apply_sack(packet.sack)
-        newest = sacked_newest or newest
+        newest = self._sb.ack(ack_seq, packet.sack)
 
         if newest is not None:
-            subflow = self._subflow_for(newest.channel)
+            subflow = self.subflows[newest.key]
             rtt_sample = self.sim.now - newest.sent_at
             subflow.rtt.on_sample(rtt_sample)
             delivered = self._total_delivered - newest.delivered_at_send
@@ -535,108 +331,16 @@ class MultipathConnection:
             )
             if self.obs is not None:
                 self.obs.on_subflow_ack(self, subflow)
-        self._detect_losses()
+        # A hole is lost only relative to later deliveries on its own
+        # channel (the scoreboard's loss key); each subflow that lost
+        # something takes one congestion response.
+        newly_lost = self._sb.detect_losses(self.sim.now, self._snd_una)
+        for channel in {segment.key for segment in newly_lost}:
+            subflow = self.subflows[channel]
+            subflow.cc.on_loss(self.sim.now, subflow.in_flight)
         self._fire_acked_messages()
-        self._arm_rto()
+        self._arm_rto(self._rto())
         self._try_send()
-
-    def _ack_segments_below(self, ack_seq: int) -> Optional[Segment]:
-        newest: Optional[Segment] = None
-        kept: List[Segment] = []
-        for segment in self._segments:
-            if segment.end_seq <= ack_seq:
-                if not segment.sacked and not segment.lost:
-                    subflow = self._subflow_for(segment.channel)
-                    subflow.in_flight = max(0, subflow.in_flight - segment.size)
-                if not segment.retransmitted:
-                    newest = segment
-            else:
-                kept.append(segment)
-        # Segments sit in seq order with monotone end_seq, so the removal
-        # is a prefix — slide the settled-prefix cursor left by its length.
-        removed = len(self._segments) - len(kept)
-        if removed:
-            lo = self._scan_lo - removed
-            self._scan_lo = lo if lo > 0 else 0
-        self._segments = kept
-        return newest
-
-    def _apply_sack(self, ranges: tuple) -> Optional[Segment]:
-        if not ranges:
-            return None
-        newest: Optional[Segment] = None
-        for segment in self._segments:
-            if segment.sacked:
-                continue
-            for lo, hi in ranges:
-                if lo <= segment.seq and segment.end_seq <= hi:
-                    segment.sacked = True
-                    if segment.lost:
-                        segment.lost = False
-                    else:
-                        subflow = self._subflow_for(segment.channel)
-                        subflow.in_flight = max(0, subflow.in_flight - segment.size)
-                    self._highest_sacked = max(self._highest_sacked, segment.end_seq)
-                    high = self._sack_high.get(segment.channel, 0)
-                    if segment.end_seq > high:
-                        self._sack_high[segment.channel] = segment.end_seq
-                    if not segment.retransmitted:
-                        newest = segment
-                    break
-        return newest
-
-    def _detect_losses(self) -> None:
-        """Per-subflow SACK loss detection: a hole is lost only relative to
-        later deliveries *on its own channel* (cross-channel reordering is
-        normal here, not a loss signal).
-
-        ``_sack_high`` carries the per-channel high-water marks
-        incrementally (stale entries from cumulatively-acked segments are
-        harmless: every live segment's end_seq exceeds them, so they can
-        never cross a threshold) and ``_scan_lo`` skips the settled
-        sacked-or-lost prefix, so each call walks only the unsettled tail.
-        """
-        per_channel_high = self._sack_high
-        if not per_channel_high:
-            return
-        segments = self._segments
-        n = len(segments)
-        lo = self._scan_lo
-        while lo < n:
-            head = segments[lo]
-            if head.sacked or head.lost:
-                lo += 1
-            else:
-                break
-        self._scan_lo = lo
-        reorder_slack = SACK_REORDER_BYTES_FACTOR * self.mss
-        newly_lost: List[Segment] = []
-        for i in range(lo, n):
-            segment = segments[i]
-            if segment.sacked or segment.lost:
-                continue
-            threshold = per_channel_high.get(segment.channel, 0) - reorder_slack
-            if segment.end_seq <= threshold and self.sim.now >= segment.no_remark_until:
-                segment.lost = True
-                subflow = self._subflow_for(segment.channel)
-                subflow.in_flight = max(0, subflow.in_flight - segment.size)
-                newly_lost.append(segment)
-        if newly_lost:
-            self._retx_queue.extend(newly_lost)
-            channels = {segment.channel for segment in newly_lost}
-            for channel in channels:
-                subflow = self._subflow_for(channel)
-                subflow.cc.on_loss(self.sim.now, subflow.in_flight)
-
-    def _fire_acked_messages(self) -> None:
-        while self._next_message_index < len(self._messages):
-            message = self._messages[self._next_message_index]
-            if message.end > self._snd_una:
-                break
-            message.acked_at = self.sim.now
-            if message.on_acked is not None:
-                message.on_acked(message, self.sim.now)
-            self._next_message_index += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

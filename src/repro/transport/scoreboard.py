@@ -1,0 +1,297 @@
+"""The sender's loss-recovery scoreboard, shared by every reliable endpoint.
+
+One :class:`Scoreboard` holds the outstanding :class:`Segment` list and what
+the per-ACK machinery derives from it: the cumulative-ACK prefix drop, SACK
+marking, SACK-based loss inference (RFC 6675-lite), the retransmission
+queue and the flight-byte ledger.
+
+Loss is judged, and flight booked, **per loss key**. The number of keys is
+fixed at construction; a segment is filed under one when it is appended or
+retransmitted. :class:`~repro.transport.connection.Connection` uses a single
+key: a hole is lost relative to anything SACKed above it.
+:class:`~repro.transport.multipath.MultipathConnection` keys by channel: a
+hole is lost only relative to later deliveries *on its own channel*
+(cross-channel reordering is normal there, not a loss signal), and a
+reinjected segment moves its flight to the new subflow.
+
+``segments`` is kept sorted by ``seq`` (equivalently ``end_seq``): new
+segments carve contiguous ranges off the send stream and are appended in
+order, and nothing ever reorders the list. The per-ACK scans lean on that —
+each is O(affected segments) instead of O(outstanding window), which is
+where fig1a-scale runs spend most of their transport time.
+"""
+
+from __future__ import annotations
+
+from typing import List, Optional
+
+from repro._compat import hot_dataclass
+
+#: RFC 6675-style reordering allowance: a hole is "lost" once data this many
+#: bytes above it has been selectively acknowledged.
+SACK_REORDER_BYTES_FACTOR = 3
+
+
+@hot_dataclass
+class Segment:
+    """Sender-side record of one transmitted segment."""
+
+    seq: int
+    end_seq: int
+    sent_at: float
+    delivered_at_send: int
+    retransmitted: bool = False
+    sacked: bool = False
+    #: Declared lost (awaiting retransmission); excluded from the pipe.
+    lost: bool = False
+    #: Don't re-declare lost before this time (post-retransmit grace).
+    no_remark_until: float = 0.0
+    channel: Optional[int] = None
+    message_id: Optional[int] = None
+    message_priority: Optional[int] = None
+    message_last: bool = False
+    message_start: Optional[int] = None
+    #: Total size of the message this segment belongs to (schedulers use it
+    #: to recognize latency-bound small messages from their first segment).
+    message_size: Optional[int] = None
+    #: Loss key the scoreboard currently files this segment under.
+    key: int = 0
+
+    @property
+    def size(self) -> int:
+        return self.end_seq - self.seq
+
+
+class Scoreboard:
+    """Outstanding segments, loss inference and flight bytes, per loss key."""
+
+    def __init__(self, mss: int, keys: int = 1) -> None:
+        self.segments: List[Segment] = []  # outstanding, ordered by seq
+        self.retx_queue: List[Segment] = []  # declared lost, to resend first
+        #: Bytes in the network per key (SACKed and lost bytes excluded).
+        self.flight: List[int] = [0] * keys
+        #: Per-key loss threshold: the highest SACKed ``end_seq`` minus the
+        #: reordering allowance. Monotone, advanced by :meth:`ack`.
+        self._reorder_slack = SACK_REORDER_BYTES_FACTOR * mss
+        self._threshold: List[int] = [-self._reorder_slack] * keys
+        #: Settled-prefix cursor: every segment below this index is sacked
+        #: or already marked lost, so :meth:`first_unsettled` never re-reads
+        #: it. Shrinks with prefix deletions; resets to 0 when a
+        #: retransmission clears a ``lost`` flag (the only way a settled
+        #: segment becomes unsettled again).
+        self._scan_lo = 0
+        #: Per-key loss-sweep high-water mark: every unsacked segment of
+        #: the key with ``end_seq <= _loss_swept[key]`` has already been
+        #: examined against the key's threshold (thresholds are monotone,
+        #: so each ACK only needs to sweep the newly uncovered span). The
+        #: deferred leftovers — segments below the mark whose
+        #: ``no_remark_until`` was still in the future — wait in
+        #: ``_remark_pending`` instead of forcing a re-walk of the whole
+        #: sacked scoreboard.
+        self._loss_swept: List[float] = [float("-inf")] * keys
+        self._remark_pending: List[Segment] = []
+        #: Wake gate for ``_remark_pending``: the earliest holdoff expiry.
+        #: A pending segment can only become markable when the clock passes
+        #: its holdoff, so the scan is skipped entirely until then — a mass
+        #: retransmission (RTO) parks the whole window here without every
+        #: later ACK re-walking it.
+        self._pending_time_wake = float("inf")
+
+    # ------------------------------------------------------------------
+    # Transmission bookkeeping
+    # ------------------------------------------------------------------
+    def append(self, segment: Segment, key: int = 0) -> None:
+        """File a newly carved segment (the next in sequence) under ``key``."""
+        segment.key = key
+        self.segments.append(segment)
+        self.flight[key] += segment.size
+
+    def mark_lost(self, segment: Segment) -> None:
+        """Declare a live segment lost: it leaves its key's pipe."""
+        segment.lost = True
+        self.flight[segment.key] -= segment.size
+
+    def retransmit(self, segment: Segment, now: float, holdoff: float, key: int = 0) -> None:
+        """Put a lost segment back in flight, under a ``key`` that may differ
+        from the one it was lost on (multipath reinjection)."""
+        segment.lost = False
+        self._scan_lo = 0  # the segment is unsettled again
+        segment.retransmitted = True
+        segment.sent_at = now
+        segment.no_remark_until = now + holdoff
+        segment.key = key
+        # Its end_seq may be behind the key's sweep high-water mark, where
+        # the delta sweep never revisits it — queue it for re-examination
+        # once the remark holdoff expires.
+        self._remark_pending.append(segment)
+        if segment.no_remark_until < self._pending_time_wake:
+            self._pending_time_wake = segment.no_remark_until
+        self.flight[key] += segment.size
+
+    def first_unsacked(self) -> Optional[Segment]:
+        """The lowest outstanding segment the peer has not reported."""
+        return next((s for s in self.segments if not s.sacked), None)
+
+    def first_unsettled(self) -> Optional[Segment]:
+        """The lowest segment neither sacked nor lost."""
+        segments = self.segments
+        n = len(segments)
+        lo = self._scan_lo
+        while lo < n and (segments[lo].sacked or segments[lo].lost):
+            lo += 1
+        self._scan_lo = lo
+        return segments[lo] if lo < n else None
+
+    # ------------------------------------------------------------------
+    # Per-ACK scans
+    # ------------------------------------------------------------------
+    def ack(self, ack_seq: int, sack: tuple) -> Optional[Segment]:
+        """Absorb one ACK; return the newest RTT-eligible segment it covers.
+
+        Cumulatively acked segments form a prefix of the sorted list, so
+        this walks only that prefix and deletes it in one slice, then marks
+        the SACKed ranges (whose newest segment, when there is one, is the
+        better RTT sample: it was sent later).
+        """
+        newest: Optional[Segment] = None
+        segments = self.segments
+        flight = self.flight
+        idx = 0
+        for segment in segments:
+            if segment.end_seq > ack_seq:
+                break
+            idx += 1
+            if not segment.sacked and not segment.lost:
+                flight[segment.key] -= segment.size
+            if not segment.retransmitted:
+                newest = segment
+        if idx:
+            del segments[:idx]
+            lo = self._scan_lo - idx
+            self._scan_lo = lo if lo > 0 else 0
+        if sack:
+            return self._apply_sack(sack) or newest
+        return newest
+
+    def _apply_sack(self, ranges: tuple) -> Optional[Segment]:
+        """Mark SACKed segments; return the newest one for RTT sampling.
+
+        Each SACK range covers a contiguous run of segments: binary-search
+        to its first segment, walk until ``end_seq`` leaves the range.
+        """
+        segments = self.segments
+        flight = self.flight
+        threshold = self._threshold
+        slack = self._reorder_slack
+        n = len(segments)
+        newest_idx = -1
+        for lo, hi in ranges:
+            i, j = 0, n
+            while i < j:
+                mid = (i + j) // 2
+                if segments[mid].seq < lo:
+                    i = mid + 1
+                else:
+                    j = mid
+            while i < n:
+                segment = segments[i]
+                if segment.end_seq > hi:
+                    break
+                if not segment.sacked:
+                    segment.sacked = True
+                    key = segment.key
+                    if segment.lost:
+                        segment.lost = False
+                    else:
+                        flight[key] -= segment.size
+                    if segment.end_seq - slack > threshold[key]:
+                        threshold[key] = segment.end_seq - slack
+                    if not segment.retransmitted and i > newest_idx:
+                        newest_idx = i
+                i += 1
+        return segments[newest_idx] if newest_idx >= 0 else None
+
+    def detect_losses(self, now: float, snd_una: int) -> List[Segment]:
+        """SACK-based loss inference; queue and return the newly lost.
+
+        Each key's threshold is monotone, so each call sweeps only the span
+        of segments the threshold newly uncovered since the previous call
+        — not the whole sub-threshold scoreboard, which is mostly SACKed
+        holes' neighbours that a full walk re-read on every ACK. Segments
+        examined while their remark holdoff was still running wait in
+        ``_remark_pending``; retransmissions re-enter through the same
+        list (see :meth:`retransmit`).
+        """
+        segments = self.segments
+        thresholds = self._threshold
+        n = len(segments)
+        # Fresh candidates: per key, the span its threshold uncovered since
+        # the last sweep, ``end_seq`` in (swept, threshold]. New segments
+        # are created above every threshold (their seq exceeds the highest
+        # SACK), so every segment is examined by exactly one delta sweep of
+        # the key it was sent on; one that changes key re-enters through
+        # ``_remark_pending``.
+        candidates: List[Segment] = []
+        for key, threshold in enumerate(thresholds):
+            swept = self._loss_swept[key]
+            if threshold <= swept:
+                continue
+            i, hi = 0, n
+            while i < hi:
+                mid = (i + hi) // 2
+                if segments[mid].end_seq <= swept:
+                    i = mid + 1
+                else:
+                    hi = mid
+            while i < n:
+                segment = segments[i]
+                i += 1
+                if segment.end_seq > threshold:
+                    break
+                if segment.key == key and not segment.sacked and not segment.lost:
+                    candidates.append(segment)
+            self._loss_swept[key] = threshold
+        # Deferred candidates, once the wake gate says one may be markable.
+        pending = self._remark_pending
+        if pending and now >= self._pending_time_wake:
+            candidates += pending
+            self._remark_pending = pending = []
+            self._pending_time_wake = float("inf")
+        newly_lost: List[Segment] = []
+        for segment in candidates:
+            if segment.sacked or segment.lost:
+                continue
+            # A cumulatively acked entry left ``segments`` entirely and must
+            # not be remarked through the retained reference. One still above
+            # its key's threshold is above the key's sweep mark too, so the
+            # delta sweep will come to it.
+            key = segment.key
+            if not snd_una < segment.end_seq <= thresholds[key]:
+                continue
+            if now < segment.no_remark_until:
+                pending.append(segment)
+                if segment.no_remark_until < self._pending_time_wake:
+                    self._pending_time_wake = segment.no_remark_until
+            else:
+                self.mark_lost(segment)
+                newly_lost.append(segment)
+        if len(newly_lost) > 1:
+            # Several sources feed the retransmission queue; keep the
+            # sequence order a single full walk would produce.
+            newly_lost.sort(key=lambda s: s.seq)
+        self.retx_queue.extend(newly_lost)
+        return newly_lost
+
+    def audit(self) -> dict:
+        """Ledger snapshot for the invariant monitor: the per-key flight
+        ledger next to its recomputation from the segment list."""
+        recomputed = [0] * len(self.flight)
+        for segment in self.segments:
+            if not segment.sacked and not segment.lost:
+                recomputed[segment.key] += segment.size
+        return {
+            "flight_bytes": list(self.flight),
+            "segment_flight": recomputed,
+            "segments": [(s.seq, s.end_seq) for s in self.segments],
+            "retx_queued": len(self.retx_queue),
+        }

@@ -185,7 +185,7 @@ class TestLedgerLaws:
     def test_transport_flight_violation(self):
         net, monitor = self.run_clean()
         conn = net.connections[0].client
-        conn._flight_bytes += 1
+        conn._sb.flight[0] += 1
         with pytest.raises(InvariantError) as excinfo:
             monitor.audit()
         assert violation(excinfo)["law"] == "transport-flight"

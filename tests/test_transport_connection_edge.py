@@ -163,3 +163,25 @@ class TestRecoveryDetails:
         sim.run(until=10.0)
         timeline = sender.stats.delivered_timeline
         assert all(a[0] <= b[0] and a[1] <= b[1] for a, b in zip(timeline, timeline[1:]))
+
+
+class TestDuplicateLastSegment:
+    def test_duplicate_of_delivered_message_end_is_ignored(self, sim):
+        """A late copy of a message's last segment must neither re-fire
+        ``on_message`` nor park its end in ``_message_ends`` (where every
+        later data packet would rescan it for the life of the session)."""
+        receipts = []
+        sender, receiver, channels = make_conn_pair(sim, on_message=receipts.append)
+        tails = []
+        receiver.device.on_receive_hooks.append(
+            lambda p: tails.append(p) if p.ptype == PacketType.DATA and p.message_last else None
+        )
+        for message_id in range(3):
+            sender.send_message(kb(4), message_id=message_id)
+        sim.run(until=2.0)
+        assert [r.message_id for r in receipts] == [0, 1, 2]
+        assert len(tails) == 3
+        for tail in tails:
+            receiver._on_packet(tail)
+        assert [r.message_id for r in receipts] == [0, 1, 2]
+        assert receiver._message_ends == {}

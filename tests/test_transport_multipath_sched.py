@@ -55,14 +55,14 @@ class TestHvcScheduler:
     def test_urgent_falls_back_to_hb_when_ll_window_full(self):
         net, conn = make_conn()
         ll = conn.subflows[1]
-        ll.in_flight = int(ll.cc.cwnd_bytes)  # no room
+        conn._sb.flight[1] = int(ll.cc.cwnd_bytes)  # no room
         chosen = conn._pick_subflow(segment(last=True))
         assert chosen.channel_index == 0
 
     def test_bulk_waits_when_hb_window_full(self):
         net, conn = make_conn()
         hb = conn.subflows[0]
-        hb.in_flight = int(hb.cc.cwnd_bytes)
+        conn._sb.flight[0] = int(hb.cc.cwnd_bytes)
         assert conn._pick_subflow(segment()) is None
 
     def test_single_channel_everything_on_it(self):
@@ -83,11 +83,11 @@ class TestMinRttScheduler:
         net, conn = make_conn(scheduler="minrtt")
         conn.subflows[0].rtt.on_sample(0.050)
         conn.subflows[1].rtt.on_sample(0.005)
-        conn.subflows[1].in_flight = int(conn.subflows[1].cc.cwnd_bytes)
+        conn._sb.flight[1] = int(conn.subflows[1].cc.cwnd_bytes)
         assert conn._pick_subflow(segment()).channel_index == 0
 
     def test_none_when_all_full(self):
         net, conn = make_conn(scheduler="minrtt")
         for subflow in conn.subflows:
-            subflow.in_flight = int(subflow.cc.cwnd_bytes)
+            conn._sb.flight[subflow.channel_index] = int(subflow.cc.cwnd_bytes)
         assert conn._pick_subflow(segment()) is None
