@@ -7,10 +7,11 @@ pooling. Both are driven through the same interleaved schedule/cancel/pop
 churn — a sliding window of near-horizon timers, the kernel's steady
 state — in the same process, so machine speed cancels out of the ratio.
 
-The legacy peek+pop vs fused pop_next discipline comparison from the
-previous kernel benchmark is retained for continuity, and a full
-simulation rate (one CUBIC bulk flow) anchors the numbers to reality.
-Everything lands in ``BENCH_kernel.json``.
+A second rung drains one pre-filled queue through the two dispatch loops
+— ``Simulator.run`` (walks each sorted bucket in place) against
+``Simulator.run_per_event`` (one fused ``pop_next`` per event, the
+reference) — and a full simulation rate (one CUBIC bulk flow) anchors
+the numbers to reality. Everything lands in ``BENCH_kernel.json``.
 """
 
 import time
@@ -18,6 +19,7 @@ import time
 from benchjson import record, timed
 from repro.experiments.fig1 import run_single_cca
 from repro.sim.events import EventQueue, HeapEventQueue
+from repro.sim.kernel import Simulator
 
 CHURN_EVENTS = 120_000
 CANCEL_EVERY = 7  # schedule-then-cancel decoys: pacing/RTO churn
@@ -60,71 +62,30 @@ def _best_churn(queue_cls, rounds: int = 3) -> float:
     return max(_churn_events_per_second(queue_cls) for _ in range(rounds))
 
 
-UNTIL = 1e12  # bound beyond every event: full drain
+DRAIN_EVENTS = 100_000
 
 
-def _filled_queue() -> EventQueue:
-    queue = EventQueue()
-    for index in range(100_000):
-        event = queue.push((index % 977) * 1e-3, _noop)
+def _filled_simulator() -> Simulator:
+    sim = Simulator()
+    for index in range(DRAIN_EVENTS):
+        event = sim.schedule_at((index % 977) * 1e-3, _noop)
         if index % CANCEL_EVERY == 0:
             event.cancel()
-    return queue
+    return sim
 
 
-def _drain_fused(queue: EventQueue) -> int:
-    count = 0
-    pop_next = queue.pop_next
-    while pop_next(UNTIL) is not None:
-        count += 1
-    return count
-
-
-def _drain_batch(queue: EventQueue) -> int:
-    # The batch discipline Simulator.run is built on: one pop_bucket call
-    # returns the whole sorted same-bucket run; pop_next only serves the
-    # overflow interleavings (none in this workload).
-    count = 0
-    pop_bucket = queue.pop_bucket
-    pop_next = queue.pop_next
-    while True:
-        batch = pop_bucket(UNTIL)
-        if batch:
-            count += len(batch)
-            continue
-        if pop_next(UNTIL) is None:
-            break
-        count += 1
-    return count
-
-
-def _drain_legacy(queue: EventQueue) -> int:
-    # The pre-fusion discipline: peek (one scan) to check the bound, then
-    # pop (a second scan over the same cancelled prefix).
-    count = 0
-    peek_time = queue.peek_time
-    pop = queue.pop
-    while True:
-        next_time = peek_time()
-        if next_time is None or next_time > UNTIL:
-            break
-        pop()
-        count += 1
-    return count
-
-
-def _drain_events_per_second(drain) -> float:
-    queue = _filled_queue()
+def _drain_events_per_second(loop) -> float:
+    sim = _filled_simulator()
     start = time.perf_counter()
-    count = drain(queue)
+    loop(sim)
     elapsed = time.perf_counter() - start
-    expected = 100_000 - (100_000 + CANCEL_EVERY - 1) // CANCEL_EVERY
-    assert count == expected, (count, expected)
-    return count / elapsed
+    expected = DRAIN_EVENTS - (DRAIN_EVENTS + CANCEL_EVERY - 1) // CANCEL_EVERY
+    assert sim.events_processed == expected, (sim.events_processed, expected)
+    return expected / elapsed
 
 
-def _best_drain(drain, rounds: int = 3) -> float:
-    return max(_drain_events_per_second(drain) for _ in range(rounds))
+def _best_drain(loop, rounds: int = 3) -> float:
+    return max(_drain_events_per_second(loop) for _ in range(rounds))
 
 
 def test_bench_kernel_wheel_vs_heap(benchmark):
@@ -137,12 +98,9 @@ def test_bench_kernel_wheel_vs_heap(benchmark):
     )
     speedup = wheel_eps / heap_eps
 
-    # Continuity with the previous kernel benchmark: the fused pop_next
-    # discipline against the two-scan peek+pop it replaced, plus the
-    # batch pop_bucket discipline this PR's fast loop dispatches with.
-    legacy_eps = _best_drain(_drain_legacy)
-    fused_eps = _best_drain(_drain_fused)
-    batch_eps = _best_drain(_drain_batch)
+    # The two dispatch loops over the same bucket-dense queue.
+    per_event_eps = _best_drain(Simulator.run_per_event)
+    run_eps = _best_drain(Simulator.run)
 
     # A realistic rate too: one CUBIC bulk flow through the full kernel.
     with timed() as t:
@@ -157,11 +115,9 @@ def test_bench_kernel_wheel_vs_heap(benchmark):
             "wheel_events_per_second": round(wheel_eps, 1),
             "heap_events_per_second": round(heap_eps, 1),
             "wheel_over_heap": round(speedup, 3),
-            "fused_events_per_second": round(fused_eps, 1),
-            "legacy_events_per_second": round(legacy_eps, 1),
-            "fused_over_legacy": round(fused_eps / legacy_eps, 3),
-            "batch_events_per_second": round(batch_eps, 1),
-            "batch_over_fused": round(batch_eps / fused_eps, 3),
+            "run_events_per_second": round(run_eps, 1),
+            "run_per_event_events_per_second": round(per_event_eps, 1),
+            "run_over_run_per_event": round(run_eps / per_event_eps, 3),
             "sim_events_per_second": round(sim_eps, 1),
         },
     )
@@ -169,13 +125,12 @@ def test_bench_kernel_wheel_vs_heap(benchmark):
     print(f"  wheel + pool   : {wheel_eps:12.0f} events/s")
     print(f"  heap (pre-PR)  : {heap_eps:12.0f} events/s  "
           f"(wheel is {speedup:.2f}x)")
-    print(f"  batch pop_bucket: {batch_eps:11.0f} events/s (full drain)")
-    print(f"  fused pop_next : {fused_eps:12.0f} events/s")
-    print(f"  legacy peek+pop: {legacy_eps:12.0f} events/s")
+    print(f"  run (batch)    : {run_eps:12.0f} events/s (full drain)")
+    print(f"  run_per_event  : {per_event_eps:12.0f} events/s")
     print(f"  full simulator : {sim_eps:12.0f} events/s (cubic bulk flow)")
-    # The batch discipline must beat per-event pops on bucket-dense
-    # workloads; 1.2 leaves room for loaded CI boxes (typically ~1.6x).
-    assert batch_eps > 1.2 * fused_eps, (batch_eps, fused_eps)
+    # The batch loop must beat per-event pops on bucket-dense
+    # workloads; 1.2 leaves room for loaded CI boxes.
+    assert run_eps > 1.2 * per_event_eps, (run_eps, per_event_eps)
     # The wheel must clearly beat the heap it replaced; 1.5 leaves
     # head-room for scheduler noise on loaded CI boxes (typical measured
     # ratio is >2x on an idle machine).

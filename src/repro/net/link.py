@@ -10,17 +10,16 @@ Serialization sweeps (:class:`LinkBatch`): on a fixed-rate FIFO link the
 future is knowable — when a backlog builds, the finish time of every
 queued packet is ``now + cumsum(tx_i)``. Instead of scheduling each
 finish event from inside the previous one (one kernel push per packet,
-forever), the link precomputes the whole window in one array pass
-(numpy when the window is large, a plain list loop otherwise) and files
-every finish event with a single bulk push. All *observable* transitions
-keep their per-packet instants: busy-time accrues when a packet begins
-service, the loss draw happens at departure (same RNG call order), the
-delivery is scheduled at departure using the delay *then* in force. A
-sweep is only a bet that the rate stays put and the queue stays FIFO —
-anything that breaks the bet (fault rate scaling, a flush) bumps the
-sweep epoch, so in-flight sweep events turn into no-ops and the packet
-mid-serializer re-arms through the classic per-packet path at the exact
-same finish instant. Trace-driven links (time-varying rate) and
+forever), the link precomputes the whole window in one list loop and
+files every finish event with a single bulk push. All *observable*
+transitions keep their per-packet instants: busy-time accrues when a
+packet begins service, the loss draw happens at departure (same RNG call
+order), the delivery is scheduled at departure using the delay *then* in
+force. A sweep is only a bet that the rate stays put and the queue stays
+FIFO — anything that breaks the bet (fault rate scaling, a flush) bumps
+the sweep epoch, so in-flight sweep events turn into no-ops and the
+packet mid-serializer re-arms through the classic per-packet path at the
+exact same finish instant. Trace-driven links (time-varying rate) and
 priority queues (reorderable head) never sweep.
 """
 
@@ -34,14 +33,8 @@ from repro.errors import NetworkError
 from repro.net.loss import LossModel, NoLoss
 from repro.net.packet import Packet
 from repro.net.queue import DropTailQueue, PriorityDropTailQueue
-from repro.sim.core import sweep_times
 from repro.sim.kernel import Simulator
 from repro.units import transmission_time
-
-try:  # pragma: no cover - exercised indirectly via LinkBatch
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
 
 #: How long a link waits before re-checking a trace whose current rate is 0.
 OUTAGE_POLL_INTERVAL = 1e-3
@@ -53,10 +46,6 @@ SWEEP_MIN_QUEUED = 3
 #: Longest precomputed window. Bounds the bet the sweep places on the
 #: rate staying constant, and the work discarded when it loses.
 SWEEP_MAX = 64
-
-#: Window size at and above which the numpy path beats the list loop
-#: (array-construction overhead dominates below this).
-SWEEP_NUMPY_MIN = 32
 
 
 class LinkBatch:
@@ -88,31 +77,22 @@ class LinkBatch:
     def compute(
         packets: List[Packet], rate: float, now: float
     ) -> Tuple[List[float], List[float]]:
-        """Vectorized ``tx`` and cumulative finish times for a window.
+        """Per-packet ``tx`` and cumulative finish times for a window.
 
         Arithmetic matches the per-packet path exactly: each tx is
-        ``(size * 8) / rate`` (same float rounding elementwise in
-        numpy), and finish times accumulate sequentially — ``cumsum``
-        is a sequential accumulation, so the sums round identically to
-        the event-by-event additions they replace.
+        ``(size * 8) / rate`` and finish times accumulate sequentially,
+        so the sums round identically to the event-by-event additions
+        they replace.
         """
-        if _np is not None and len(packets) >= SWEEP_NUMPY_MIN:
-            count = len(packets)
-            buf = _np.empty(count + 1, dtype=_np.float64)
-            buf[0] = now
-            sizes = _np.fromiter(
-                (p.size_bytes for p in packets), dtype=_np.float64, count=count
-            )
-            # Seeding the cumsum with ``now`` makes every partial sum the
-            # sequential ``acc += tx`` chain, so finish instants round
-            # bit-for-bit like the per-packet schedule they replace.
-            _np.multiply(sizes, 8.0, out=sizes)
-            _np.divide(sizes, rate, out=sizes)
-            buf[1:] = sizes
-            return sizes.tolist(), _np.cumsum(buf)[1:].tolist()
-        # Scalar path: the selected core loop (mypyc-compiled when built,
-        # pure-Python otherwise — see repro.sim.core). One call per sweep.
-        return sweep_times([p.size_bytes for p in packets], rate, now)
+        tx_times: List[float] = []
+        finish_times: List[float] = []
+        acc = now
+        for packet in packets:
+            tx = packet.size_bytes * 8.0 / rate
+            acc += tx
+            tx_times.append(tx)
+            finish_times.append(acc)
+        return tx_times, finish_times
 
 
 @dataclass

@@ -6,6 +6,8 @@ reproducible for a given scenario seed. Pending events live in a
 two-level structure — a near-horizon timer wheel plus an overflow heap
 (:mod:`repro.sim.wheel`, :mod:`repro.sim.events`) — with transient
 per-packet events recycled through :mod:`repro.sim.pool`.
+:class:`HeapEventQueue` and ``Simulator.run_per_event`` are the reference
+implementations the equivalence tests hold the wheel and the batch loop to.
 """
 
 from repro.sim.events import Event, EventQueue, HeapEventQueue

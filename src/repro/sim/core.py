@@ -1,72 +1,3 @@
-"""Compiled-core selection: pure-Python or mypyc-built hot loops.
+"""No compiled core exists; ``benchmarks/ledger/run.py`` still records this flag."""
 
-:mod:`repro.sim._core` is a single source file playing two roles: it is
-the pure-Python fallback, and it is the compilation unit
-``tools/build_core.py`` feeds to mypyc. A built extension shadows the
-``.py`` under the same module name, so this selector decides *which* to
-load at import time from the ``REPRO_COMPILED`` environment variable:
-
-``0`` / ``false`` / ``off``
-    Force the pure-Python loops, even when an extension is built
-    (loaded explicitly from the ``.py`` source). This is the CI leg that
-    proves the fallback imports and behaves identically without a C
-    toolchain.
-``1`` / ``true`` / ``on``
-    Require the compiled extension; raise ``ImportError`` with build
-    instructions when it is missing. This is the CI leg that proves the
-    compiled core builds and agrees with the fallback.
-``auto`` (or unset)
-    Use the extension when built, the pure source otherwise — the
-    right default for users.
-
-Consumers import the kernels from here (``from repro.sim.core import
-sweep_times``); :data:`COMPILED` reports which implementation won.
-"""
-
-from __future__ import annotations
-
-import importlib.util
-import os
-import sys
-from pathlib import Path
-
-#: The raw selection knob, normalized.
-MODE = os.environ.get("REPRO_COMPILED", "auto").strip().lower()
-
-_FORCE_PURE = MODE in ("0", "false", "no", "off")
-_REQUIRE_COMPILED = MODE in ("1", "true", "yes", "on")
-
-
-def _load_pure_source():
-    """Import ``_core`` from its ``.py`` even when an extension shadows it."""
-    path = Path(__file__).with_name("_core.py")
-    spec = importlib.util.spec_from_file_location("repro.sim._core_pure", path)
-    if spec is None or spec.loader is None:  # pragma: no cover - packaging error
-        raise ImportError(f"cannot load the pure core from {path}")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules["repro.sim._core_pure"] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-if _FORCE_PURE:
-    _impl = _load_pure_source()
-    COMPILED = False
-else:
-    from repro.sim import _core as _impl
-
-    # A mypyc build replaces the module with a C extension; the source
-    # fallback keeps its .py path.
-    COMPILED = str(getattr(_impl, "__file__", "")).endswith((".so", ".pyd"))
-    if _REQUIRE_COMPILED and not COMPILED:
-        raise ImportError(
-            "REPRO_COMPILED=1 but the compiled simulator core is not built; "
-            "run `python tools/build_core.py` (requires mypy and a C "
-            "toolchain) or unset REPRO_COMPILED to use the pure-Python loops"
-        )
-
-sweep_times = _impl.sweep_times
-wheel_file = _impl.wheel_file
-drain_batch = _impl.drain_batch
-
-__all__ = ["COMPILED", "MODE", "sweep_times", "wheel_file", "drain_batch"]
+COMPILED = False

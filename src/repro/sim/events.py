@@ -24,7 +24,6 @@ from bisect import insort
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
-from repro.sim.core import drain_batch
 from repro.sim.wheel import DEFAULT_GRANULARITY, DEFAULT_HORIZON, TimerWheel
 
 
@@ -149,10 +148,10 @@ class EventQueue:
     ) -> Event:
         """Insert a new event and return it (for possible cancellation).
 
-        The pool acquire and the wheel insert are inlined here (reaching
-        into :class:`TimerWheel` and :class:`EventPool` slots directly):
-        this runs once per scheduled event and the call overhead of the
-        tidy three-method version measurably dominates the real work.
+        Event recycling and wheel filing are done here by reaching into
+        :class:`TimerWheel` and :class:`EventPool` slots directly: this
+        runs once per scheduled event and method-call overhead would
+        measurably dominate the real work.
         """
         seq = self._next_seq
         self._next_seq = seq + 1
@@ -208,8 +207,8 @@ class EventQueue:
         dispatch; the caller keeps no handles and never cancels) — this
         is the bulk feed for array-of-structs sweeps like
         :class:`repro.net.link.LinkBatch`, which computes a window of
-        serialization-finish times in one vectorized pass and hands the
-        whole window over here, paying the queue overhead once per sweep
+        serialization-finish times in one loop and hands the whole
+        window over here, paying the queue overhead once per sweep
         instead of once per packet.
         """
         pool = self._pool
@@ -319,66 +318,6 @@ class EventQueue:
         self._live -= 1
         return event
 
-    def pop_bucket(
-        self, until: Optional[float] = None, limit: Optional[int] = None
-    ) -> List[Event]:
-        """Pop the sorted same-bucket run of live events in one call.
-
-        Returns every live event from the wheel's current (or next)
-        drain bucket whose time is ``<= until`` and earlier than the
-        overflow head, up to ``limit`` events — the batch the kernel's
-        fast loop dispatches between slow-path reloads. Returns ``[]``
-        when the next event lives in the overflow heap (pop it with
-        :meth:`pop_next`) or nothing is eligible.
-
-        Contract: the batch is *materialized*, so a caller that runs
-        callbacks afterwards must not let them schedule into the popped
-        window if it needs heap-identical dispatch order — the kernel
-        therefore walks the drain list in place instead (same entries,
-        same order, but mid-batch inserts still merge). ``pop_bucket``
-        is the API for non-reentrant consumers: replay drivers, the
-        compiled core's boundary, tests, benchmarks.
-        """
-        wheel = self._wheel
-        head = wheel.peek()
-        while head is not None and head[2].cancelled:
-            wheel.advance()
-            self._reclaim(head[2])
-            head = wheel.peek()
-        if head is None:
-            return []
-        overflow = self._overflow
-        while overflow and overflow[0][2].cancelled:
-            self._reclaim(heappop(overflow)[2])
-        bound_time = wheel.bucket_end_time()
-        if until is not None and until < bound_time:
-            bound_time = until + 0.0  # inclusive bound handled below
-            inclusive = True
-        else:
-            inclusive = False
-        ocut = overflow[0] if overflow else None
-        # The walk itself is the selected core loop (mypyc-compiled when
-        # built — see repro.sim.core); bookkeeping stays here.
-        pos, batch, dead = drain_batch(
-            wheel._drain,
-            wheel._drain_pos,
-            bound_time,
-            inclusive,
-            ocut,
-            -1 if limit is None else limit,
-        )
-        pool = self._pool
-        for event in dead:
-            self._dead -= 1
-            event._queue = None
-            if event.transient:
-                pool.release(event)
-        for event in batch:
-            event._queue = None
-        wheel._drain_pos = pos
-        self._live -= len(batch)
-        return batch
-
     def peek_time(self) -> Optional[float]:
         """Time of the earliest non-cancelled event, or ``None`` if empty.
 
@@ -459,13 +398,6 @@ class EventQueue:
                 pool.release(event)
         self._dead -= len(removed)
         self.compactions += 1
-
-    def notify_cancelled(self) -> None:
-        """Deprecated no-op kept for backwards compatibility.
-
-        :meth:`Event.cancel` now reports to the queue itself, so external
-        callers no longer need to (and must not) adjust the live count.
-        """
 
     # ------------------------------------------------------------------
     # Introspection
@@ -555,9 +487,6 @@ class HeapEventQueue:
     def _on_event_cancelled(self) -> None:
         self._live -= 1
         self._dead += 1
-
-    def notify_cancelled(self) -> None:
-        """Deprecated no-op kept for backwards compatibility."""
 
     @property
     def dead_events(self) -> int:

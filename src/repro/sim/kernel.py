@@ -18,8 +18,8 @@ bit-for-bit the heap order, ``stop()`` still halts after the active
 event); what moves to per-batch granularity is the queue bookkeeping,
 the compaction trigger, and the invariant hook (see
 :meth:`attach_batch_invariant_hook`). :meth:`run_per_event` keeps the
-classic one-pop-per-event loop as the reference implementation and as
-the path for legacy per-event invariant hooks.
+classic one-pop-per-event loop as the reference implementation the
+equivalence suite and the kernel benchmark compare :meth:`run` against.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ class Simulator:
         "_stop_requested",
         "events_processed",
         "_obs",
-        "_invariant_hook",
         "_batch_invariant_hook",
     )
 
@@ -68,32 +67,14 @@ class Simulator:
         #: event count into the ``sim.events_processed`` counter afterwards
         #: (off the per-event hot path).
         self._obs = None
-        #: Optional per-event invariant hook ``fn(now, event_time)`` called
-        #: before the clock advances to each event (see :mod:`repro.check`).
-        #: Forces :meth:`run` onto the per-event reference loop unless a
-        #: batch hook is also installed.
-        self._invariant_hook: Optional[Callable[[float, float], None]] = None
         #: Optional per-batch invariant hook ``fn(now, first_time, count)``
-        #: called once per dispatched batch (supersedes the per-event hook
-        #: in the batch loop). See :meth:`attach_batch_invariant_hook`.
+        #: called once per dispatched batch (see :mod:`repro.check` and
+        #: :meth:`attach_batch_invariant_hook`).
         self._batch_invariant_hook: Optional[Callable[[float, float, int], None]] = None
 
     def attach_obs(self, obs) -> None:
         """Attach an observability context (see :mod:`repro.obs`)."""
         self._obs = obs
-
-    def attach_invariant_hook(self, hook: Optional[Callable[[float, float], None]]) -> None:
-        """Install (or clear, with ``None``) the per-event invariant hook.
-
-        The hook runs *before* ``now`` advances and may raise — an
-        :class:`~repro.errors.InvariantError` propagates out of :meth:`run`
-        with the clock still at the pre-event time. Installing a
-        per-event hook without a batch hook sends :meth:`run` through the
-        per-event reference loop, so the per-event contract is exact (at
-        per-event dispatch cost — attach a batch hook via
-        :meth:`attach_batch_invariant_hook` to stay on the fast loop).
-        """
-        self._invariant_hook = hook
 
     def attach_batch_invariant_hook(
         self, hook: Optional[Callable[[float, float, int], None]]
@@ -104,12 +85,13 @@ class Simulator:
         ``now`` is the clock before the batch, ``first_time`` the first
         event's time, ``count`` how many live events dispatched. Because
         every batch is a sorted run, checking ``first_time >= now``
-        certifies clock monotonicity for the whole batch — the same law
-        the per-event hook enforces, at 1/len(batch) the cost. Slow-path
-        (overflow/singleton) events report as batches of one, *before*
-        their callback runs; full batches report at the batch boundary,
-        i.e. a law violated mid-batch is detected at the end of that
-        bucket rather than between events.
+        certifies clock monotonicity for the whole batch, at 1/len(batch)
+        the cost of checking every event. The hook may raise: an
+        :class:`~repro.errors.InvariantError` propagates out of
+        :meth:`run`. Slow-path (overflow/singleton) events report as
+        batches of one, *before* their callback runs; full batches report
+        at the batch boundary, i.e. a law violated mid-batch is detected
+        at the end of that bucket rather than between events.
         """
         self._batch_invariant_hook = hook
 
@@ -166,9 +148,9 @@ class Simulator:
 
         ``items`` is a sequence of ``(time, callback, args)`` with
         *absolute* times, each ``>= self.now`` (the caller computed them
-        from ``now`` plus non-negative offsets — e.g. a vectorized link
-        sweep). The per-packet recycle contract of
-        :meth:`schedule_transient` applies: no handles, no cancels.
+        from ``now`` plus non-negative offsets — e.g. a link sweep).
+        The per-packet recycle contract of :meth:`schedule_transient`
+        applies: no handles, no cancels.
         """
         self._queue.push_bulk(items)
 
@@ -182,10 +164,10 @@ class Simulator:
         with the cancel bookkeeping in one place. ``event`` may be
         ``None`` or already fired/cancelled; both are no-ops.
         """
-        if event is not None and not event.cancelled:
-            event.cancel()
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        if event is not None and not event.cancelled:
+            event.cancel()
         return self._queue.push(self.now + delay, callback, args)
 
     def cancel(self, event: Event) -> None:
@@ -220,10 +202,6 @@ class Simulator:
         the queue exactly as the per-event loop would (the failing event
         consumed, the cursor and live/dead counts settled).
         """
-        if self._invariant_hook is not None and self._batch_invariant_hook is None:
-            # Legacy per-event hook: honor its exact contract on the
-            # reference loop rather than approximating it per batch.
-            return self.run_per_event(until, max_events)
         if type(self._queue) is not EventQueue:
             # A swapped-in queue (HeapEventQueue cross-checks, test
             # doubles) has no wheel to batch-drain: serve it with the
@@ -250,53 +228,37 @@ class Simulator:
                 drain = wheel._drain
                 pos = wheel._drain_pos
                 n = len(drain)
-                if pos >= n or (overflow and not drain[pos] < overflow[0]):
-                    # Slow path: bucket exhausted, or the overflow head
-                    # interleaves. One classic fused pop.
-                    event = queue.pop_next(until)
-                    if event is None:
-                        drained = True
-                        break
-                    if batch_check is not None:
-                        batch_check(self.now, event.time, 1)
-                    self.now = event.time
-                    event.callback(*event.args)
-                    if event.transient and len(free) < max_free:
-                        event.callback = None
-                        event.args = ()
-                        event._queue = None
-                        free.append(event)
-                        released += 1
-                    processed += 1
-                    if max_events is not None and processed >= max_events:
-                        break
-                    continue
-                # Fast path: dispatch the eligible prefix of the loaded
-                # bucket. The bound indices are computed once; mid-batch
-                # inserts can only shift entries rightwards past the
-                # bound, where the next outer iteration picks them up in
-                # order (an insert *before* the cursor is impossible:
-                # new entries carry a larger seq and a time >= now).
-                bound = n
-                if overflow:
-                    cut = bisect_left(drain, overflow[0], lo=pos)
-                    if cut < bound:
-                        bound = cut
-                if until is not None and until < (wheel._drain_tick + 1) * granularity:
-                    cut = bisect_right(drain, (until, _INF), lo=pos)
-                    if cut < bound:
-                        bound = cut
-                    if cut == pos:
-                        # Everything left in this bucket (and hence in
-                        # the whole queue) is beyond the epoch.
-                        drained = True
-                        break
-                if max_events is not None:
-                    cut = pos + (max_events - processed)
-                    if cut < bound:
-                        bound = cut
+                if pos < n and (not overflow or drain[pos] < overflow[0]):
+                    # Fast path: dispatch the eligible prefix of the
+                    # loaded bucket. The bound indices are computed once;
+                    # mid-batch inserts can only shift entries rightwards
+                    # past the bound, where the next outer iteration picks
+                    # them up in order (an insert *before* the cursor is
+                    # impossible: new entries carry a larger seq and a
+                    # time >= now).
+                    bound = n
+                    if overflow:
+                        cut = bisect_left(drain, overflow[0], lo=pos)
+                        if cut < bound:
+                            bound = cut
+                    if until is not None and until < (wheel._drain_tick + 1) * granularity:
+                        cut = bisect_right(drain, (until, _INF), lo=pos)
+                        if cut < bound:
+                            bound = cut
+                        if cut == pos:
+                            # Everything left in this bucket (and hence in
+                            # the whole queue) is beyond the epoch.
+                            drained = True
+                            break
+                    if max_events is not None:
+                        cut = pos + (max_events - processed)
+                        if cut < bound:
+                            bound = cut
+                else:
+                    bound = pos
                 if bound <= pos:
-                    # Overflow head precedes the bucket: slow pop serves it.
+                    # Slow path: bucket exhausted, or the overflow head
+                    # precedes or interleaves. One classic fused pop.
                     event = queue.pop_next(until)
                     if event is None:
                         drained = True
@@ -385,9 +347,8 @@ class Simulator:
         Semantically identical to :meth:`run` — the hypothesis suite in
         ``tests/test_sim_wheel.py`` holds the two to bit-for-bit equal
         dispatch records — but pays the full queue sweep for every
-        event. :meth:`run` routes here when a per-event invariant hook
-        is attached without a batch hook; it is also the loop the batch
-        path is benchmarked against.
+        event. :meth:`run` routes here for a swapped-in queue without a
+        wheel; it is also the loop the batch path is benchmarked against.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run)")
@@ -401,7 +362,6 @@ class Simulator:
         pool = getattr(self._queue, "pool", None)
         free = pool._free if pool is not None else ()
         max_free = pool.max_free if pool is not None else 0
-        check = self._invariant_hook
         batch_check = self._batch_invariant_hook
         try:
             while not self._stop_requested:
@@ -409,8 +369,6 @@ class Simulator:
                 if event is None:
                     drained = True
                     break
-                if check is not None:
-                    check(self.now, event.time)
                 if batch_check is not None:
                     batch_check(self.now, event.time, 1)
                 self.now = event.time

@@ -17,8 +17,6 @@ be held or cancelled freely, exactly as before.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Tuple
-
 from repro.sim.events import Event
 
 
@@ -26,7 +24,9 @@ class EventPool:
     """LIFO free list of :class:`Event` objects.
 
     The free list is bounded so a one-off scheduling burst cannot pin
-    memory for the rest of the run.
+    memory for the rest of the run. Acquisition is inlined in
+    :meth:`repro.sim.events.EventQueue.push`/``push_bulk`` (the hottest
+    allocation site), which pop ``_free`` and bump the counters directly.
     """
 
     __slots__ = ("_free", "max_free", "created", "reused", "released")
@@ -40,29 +40,6 @@ class EventPool:
         self.reused = 0
         #: Events returned to the free list.
         self.released = 0
-
-    def acquire(
-        self,
-        time: float,
-        seq: int,
-        callback: Callable[..., Any],
-        args: Tuple = (),
-        transient: bool = False,
-    ) -> Event:
-        """A ready-to-queue event, recycled when possible."""
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.seq = seq
-            event.callback = callback
-            event.args = args
-            event.cancelled = False
-            event.transient = transient
-            self.reused += 1
-            return event
-        self.created += 1
-        return Event(time, seq, callback, args, transient)
 
     def release(self, event: Event) -> None:
         """Return a dispatched (or discarded) transient event to the pool.

@@ -18,21 +18,21 @@ Batch draining: the sorted drain bucket *is* the batch. The kernel's
 fast loop (:meth:`repro.sim.kernel.Simulator.run`) walks ``_drain`` from
 ``_drain_pos`` directly — one Python-level loop per bucket instead of
 one ``pop_next`` call per event — writing the cursor back when it
-leaves the bucket. :meth:`insert` merges same-bucket arrivals into the
-un-drained suffix, so mid-batch schedules for the current instant keep
-exact FIFO order either way.
+leaves the bucket.
 
-Entries scheduled further out than ``horizon`` seconds from the wheel's
-current position are rejected by :meth:`insert`; the caller keeps those
-in its overflow heap (the second level of the hierarchy).
+Filing lives in the owner: :meth:`repro.sim.events.EventQueue.push` and
+``push_bulk`` write the wheel's slots directly (once per scheduled
+event, where a method call would dominate the work). They merge
+same-bucket arrivals into the un-drained suffix, so mid-batch schedules
+for the current instant keep exact FIFO order, and keep entries further
+out than ``horizon`` seconds from the wheel's current position in the
+overflow heap (the second level of the hierarchy).
 """
 
 from __future__ import annotations
 
 from heapq import heappop
 from typing import List, Optional, Tuple
-
-from repro.sim.core import wheel_file
 
 #: Bucket width in seconds. 1 ms comfortably separates pacing ticks,
 #: link serialize completions and RTTs while keeping bucket sorts small.
@@ -95,39 +95,6 @@ class TimerWheel:
         self._bucket_entries = 0
 
     # ------------------------------------------------------------------
-    # Insert / remove
-    # ------------------------------------------------------------------
-    def insert(self, entry: Entry, tick: int) -> bool:
-        """File ``entry`` under ``tick``; False when beyond the horizon.
-
-        Entries for the bucket currently draining are merged into the
-        un-drained suffix with one C-level ``insort`` — a callback that
-        schedules for the current instant keeps exact FIFO order.
-
-        Delegates to the selected core loop
-        (:func:`repro.sim.core.wheel_file` — mypyc-compiled when built).
-        ``EventQueue.push`` inlines the same filing logic instead of
-        calling here: that path runs once per scheduled event, where the
-        call boundary would cost the pure build more than the compiled
-        build gains.
-        """
-        filed = wheel_file(
-            self._drain,
-            self._drain_pos,
-            self._drain_tick,
-            self._base_tick,
-            self.horizon_ticks,
-            self._buckets,
-            self._tick_heap,
-            entry,
-            tick,
-        )
-        if filed < 0:
-            return False
-        self._bucket_entries += filed
-        return True
-
-    # ------------------------------------------------------------------
     # Drain
     # ------------------------------------------------------------------
     def peek(self) -> Optional[Entry]:
@@ -175,10 +142,6 @@ class TimerWheel:
     def entry_count(self) -> int:
         """Entries physically held (live and cancelled alike). O(1)."""
         return self._bucket_entries + len(self._drain) - self._drain_pos
-
-    def bucket_end_time(self) -> float:
-        """Exclusive upper time bound of the bucket being drained."""
-        return (self._drain_tick + 1) * self.granularity
 
     def compact(self) -> list:
         """Drop cancelled entries everywhere; return their events.

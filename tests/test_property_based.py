@@ -43,7 +43,6 @@ class TestEventQueueProperties:
         )
         for index in to_cancel:
             events[index].cancel()
-            queue.notify_cancelled()
         survivors = 0
         while queue.pop() is not None:
             survivors += 1

@@ -1,11 +1,10 @@
-"""Batch-dispatch surfaces: ``pop_bucket``, bulk scheduling, sweeps.
+"""Batch-dispatch surfaces: bulk scheduling, sweeps, start-up imports.
 
 Complements ``test_sim_wheel.py`` (which proves the batch loop's
 dispatch *order* equals the per-event and heap references): these tests
-pin the batch-granularity APIs themselves — the materialized-bucket pop,
-the bulk transient feed, pool recycling through the fast loop, the O(1)
-entry counter, the compiled-core selector, and the link serialization
-sweeps built on top of them.
+pin the batch-granularity APIs themselves — the bulk transient feed,
+pool recycling through the fast loop, the O(1) entry counter, and the
+link serialization sweeps built on top of them.
 """
 
 import os
@@ -13,16 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
-from repro.net.link import (
-    SWEEP_MAX,
-    SWEEP_MIN_QUEUED,
-    SWEEP_NUMPY_MIN,
-    Link,
-    LinkBatch,
-    LinkSpec,
-)
+from repro.net.link import SWEEP_MAX, SWEEP_MIN_QUEUED, Link, LinkSpec
 from repro.net.loss import BernoulliLoss
 from repro.net.packet import Packet, PacketType
 from repro.sim.events import COMPACT_MIN_DEAD, EventQueue
@@ -33,56 +23,6 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def _noop():
     return None
-
-
-# ----------------------------------------------------------------------
-# pop_bucket
-# ----------------------------------------------------------------------
-class TestPopBucket:
-    def test_returns_sorted_same_bucket_run(self):
-        queue = EventQueue()
-        events = [queue.push(0.0005, _noop) for _ in range(5)]
-        batch = queue.pop_bucket()
-        assert batch == events
-        assert len(queue) == 0
-
-    def test_stops_at_bucket_boundary(self):
-        queue = EventQueue()
-        first = queue.push(0.0004, _noop)
-        nxt = queue.push(0.0014, _noop)  # next 1ms bucket
-        assert queue.pop_bucket() == [first]
-        assert queue.pop_bucket() == [nxt]
-
-    def test_until_is_inclusive(self):
-        queue = EventQueue()
-        at = queue.push(0.0004, _noop)
-        beyond = queue.push(0.0006, _noop)
-        assert queue.pop_bucket(until=0.0004) == [at]
-        assert queue.pop_bucket(until=0.0004) == []
-        assert queue.pop_bucket() == [beyond]
-
-    def test_limit_caps_batch(self):
-        queue = EventQueue()
-        events = [queue.push(0.0005, _noop) for _ in range(6)]
-        assert queue.pop_bucket(limit=4) == events[:4]
-        assert queue.pop_bucket() == events[4:]
-
-    def test_empty_when_overflow_head_wins(self):
-        queue = EventQueue(granularity=1e-3, horizon=10e-3)
-        far = queue.push(5.0, _noop)  # beyond horizon: overflow heap
-        assert len(queue._overflow) == 1
-        assert queue.pop_bucket() == []
-        assert queue.pop_next(None) is far
-
-    def test_skips_and_reclaims_cancelled(self):
-        queue = EventQueue()
-        keep_a = queue.push(0.0005, _noop)
-        dead = queue.push(0.0005, _noop)
-        keep_b = queue.push(0.0005, _noop)
-        dead.cancel()
-        assert queue.pop_bucket() == [keep_a, keep_b]
-        assert queue.dead_events == 0
-        assert dead._queue is None
 
 
 # ----------------------------------------------------------------------
@@ -206,51 +146,23 @@ class TestEntryCount:
 
 
 # ----------------------------------------------------------------------
-# Compiled-core selector
+# Start-up cost
 # ----------------------------------------------------------------------
-def _probe_core(env_value):
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    if env_value is None:
-        env.pop("REPRO_COMPILED", None)
-    else:
-        env["REPRO_COMPILED"] = env_value
-    return subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "from repro.sim import core; "
-            "print(core.MODE, core.COMPILED); "
-            "print(core.sweep_times([1000, 500], 8000.0, 1.0))",
-        ],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env=env,
-    )
-
-
-class TestCoreSelector:
-    def test_default_mode_works(self):
-        out = _probe_core(None)
+class TestStartupImports:
+    def test_packet_stack_does_not_import_numpy(self):
+        out = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro.core.api, repro.apps.bulk; "
+                "sys.exit('numpy' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
         assert out.returncode == 0, out.stderr
-        assert out.stdout.startswith("auto ")
-        assert "[1.0, 0.5]" in out.stdout and "[2.0, 2.5]" in out.stdout
-
-    def test_forced_pure_never_compiled(self):
-        out = _probe_core("0")
-        assert out.returncode == 0, out.stderr
-        mode, compiled = out.stdout.split()[:2]
-        assert compiled == "False"
-
-    def test_require_compiled_errors_without_build(self):
-        from repro.sim import core
-
-        out = _probe_core("1")
-        if core.COMPILED:  # pragma: no cover - compiled CI leg
-            assert out.returncode == 0
-        else:
-            assert out.returncode != 0
-            assert "REPRO_COMPILED=1" in out.stderr
 
 
 # ----------------------------------------------------------------------
@@ -277,20 +189,28 @@ def _burst_deliveries(count, sweep_eligible, loss=None, mutate=None):
     return record
 
 
+#: Burst sizes straddling ``SWEEP_MIN_QUEUED``, half a window, one full
+#: ``SWEEP_MAX`` window, and bursts that need several sweeps.
+BURSTS = [4, 31, 32, 33, 64, 65, 130]
+
+
 class TestLinkSweep:
     def test_sweep_matches_per_packet_exactly(self):
-        swept = _burst_deliveries(40, sweep_eligible=True)
-        classic = _burst_deliveries(40, sweep_eligible=False)
-        assert swept == classic  # bit-for-bit: same arithmetic chain
+        for burst in BURSTS:
+            swept = _burst_deliveries(burst, sweep_eligible=True)
+            classic = _burst_deliveries(burst, sweep_eligible=False)
+            assert len(swept) == burst
+            assert swept == classic, burst  # bit-for-bit: same arithmetic chain
 
     def test_sweep_matches_with_loss_model(self):
         # Loss draws happen at departure in FIFO order, so the RNG call
         # sequence — and therefore which packets die — is identical
         # (both links get the default seeded rng).
-        swept = _burst_deliveries(40, True, loss=BernoulliLoss(0.2))
-        classic = _burst_deliveries(40, False, loss=BernoulliLoss(0.2))
-        assert swept == classic
-        assert len(swept) < 40  # the loss model actually bit
+        for burst in BURSTS:
+            swept = _burst_deliveries(burst, True, loss=BernoulliLoss(0.2))
+            classic = _burst_deliveries(burst, False, loss=BernoulliLoss(0.2))
+            assert swept == classic, burst
+        assert len(swept) < BURSTS[-1]  # the loss model actually bit
 
     def test_short_backlog_stays_per_packet(self):
         sim = Simulator()
@@ -331,17 +251,3 @@ class TestLinkSweep:
         classic = _burst_deliveries(40, False, mutate=flush_late)
         assert swept == classic
         assert len(swept) < 40  # the flush discarded the queued tail
-
-    def test_numpy_and_scalar_paths_agree(self):
-        packets = [_packet(i, size=211 + 13 * i) for i in range(SWEEP_NUMPY_MIN)]
-        rate = 7_333_211.0
-        now = 1.23456789
-        tx_np, fin_np = LinkBatch.compute(packets, rate, now)
-        # The scalar path is compute()'s fallback below SWEEP_NUMPY_MIN:
-        # feed it the same window one packet short of the numpy cut, plus
-        # the direct core call over the full window.
-        from repro.sim.core import sweep_times
-
-        tx_sc, fin_sc = sweep_times([p.size_bytes for p in packets], rate, now)
-        assert tx_np == pytest.approx(tx_sc, abs=0.0)
-        assert fin_np == pytest.approx(fin_sc, abs=0.0)

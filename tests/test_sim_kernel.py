@@ -29,7 +29,6 @@ class TestEventQueue:
         doomed = queue.push(1.0, lambda: None)
         survivor = queue.push(2.0, lambda: None)
         doomed.cancel()
-        queue.notify_cancelled()
         assert queue.pop() is survivor
 
     def test_len_tracks_live_events(self):
@@ -38,7 +37,6 @@ class TestEventQueue:
         queue.push(2.0, lambda: None)
         assert len(queue) == 2
         event.cancel()
-        queue.notify_cancelled()
         assert len(queue) == 1
 
     def test_peek_time_skips_cancelled(self):
@@ -46,14 +44,13 @@ class TestEventQueue:
         doomed = queue.push(1.0, lambda: None)
         queue.push(5.0, lambda: None)
         doomed.cancel()
-        queue.notify_cancelled()
         assert queue.peek_time() == 5.0
 
     def test_pop_empty_returns_none(self):
         assert EventQueue().pop() is None
 
     def test_cancel_without_notify_updates_len(self):
-        # cancel() does its own bookkeeping; notify_cancelled() is optional.
+        # cancel() does its own bookkeeping.
         queue = EventQueue()
         event = queue.push(1.0, lambda: None)
         queue.push(2.0, lambda: None)

@@ -175,6 +175,21 @@ class TestReschedule:
         with pytest.raises(SimulationError):
             sim.reschedule(None, -1.0, _noop)
 
+    def test_negative_delay_keeps_pending_timer(self):
+        import pytest
+
+        from repro.errors import SimulationError
+
+        sim = Simulator()
+        fired = []
+        armed = sim.schedule(0.5, fired.append, "armed")
+        with pytest.raises(SimulationError):
+            sim.reschedule(armed, -1.0, _noop)
+        assert not armed.cancelled
+        assert sim.pending_events == 1
+        sim.run()
+        assert fired == ["armed"]
+
 
 class TestLinkUsesTransients:
     def test_link_traffic_recycles_events(self):

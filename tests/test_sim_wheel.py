@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sim.events import COMPACT_MIN_DEAD, EventQueue, HeapEventQueue
 from repro.sim.kernel import Simulator
-from repro.sim.wheel import DEFAULT_GRANULARITY, DEFAULT_HORIZON, TimerWheel
+from repro.sim.wheel import DEFAULT_HORIZON, TimerWheel
 
 
 def _noop():
@@ -237,10 +237,13 @@ class TestSimulatorLoopEquivalence:
 
 class TestWheelMechanics:
     def test_beyond_horizon_rejected(self):
-        wheel = TimerWheel()
-        tick = int((DEFAULT_HORIZON + 1.0) / DEFAULT_GRANULARITY)
-        assert wheel.insert((DEFAULT_HORIZON + 1.0, 0, object()), tick) is False
-        assert wheel.entry_count() == 0
+        queue = EventQueue()
+        near = queue.push(DEFAULT_HORIZON / 2, _noop)
+        far = queue.push(DEFAULT_HORIZON + 1.0, _noop)
+        assert [entry[2] for entry in queue._overflow] == [far]
+        assert queue._wheel.entry_count() == 1
+        assert queue.pop_next(None) is near
+        assert queue.pop_next(None) is far
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
