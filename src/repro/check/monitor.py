@@ -23,7 +23,9 @@ device-conservation         device: sends/receives balance link totals;
 reseq-no-dup-release        resequencer: each (flow, shim_seq) released once
 transport-sequence          connection: 0 ≤ snd_una ≤ snd_nxt ≤ write_end
 transport-flight            connection: flight ledger == Σ live segments
-transport-segments          connection: segment list sorted and disjoint
+transport-segments          connection: segment list sorted and disjoint;
+                            remembered SACK blocks likewise, each segment
+                            wholly inside one sacked
 transport-bytes             connection: bytes ACKed ≤ bytes sent
 transport-receive           connection: OOO ranges disjoint, above rcv_nxt
 transport-cross             pair: sender's ACKed prefix ≤ peer's contiguous
@@ -573,6 +575,21 @@ class InvariantMonitor:
             "transport-segments", entity, ok,
             "segment list not sorted/disjoint within (snd_una, snd_nxt]",
             segments=segments[:8], snd_una=snd_una, snd_nxt=snd_nxt,
+        )
+        blocks = state["sack_blocks"]
+        ok = all(
+            lo < hi and hi > snd_una and hi <= snd_nxt for lo, hi in blocks
+        ) and all(
+            blocks[i][1] <= blocks[i + 1][0] for i in range(len(blocks) - 1)
+        ) and not any(
+            lo <= seg[0] and seg[1] <= hi for seg in state["unsacked"] for lo, hi in blocks
+        )
+        check(
+            "transport-segments", entity, ok,
+            "remembered SACK blocks unsorted, outside (snd_una, snd_nxt], "
+            "or covering an unsacked segment",
+            sack_blocks=blocks[:8], unsacked=state["unsacked"][:8],
+            snd_una=snd_una, snd_nxt=snd_nxt,
         )
         check(
             "transport-bytes", entity,

@@ -19,11 +19,19 @@ segments carve contiguous ranges off the send stream and are appended in
 order, and nothing ever reorders the list. The per-ACK scans lean on that —
 each is O(affected segments) instead of O(outstanding window), which is
 where fig1a-scale runs spend most of their transport time.
+
+SACK marking is a delta scan too. A receiver repeats its highest ranges on
+every ACK, and on a WAN-BDP window the top one spans most of the window, so
+the scoreboard remembers the SACK blocks it has already walked and an
+incoming range costs only the segments no remembered block inside it
+covers: nothing when it repeats a block, the new tail when a block grew,
+the filled hole when two blocks became one.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from bisect import bisect_left
+from typing import List, Optional, Tuple
 
 from repro._compat import hot_dataclass
 
@@ -76,8 +84,8 @@ class Scoreboard:
         self._threshold: List[int] = [-self._reorder_slack] * keys
         #: Settled-prefix cursor: every segment below this index is sacked
         #: or already marked lost, so :meth:`first_unsettled` never re-reads
-        #: it. Shrinks with prefix deletions; resets to 0 when a
-        #: retransmission clears a ``lost`` flag (the only way a settled
+        #: it. Shrinks with prefix deletions; drops back to the segment whose
+        #: ``lost`` flag a retransmission clears (the only way a settled
         #: segment becomes unsettled again).
         self._scan_lo = 0
         #: Per-key loss-sweep high-water mark: every unsacked segment of
@@ -90,6 +98,13 @@ class Scoreboard:
         #: sacked scoreboard.
         self._loss_swept: List[float] = [float("-inf")] * keys
         self._remark_pending: List[Segment] = []
+        #: SACK ranges already walked, sorted and disjoint: every outstanding
+        #: segment lying wholly inside one is ``sacked``. Blocks are the
+        #: peer's ranges verbatim — two adjacent ones are never merged here,
+        #: because a segment straddling their seam is inside neither and
+        #: must stay unmarked until the peer reports the merged range. None
+        #: lies wholly below the first outstanding segment.
+        self._sack_blocks: List[Tuple[int, int]] = []
         #: Wake gate for ``_remark_pending``: the earliest holdoff expiry.
         #: A pending segment can only become markable when the clock passes
         #: its holdoff, so the scan is skipped entirely until then — a mass
@@ -115,7 +130,18 @@ class Scoreboard:
         """Put a lost segment back in flight, under a ``key`` that may differ
         from the one it was lost on (multipath reinjection)."""
         segment.lost = False
-        self._scan_lo = 0  # the segment is unsettled again
+        # The segment is unsettled again: the settled-prefix cursor may not
+        # stay above its index.
+        segments = self.segments
+        seq = segment.seq
+        i, j = 0, self._scan_lo
+        while i < j:
+            mid = (i + j) // 2
+            if segments[mid].seq < seq:
+                i = mid + 1
+            else:
+                j = mid
+        self._scan_lo = i
         segment.retransmitted = True
         segment.sent_at = now
         segment.no_remark_until = now + holdoff
@@ -169,6 +195,14 @@ class Scoreboard:
             del segments[:idx]
             lo = self._scan_lo - idx
             self._scan_lo = lo if lo > 0 else 0
+            blocks = self._sack_blocks
+            if blocks:
+                # Forget the blocks the cumulative point has passed.
+                floor = segments[0].seq if segments else float("inf")
+                passed = 0
+                while passed < len(blocks) and blocks[passed][1] <= floor:
+                    passed += 1
+                del blocks[:passed]
         if sack:
             return self._apply_sack(sack) or newest
         return newest
@@ -176,39 +210,85 @@ class Scoreboard:
     def _apply_sack(self, ranges: tuple) -> Optional[Segment]:
         """Mark SACKed segments; return the newest one for RTT sampling.
 
-        Each SACK range covers a contiguous run of segments: binary-search
-        to its first segment, walk until ``end_seq`` leaves the range.
+        Of each range, only the gaps between the remembered blocks lying
+        wholly inside it are walked (binary search to the gap, walk until
+        the next block or the end of the range); the range then replaces
+        every block it overlaps. A range lying inside a remembered block —
+        the peer repeating itself, or a stale ACK replayed — walks nothing.
         """
         segments = self.segments
+        n = len(segments)
+        if not n:
+            return None
+        floor = segments[0].seq
+        top = segments[-1].end_seq
+        blocks = self._sack_blocks
         flight = self.flight
         threshold = self._threshold
         slack = self._reorder_slack
-        n = len(segments)
         newest_idx = -1
         for lo, hi in ranges:
-            i, j = 0, n
-            while i < j:
-                mid = (i + j) // 2
-                if segments[mid].seq < lo:
-                    i = mid + 1
-                else:
-                    j = mid
-            while i < n:
-                segment = segments[i]
-                if segment.end_seq > hi:
+            # Remember a range only where it can cover outstanding segments:
+            # not bytes yet to be sent, nor one the cumulative point passed.
+            if hi > top:
+                hi = top
+            if hi <= floor or hi <= lo:
+                continue
+            # blocks[first:last] are the remembered blocks overlapping the range.
+            first = bisect_left(blocks, (lo,))
+            if first and blocks[first - 1][1] > lo:
+                first -= 1
+            last = first
+            nb = len(blocks)
+            if first < nb:
+                blo, bhi = blocks[first]
+                if blo <= lo and hi <= bhi:
+                    continue
+            # Every segment wholly inside [lo, pos) is already marked.
+            gaps = []
+            pos = lo
+            while last < nb:
+                blo, bhi = blocks[last]
+                if blo >= hi:
                     break
-                if not segment.sacked:
-                    segment.sacked = True
-                    key = segment.key
-                    if segment.lost:
-                        segment.lost = False
+                last += 1
+                if lo <= blo and bhi <= hi:
+                    # Even an empty gap between two adjacent blocks can hold
+                    # a segment straddling their seam; only one at ``lo``
+                    # itself cannot.
+                    if blo > lo:
+                        gaps.append((pos, blo))
+                    pos = bhi
+            gaps.append((pos, hi))
+            blocks[first:last] = [(lo, hi)]
+            for pos, stop in gaps:
+                # The first segment ending above ``pos``: the ones below it
+                # are inside the block that ends there, or below the range.
+                i, j = 0, n
+                while i < j:
+                    mid = (i + j) // 2
+                    if segments[mid].end_seq <= pos:
+                        i = mid + 1
                     else:
-                        flight[key] -= segment.size
-                    if segment.end_seq - slack > threshold[key]:
-                        threshold[key] = segment.end_seq - slack
-                    if not segment.retransmitted and i > newest_idx:
-                        newest_idx = i
-                i += 1
+                        j = mid
+                if i < n and segments[i].seq < lo:
+                    i += 1  # straddles the range's lower edge
+                while i < n:
+                    segment = segments[i]
+                    if segment.seq >= stop or segment.end_seq > hi:
+                        break
+                    if not segment.sacked:
+                        segment.sacked = True
+                        key = segment.key
+                        if segment.lost:
+                            segment.lost = False
+                        else:
+                            flight[key] -= segment.size
+                        if segment.end_seq - slack > threshold[key]:
+                            threshold[key] = segment.end_seq - slack
+                        if not segment.retransmitted and i > newest_idx:
+                            newest_idx = i
+                    i += 1
         return segments[newest_idx] if newest_idx >= 0 else None
 
     def detect_losses(self, now: float, snd_una: int) -> List[Segment]:
@@ -284,7 +364,8 @@ class Scoreboard:
 
     def audit(self) -> dict:
         """Ledger snapshot for the invariant monitor: the per-key flight
-        ledger next to its recomputation from the segment list."""
+        ledger next to its recomputation from the segment list, and the
+        remembered SACK blocks next to the segments still unsacked."""
         recomputed = [0] * len(self.flight)
         for segment in self.segments:
             if not segment.sacked and not segment.lost:
@@ -293,5 +374,7 @@ class Scoreboard:
             "flight_bytes": list(self.flight),
             "segment_flight": recomputed,
             "segments": [(s.seq, s.end_seq) for s in self.segments],
+            "sack_blocks": list(self._sack_blocks),
+            "unsacked": [(s.seq, s.end_seq) for s in self.segments if not s.sacked],
             "retx_queued": len(self.retx_queue),
         }

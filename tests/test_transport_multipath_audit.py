@@ -25,6 +25,7 @@ def violated_laws(sender, receiver):
     s, r = sender.audit_state(), receiver.audit_state()
     snd_una, snd_nxt = s["snd_una"], s["snd_nxt"]
     flight, segments, ranges = s["flight_bytes"], s["segments"], r["ooo_ranges"]
+    blocks = s["sack_blocks"]
     laws = {
         "transport-sequence": 0 <= snd_una <= snd_nxt <= s["write_end"],
         # Per subflow: the ledger equals flight recomputed from the segment
@@ -33,7 +34,10 @@ def violated_laws(sender, receiver):
         and flight == [subflow.in_flight for subflow in sender.subflows]
         and sum(flight) <= snd_nxt - snd_una,
         "transport-segments": all(snd_una < hi <= snd_nxt and lo < hi for lo, hi in segments)
-        and all(segments[i][1] <= segments[i + 1][0] for i in range(len(segments) - 1)),
+        and all(segments[i][1] <= segments[i + 1][0] for i in range(len(segments) - 1))
+        and all(snd_una < hi <= snd_nxt and lo < hi for lo, hi in blocks)
+        and all(blocks[i][1] <= blocks[i + 1][0] for i in range(len(blocks) - 1))
+        and not any(lo <= seq and end <= hi for seq, end in s["unsacked"] for lo, hi in blocks),
         "transport-receive": all(r["rcv_nxt"] < lo < hi for lo, hi in ranges)
         and all(ranges[i][1] < ranges[i + 1][0] for i in range(len(ranges) - 1)),
         "transport-cross": snd_una <= r["rcv_nxt"] <= snd_nxt,

@@ -9,8 +9,16 @@ retransmissions — onto the same or a *different* loss key, i.e. multipath
 reinjection — and timeouts, and must agree step for step on the newly-lost
 list (in order), the RTT-eligible ``newest`` segment, every segment's
 flags and the per-key flight ledger.
+
+``random_ops`` draws independent SACK blocks on segment edges;
+``receiver_ops`` draws the ACK stream a real receiver emits (its highest
+three out-of-order ranges, repeated and grown ACK after ACK) plus the
+distortions the remembered-block list has to survive. ``NaiveBoard``'s
+walk over every segment and every range is the only copy of the old SACK
+marking.
 """
 
+import math
 import random
 
 import pytest
@@ -112,6 +120,80 @@ def random_ops(seed, steps=200):
     return ops
 
 
+def receiver_ops(seed, steps=250):
+    """ACK shapes the receiver emits, and the remembered blocks must get right.
+
+    A model receiver takes the sent segments mostly in order, a fifth of
+    them late (a lost head keeps the cumulative point still: one block with
+    a fixed ``lo`` and an advancing ``hi``; many lost segments rotate the
+    highest three of many holes through the SACK option), and answers each
+    with ``(rcv_nxt, highest three ranges)`` like ``Endpoint._receive``.
+    Some ACKs are then distorted: a range reported as two adjacent blocks
+    split at any byte (so the seam, and a later whole report, can fall
+    mid-segment), a range edge nudged off its segment edge, a cumulative
+    point that lands inside a reported range. Older ACKs are replayed after
+    newer ones.
+    """
+    rng = random.Random(seed)
+    ops, history = [], []
+    edges = [0]  # segment i spans edges[i]:edges[i + 1]
+    in_order, late = [], []  # sent segment indices the receiver has not seen
+    rcv_nxt, ooo = 0, []
+    for _ in range(steps):
+        roll = rng.random()
+        if roll < 0.25:
+            sizes = [rng.randint(1, MSS) for _ in range(rng.randint(2, 8))]
+            in_order += range(len(edges) - 1, len(edges) - 1 + len(sizes))
+            for size in sizes:
+                edges.append(edges[-1] + size)
+            ops.append(("send", sizes, rng.randrange(12)))
+        elif roll < 0.70 and (in_order or late):
+            if in_order and rng.random() < 0.2:
+                late.append(in_order.pop(0))
+                continue
+            arrivals = in_order if in_order and (not late or rng.random() < 0.8) else late
+            index = arrivals.pop(0 if arrivals is in_order else rng.randrange(len(late)))
+            ooo = sorted(ooo + [(max(edges[index], rcv_nxt), edges[index + 1])])
+            merged = []
+            for lo, hi in ooo:
+                if merged and lo <= merged[-1][1]:
+                    merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+                else:
+                    merged.append((lo, hi))
+            while merged and merged[0][0] <= rcv_nxt:
+                rcv_nxt = max(rcv_nxt, merged.pop(0)[1])
+            ooo = merged
+            ack_seq, ranges = rcv_nxt, ooo[-3:]
+            distort = rng.random()
+            if ranges and distort < 0.15:
+                lo, hi = ranges[-1]
+                if hi - lo > 1:
+                    seam = rng.randrange(lo + 1, hi)
+                    ranges = ranges[:-1] + [(lo, seam), (seam, hi)]
+            elif ranges and distort < 0.25:
+                at = rng.randrange(len(ranges))
+                lo, hi = ranges[at]
+                lo, hi = lo + rng.choice([-1, 0, 1]), hi + rng.choice([-1, 0, 1])
+                if 0 <= lo < hi:
+                    ranges = ranges[:at] + [(lo, hi)] + ranges[at + 1:]
+            elif ranges and distort < 0.30:
+                inside = [e for e in edges if ranges[0][0] < e < ranges[0][1]]
+                if inside:
+                    ack_seq = rng.choice(inside)
+            ack = ("rawack", ack_seq, tuple(ranges))
+            history.append(ack)
+            ops.append(ack)
+        elif roll < 0.78 and history:
+            ops.append(rng.choice(history))
+        elif roll < 0.88:
+            ops.append(("tick", rng.choice([0.01, 0.05, 0.2, 0.2])))
+        elif roll < 0.96:
+            ops.append(("retx", rng.randrange(12), rng.randrange(12)))
+        else:
+            ops.append(("rto", rng.randrange(12)))
+    return ops
+
+
 _seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
@@ -153,6 +235,14 @@ def drive(ops, keys, fast_cls=Scoreboard):
             assert (newest[0] and newest[0].seq) == (newest[1] and newest[1].seq)
             lost = [board.detect_losses(now, snd_una) for board in boards]
             assert _seqs(lost[0]) == _seqs(lost[1])
+        elif kind == "rawack":
+            # Absolute byte values, as an endpoint gets them off the wire:
+            # the cumulative point may be stale, the ranges anywhere.
+            snd_una = max(snd_una, op[1])
+            newest = [board.ack(op[1], op[2]) for board in boards]
+            assert (newest[0] and newest[0].seq) == (newest[1] and newest[1].seq)
+            lost = [board.detect_losses(now, snd_una) for board in boards]
+            assert _seqs(lost[0]) == _seqs(lost[1])
         elif kind == "retx" and naive.retx_queue:
             # Like the endpoints: pop a queue entry, drop it if it was
             # acknowledged meanwhile, else resend — on any key.
@@ -179,6 +269,16 @@ def drive(ops, keys, fast_cls=Scoreboard):
         spans = audit["segments"]
         assert all(lo < hi for lo, hi in spans)
         assert all(spans[i][1] <= spans[i + 1][0] for i in range(len(spans) - 1))
+        # The remembered SACK blocks: sorted and disjoint, none left behind
+        # the outstanding window, no unsacked segment wholly inside one.
+        blocks = audit["sack_blocks"]
+        assert all(lo < hi for lo, hi in blocks)
+        assert all(blocks[i][1] <= blocks[i + 1][0] for i in range(len(blocks) - 1))
+        assert all(hi > spans[0][0] for _, hi in blocks) if spans else not blocks
+        assert not [
+            seg for seg in audit["unsacked"]
+            if any(lo <= seg[0] and seg[1] <= hi for lo, hi in blocks)
+        ]
 
 
 class TestScoreboardMatchesFullWalk:
@@ -191,6 +291,47 @@ class TestScoreboardMatchesFullWalk:
     @given(_seeds)
     def test_per_channel_keys(self, seed):
         drive(random_ops(seed), keys=3)
+
+    @pytest.mark.parametrize("keys", [1, 3])
+    def test_receiver_shaped_acks(self, keys):
+        @settings(max_examples=200, deadline=None)
+        @given(_seeds)
+        def run(seed):
+            drive(receiver_ops(seed), keys)
+
+        run()
+
+
+def _scenario(*acks, segments=10):
+    """``segments`` two-byte segments, then the given ``(ack_seq, ranges)``."""
+    return [("send", [2] * segments, 0)] + [("rawack", ack, ranges) for ack, ranges in acks]
+
+
+@pytest.mark.parametrize("ops", [
+    # One block, fixed lo, advancing hi; then the same ACK again.
+    _scenario((0, ((2, 4),)), (0, ((2, 6),)), (0, ((2, 12),)), (0, ((2, 12),))),
+    # Highest three of many holes: the window of reported ranges rotates.
+    _scenario(
+        (0, ((2, 4),)), (0, ((2, 4), (6, 8))), (0, ((2, 4), (6, 8), (10, 12))),
+        (0, ((6, 8), (10, 12), (14, 16))), (0, ((10, 12), (14, 16), (18, 20))),
+        (0, ((2, 8), (10, 12), (14, 20))),
+    ),
+    # A stale, smaller ACK replayed after the newer one, then progress.
+    _scenario((0, ((4, 8),)), (0, ((4, 16),)), (0, ((4, 8),)), (0, ((4, 18),))),
+    # Two adjacent blocks with the seam inside segment 8:10, then reported
+    # as one: only then is the straddling segment acknowledged.
+    _scenario((0, ((4, 9), (9, 14))), (0, ((4, 14),))),
+    # The cumulative point lands inside a remembered block, which then grows.
+    _scenario((0, ((4, 12),)), (8, ((4, 12),)), (8, ((4, 16),)), (20, ())),
+    # Edges mid-segment at both ends, then widened onto the segment edges.
+    _scenario((0, ((5, 11),)), (0, ((4, 11),)), (0, ((4, 12),)), (0, ((3, 13),))),
+    # A range partly overlapping remembered blocks on both sides.
+    _scenario((0, ((2, 8), (12, 18))), (0, ((6, 14),)), (0, ((2, 18),))),
+    # SACK ranges wholly below the window, from an ACK older than snd_una.
+    _scenario((0, ((2, 6),)), (10, ()), (0, ((2, 6),)), (10, ((12, 16),))),
+])
+def test_remembered_block_shapes(ops):
+    drive(ops, keys=1)
 
 
 class SweepBoundOffByOne(Scoreboard):
@@ -212,3 +353,84 @@ def test_planted_sweep_off_by_one_is_caught(keys):
 
     with pytest.raises(AssertionError):
         run()
+
+
+class MergesAdjacentBlocks(Scoreboard):
+    """Planted defect: two remembered blocks that touch are fused sender-side,
+    so a segment straddling their seam counts as covered and a later report
+    of the whole range never marks it."""
+
+    def _apply_sack(self, ranges):
+        newest = super()._apply_sack(ranges)
+        blocks = self._sack_blocks
+        for i in range(len(blocks) - 1, 0, -1):
+            if blocks[i - 1][1] == blocks[i][0]:
+                blocks[i - 1:i + 1] = [(blocks[i - 1][0], blocks[i][1])]
+        return newest
+
+
+class _Unprunable(list):
+    def __delitem__(self, index):
+        pass
+
+
+class NeverPrunesBlocks(Scoreboard):
+    """Planted defect: blocks the cumulative ACK has passed are kept, so the
+    list grows with the transfer instead of with the holes in one window."""
+
+    def __init__(self, mss, keys):
+        super().__init__(mss, keys)
+        self._sack_blocks = _Unprunable()
+
+
+@pytest.mark.parametrize("keys", [1, 3])
+@pytest.mark.parametrize("planted", [MergesAdjacentBlocks, NeverPrunesBlocks])
+def test_planted_block_defect_is_caught(planted, keys):
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(_seeds)
+    def run(seed):
+        drive(receiver_ops(seed), keys, fast_cls=planted)
+
+    with pytest.raises(AssertionError):
+        run()
+
+
+class CountingList(list):
+    """``list`` that counts indexed reads (iteration and slicing are free)."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+def test_sack_marking_work_is_bounded_by_what_each_ack_newly_reports():
+    """A 4,000-segment window acknowledged one segment at a time, 1% of it
+    lost: the top SACK block grows by one segment per ACK and the two below
+    it are repeated verbatim. Marking reads each segment a bounded number of
+    times plus one binary search per ACK — not the whole block again."""
+    window, hole_every = 4000, 100
+    board = Scoreboard(MSS, 1)
+    board.segments = CountingList()
+    for i in range(window):
+        board.append(Segment(i * MSS, (i + 1) * MSS, 0.0, 0))
+    holes = range(0, window, hole_every)
+    ranges, acks = [], 0
+    for i in range(window):
+        if i in holes:
+            continue
+        if ranges and ranges[-1][1] == i * MSS:
+            ranges[-1] = (ranges[-1][0], (i + 1) * MSS)
+        else:
+            ranges.append((i * MSS, (i + 1) * MSS))
+        board.ack(0, tuple(ranges[-3:]))
+        acks += 1
+    assert [i for i, s in enumerate(board.segments) if not s.sacked] == list(holes)
+    # The holes arrive lowest first; each moves the cumulative point to the next.
+    for i in holes:
+        rcv_nxt = ranges.pop(0)[1]
+        board.ack(rcv_nxt, ((i * MSS, rcv_nxt),) + tuple(ranges[-3:]))
+        acks += 1
+    assert not board.segments and board.flight == [0]
+    assert board.segments.reads <= 3 * window + acks * (math.log2(window) + 6)
