@@ -27,7 +27,8 @@ transport-segments          connection: segment list sorted and disjoint;
                             remembered SACK blocks likewise, each segment
                             wholly inside one sacked
 transport-bytes             connection: bytes ACKed ≤ bytes sent
-transport-receive           connection: OOO ranges disjoint, above rcv_nxt
+transport-receive           connection: OOO ranges disjoint, non-touching,
+                            above rcv_nxt
 transport-cross             pair: sender's ACKed prefix ≤ peer's contiguous
                             receive prefix ≤ sender's sent prefix
 transport-cc-bounds         connection: cwnd finite and > 0, pacing rate
@@ -600,11 +601,11 @@ class InvariantMonitor:
         ranges = state["ooo_ranges"]
         rcv_nxt = state["rcv_nxt"]
         ok = all(lo < hi for lo, hi in ranges) and all(
-            ranges[i][1] < ranges[i + 1][0] + 1 for i in range(len(ranges) - 1)
+            ranges[i][1] < ranges[i + 1][0] for i in range(len(ranges) - 1)
         ) and all(lo > rcv_nxt for lo, _ in ranges)
         check(
             "transport-receive", entity, ok,
-            "out-of-order ranges overlap or sit inside the contiguous prefix",
+            "out-of-order ranges overlap, touch or sit inside the contiguous prefix",
             rcv_nxt=rcv_nxt, ranges=ranges[:8],
         )
         check(

@@ -10,6 +10,7 @@ next, and where), ``_on_packet`` and ``_on_timeout``.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro._compat import hot_dataclass
@@ -278,7 +279,8 @@ class Endpoint:
     # ==================================================================
     def _receive(self, packet: Packet) -> None:
         """Reassemble one data packet and fire the messages it completes."""
-        if packet.end_seq <= self._rcv_nxt:
+        rcv_nxt = self._rcv_nxt
+        if packet.end_seq <= rcv_nxt:
             # Pure duplicate. A message-end tag on it must not be recorded
             # again: segments never straddle a message, so that end was
             # recorded and fired when the prefix first reached it.
@@ -291,20 +293,40 @@ class Endpoint:
                 start,
             )
         self._merge_range(packet.seq, packet.end_seq)
-        self._fire_completed_messages()
+        # A message completes only when the contiguous prefix reaches its end.
+        if self._message_ends and self._rcv_nxt > rcv_nxt:
+            self._fire_completed_messages()
 
     def _merge_range(self, start: int, end: int) -> None:
-        self._ooo_ranges.append((max(start, self._rcv_nxt), end))
-        self._ooo_ranges.sort()
-        merged: List[Tuple[int, int]] = []
-        for lo, hi in self._ooo_ranges:
-            if merged and lo <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-            else:
-                merged.append((lo, hi))
-        while merged and merged[0][0] <= self._rcv_nxt:
-            self._rcv_nxt = max(self._rcv_nxt, merged.pop(0)[1])
-        self._ooo_ranges = merged
+        """Splice ``[start, end)`` (``end > _rcv_nxt``) into the receive state.
+
+        ``_ooo_ranges`` stays sorted, disjoint and non-touching with every
+        range strictly above ``_rcv_nxt``, so a packet's neighbours are
+        found by bisection and the cost is what the packet changes: the
+        ranges it reaches are replaced (or, in order, dropped) by one slice
+        operation. 1-tuple keys order ``(x,)`` just below every ``(x, hi)``.
+        """
+        ranges = self._ooo_ranges
+        if start <= self._rcv_nxt:
+            # In order: the prefix advances to ``end`` and swallows every
+            # held range starting at or below it. Non-touching ranges mean
+            # only the last of them can reach past ``end``.
+            if ranges and ranges[0][0] <= end:
+                reached = bisect_left(ranges, (end + 1,))
+                end = max(end, ranges[reached - 1][1])
+                del ranges[:reached]
+            self._rcv_nxt = end
+            return
+        # Out of order: [lo, hi) are the held ranges the packet overlaps or
+        # touches; one merged range replaces them.
+        lo = bisect_left(ranges, (start,))
+        if lo and ranges[lo - 1][1] >= start:
+            lo -= 1
+            start = ranges[lo][0]
+        hi = bisect_left(ranges, (end + 1,), lo)
+        if hi > lo:
+            end = max(end, ranges[hi - 1][1])
+        ranges[lo:hi] = [(start, end)]
 
     def _fire_completed_messages(self) -> None:
         completed = [end for end in self._message_ends if end <= self._rcv_nxt]

@@ -128,17 +128,17 @@ class MultipathConnection(Endpoint):
         ]
         return live if live else list(self.subflows)
 
-    def _ll_subflow(self) -> Subflow:
-        """The live subflow on the lowest-base-delay channel."""
+    def _ll_subflow(self, live: List[Subflow]) -> Subflow:
+        """The subflow of ``live`` on the lowest-base-delay channel."""
         return min(
-            self._live_subflows(),
+            live,
             key=lambda s: self.device.views[s.channel_index].base_delay,
         )
 
-    def _hb_subflow(self) -> Subflow:
-        """The live subflow on the highest-rate channel."""
+    def _hb_subflow(self, live: List[Subflow]) -> Subflow:
+        """The subflow of ``live`` on the highest-rate channel."""
         return max(
-            self._live_subflows(),
+            live,
             key=lambda s: self.device.views[s.channel_index].rate_bps,
         )
 
@@ -157,8 +157,11 @@ class MultipathConnection(Endpoint):
 
     def _pick_hvc(self, segment: Segment) -> Optional[Subflow]:
         """The paper's scheduler: reserve the LL subflow for urgent bytes."""
-        ll = self._ll_subflow()
-        hb = self._hb_subflow()
+        # One live list per pick; never kept across events, so a channel
+        # flap or a trace-driven rate change needs no invalidation.
+        live = self._live_subflows()
+        ll = self._ll_subflow(live)
+        hb = self._hb_subflow(live)
         urgent = segment.retransmitted or segment.message_last or (
             segment.message_size is not None
             and segment.message_size <= SMALL_MESSAGE_BYTES
@@ -280,7 +283,7 @@ class MultipathConnection(Endpoint):
         # headroom. A 60 Mbps data flow generates ~3 Mbps of ACKs, which
         # would drown a 2 Mbps URLLC channel; past a small queueing bound
         # the ACK falls back to the data packet's own channel.
-        ll = self._ll_subflow()
+        ll = self._ll_subflow(self._live_subflows())
         view = self.device.views[ll.channel_index]
         if view.queueing_delay(ack.size_bytes) <= 2 * view.base_delay:
             ack.channel_hint = ll.channel_index

@@ -190,6 +190,19 @@ class TestLedgerLaws:
             monitor.audit()
         assert violation(excinfo)["law"] == "transport-flight"
 
+    def test_transport_receive_rejects_touching_ranges(self):
+        # Two held ranges sharing a boundary byte should have been merged;
+        # left apart they put a seam inside a SACK block.
+        net, monitor = self.run_clean()
+        conn = net.connections[0].server
+        base = conn._rcv_nxt + 100
+        conn._ooo_ranges = [(base, base + 50), (base + 51, base + 70)]
+        monitor.audit()  # a one-byte hole between ranges is legal
+        conn._ooo_ranges = [(base, base + 50), (base + 50, base + 70)]
+        with pytest.raises(InvariantError) as excinfo:
+            monitor.audit()
+        assert violation(excinfo)["law"] == "transport-receive"
+
     def test_transport_cc_bounds_violation(self):
         net, monitor = self.run_clean()
         conn = net.connections[0].client
