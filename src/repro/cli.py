@@ -26,7 +26,10 @@ import sys
 from typing import List, Optional
 
 from repro.experiments import EXPERIMENTS
-from repro.runner import ParallelRunner, ResultCache, default_cache_dir
+from repro.runner import ParallelRunner, ResultCache, default_cache_dir, resolve_fn
+
+#: Experiments that export repro.obs traces when given ``--trace-dir``.
+TRACEABLE = ("fig1a", "fig1b", "fig2", "table1")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -98,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help=(
             "export repro.obs packet-lifecycle traces (JSONL) into DIR "
-            "(fig1a/fig1b/fig2/table1); inspect with `python -m repro obs "
+            f"({'/'.join(TRACEABLE)}); inspect with `python -m repro obs "
             "summarize`"
         ),
     )
@@ -169,7 +172,7 @@ def _kwargs_for(name: str, args: argparse.Namespace, runner: ParallelRunner) -> 
             kwargs["page_count"] = args.pages
         elif args.quick:
             kwargs["page_count"] = 4 if name == "table1" else 3
-    if args.trace_dir is not None and name in ("fig1a", "fig1b", "fig2", "table1"):
+    if args.trace_dir is not None and name in TRACEABLE:
         kwargs["trace_dir"] = args.trace_dir
     return kwargs
 
@@ -198,10 +201,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
+    if args.trace_dir is not None and args.experiment not in TRACEABLE + ("all",):
+        parser.error(
+            f"--trace-dir is not supported by {args.experiment!r}; "
+            f"only {', '.join(TRACEABLE)} export traces"
+        )
     runner = _runner_for(args)
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     for name in names:
-        run = EXPERIMENTS[name]
+        run = resolve_fn(EXPERIMENTS[name])
         result = run(**_kwargs_for(name, args, runner))
         print(result.render())
         print()

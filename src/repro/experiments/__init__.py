@@ -23,76 +23,44 @@ Each experiment is a function returning an
 | ablate   | component-importance ranking   | :func:`run_ablation_harness` |
 """
 
-from repro.experiments.fig1 import run_fig1a, run_fig1b
-from repro.experiments.faults import run_faults
-from repro.experiments.fig2 import run_fig2
-from repro.experiments.table1 import run_table1
-from repro.experiments.ablations import (
-    run_ack_ablation,
-    run_cc_ablation,
-    run_cost_ablation,
-    run_mlo_ablation,
-    run_multipath_ablation,
-    run_resequencer_ablation,
-    run_tsn_ablation,
-)
-from repro.experiments.ablation_harness import run_ablation_harness
-from repro.experiments.baselines import run_baselines
-from repro.experiments.cc_matrix import run_cc_matrix
-from repro.experiments.fleet import run_fleet
-from repro.experiments.resilience import run_resilience
-from repro.experiments.sensitivity import (
-    run_decode_wait_sweep,
-    run_threshold_sweep,
-    run_urllc_bandwidth_sweep,
-    run_urllc_rtt_sweep,
-)
+from repro.runner.units import resolve_fn
 
+#: CLI name → ``"module:callable"`` (the :attr:`RunUnit.fn` convention),
+#: resolved on lookup so ``python -m repro <name>`` imports only the module
+#: it runs: ``fleet``/``resilience`` pull in numpy, the rest need not.
 EXPERIMENTS = {
-    "fig1a": run_fig1a,
-    "fig1b": run_fig1b,
-    "fig2": run_fig2,
-    "table1": run_table1,
-    "ab-cc": run_cc_ablation,
-    "ab-ack": run_ack_ablation,
-    "ab-mlo": run_mlo_ablation,
-    "ab-cost": run_cost_ablation,
-    "ab-mp": run_multipath_ablation,
-    "ab-reseq": run_resequencer_ablation,
-    "ab-tsn": run_tsn_ablation,
-    "faults": run_faults,
-    "resilience": run_resilience,
-    "fleet": run_fleet,
-    "baselines": run_baselines,
-    "cc-matrix": run_cc_matrix,
-    "ablate": run_ablation_harness,
-    "sweep-urllc-bw": run_urllc_bandwidth_sweep,
-    "sweep-threshold": run_threshold_sweep,
-    "sweep-urllc-rtt": run_urllc_rtt_sweep,
-    "sweep-decode-wait": run_decode_wait_sweep,
+    "fig1a": "repro.experiments.fig1:run_fig1a",
+    "fig1b": "repro.experiments.fig1:run_fig1b",
+    "fig2": "repro.experiments.fig2:run_fig2",
+    "table1": "repro.experiments.table1:run_table1",
+    "ab-cc": "repro.experiments.ablations:run_cc_ablation",
+    "ab-ack": "repro.experiments.ablations:run_ack_ablation",
+    "ab-mlo": "repro.experiments.ablations:run_mlo_ablation",
+    "ab-cost": "repro.experiments.ablations:run_cost_ablation",
+    "ab-mp": "repro.experiments.ablations:run_multipath_ablation",
+    "ab-reseq": "repro.experiments.ablations:run_resequencer_ablation",
+    "ab-tsn": "repro.experiments.ablations:run_tsn_ablation",
+    "faults": "repro.experiments.faults:run_faults",
+    "resilience": "repro.experiments.resilience:run_resilience",
+    "fleet": "repro.experiments.fleet:run_fleet",
+    "baselines": "repro.experiments.baselines:run_baselines",
+    "cc-matrix": "repro.experiments.cc_matrix:run_cc_matrix",
+    "ablate": "repro.experiments.ablation_harness:run_ablation_harness",
+    "sweep-urllc-bw": "repro.experiments.sensitivity:run_urllc_bandwidth_sweep",
+    "sweep-threshold": "repro.experiments.sensitivity:run_threshold_sweep",
+    "sweep-urllc-rtt": "repro.experiments.sensitivity:run_urllc_rtt_sweep",
+    "sweep-decode-wait": "repro.experiments.sensitivity:run_decode_wait_sweep",
 }
 
-__all__ = [
-    "EXPERIMENTS",
-    "run_fig1a",
-    "run_fig1b",
-    "run_fig2",
-    "run_table1",
-    "run_cc_ablation",
-    "run_ack_ablation",
-    "run_mlo_ablation",
-    "run_cost_ablation",
-    "run_multipath_ablation",
-    "run_resequencer_ablation",
-    "run_tsn_ablation",
-    "run_ablation_harness",
-    "run_baselines",
-    "run_cc_matrix",
-    "run_faults",
-    "run_fleet",
-    "run_resilience",
-    "run_urllc_bandwidth_sweep",
-    "run_threshold_sweep",
-    "run_urllc_rtt_sweep",
-    "run_decode_wait_sweep",
-]
+#: ``run_*`` name → its path, so ``from repro.experiments import run_fig1a``
+#: keeps working through :func:`__getattr__`.
+_RUN_FUNCTIONS = {path.partition(":")[2]: path for path in EXPERIMENTS.values()}
+
+__all__ = ["EXPERIMENTS", *sorted(_RUN_FUNCTIONS)]
+
+
+def __getattr__(name: str):
+    path = _RUN_FUNCTIONS.get(name)
+    if path is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return resolve_fn(path)

@@ -34,7 +34,6 @@ from repro.net.loss import LossModel, NoLoss
 from repro.net.packet import Packet
 from repro.net.queue import DropTailQueue, PriorityDropTailQueue
 from repro.sim.kernel import Simulator
-from repro.units import transmission_time
 
 #: How long a link waits before re-checking a trace whose current rate is 0.
 OUTAGE_POLL_INTERVAL = 1e-3
@@ -176,6 +175,10 @@ class Link:
         #: pending sweep events carry the epoch they were computed under
         #: and no-op on mismatch.
         self._sweep_epoch = 0
+        #: ``spec.trace``, resolved once: ``None`` means rate and delay are
+        #: spec constants under the fault overlays, which the hot paths
+        #: read inline instead of through ``current_rate``/``current_delay``.
+        self._trace = spec.trace
         #: Sweeps require a knowable future: fixed rate and FIFO order.
         self._sweep_eligible = spec.trace is None and not spec.priority_queue
         #: Optional instrumentation hook called as ``fn(packet, link)``
@@ -211,8 +214,8 @@ class Link:
         utilization = (packet bytes + background bytes) / capacity stays a
         true fraction of the physical link.
         """
-        if self.spec.trace is not None:
-            return float(self.spec.trace.rate_at(self.sim.now)) * self._rate_factor
+        if self._trace is not None:
+            return float(self._trace.rate_at(self.sim.now)) * self._rate_factor
         return self.spec.rate_bps * self._rate_factor
 
     def current_rate(self) -> float:
@@ -251,8 +254,8 @@ class Link:
 
     def current_delay(self) -> float:
         """One-way propagation delay right now (seconds)."""
-        if self.spec.trace is not None:
-            return float(self.spec.trace.delay_at(self.sim.now)) + self.delay_offset
+        if self._trace is not None:
+            return float(self._trace.delay_at(self.sim.now)) + self.delay_offset
         return self.spec.delay + self.delay_offset
 
     @property
@@ -339,12 +342,15 @@ class Link:
         self._begin_serialization(packet)
 
     def _begin_serialization(self, packet: Packet) -> None:
-        rate = self.current_rate()
+        if self._trace is None:
+            rate = self.spec.rate_bps * self._rate_factor - self._background_bps
+        else:
+            rate = self.current_rate()
         if rate <= 0:
             # Trace outage: re-check shortly; the packet stays in service.
             self.sim.schedule_transient(OUTAGE_POLL_INTERVAL, self._begin_serialization, packet)
             return
-        tx_time = transmission_time(packet.size_bytes, rate)
+        tx_time = packet.size_bytes * 8 / rate
         self.stats.busy_time += tx_time
         # Serialization/delivery events are fire-and-forget: nobody holds
         # or cancels them, so they ride the event pool (transient).
@@ -427,8 +433,10 @@ class Link:
             if obs is not None:
                 obs.on_loss(packet, self.sim.now)
         else:
-            delay = self.current_delay()
-            arrival = self.sim.now + delay
+            if self._trace is None:
+                arrival = self.sim.now + (self.spec.delay + self.delay_offset)
+            else:
+                arrival = self.sim.now + self.current_delay()
             # FIFO delivery even if the propagation delay just dropped.
             if arrival <= self._last_delivery_time:
                 arrival = self._last_delivery_time + 1e-9

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import NetworkError, SteeringError
 from repro.net.channel import Channel
+from repro.net.link import Link
 from repro.net.packet import Packet, PacketType
 from repro.net.resequencer import DEFAULT_HOLD_TIMEOUT, Resequencer
 from repro.sim.kernel import Simulator
@@ -149,6 +150,39 @@ class ChannelView:
         )
         return (backlog + packet_bytes) * 8 / rate + delay
 
+    def steering_read(self, packet_bytes: int) -> Tuple[float, float, float, float]:
+        """``(base_delay, rate_bps, risk-adjusted delivery delay, queueing
+        delay)`` for a packet offered right now, from one look at the link.
+
+        What a per-packet verdict compares across channels. Each element is
+        bit-identical to the accessor it fuses (``risk_adjusted_delay`` of
+        :mod:`repro.steering.base` for the third) — including the static
+        path's delivery estimate dividing by the rate *before* background
+        load while ``rate_bps``/``queueing_delay`` subtract it.
+        """
+        out = self._out
+        if self._static:
+            delay = self._delay0 + out.delay_offset
+            gross = self._rate0 * out._rate_factor
+            rate = gross - out._background_bps
+        else:
+            delay = out.current_delay()
+            gross = rate = out.current_rate()
+        serving = out._serving
+        bits = (
+            out.queue.backlog_bytes
+            + (serving.size_bytes if serving is not None else 0)
+            + packet_bytes
+        ) * 8
+        loss = out.loss.long_run_rate
+        if gross <= 0 or loss >= 1.0:
+            risk = float("inf")
+        else:
+            risk = (bits / gross + delay) / (1.0 - loss)
+        if rate <= 0:
+            return delay, 0.0, risk, float("inf")
+        return delay, rate, risk, bits / rate
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ChannelView {self.index}:{self.name} backlog={self.backlog_bytes}B>"
 
@@ -189,8 +223,12 @@ class Device:
         self.stats = DeviceStats()
         self._handlers: Dict[int, Callable[[Packet], None]] = {}
         self._default_handler: Optional[Callable[[Packet], None]] = None
-        self._seen: Dict[int, set] = {}
-        self._seen_order: Dict[int, deque] = {}
+        #: Outbound link per channel and how many channels are up, resolved
+        #: at :meth:`attach` / on transitions rather than per packet.
+        self._out_links: List[Link] = []
+        self._up_count = 0
+        #: flow → (seen packet ids, the same ids in arrival order).
+        self._dedup: Dict[int, Tuple[set, deque]] = {}
         #: Shim resequencing (see :mod:`repro.net.resequencer`): restores
         #: per-flow order for reliable DATA packets split across channels.
         self.resequencer: Optional[Resequencer] = (
@@ -198,8 +236,8 @@ class Device:
             if resequence
             else None
         )
-        self._shim_seq: Dict[int, int] = {}
-        self._shim_channels: Dict[int, set] = {}
+        #: flow → [next shim_seq, channels its data has used so far].
+        self._shim_flows: Dict[int, list] = {}
         #: Instrumentation hooks: fn(packet, channel_index).
         self.on_send_hooks: List[Callable[[Packet, int], None]] = []
         self.on_receive_hooks: List[Callable[[Packet], None]] = []
@@ -223,6 +261,8 @@ class Device:
         self.channels = list(channels)
         self.end = end
         self.views = [ChannelView(ch, end) for ch in self.channels]
+        self._out_links = [ch.out_link(end) for ch in self.channels]
+        self._up_count = sum(1 for ch in self.channels if ch.up)
         for channel in self.channels:
             channel.in_link(end).connect(self._on_link_deliver)
             channel.on_transition.append(self._on_channel_transition)
@@ -250,47 +290,52 @@ class Device:
     # ------------------------------------------------------------------
     def any_channel_up(self) -> bool:
         """False during a total blackout (every channel down)."""
-        return any(channel.up for channel in self.channels)
+        return self._up_count > 0
 
     def send(self, packet: Packet) -> None:
         """Steer and transmit one packet (possibly onto several channels)."""
         if not self.channels:
             raise NetworkError(f"device {self.name} has no channels attached")
-        if not self.any_channel_up():
+        now = self.sim.now
+        obs = self.obs
+        if not self._up_count:
             # Total blackout: no policy can route. Degrade gracefully —
             # count the drop and let the sender's recovery machinery
             # (RTO, datagram loss tolerance) handle it, instead of letting
             # a steering policy raise mid-run.
             self.stats.blackout_drops += 1
-            if self.obs is not None:
-                self.obs.on_blackout_drop(packet, self.sim.now)
+            if obs is not None:
+                obs.on_blackout_drop(packet, now)
             return
-        if packet.channel_hint is not None:
+        hint = packet.channel_hint
+        if hint is not None:
             # A channel-aware transport (multipath subflow) owns placement.
-            choices: Sequence[int] = (packet.channel_hint,)
+            choices: Sequence[int] = (hint,)
         elif self.steerer is None:
             choices = (0,)
         else:
-            choices = self.steerer.choose(packet, self.views, self.sim.now)
+            choices = self.steerer.choose(packet, self.views, now)
         if not choices:
             raise SteeringError(
                 f"steering policy returned no channel for packet {packet.packet_id}"
             )
-        if self.obs is not None:
-            self.obs.on_steer(packet, choices, self.sim.now)
-        packet.sent_at = self.sim.now
+        if obs is not None:
+            obs.on_steer(packet, choices, now)
+        packet.sent_at = now
         # Channel-aware transports (channel_hint set) do their own
         # reassembly; the shim resequencer only protects legacy
         # single-sequence transports from cross-channel reordering.
         if (
             self.resequencer is not None
             and packet.ptype == PacketType.DATA
-            and packet.channel_hint is None
+            and hint is None
         ):
-            seq = self._shim_seq.get(packet.flow_id, 0)
+            shim = self._shim_flows.get(packet.flow_id)
+            if shim is None:
+                shim = self._shim_flows[packet.flow_id] = [0, set()]
+            seq, used = shim
             packet.shim_seq = seq
-            self._shim_seq[packet.flow_id] = seq + 1
-            used = self._shim_channels.setdefault(packet.flow_id, set())
+            shim[0] = seq + 1
             used.update(choices)
             packet.shim_channel_count = len(used)
         for copy_index, channel_index in enumerate(choices):
@@ -303,23 +348,32 @@ class Device:
             )
         outgoing = packet if copy_index == 0 else packet.copy_for_redundancy(copy_index)
         outgoing.channel_index = channel_index
-        channel = self.channels[channel_index]
-        channel.cost_bytes += outgoing.size_bytes
-        accepted = channel.out_link(self.end).send(outgoing)
-        if accepted:
-            self.stats.packets_sent += 1
-            self.stats.bytes_sent += outgoing.size_bytes
+        self.channels[channel_index].cost_bytes += outgoing.size_bytes
+        if self._out_links[channel_index].send(outgoing):
+            stats = self.stats
+            stats.packets_sent += 1
+            stats.bytes_sent += outgoing.size_bytes
             for hook in self.on_send_hooks:
                 hook(outgoing, channel_index)
         else:
             self.stats.send_drops += 1
 
     def _on_link_deliver(self, packet: Packet) -> None:
-        if self._is_duplicate(packet):
-            self.stats.duplicates_discarded += 1
+        stats = self.stats
+        window = self._dedup.get(packet.flow_id)
+        if window is None:
+            window = self._dedup[packet.flow_id] = (set(), deque())
+        seen, order = window
+        packet_id = packet.packet_id
+        if packet_id in seen:
+            stats.duplicates_discarded += 1
             return
-        self.stats.packets_received += 1
-        self.stats.bytes_received += packet.size_bytes
+        seen.add(packet_id)
+        order.append(packet_id)
+        if len(order) > DEDUP_WINDOW:
+            seen.discard(order.popleft())
+        stats.packets_received += 1
+        stats.bytes_received += packet.size_bytes
         if self.resequencer is not None and packet.ptype == PacketType.DATA:
             self.resequencer.push(packet)
         else:
@@ -335,19 +389,11 @@ class Device:
             handler(packet)
 
     def _on_channel_transition(self, channel: Channel, up: bool, now: float) -> None:
+        # Recounted, not incremented: transitions are rare and a recount
+        # cannot drift; done before the hooks, which may send.
+        self._up_count = sum(1 for ch in self.channels if ch.up)
         for hook in list(self.on_channel_transition_hooks):
             hook(channel, up, now)
-
-    def _is_duplicate(self, packet: Packet) -> bool:
-        seen = self._seen.setdefault(packet.flow_id, set())
-        order = self._seen_order.setdefault(packet.flow_id, deque())
-        if packet.packet_id in seen:
-            return True
-        seen.add(packet.packet_id)
-        order.append(packet.packet_id)
-        if len(order) > DEDUP_WINDOW:
-            seen.discard(order.popleft())
-        return False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Device {self.name} end={self.end} channels={len(self.channels)}>"

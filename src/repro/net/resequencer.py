@@ -14,7 +14,7 @@ the acceleration steering buys.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.net.packet import Packet
 from repro.sim.events import Event
@@ -32,6 +32,28 @@ MAX_HELD_PACKETS = 2048
 DEBUG_DOUBLE_RELEASE = False
 
 
+class _FlowState:
+    """Everything the resequencer tracks for one flow."""
+
+    __slots__ = ("expected", "held", "chan_max", "chan_count", "flush_event")
+
+    def __init__(self) -> None:
+        self.expected = 0
+        #: shim_seq → (packet, deadline), in arrival order. Deadlines are
+        #: ``now + timeout``, so the first entry carries the earliest.
+        self.held: Dict[int, Tuple[Packet, float]] = {}
+        #: channel → highest shim_seq delivered on that channel. Channels
+        #: are FIFO, so once *every* channel the flow uses has delivered
+        #: beyond seq s, a missing s is provably lost and its hole can be
+        #: flushed immediately instead of waiting out the timeout (the
+        #: timeout remains as a backstop for idle channels).
+        self.chan_max: Dict[int, int] = {}
+        #: Channel count advertised by the sender's shim; the FIFO proof
+        #: needs delivery evidence from this many channels.
+        self.chan_count = 1
+        self.flush_event: Optional[Event] = None
+
+
 class Resequencer:
     """Per-flow in-order delivery with a hold timeout."""
 
@@ -46,80 +68,69 @@ class Resequencer:
         self.sim = sim
         self.deliver = deliver
         self.timeout = timeout
-        self._expected: Dict[int, int] = {}
-        #: flow → {shim_seq: (packet, deadline)}
-        self._held: Dict[int, Dict[int, Tuple[Packet, float]]] = {}
-        #: flow → channel → highest shim_seq delivered on that channel.
-        #: Channels are FIFO, so once *every* channel a flow uses has
-        #: delivered beyond seq s, a missing s is provably lost and its
-        #: hole can be flushed immediately instead of waiting out the
-        #: timeout (the timeout remains as a backstop for idle channels).
-        self._chan_max: Dict[int, Dict[int, int]] = {}
-        #: flow → channel count advertised by the sender's shim; the FIFO
-        #: proof needs delivery evidence from this many channels.
-        self._chan_count: Dict[int, int] = {}
-        self._flush_events: Dict[int, Event] = {}
+        self._flows: Dict[int, _FlowState] = {}
         self.packets_held = 0
         self.timeout_flushes = 0
 
     def push(self, packet: Packet) -> None:
         """Offer a packet; it is delivered now or once order permits."""
-        if packet.shim_seq is None:
+        seq = packet.shim_seq
+        if seq is None:
             self.deliver(packet)
             return
-        flow = packet.flow_id
-        if packet.channel_index is not None:
-            marks = self._chan_max.setdefault(flow, {})
-            previous = marks.get(packet.channel_index, -1)
-            marks[packet.channel_index] = max(previous, packet.shim_seq)
-        self._chan_count[flow] = max(
-            self._chan_count.get(flow, 1), packet.shim_channel_count
-        )
-        expected = self._expected.get(flow, 0)
-        if packet.shim_seq < expected:
+        state = self._flows.get(packet.flow_id)
+        if state is None:
+            state = self._flows[packet.flow_id] = _FlowState()
+        channel = packet.channel_index
+        if channel is not None:
+            previous = state.chan_max.get(channel)
+            if previous is None or seq > previous:
+                state.chan_max[channel] = seq
+        if packet.shim_channel_count > state.chan_count:
+            state.chan_count = packet.shim_channel_count
+        expected = state.expected
+        held = state.held
+        if seq < expected:
             # A straggler whose hole was already flushed: pass it through.
             self.deliver(packet)
-            return
-        held = self._held.setdefault(flow, {})
-        if packet.shim_seq in held:
-            return  # duplicate copy of a held packet
-        if packet.shim_seq == expected:
+        elif seq == expected:
             self.deliver(packet)
-            self._expected[flow] = expected + 1
-            self._drain(flow)
-        else:
+            state.expected = expected + 1
+            if held:
+                self._drain(state)
+        elif seq not in held:  # else: duplicate copy of a held packet
             self.packets_held += 1
-            held[packet.shim_seq] = (packet, self.sim.now + self.timeout)
+            held[seq] = (packet, self.sim.now + self.timeout)
             if len(held) > MAX_HELD_PACKETS:
-                self._flush_through(flow, min(held))
-            self._flush_proven_losses(flow)
-            self._schedule_flush(flow)
+                self._flush_through(state, min(held))
+            self._flush_proven_losses(state)
+            self._schedule_flush(state)
 
     # ------------------------------------------------------------------
-    def _flush_proven_losses(self, flow: int) -> None:
+    def _flush_proven_losses(self, state: _FlowState) -> None:
         """Flush holes below every channel's delivery high-water mark.
 
         Valid only once every channel the sender's shim has used for this
         flow has delivered something — a channel with no deliveries yet may
         still be carrying the missing packets.
         """
-        marks = self._chan_max.get(flow)
-        if not marks or len(marks) < self._chan_count.get(flow, 1):
+        marks = state.chan_max
+        if not marks or len(marks) < state.chan_count:
             return
         safe = min(marks.values())
-        if self._expected.get(flow, 0) <= safe:
-            self._flush_through(flow, safe)
+        if state.expected <= safe:
+            self._flush_through(state, safe)
 
     @property
     def pending_count(self) -> int:
         """Packets currently held across every flow (audit hook)."""
-        return sum(len(held) for held in self._held.values())
+        return sum(len(state.held) for state in self._flows.values())
 
-    def _drain(self, flow: int) -> None:
-        held = self._held.get(flow)
+    def _drain(self, state: _FlowState) -> None:
+        held = state.held
         if not held:
             return
-        expected = self._expected.get(flow, 0)
+        expected = state.expected
         first = True
         while expected in held:
             packet, _ = held.pop(expected)
@@ -128,33 +139,24 @@ class Resequencer:
                 self.deliver(packet)
             first = False
             expected += 1
-        self._expected[flow] = expected
-        self._reschedule_flush(flow)
+        state.expected = expected
+        event = state.flush_event
+        if event is not None:
+            state.flush_event = None
+            self.sim.cancel(event)
+        self._schedule_flush(state)
 
-    def _schedule_flush(self, flow: int) -> None:
-        if flow in self._flush_events:
-            return
-        deadline = self._earliest_deadline(flow)
-        if deadline is not None:
-            self._flush_events[flow] = self.sim.schedule_at(
-                deadline, self._on_flush_timer, flow
+    def _schedule_flush(self, state: _FlowState) -> None:
+        held = state.held
+        if state.flush_event is None and held:
+            _, deadline = next(iter(held.values()))
+            state.flush_event = self.sim.schedule_at(
+                deadline, self._on_flush_timer, state
             )
 
-    def _reschedule_flush(self, flow: int) -> None:
-        event = self._flush_events.pop(flow, None)
-        if event is not None:
-            self.sim.cancel(event)
-        self._schedule_flush(flow)
-
-    def _earliest_deadline(self, flow: int) -> Optional[float]:
-        held = self._held.get(flow)
-        if not held:
-            return None
-        return min(deadline for _, deadline in held.values())
-
-    def _on_flush_timer(self, flow: int) -> None:
-        self._flush_events.pop(flow, None)
-        held = self._held.get(flow)
+    def _on_flush_timer(self, state: _FlowState) -> None:
+        state.flush_event = None
+        held = state.held
         if not held:
             return
         expired = [
@@ -162,15 +164,15 @@ class Resequencer:
         ]
         if expired:
             self.timeout_flushes += 1
-            self._flush_through(flow, max(expired))
-        self._schedule_flush(flow)
+            self._flush_through(state, max(expired))
+        self._schedule_flush(state)
 
-    def _flush_through(self, flow: int, seq: int) -> None:
+    def _flush_through(self, state: _FlowState, seq: int) -> None:
         """Give up on holes at or below ``seq``; deliver held packets in order."""
-        held = self._held.get(flow, {})
-        ready = sorted(s for s in held if s <= seq)
-        for s in ready:
+        held = state.held
+        for s in sorted(s for s in held if s <= seq):
             packet, _ = held.pop(s)
             self.deliver(packet)
-        self._expected[flow] = max(self._expected.get(flow, 0), seq + 1)
-        self._drain(flow)
+        if state.expected <= seq:
+            state.expected = seq + 1
+        self._drain(state)

@@ -11,7 +11,8 @@ channel characteristics. Policies must tolerate untagged packets.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from operator import attrgetter
+from typing import Dict, List, Sequence
 
 from repro.errors import SteeringError
 from repro.net.node import ChannelView
@@ -39,39 +40,28 @@ class ChannelHealth:
         #: Observed up/down transitions (both directions), for inspection.
         self.transitions = 0
 
-    def update(self, views: Sequence[ChannelView], now: float) -> None:
-        """Fold in the current view states (call once per ``choose()``)."""
-        for view in views:
-            previous = self._was_up.get(view.index)
-            if previous is None:
-                self._was_up[view.index] = view.up
-                continue
-            if view.up != previous:
-                self._was_up[view.index] = view.up
-                self.transitions += 1
-                if view.up:
-                    self._reup_at[view.index] = now
-
-    def trusted(self, view: ChannelView, now: float) -> bool:
-        """Up, and up for long enough that failback is safe."""
-        if not view.up:
-            return False
-        reup_at = self._reup_at.get(view.index)
-        return reup_at is None or now - reup_at >= self.hysteresis
-
-    def usable(self, views: Sequence[ChannelView], now: float) -> List[ChannelView]:
+    def usable(self, views: Sequence[ChannelView], now: float) -> Sequence[ChannelView]:
         """Trusted channels, falling back to merely-up ones, else error.
 
         The fallback keeps the policy total: when *every* surviving channel
         is inside its hysteresis window, refusing to send would be worse
         than trusting early.
 
-        Fused single pass over the views (update + liveness + trust) —
-        this runs once per steered packet, so the one ``view.up`` read per
-        view matters.
+        Fused single pass over the views (transition tracking + liveness +
+        trust) — this runs once per steered packet, so the one ``view.up``
+        read per view matters.
         """
         was_up = self._was_up
         reup_at = self._reup_at
+        if not reup_at:
+            # Steady state: nothing ever failed back, so every view that is
+            # up and was last seen up is trusted — ``views`` is the answer.
+            for view in views:
+                if not (view.up and was_up.get(view.index)):
+                    break
+            else:
+                if views:
+                    return views
         hysteresis = self.hysteresis
         alive: List[ChannelView] = []
         trusted: List[ChannelView] = []
@@ -117,9 +107,14 @@ def up_views(views: Sequence[ChannelView]) -> List[ChannelView]:
     return alive
 
 
+#: ``min`` key for the latency role, for callers that already hold the up
+#: views and need not filter them again.
+base_delay_of = attrgetter("base_delay")
+
+
 def lowest_latency(views: Sequence[ChannelView]) -> ChannelView:
     """The channel with the smallest base (propagation) delay."""
-    return min(up_views(views), key=lambda v: v.base_delay)
+    return min(up_views(views), key=base_delay_of)
 
 
 def highest_bandwidth(views: Sequence[ChannelView]) -> ChannelView:

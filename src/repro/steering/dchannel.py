@@ -18,17 +18,11 @@ flow tags. Its two cross-layer extensions live in
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from typing import Dict
+from typing import Dict, Sequence
 
 from repro.net.node import ChannelView
 from repro.net.packet import Packet, PacketType
-from repro.steering.base import (
-    ChannelHealth,
-    Steerer,
-    risk_adjusted_delay,
-)
+from repro.steering.base import ChannelHealth, Steerer
 
 
 class DChannelSteerer(Steerer):
@@ -91,37 +85,41 @@ class DChannelSteerer(Steerer):
         alive = self.health.usable(views, now)
         if len(alive) == 1:
             return (alive[0].index,)
-        # Latency role: one base_delay read per view (min keeps the first
-        # on ties, matching ``lowest_latency``).
-        ll = alive[0]
-        ll_delay = ll.base_delay
-        for view in alive[1:]:
-            delay = view.base_delay
-            if delay < ll_delay:
-                ll, ll_delay = view, delay
+        # One fused read per view: (base delay, rate, risk-adjusted
+        # delivery delay, queueing delay) for this packet.
+        size = packet.size_bytes
+        reads = []
+        # Latency role: the first view with the smallest base delay
+        # (matching ``lowest_latency`` on ties).
+        ll = ll_read = None
+        for view in alive:
+            read = view.steering_read(size)
+            reads.append(read)
+            if ll is None or read[0] < ll_read[0]:
+                ll, ll_read = view, read
         # The bandwidth role goes to the highest-rate remaining channel.
         # Choosing it by instantaneous delay instead is a myopic trap with
         # 3+ channels: an idle narrow path (e.g. LEO) out-bids the fat one
         # until its queue builds, pinning bulk to the wrong channel while
         # the fat pipe idles. (With two channels the two rules coincide —
         # DChannel itself is a two-channel design, §4.)
-        hb = None
+        hb = hb_read = None
         hb_rate = -1.0
+        at = 0
         for view in alive:
-            if view is ll:
-                continue
-            rate = view.rate_bps
-            if rate > hb_rate:
-                hb, hb_rate = view, rate
+            read = reads[at]
+            at += 1
+            if view is not ll and read[1] > hb_rate:
+                hb, hb_read, hb_rate = view, read, read[1]
+        ll_delay, _, d_ll, ll_queueing = ll_read
+        hb_delay, _, d_hb, _ = hb_read
 
-        d_ll = risk_adjusted_delay(ll, packet.size_bytes)
-        d_hb = risk_adjusted_delay(hb, packet.size_bytes)
-        base_gap = max(0.0, hb.base_delay - ll_delay)
+        base_gap = max(0.0, hb_delay - ll_delay)
         is_control = packet.is_control and self.accelerate_control
         cap = base_gap * (
             self.control_cap_factor if is_control else self.queue_cap_factor
         )
-        ll_affordable = ll.queueing_delay(packet.size_bytes) <= cap
+        ll_affordable = ll_queueing <= cap
 
         if is_control:
             return (ll.index,) if d_ll <= d_hb and ll_affordable else (hb.index,)

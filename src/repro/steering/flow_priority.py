@@ -15,7 +15,7 @@ from typing import Sequence
 
 from repro.net.node import ChannelView
 from repro.net.packet import Packet
-from repro.steering.base import Steerer, lowest_latency, up_views
+from repro.steering.base import Steerer, base_delay_of, up_views
 
 
 class FlowPriorityFilter(Steerer):
@@ -33,7 +33,7 @@ class FlowPriorityFilter(Steerer):
         if len(alive) == 1:
             return (alive[0].index,)
         if packet.flow_priority is not None and packet.flow_priority > self.cutoff:
-            ll_index = lowest_latency(alive).index
+            ll_index = min(alive, key=base_delay_of).index
             allowed = [v for v in alive if v.index != ll_index]
             if allowed:
                 best = min(

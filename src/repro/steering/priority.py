@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from repro.net.node import ChannelView
 from repro.net.packet import Packet
-from repro.steering.base import Steerer, highest_bandwidth, lowest_latency, up_views
+from repro.steering.base import Steerer, base_delay_of, highest_bandwidth, up_views
 from repro.steering.dchannel import DChannelSteerer
 
 
@@ -38,8 +38,8 @@ class MessagePrioritySteerer(Steerer):
         alive = up_views(views)
         if len(alive) == 1:
             return (alive[0].index,)
-        ll = lowest_latency(alive)
         if packet.message_priority is not None:
+            ll = min(alive, key=base_delay_of)
             if packet.message_priority <= self.cutoff:
                 return (ll.index,)
             # Low-priority messages must never displace priority traffic

@@ -1,7 +1,12 @@
 """Tests for the CLI entry point."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -60,3 +65,55 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["fig1b", "--jobs", "0"])
         assert "--jobs must be >= 1" in capsys.readouterr().err
+
+    def test_trace_dir_rejected_where_it_would_be_ignored(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cc-matrix", "--quick", "--trace-dir", str(tmp_path)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--trace-dir is not supported by 'cc-matrix'" in err
+        assert "fig1a, fig1b, fig2, table1" in err
+        assert not any(tmp_path.iterdir())
+
+    def test_all_applies_trace_dir_where_supported(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            "repro.cli.EXPERIMENTS",
+            dict.fromkeys(["fig1b", "ab-cost"], "tests.test_cli:fake_experiment"),
+        )
+        monkeypatch.setattr("tests.test_cli.FAKE_CALLS", calls)
+        assert main(["all", "--no-cache", "--trace-dir", str(tmp_path)]) == 0
+        # sorted: ab-cost, then fig1b
+        assert [kwargs.get("trace_dir") for kwargs in calls] == [None, str(tmp_path)]
+
+
+#: Keyword arguments of each ``fake_experiment`` call, in call order.
+FAKE_CALLS = []
+
+
+def fake_experiment(**kwargs):
+    """Stands in for a ``run_*`` function; records what the CLI passed."""
+    FAKE_CALLS.append(kwargs)
+
+    class Rendered:
+        @staticmethod
+        def render():
+            return "fake"
+
+    return Rendered
+
+
+def test_cli_import_leaves_numpy_and_the_fleet_engine_out():
+    """``python -m repro <name>`` imports what ``<name>`` runs: numpy (via
+    ``repro.fleet``) only for the fleet and resilience experiments."""
+    code = (
+        "import sys, repro.cli; "
+        "from repro.experiments import run_fig1a; "
+        "print(sorted(m for m in ('numpy', 'repro.fleet') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -6,6 +6,7 @@ from repro.experiments import EXPERIMENTS
 from repro.experiments.fig1 import run_fig1a, run_fig1b, run_single_cca
 from repro.experiments.fig2 import run_fig2_cell, video_network
 from repro.experiments.table1 import run_table1_cell, web_network
+from repro.runner import resolve_fn
 from repro.units import to_mbps
 
 
@@ -34,6 +35,17 @@ class TestRegistry:
             "sweep-urllc-rtt",
             "sweep-decode-wait",
         }
+
+    def test_every_path_resolves_and_is_importable_by_name(self):
+        import repro.experiments as package
+
+        for path in EXPERIMENTS.values():
+            name = path.partition(":")[2]
+            assert callable(resolve_fn(path))
+            assert getattr(package, name) is resolve_fn(path)
+            assert name in package.__all__
+        with pytest.raises(AttributeError):
+            package.run_fig9
 
 
 class TestFig1Harness:

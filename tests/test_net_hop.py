@@ -1,0 +1,654 @@
+"""The per-packet hop against the code it replaced.
+
+Every packet crosses ``Device.send -> Steerer.choose -> ChannelView ->
+Link.send`` and ``Link._deliver -> Device._on_link_deliver ->
+Resequencer.push -> dispatch``. The hop now does one fused channel read
+per view, keeps one record per flow, and answers ``any_channel_up()`` from
+a count; the bodies it replaced survive only here, as oracles:
+
+* ``NaiveDChannel`` — the old ``DChannelSteerer.choose`` (separate
+  ``base_delay``/``rate_bps``/``risk_adjusted_delay``/``queueing_delay``
+  reads) on top of the old list-building ``ChannelHealth.usable``;
+* ``NaiveResequencer`` — the old five-parallel-dict resequencer with
+  ``min()`` over every held deadline.
+
+Both are driven step for step against the shipped classes over seeded
+inputs and must agree on everything observable. The last test bounds the
+hop's cost by a count (Python-level calls per simulated event), not a time.
+"""
+
+import itertools
+import os
+import random
+import sys
+
+import pytest
+
+import repro
+from repro.apps.bulk import BulkTransfer
+from repro.core.api import HvcNetwork
+from repro.errors import SteeringError
+from repro.net import resequencer as resequencer_module
+from repro.net.channel import END_A, Channel, ChannelSpec, DirectionSpec
+from repro.net.hvc import fixed_embb_spec, urllc_spec
+from repro.net.loss import LossModel
+from repro.net.node import DEDUP_WINDOW, ChannelView, Device
+from repro.net.packet import Packet, PacketType
+from repro.net.resequencer import Resequencer
+from repro.sim.kernel import Simulator
+from repro.steering.base import ChannelHealth, risk_adjusted_delay
+from repro.steering.dchannel import DChannelSteerer
+from repro.traces.model import NetworkTrace
+from repro.units import mbps, ms
+from tests.conftest import make_pair
+from tests.test_steering import FakeView
+
+SEEDS = range(12)
+
+
+# ----------------------------------------------------------------------
+# (a) the fused view read == the accessors it fuses
+# ----------------------------------------------------------------------
+class FixedLoss(LossModel):
+    """A loss model that only advertises a rate (1.0 included)."""
+
+    def __init__(self, rate):
+        self.rate = rate
+
+    def should_drop(self, rng, now):
+        return False
+
+    @property
+    def long_run_rate(self):
+        return self.rate
+
+
+#: One trace step per second: full rate, a halved rate with a longer
+#: delay, an outage (rate 0), a trickle.
+TRACE = NetworkTrace(
+    times=[0.0, 1.0, 2.0, 3.0],
+    rates_bps=[mbps(40), mbps(20), 0.0, mbps(0.3)],
+    delays=[ms(20), ms(35), ms(20), ms(50)],
+)
+
+
+def bits(values):
+    """Floats as exact bit patterns (``inf`` and ``-0.0`` included)."""
+    return [float(value).hex() for value in values]
+
+
+def view_in_state(rng, traced, rate_factor, delay_offset, load_frac, loss, backlog):
+    """A real ``ChannelView`` whose link sits in the requested state."""
+    sim = Simulator()
+    rate = mbps(rng.choice([2, 60, 333.3]))
+    direction = DirectionSpec(
+        rate_bps=0.0 if traced else rate,
+        delay=ms(rng.choice([2.5, 25, 0])),
+        loss=FixedLoss(loss),
+        trace=TRACE if traced else None,
+    )
+    channel = Channel(sim, ChannelSpec("ch", up=direction, down=DirectionSpec(rate_bps=mbps(1))))
+    if traced:
+        sim.run(until=rng.choice([0.0, 0.4, 1.7, 2.5, 3.2, 4.1]))  # 4.1 wraps
+        rate = TRACE.rate_at(sim.now)
+    link = channel.uplink
+    link.rate_factor = rate_factor
+    link.delay_offset = delay_offset
+    link.set_background_load(load_frac * rate)
+    for _ in range(backlog):  # the first goes into service, the rest queue
+        link.send(Packet(1, PacketType.DATA, payload_bytes=rng.randint(0, 1460)))
+    assert (link._serving is not None) == (backlog > 0)
+    assert len(link.queue) == max(0, backlog - 1)
+    return ChannelView(channel, END_A)
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["static", "traced"])
+def test_fused_read_equals_separate_accessors(traced):
+    rng = random.Random(7)
+    grid = itertools.product(
+        [1.0, 0.3, 0.0],  # rate_factor
+        [0.0, ms(13)],  # delay_offset
+        [0.0, 0.4, 1.0, 2.5],  # background load / capacity
+        [0.0, 0.3, 1.0],  # advertised loss
+        [0, 1, 6],  # packets in service + queued
+    )
+    infinite = finite = 0
+    for rate_factor, delay_offset, load_frac, loss, backlog in grid:
+        view = view_in_state(rng, traced, rate_factor, delay_offset, load_frac, loss, backlog)
+        for size in (40, rng.randint(41, 1499), 1500):
+            separate = (
+                view.base_delay,
+                view.rate_bps,
+                risk_adjusted_delay(view, size),
+                view.queueing_delay(size),
+            )
+            fused = view.steering_read(size)
+            assert bits(fused) == bits(separate), (
+                rate_factor, delay_offset, load_frac, loss, backlog, size,
+            )
+            infinite += fused[2:].count(float("inf"))
+            finite += sum(1 for value in fused[2:] if value != float("inf"))
+    assert infinite > 100 and finite > 100
+
+
+def test_static_delivery_estimate_ignores_background_load():
+    """The trap the fused read must reproduce: on a static link the
+    delivery estimate divides by the rate *before* background load while
+    ``rate_bps``/``queueing_delay`` subtract it."""
+    view = view_in_state(random.Random(0), False, 1.0, 0.0, 2.5, 0.0, 3)
+    _, rate, risk, queueing = view.steering_read(1500)
+    assert rate == 0.0 and queueing == float("inf")
+    assert risk < float("inf")
+
+
+# ----------------------------------------------------------------------
+# (b) DChannel verdicts and channel health
+# ----------------------------------------------------------------------
+class NaiveHealth(ChannelHealth):
+    """Reference: build the alive and trusted lists on every call."""
+
+    def usable(self, views, now):
+        was_up = self._was_up
+        reup_at = self._reup_at
+        hysteresis = self.hysteresis
+        alive = []
+        trusted = []
+        for view in views:
+            up = view.up
+            index = view.index
+            previous = was_up.get(index)
+            if previous is None:
+                was_up[index] = up
+            elif up != previous:
+                was_up[index] = up
+                self.transitions += 1
+                if up:
+                    reup_at[index] = now
+            if up:
+                alive.append(view)
+                at = reup_at.get(index)
+                if at is None or now - at >= hysteresis:
+                    trusted.append(view)
+        if not alive:
+            raise SteeringError("no channel is up")
+        return trusted if trusted else alive
+
+
+class NaiveDChannel(DChannelSteerer):
+    """Reference: every quantity through its own accessor."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.health = NaiveHealth(hysteresis=self.health.hysteresis)
+
+    def choose(self, packet, views, now):
+        alive = self.health.usable(views, now)
+        if len(alive) == 1:
+            return (alive[0].index,)
+        ll = alive[0]
+        ll_delay = ll.base_delay
+        for view in alive[1:]:
+            delay = view.base_delay
+            if delay < ll_delay:
+                ll, ll_delay = view, delay
+        hb = None
+        hb_rate = -1.0
+        for view in alive:
+            if view is ll:
+                continue
+            rate = view.rate_bps
+            if rate > hb_rate:
+                hb, hb_rate = view, rate
+
+        d_ll = risk_adjusted_delay(ll, packet.size_bytes)
+        d_hb = risk_adjusted_delay(hb, packet.size_bytes)
+        base_gap = max(0.0, hb.base_delay - ll_delay)
+        is_control = packet.is_control and self.accelerate_control
+        cap = base_gap * (
+            self.control_cap_factor if is_control else self.queue_cap_factor
+        )
+        ll_affordable = ll.queueing_delay(packet.size_bytes) <= cap
+
+        if is_control:
+            return (ll.index,) if d_ll <= d_hb and ll_affordable else (hb.index,)
+
+        effective_ll = d_ll
+        if packet.ptype == PacketType.DATA:
+            hold_until = self._hb_arrival.get(packet.flow_id)
+            if hold_until is not None:
+                effective_ll = max(d_ll, hold_until - now)
+        if effective_ll + self.savings_threshold < d_hb and ll_affordable:
+            return (ll.index,)
+        if packet.ptype == PacketType.DATA:
+            previous = self._hb_arrival.get(packet.flow_id, 0.0)
+            self._hb_arrival[packet.flow_id] = max(previous, now + d_hb)
+        return (hb.index,)
+
+
+def steering_stream(seed, steps=500):
+    """``(now, packet)`` steps over 2-4 mutating ``FakeView``s.
+
+    Delays and rates come from short menus so ties are common; rates drop
+    to zero; loss reaches 1.0; channels flap with down/up gaps both shorter
+    and longer than the 0.5 s hysteresis, occasionally all at once.
+    """
+    rng = random.Random(seed)
+    views = [
+        FakeView(
+            index,
+            rate_bps=mbps(rng.choice([2, 60, 60, 100])),
+            base_delay=ms(rng.choice([2.5, 2.5, 25, 6])),
+        )
+        for index in range(rng.randint(2, 4))
+    ]
+    now = 0.0
+    for _ in range(steps):
+        now += rng.choice([0.0, 0.001, 0.02, 0.2, 0.7])
+        for view in views:
+            roll = rng.random()
+            if roll < 0.08:
+                view.up = not view.up
+            elif roll < 0.12:
+                view.rate_bps = rng.choice([0.0, mbps(2), mbps(60)])
+            elif roll < 0.16:
+                view.loss_rate = rng.choice([0.0, 0.3, 1.0])
+            elif roll < 0.5:
+                view.backlog_bytes = rng.choice([0, 1500, 40_000, 600_000])
+        if rng.random() < 0.03:
+            for view in views:
+                view.up = False
+        ptype = rng.choice([PacketType.DATA, PacketType.DATA, PacketType.ACK, PacketType.SYN])
+        payload = rng.randint(1, 1460) if ptype == PacketType.DATA else 0
+        yield now, views, Packet(rng.randint(1, 3), ptype, payload_bytes=payload)
+
+
+def verdict(steerer, packet, views, now):
+    try:
+        return steerer.choose(packet, views, now)
+    except SteeringError as error:
+        return str(error)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("accelerate_control", [True, False])
+def test_dchannel_matches_naive(seed, accelerate_control):
+    options = dict(accelerate_control=accelerate_control, savings_threshold=ms(seed % 3))
+    new, naive = DChannelSteerer(**options), NaiveDChannel(**options)
+    verdicts = set()
+    for now, views, packet in steering_stream(seed):
+        got = verdict(new, packet, views, now)
+        assert got == verdict(naive, packet, views, now)
+        assert new._hb_arrival == naive._hb_arrival
+        assert new.health.transitions == naive.health.transitions
+        assert new.health._was_up == naive.health._was_up
+        assert new.health._reup_at == naive.health._reup_at
+        verdicts.add(got)
+    assert "no channel is up" in verdicts and len(verdicts) >= 3
+    assert new.health.transitions > 10
+
+
+def test_usable_returns_the_views_in_steady_state():
+    """Nothing ever failed back and everything is up: no list is built."""
+    health = ChannelHealth()
+    views = [FakeView(0), FakeView(1)]
+    assert list(health.usable(views, 0.0)) == views  # first sight: recorded
+    assert health.usable(views, 0.1) is views
+    views[1].up = False
+    assert health.usable(views, 0.2) == [views[0]]
+    views[1].up = True
+    assert health.usable(views, 0.3) == [views[0]]  # inside the hysteresis
+    assert health.usable(views, 0.9) == views and health.transitions == 2
+    with pytest.raises(SteeringError):
+        health.usable([], 1.0)
+
+
+def test_network_run_is_identical_under_the_naive_steerer():
+    def run(steerer):
+        net = HvcNetwork([fixed_embb_spec(), urllc_spec()], steering=steerer, seed=3)
+        bulk = BulkTransfer(net, cc="cubic")
+        net.run(until=1.0)
+        lowlat = net.channels[1].uplink.stats.bytes_delivered
+        return net.sim.events_processed, bulk.bytes_acked, lowlat
+
+    assert run(DChannelSteerer()) == run(NaiveDChannel())
+
+
+# ----------------------------------------------------------------------
+# (c) the resequencer
+# ----------------------------------------------------------------------
+class NaiveResequencer:
+    """Reference: five parallel per-flow dicts, ``min()`` over all held."""
+
+    def __init__(self, sim, deliver, timeout):
+        self.sim = sim
+        self.deliver = deliver
+        self.timeout = timeout
+        self._expected = {}
+        self._held = {}
+        self._chan_max = {}
+        self._chan_count = {}
+        self._flush_events = {}
+        self.packets_held = 0
+        self.timeout_flushes = 0
+        self.timer_instants = []
+
+    def push(self, packet):
+        if packet.shim_seq is None:
+            self.deliver(packet)
+            return
+        flow = packet.flow_id
+        if packet.channel_index is not None:
+            marks = self._chan_max.setdefault(flow, {})
+            previous = marks.get(packet.channel_index, -1)
+            marks[packet.channel_index] = max(previous, packet.shim_seq)
+        self._chan_count[flow] = max(
+            self._chan_count.get(flow, 1), packet.shim_channel_count
+        )
+        expected = self._expected.get(flow, 0)
+        if packet.shim_seq < expected:
+            self.deliver(packet)
+            return
+        held = self._held.setdefault(flow, {})
+        if packet.shim_seq in held:
+            return
+        if packet.shim_seq == expected:
+            self.deliver(packet)
+            self._expected[flow] = expected + 1
+            self._drain(flow)
+        else:
+            self.packets_held += 1
+            held[packet.shim_seq] = (packet, self.sim.now + self.timeout)
+            if len(held) > resequencer_module.MAX_HELD_PACKETS:
+                self._flush_through(flow, min(held))
+            self._flush_proven_losses(flow)
+            self._schedule_flush(flow)
+
+    def _flush_proven_losses(self, flow):
+        marks = self._chan_max.get(flow)
+        if not marks or len(marks) < self._chan_count.get(flow, 1):
+            return
+        safe = min(marks.values())
+        if self._expected.get(flow, 0) <= safe:
+            self._flush_through(flow, safe)
+
+    @property
+    def pending_count(self):
+        return sum(len(held) for held in self._held.values())
+
+    def _drain(self, flow):
+        held = self._held.get(flow)
+        if not held:
+            return
+        expected = self._expected.get(flow, 0)
+        while expected in held:
+            packet, _ = held.pop(expected)
+            self.deliver(packet)
+            expected += 1
+        self._expected[flow] = expected
+        self._reschedule_flush(flow)
+
+    def _schedule_flush(self, flow):
+        if flow in self._flush_events:
+            return
+        deadline = self._earliest_deadline(flow)
+        if deadline is not None:
+            self._flush_events[flow] = self.sim.schedule_at(
+                deadline, self._on_flush_timer, flow
+            )
+
+    def _reschedule_flush(self, flow):
+        event = self._flush_events.pop(flow, None)
+        if event is not None:
+            self.sim.cancel(event)
+        self._schedule_flush(flow)
+
+    def _earliest_deadline(self, flow):
+        held = self._held.get(flow)
+        if not held:
+            return None
+        return min(deadline for _, deadline in held.values())
+
+    def _on_flush_timer(self, flow):
+        self.timer_instants.append(self.sim.now)
+        self._flush_events.pop(flow, None)
+        held = self._held.get(flow)
+        if not held:
+            return
+        expired = [
+            seq for seq, (_, deadline) in held.items() if deadline <= self.sim.now
+        ]
+        if expired:
+            self.timeout_flushes += 1
+            self._flush_through(flow, max(expired))
+        self._schedule_flush(flow)
+
+    def _flush_through(self, flow, seq):
+        held = self._held.get(flow, {})
+        ready = sorted(s for s in held if s <= seq)
+        for s in ready:
+            packet, _ = held.pop(s)
+            self.deliver(packet)
+        self._expected[flow] = max(self._expected.get(flow, 0), seq + 1)
+        self._drain(flow)
+
+
+class TimedResequencer(Resequencer):
+    """The shipped resequencer, logging when its flush timer fires."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.timer_instants = []
+
+    def _on_flush_timer(self, state):
+        self.timer_instants.append(self.sim.now)
+        super()._on_flush_timer(state)
+
+
+#: Hold timeout of both resequencers under test.
+TIMEOUT = 0.08
+
+#: ``(send gap, per-channel one-way delays, loss, duplicate copies)``:
+#: mild reordering; a slow channel inside the timeout; one beyond it, so
+#: holes time out before the straggler lands; a burst that parks far more
+#: than ``MAX_HELD_PACKETS`` (patched to 16) behind one slow packet; and
+#: heavy loss with redundant copies, so holes are real and duplicates of
+#: held, delivered and flushed packets all occur.
+SHAPES = (
+    (0.004, (0.002, 0.012), 0.0, 0.0),
+    (0.003, (0.002, 0.060, 0.020), 0.05, 0.1),
+    (0.010, (0.001, 0.200), 0.05, 0.0),
+    (0.0005, (0.001, 0.070), 0.02, 0.05),
+    (0.006, (0.003, 0.040, 0.150), 0.3, 0.4),
+)
+
+
+def resequencer_arrivals(seed, per_flow=160):
+    """Time-ordered ``(arrival, packet)`` for three flows, each stamped by
+    a sending shim (``shim_seq``, distinct channels used so far) and carried
+    over FIFO channels that differ in delay, drop packets and carry
+    redundant copies; plus the odd unstamped packet."""
+    rng = random.Random(seed)
+    out = []
+    order = itertools.count()
+    for flow in (1, 2, 3):
+        gap, delays, loss, copies = SHAPES[(seed + flow) % len(SHAPES)]
+        used = set()
+        sent = rng.random() * 0.01
+        for seq in range(per_flow):
+            sent += gap * rng.choice([0.2, 1.0, 1.0, 3.0])
+            channels = [rng.randrange(len(delays)) if rng.random() < 0.4 else 0]
+            if rng.random() < copies:
+                channels.append((channels[0] + 1) % len(delays))
+            used.update(channels)
+            for channel in channels:
+                if rng.random() < loss:
+                    continue
+                packet = Packet(flow, PacketType.DATA, payload_bytes=100)
+                packet.shim_seq = seq
+                packet.shim_channel_count = len(used)
+                packet.channel_index = channel if rng.random() < 0.97 else None
+                out.append((sent + delays[channel], next(order), packet))
+            if rng.random() < 0.02:
+                out.append((sent, next(order), Packet(flow, PacketType.DATA)))
+    out.sort(key=lambda item: item[:2])
+    return [(arrival, packet) for arrival, _, packet in out]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_resequencer_matches_naive(seed, monkeypatch):
+    monkeypatch.setattr(resequencer_module, "MAX_HELD_PACKETS", 16)
+    rigs = []
+    for cls in (TimedResequencer, NaiveResequencer):
+        sim, delivered = Simulator(), []
+        rigs.append((sim, cls(sim, delivered.append, timeout=TIMEOUT), delivered))
+    (sim, new, got), (naive_sim, naive, want) = rigs
+
+    def agree():
+        assert len(got) == len(want) and got[-8:] == want[-8:]
+        assert new.packets_held == naive.packets_held
+        assert new.timeout_flushes == naive.timeout_flushes
+        assert new.pending_count == naive.pending_count
+        assert new.timer_instants == naive.timer_instants
+        assert sim.events_processed == naive_sim.events_processed
+        assert sim.pending_events == naive_sim.pending_events
+
+    arrivals = resequencer_arrivals(seed)
+    for arrival, packet in arrivals:
+        sim.run(until=arrival)
+        naive_sim.run(until=arrival)
+        new.push(packet)
+        naive.push(packet)
+        agree()
+    sim.run()
+    naive_sim.run()
+    agree()
+    assert got == want
+    assert new.pending_count == 0 and len(got) <= len(arrivals)
+    if seed == 0:  # the shapes together reach every branch
+        assert new.packets_held > 100 and new.timeout_flushes > 0
+        assert new.timer_instants and len(got) < len(arrivals)
+
+
+def test_max_held_valve_opens(monkeypatch):
+    monkeypatch.setattr(resequencer_module, "MAX_HELD_PACKETS", 4)
+    sim, delivered = Simulator(), []
+    reseq = Resequencer(sim, lambda p: delivered.append(p.shim_seq), timeout=TIMEOUT)
+    for seq in (5, 3, 9, 7, 8):  # 0 never arrives; the fifth trips the valve
+        packet = Packet(1, PacketType.DATA)
+        packet.shim_seq, packet.channel_index, packet.shim_channel_count = seq, 0, 2
+        reseq.push(packet)
+    assert delivered == [3] and reseq.pending_count == 4
+
+
+# ----------------------------------------------------------------------
+# (d) the device: up-count and duplicate window
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("seed", SEEDS)
+def test_any_channel_up_tracks_every_transition(seed, sim):
+    rng = random.Random(seed)
+    specs = [ChannelSpec.symmetric(f"ch{i}", mbps(10), ms(5)) for i in range(rng.randint(1, 3))]
+    client, server, channels = make_pair(sim, specs)
+    seen_in_hooks = []
+
+    def check():
+        truth = any(channel.up for channel in channels)
+        assert client.any_channel_up() == truth
+        assert server.any_channel_up() == truth
+        return truth
+
+    # Transports send from inside their own device's hook, so its count
+    # must already be right when the hook runs.
+    for device in (client, server):
+        device.on_channel_transition_hooks.append(
+            lambda *_, device=device: seen_in_hooks.append(
+                device.any_channel_up() == any(channel.up for channel in channels)
+            )
+        )
+    holds = [0] * len(channels)
+    overlapped = False
+    assert check()
+    for _ in range(300):
+        index = rng.randrange(len(channels))
+        action = rng.choice(["fail", "fail", "restore", "restore", "restore", "admin"])
+        if action == "fail":
+            channels[index].fail()
+            holds[index] += 1
+            overlapped = overlapped or holds[index] > 1
+        elif action == "restore" and holds[index]:
+            channels[index].restore()
+            holds[index] -= 1
+        elif action == "admin":
+            channels[index].set_up(rng.random() < 0.6)
+        check()
+    assert len(seen_in_hooks) >= 20 and all(seen_in_hooks)
+    assert overlapped
+
+
+def test_device_attached_to_a_down_channel_counts_it_down(sim):
+    specs = [ChannelSpec.symmetric(name, mbps(10), ms(5)) for name in "ab"]
+    channels = [Channel(sim, spec, index=i) for i, spec in enumerate(specs)]
+    channels[0].fail()
+    device = Device(sim, "late")
+    device.attach(channels, end=0)
+    assert device.any_channel_up()
+    channels[1].fail()
+    assert not device.any_channel_up()
+    device.send(Packet(1, PacketType.DATAGRAM, payload_bytes=10))
+    assert device.stats.blackout_drops == 1
+    channels[0].restore()
+    assert device.any_channel_up()
+
+
+def test_dedup_window_discards_late_copies_then_forgets(sim):
+    device = Device(sim, "rx", resequence=False)
+    received = []
+    device.set_default_handler(lambda packet: received.append(packet.packet_id))
+
+    def deliver(packet_id, flow=1):
+        device._on_link_deliver(
+            Packet(flow, PacketType.DATAGRAM, payload_bytes=10, packet_id=packet_id)
+        )
+
+    deliver(0)
+    for packet_id in range(1, DEDUP_WINDOW):
+        deliver(packet_id)
+    deliver(0)  # DEDUP_WINDOW - 1 ids later: still remembered
+    deliver(0, flow=2)  # another flow's window is its own
+    assert device.stats.duplicates_discarded == 1
+    assert received.count(0) == 2
+    deliver(DEDUP_WINDOW)  # pushes id 0 out of flow 1's window
+    deliver(0)
+    deliver(1)  # id 1 left with the re-admitted id 0's arrival
+    deliver(DEDUP_WINDOW)
+    assert device.stats.duplicates_discarded == 2
+    assert received.count(0) == 3 and received.count(1) == 2
+    assert device.stats.packets_received == len(received) == DEDUP_WINDOW + 4
+
+
+# ----------------------------------------------------------------------
+# (e) the cost of a hop, counted
+# ----------------------------------------------------------------------
+def test_hop_python_calls_per_event_bound():
+    """Python-level calls made inside ``net/`` and ``steering/`` per
+    simulated event, on 1 s of cubic over dchannel steering. The hop this
+    file's oracles describe made 23.6; the fused one makes about 14."""
+    package = os.path.dirname(repro.__file__)
+    hop_dirs = (os.path.join(package, "net") + os.sep, os.path.join(package, "steering") + os.sep)
+    net = HvcNetwork([fixed_embb_spec(), urllc_spec()], steering="dchannel", seed=0)
+    BulkTransfer(net, cc="cubic")
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(hop_dirs):
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        net.run(until=1.0)
+    finally:
+        sys.setprofile(previous)
+    events = net.sim.events_processed
+    assert events > 10_000
+    assert calls / events <= 16.0, f"{calls} hop calls for {events} events"

@@ -10,6 +10,7 @@ from repro.steering.base import (
     highest_bandwidth,
     lowest_latency,
     most_reliable,
+    risk_adjusted_delay,
     up_views,
 )
 from repro.steering.cost import CostAwareSteerer
@@ -61,6 +62,15 @@ class FakeView:
 
     def estimated_delivery_delay(self, packet_bytes):
         return self.queueing_delay(packet_bytes) + self.base_delay
+
+    def steering_read(self, packet_bytes):
+        """The fused read of the view duck type, from the accessors above."""
+        return (
+            self.base_delay,
+            self.rate_bps,
+            risk_adjusted_delay(self, packet_bytes),
+            self.queueing_delay(packet_bytes),
+        )
 
 
 def embb(backlog=0, **kw):
