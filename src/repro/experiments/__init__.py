@@ -27,7 +27,8 @@ from repro.runner.units import resolve_fn
 
 #: CLI name → ``"module:callable"`` (the :attr:`RunUnit.fn` convention),
 #: resolved on lookup so ``python -m repro <name>`` imports only the module
-#: it runs: ``fleet``/``resilience`` pull in numpy, the rest need not.
+#: it runs: ``fleet``/``resilience`` need numpy (``repro[fleet]``), the rest
+#: run without it.
 EXPERIMENTS = {
     "fig1a": "repro.experiments.fig1:run_fig1a",
     "fig1b": "repro.experiments.fig1:run_fig1b",

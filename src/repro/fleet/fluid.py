@@ -22,9 +22,10 @@ Per tick of length ``dt`` (default 10 ms, i.e. coarse against the wheel's
   delay-sensitive classes/CCAs reacting at lower targets (they see the
   queue build before loss-based flows see drops).
 
-The update is vectorized with numpy when available; a pure-python tick
-with identical structure keeps the engine dependency-free (the two
-backends agree to float noise, not bit-for-bit — a run always uses one).
+The update is vectorized with numpy, the fleet engine's one declared
+dependency (``pip install "repro[fleet]"``); the rest of ``repro`` never
+imports this module and stays dependency-free. The scalar form of the
+same tick lives under ``tests/`` as the reference it is compared with.
 """
 
 from __future__ import annotations
@@ -37,10 +38,13 @@ from repro.errors import ScenarioError
 from repro.fleet.tenants import TenantPopulation
 from repro.steering.requirements import REQUIREMENT_CLASSES, assignment_table
 
-try:  # optional acceleration; the pure-python tick is the fallback
-    import numpy as _np
-except Exception:  # pragma: no cover - exercised where numpy is absent
-    _np = None
+try:
+    import numpy as np
+except ImportError as exc:
+    raise ImportError(
+        "repro.fleet steps its tenants with numpy, which is not installed; "
+        'install it with: pip install "repro[fleet]"'
+    ) from exc
 
 #: Fluid congestion-control flavours: how a tenant's rate ODE behaves.
 #: ``beta_scale`` multiplies its class's backoff, ``gain`` scales the
@@ -83,7 +87,6 @@ class FluidBackground:
         tick: float = 0.01,
         horizon: Optional[float] = None,
         ack_fraction: float = 0.05,
-        use_numpy: Optional[bool] = None,
         obs=None,
         sense_foreground: bool = True,
     ) -> None:
@@ -107,11 +110,6 @@ class FluidBackground:
         self._gauge_active = (
             obs.registry.gauge("fleet.active_tenants") if obs is not None else None
         )
-        if use_numpy is None:
-            use_numpy = _np is not None
-        if use_numpy and _np is None:
-            raise ScenarioError("numpy backend requested but numpy is unavailable")
-        self.backend = "numpy" if use_numpy else "python"
 
         n = len(population)
         classes = sorted(REQUIREMENT_CLASSES)
@@ -135,50 +133,32 @@ class FluidBackground:
             beta.append(cls.backoff * cc["beta_scale"])
             gain.append(cc["gain"])
         self._class_id = [class_index[c] for c in population.classes]
-        self._cca_id = [cca_index[c] for c in population.ccas]
 
-        if self.backend == "numpy":
-            self._arrival = _np.asarray(population.arrivals, dtype=_np.float64)
-            self._remaining = _np.asarray(population.sizes, dtype=_np.float64)
-            # Slow-start round-trip count for each size: a packet-level
-            # flow needs ceil(log2(S/IW + 1)) RTTs of window growth to
-            # move S bytes, no matter how idle the link is.
-            self._ss_rounds = _np.maximum(
-                _np.ceil(_np.log2(self._remaining / IW_BYTES + 1.0)), 1.0
-            )
-            self._rate = _np.zeros(n, dtype=_np.float64)
-            self._channel = _np.full(n, -1, dtype=_np.int64)
-            self._active = _np.zeros(n, dtype=bool)
-            self._done = _np.zeros(n, dtype=bool)
-            self._fct = _np.full(n, _np.nan, dtype=_np.float64)
-            self._target = _np.asarray(target)
-            self._beta = _np.asarray(beta)
-            self._gain = _np.asarray(gain)
-            self._cca_arr = _np.asarray(self._cca_id, dtype=_np.int64)
-            self._class_arr = _np.asarray(self._class_id, dtype=_np.int64)
-        else:
-            self._arrival = list(population.arrivals)
-            self._remaining = [float(s) for s in population.sizes]
-            self._ss_rounds = [
-                max(math.ceil(math.log2(s / IW_BYTES + 1.0)), 1.0)
-                for s in population.sizes
-            ]
-            self._rate = [0.0] * n
-            self._channel = [-1] * n
-            self._active = [False] * n
-            self._done = [False] * n
-            self._fct = [math.nan] * n
-            self._target = target
-            self._beta = beta
-            self._gain = gain
+        self._arrival = np.asarray(population.arrivals, dtype=np.float64)
+        self._remaining = np.asarray(population.sizes, dtype=np.float64)
+        # Slow-start round-trip count for each size: a packet-level flow
+        # needs ceil(log2(S/IW + 1)) RTTs of window growth to move S
+        # bytes, no matter how idle the link is.
+        self._ss_rounds = np.maximum(
+            np.ceil(np.log2(self._remaining / IW_BYTES + 1.0)), 1.0
+        )
+        self._rate = np.zeros(n, dtype=np.float64)
+        self._channel = np.full(n, -1, dtype=np.int64)
+        self._active = np.zeros(n, dtype=bool)
+        self._done = np.zeros(n, dtype=bool)
+        self._fct = np.full(n, np.nan, dtype=np.float64)
+        self._target = np.asarray(target)
+        self._beta = np.asarray(beta)
+        self._gain = np.asarray(gain)
+        self._cca_arr = np.asarray(
+            [cca_index[c] for c in population.ccas], dtype=np.int64
+        )
+        self._class_arr = np.asarray(self._class_id, dtype=np.int64)
 
         # Per-tenant stall bookkeeping: when a tenant's channel fails (or
         # no channel is live at admission) it stalls until re-steered to a
         # live channel; totals feed the resilience scorecard.
-        if self.backend == "numpy":
-            self._stalled_at = _np.full(n, _np.nan, dtype=_np.float64)
-        else:
-            self._stalled_at = [math.nan] * n
+        self._stalled_at = np.full(n, np.nan, dtype=np.float64)
         self.stall_events = 0
         self.stall_time_total = 0.0
         self.stall_events_by_class = {name: 0 for name in classes}
@@ -238,24 +218,16 @@ class FluidBackground:
         channel.uplink.set_background_load(0.0)
         channel.downlink.set_background_load(0.0)
         self._last_avail[idx] = 0.0
-        if self.backend == "numpy":
-            on = self._active & (self._channel == idx)
-            if on.any():
-                self._rate[on] = 0.0
-                self._channel[on] = -2
-                fresh = on & _np.isnan(self._stalled_at)
-                self._stalled_at[fresh] = now
-        else:
-            for i in range(self._cursor):
-                if self._active[i] and self._channel[i] == idx:
-                    self._rate[i] = 0.0
-                    self._channel[i] = -2
-                    if math.isnan(self._stalled_at[i]):
-                        self._stalled_at[i] = now
+        on = self._active & (self._channel == idx)
+        if on.any():
+            self._rate[on] = 0.0
+            self._channel[on] = -2
+            fresh = on & np.isnan(self._stalled_at)
+            self._stalled_at[fresh] = now
 
     def _close_stall(self, tenant: int, now: float) -> None:
         """Record the end of one tenant's stall interval."""
-        duration = now - self._stalled_at[tenant]
+        duration = float(now - self._stalled_at[tenant])
         self._stalled_at[tenant] = math.nan
         name = self._class_names[self._class_id[tenant]]
         self.stall_events += 1
@@ -306,11 +278,7 @@ class FluidBackground:
             fg.append(min(max(est, 0.0), caps[i]))
         if not self.sense_foreground:
             fg = [0.0] * len(self.channels)
-
-        if self.backend == "numpy":
-            applied = self._step_numpy(now, dt, table_idx, caps, rtts, fg)
-        else:
-            applied = self._step_python(now, dt, table_idx, caps, rtts, fg)
+        applied = self._step_numpy(now, dt, table_idx, caps, rtts, fg)
 
         # Install the aggregate load and charge the byte meters.
         for i, ch in enumerate(self.channels):
@@ -329,9 +297,7 @@ class FluidBackground:
         if self._gauge_active is not None:
             self._gauge_active.set(self.active_count())
 
-    # -- numpy backend --------------------------------------------------
     def _step_numpy(self, now, dt, table_idx, caps, rtts, fg) -> List[float]:
-        np = _np
         # 1. Admit arrivals (population is arrival-sorted).
         n = len(self._arrival)
         cur = self._cursor
@@ -419,20 +385,23 @@ class FluidBackground:
         self._remaining[li] = remaining
         # 6. Byte accounting.
         sent_by_ch = np.bincount(c, weights=sent, minlength=nch)
+        # float(): the meters end up in results() and cache blobs, which
+        # carry builtin numbers only (np.float64 adds identically).
         for i in range(nch):
-            self._bg_byte_accum[i] += sent_by_ch[i]
-            self._ack_byte_accum[i] += sent_by_ch[i] * self.ack_fraction
-            self.bytes_by_channel[i] += sent_by_ch[i]
+            sent_i = float(sent_by_ch[i])
+            self._bg_byte_accum[i] += sent_i
+            self._ack_byte_accum[i] += sent_i * self.ack_fraction
+            self.bytes_by_channel[i] += sent_i
         cca_sent = np.bincount(
             self._cca_arr[li], weights=sent, minlength=len(self._cca_names)
         )
         for i, name in enumerate(self._cca_names):
-            self.bytes_by_cca[name] += cca_sent[i]
+            self.bytes_by_cca[name] += float(cca_sent[i])
         class_sent = np.bincount(
             self._class_arr[li], weights=sent, minlength=len(self._class_names)
         )
         for i, name in enumerate(self._class_names):
-            self.bytes_by_class[name] += class_sent[i]
+            self.bytes_by_class[name] += float(class_sent[i])
         # 7. Completions.
         finished = remaining <= 1e-6
         if finished.any():
@@ -455,114 +424,22 @@ class FluidBackground:
         applied = np.minimum(applied, MAX_BG_SHARE * caps_arr)
         return [float(x) for x in applied]
 
-    # -- pure-python backend --------------------------------------------
-    def _step_python(self, now, dt, table_idx, caps, rtts, fg) -> List[float]:
-        n = len(self._arrival)
-        cur = self._cursor
-        while cur < n and self._arrival[cur] <= now:
-            self._active[cur] = True
-            self._channel[cur] = -2
-            cur += 1
-        self._cursor = cur
-        nch = len(self.channels)
-        chan_up = [c > 0 for c in caps]
-        sums = [0.0] * nch
-        counts = [0] * nch
-        live: List[int] = []
-        for i in range(cur):
-            if not self._active[i]:
-                continue
-            c = self._channel[i]
-            if c < 0 or not chan_up[c]:
-                c = table_idx[self._class_id[i]]
-                self._channel[i] = c
-                if c < 0:
-                    if math.isnan(self._stalled_at[i]):
-                        self._stalled_at[i] = now
-                    self._rate[i] = 0.0
-                    continue
-                if not math.isnan(self._stalled_at[i]):
-                    self._close_stall(i, now)
-                self._rate[i] = INITIAL_PACKETS * MSS_BITS / rtts[c]
-            live.append(i)
-            sums[c] += self._rate[i]
-            counts[c] += 1
-        if not live:
-            return [0.0] * nch
-        load = [
-            (sums[c] + fg[c]) / caps[c] if caps[c] > 0 else math.inf
-            for c in range(nch)
-        ]
-        new_sums = [0.0] * nch
-        for i in live:
-            c = self._channel[i]
-            rate = self._rate[i]
-            rtt = rtts[c]
-            overload = load[c] - self._target[i]
-            if overload > 0:
-                rate *= math.exp(
-                    -self._beta[i] * min(overload, MAX_OVERLOAD) * dt / rtt
-                )
-            else:
-                share = caps[c] * self._target[i] / max(counts[c], 1)
-                if rate < 0.5 * share:
-                    rate = min(rate * 2.0 ** (dt / rtt), share)
-                else:
-                    rate += self._gain[i] * MSS_BITS * dt / (rtt * rtt)
-            cap = max(self._remaining[i] * 8.0 / dt, MIN_RATE_BPS)
-            rate = min(max(rate, MIN_RATE_BPS), cap, caps[c])
-            self._rate[i] = rate
-            new_sums[c] += rate
-        scale = [
-            min(1.0, MAX_BG_SHARE * caps[c] / new_sums[c]) if new_sums[c] > 0 else 1.0
-            for c in range(nch)
-        ]
-        applied = [0.0] * nch
-        for i in live:
-            c = self._channel[i]
-            eff = self._rate[i] * scale[c]
-            sent = min(eff * dt / 8.0, self._remaining[i])
-            self._remaining[i] -= sent
-            self._bg_byte_accum[c] += sent
-            self._ack_byte_accum[c] += sent * self.ack_fraction
-            self.bytes_by_channel[c] += sent
-            self.bytes_by_cca[self._cca_names[self._cca_id[i]]] += sent
-            self.bytes_by_class[self._class_names[self._class_id[i]]] += sent
-            if self._remaining[i] <= 1e-6:
-                self._done[i] = True
-                self._active[i] = False
-                # Same slow-start floor as the numpy backend.
-                self._fct[i] = max(
-                    now - self._arrival[i], rtts[c] * self._ss_rounds[i]
-                )
-            else:
-                applied[c] += eff
-        return [min(applied[c], MAX_BG_SHARE * caps[c]) for c in range(nch)]
-
     # ------------------------------------------------------------------
     # Results
     # ------------------------------------------------------------------
     def active_count(self) -> int:
-        if self.backend == "numpy":
-            return int(self._active.sum())
-        return sum(self._active)
+        return int(self._active.sum())
 
     def completed_count(self) -> int:
-        if self.backend == "numpy":
-            return int(self._done.sum())
-        return sum(self._done)
+        return int(self._done.sum())
 
     def stalled_count(self) -> int:
         """Tenants currently stalled (no live channel assigned)."""
-        if self.backend == "numpy":
-            return int(_np.count_nonzero(~_np.isnan(self._stalled_at)))
-        return sum(1 for s in self._stalled_at if not math.isnan(s))
+        return int(np.count_nonzero(~np.isnan(self._stalled_at)))
 
     def fct_samples(self) -> List[float]:
         """Completion times of finished tenants, in tenant order."""
-        if self.backend == "numpy":
-            return [float(x) for x in self._fct[self._done]]
-        return [self._fct[i] for i in range(len(self._fct)) if self._done[i]]
+        return [float(x) for x in self._fct[self._done]]
 
     def fct_by_class(self) -> Dict[str, List[float]]:
         out: Dict[str, List[float]] = {name: [] for name in self._class_names}
@@ -574,7 +451,6 @@ class FluidBackground:
 
     def results(self) -> Dict:
         return {
-            "backend": self.backend,
             "ticks": self.ticks,
             "tenants": len(self.population),
             "completed": self.completed_count(),

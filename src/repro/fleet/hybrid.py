@@ -143,7 +143,7 @@ class _ForegroundFlow:
 class FleetSimulation:
     """Build and run one hybrid fleet world."""
 
-    def __init__(self, config: FleetConfig, obs=None, use_numpy: Optional[bool] = None):
+    def __init__(self, config: FleetConfig, obs=None):
         config.validate()
         self.config = config
         specs = fleet_channel_specs(config.preset)
@@ -163,7 +163,6 @@ class FleetSimulation:
             self.population,
             tick=config.tick,
             horizon=config.duration,
-            use_numpy=use_numpy,
             obs=obs,
             sense_foreground=config.sense_foreground,
         )

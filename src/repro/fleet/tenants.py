@@ -8,9 +8,9 @@ fluid stepper it becomes rate ODEs; handed to the packet-level world it
 becomes real connections — which is what makes the hybrid-vs-packet
 validation an apples-to-apples comparison.
 
-Generation is pure ``random.Random`` (not numpy) so populations are
-identical whether or not the optional numpy fast path is available, and
-identical across shard processes.
+Generation is pure ``random.Random`` (not numpy), so a population is a
+function of its spec alone: identical across numpy versions and across
+shard processes.
 """
 
 from __future__ import annotations

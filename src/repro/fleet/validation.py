@@ -123,7 +123,6 @@ def _run_hybrid(
     seed: int,
     monitor_period: float,
     tick: float,
-    use_numpy: Optional[bool] = None,
     fault_rows=None,
 ) -> Dict:
     """Every tenant as a fluid flow (pure background, no foreground)."""
@@ -137,7 +136,6 @@ def _run_hybrid(
         population,
         tick=tick,
         horizon=duration,
-        use_numpy=use_numpy,
     )
     fluid.start()
     net.run(until=duration)
@@ -152,7 +150,6 @@ def _run_hybrid(
             name: series.utilization("up") for name, series in monitor.series.items()
         },
         "events": net.sim.events_processed,
-        "backend": fluid.backend,
         "outages": sum(ch.outage_count for ch in net.channels),
         "downtime_s": sum(ch.downtime_total for ch in net.channels),
         "stalls": fluid.results()["stalls"],
@@ -167,7 +164,6 @@ def run_equivalence_case(
     tick: float = 0.01,
     mean_size: float = 6000.0,
     monitor_period: float = 0.25,
-    use_numpy: Optional[bool] = None,
     fault_rows=None,
 ) -> Dict:
     """Run one population through both engines and report the deltas.
@@ -189,8 +185,7 @@ def run_equivalence_case(
     population = TenantPopulation.generate(spec)
     full = _run_full(population, preset, duration, seed, monitor_period, fault_rows)
     hybrid = _run_hybrid(
-        population, preset, duration, seed, monitor_period, tick, use_numpy,
-        fault_rows,
+        population, preset, duration, seed, monitor_period, tick, fault_rows
     )
     deltas = {
         "fct_p50_rel": _relative(

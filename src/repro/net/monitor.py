@@ -15,8 +15,6 @@ these exact series from an exported trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from repro._compat import hot_dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.net.channel import Channel
@@ -24,7 +22,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.timers import PeriodicTimer
 
 
-@hot_dataclass
+@dataclass(slots=True)
 class ChannelSample:
     """One instantaneous observation of one channel.
 

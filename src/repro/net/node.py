@@ -78,7 +78,7 @@ class ChannelView:
         """Current outbound serialization rate (after background load)."""
         out = self._out
         if self._static:
-            rate = self._rate0 * out._rate_factor - out._background_bps
+            rate = self._rate0 * out.rate_factor - out._background_bps
             return rate if rate > 0.0 else 0.0
         return out.current_rate()
 
@@ -117,7 +117,7 @@ class ChannelView:
         """Estimated wait before ``extra_bytes`` would finish serializing."""
         out = self._out
         if self._static:
-            rate = self._rate0 * out._rate_factor - out._background_bps
+            rate = self._rate0 * out.rate_factor - out._background_bps
         else:
             rate = out.current_rate()
         if rate <= 0:
@@ -137,7 +137,7 @@ class ChannelView:
         """
         out = self._out
         if self._static:
-            rate = self._rate0 * out._rate_factor
+            rate = self._rate0 * out.rate_factor
             delay = self._delay0 + out.delay_offset
         else:
             rate = out.current_rate()
@@ -163,7 +163,7 @@ class ChannelView:
         out = self._out
         if self._static:
             delay = self._delay0 + out.delay_offset
-            gross = self._rate0 * out._rate_factor
+            gross = self._rate0 * out.rate_factor
             rate = gross - out._background_bps
         else:
             delay = out.current_delay()

@@ -63,20 +63,6 @@ class DropTailQueue:
         """The head packet without removing it, or ``None``."""
         return self._packets[0] if self._packets else None
 
-    def peek_window(self, count: int) -> list:
-        """The first ``count`` packets in dequeue order, without removal.
-
-        Feeds the link's serialization sweep (:class:`repro.net.link.LinkBatch`):
-        for a FIFO discipline the window *is* the future dequeue order, so
-        finish times can be precomputed for the whole run. Priority queues
-        don't honor this (an express arrival reorders the head) — the link
-        never sweeps those.
-        """
-        packets = self._packets
-        if count >= len(packets):
-            return list(packets)
-        return [packets[i] for i in range(count)]
-
     def __len__(self) -> int:
         return len(self._packets)
 

@@ -17,12 +17,10 @@ matter how they were created.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from repro._compat import hot_dataclass
 from typing import List, Optional
 
 
-@hot_dataclass
+@dataclass(slots=True)
 class TransportSample:
     """One snapshot of a connection's (or subflow's) control state."""
 

@@ -117,7 +117,7 @@ def resolve_fn(path: str) -> Callable[..., Any]:
         module = importlib.import_module(module_name)
         fn = getattr(module, attr)
     except (ImportError, AttributeError) as exc:
-        raise RunnerError(f"cannot resolve unit fn {path!r}") from exc
+        raise RunnerError(f"cannot resolve unit fn {path!r}: {exc}") from exc
     if not callable(fn):
         raise RunnerError(f"unit fn {path!r} resolved to non-callable {fn!r}")
     return fn

@@ -199,67 +199,6 @@ class EventQueue:
         self._live += 1
         return event
 
-    def push_bulk(self, items) -> None:
-        """File many transient events in one sweep.
-
-        ``items`` is a sequence of ``(time, callback, args)`` tuples in
-        any order. All events are transient (pool-recycled after
-        dispatch; the caller keeps no handles and never cancels) — this
-        is the bulk feed for array-of-structs sweeps like
-        :class:`repro.net.link.LinkBatch`, which computes a window of
-        serialization-finish times in one loop and hands the whole
-        window over here, paying the queue overhead once per sweep
-        instead of once per packet.
-        """
-        pool = self._pool
-        free = pool._free
-        wheel = self._wheel
-        buckets = wheel._buckets
-        tick_heap = wheel._tick_heap
-        overflow = self._overflow
-        inv_g = self._inv_g
-        drain_tick = wheel._drain_tick
-        base_tick = wheel._base_tick
-        horizon_ticks = wheel.horizon_ticks
-        seq = self._next_seq
-        added = 0
-        for time, callback, args in items:
-            if free:
-                event = free.pop()
-                pool.reused += 1
-            else:
-                event = Event.__new__(Event)
-                pool.created += 1
-            event.time = time
-            event.seq = seq
-            event.callback = callback
-            event.args = args
-            event.cancelled = False
-            event.transient = True
-            event._queue = self
-            entry = (time, seq, event)
-            seq += 1
-            tick = int(time * inv_g)
-            if tick <= drain_tick:
-                drain = wheel._drain
-                if not drain or entry >= drain[-1]:
-                    drain.append(entry)
-                else:
-                    insort(drain, entry, lo=wheel._drain_pos)
-            elif tick - base_tick <= horizon_ticks:
-                bucket = buckets.get(tick)
-                if bucket is None:
-                    buckets[tick] = [entry]
-                    heappush(tick_heap, tick)
-                else:
-                    bucket.append(entry)
-                added += 1
-            else:
-                heappush(overflow, entry)
-        wheel._bucket_entries += added
-        self._live += seq - self._next_seq
-        self._next_seq = seq
-
     # ------------------------------------------------------------------
     # Remove
     # ------------------------------------------------------------------

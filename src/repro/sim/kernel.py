@@ -143,17 +143,6 @@ class Simulator:
             )
         return self._queue.push(time, callback, args, transient=True)
 
-    def schedule_transient_bulk(self, items) -> None:
-        """File a whole window of transient events in one queue sweep.
-
-        ``items`` is a sequence of ``(time, callback, args)`` with
-        *absolute* times, each ``>= self.now`` (the caller computed them
-        from ``now`` plus non-negative offsets — e.g. a link sweep).
-        The per-packet recycle contract of :meth:`schedule_transient`
-        applies: no handles, no cancels.
-        """
-        self._queue.push_bulk(items)
-
     def reschedule(
         self, event: Optional[Event], delay: float, callback: Callable[..., Any], *args: Any
     ) -> Event:

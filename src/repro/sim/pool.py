@@ -25,8 +25,8 @@ class EventPool:
 
     The free list is bounded so a one-off scheduling burst cannot pin
     memory for the rest of the run. Acquisition is inlined in
-    :meth:`repro.sim.events.EventQueue.push`/``push_bulk`` (the hottest
-    allocation site), which pop ``_free`` and bump the counters directly.
+    :meth:`repro.sim.events.EventQueue.push` (the hottest allocation
+    site), which pops ``_free`` and bumps the counters directly.
     """
 
     __slots__ = ("_free", "max_free", "created", "reused", "released")

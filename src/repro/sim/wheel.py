@@ -20,13 +20,13 @@ fast loop (:meth:`repro.sim.kernel.Simulator.run`) walks ``_drain`` from
 one ``pop_next`` call per event — writing the cursor back when it
 leaves the bucket.
 
-Filing lives in the owner: :meth:`repro.sim.events.EventQueue.push` and
-``push_bulk`` write the wheel's slots directly (once per scheduled
-event, where a method call would dominate the work). They merge
-same-bucket arrivals into the un-drained suffix, so mid-batch schedules
-for the current instant keep exact FIFO order, and keep entries further
-out than ``horizon`` seconds from the wheel's current position in the
-overflow heap (the second level of the hierarchy).
+Filing lives in the owner: :meth:`repro.sim.events.EventQueue.push`
+writes the wheel's slots directly (once per scheduled event, where a
+method call would dominate the work). It merges same-bucket arrivals
+into the un-drained suffix, so mid-batch schedules for the current
+instant keep exact FIFO order, and keeps entries further out than
+``horizon`` seconds from the wheel's current position in the overflow
+heap (the second level of the hierarchy).
 """
 
 from __future__ import annotations

@@ -8,12 +8,11 @@ them unit-testable with synthetic event streams.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
-from repro._compat import hot_dataclass
 
-
-@hot_dataclass
+@dataclass(slots=True)
 class AckSample:
     """Everything a controller may learn from one ACK event."""
 

@@ -10,8 +10,6 @@ the receiving socket reassembles and reports completed messages.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from repro._compat import hot_dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import TransportError
@@ -21,7 +19,7 @@ from repro.sim.kernel import Simulator
 from repro.units import DEFAULT_MSS
 
 
-@hot_dataclass
+@dataclass(slots=True)
 class DatagramMessage:
     """Receiver-side reassembly state for one message."""
 

@@ -11,9 +11,9 @@ next, and where), ``_on_packet`` and ``_on_timeout``.
 from __future__ import annotations
 
 from bisect import bisect_left
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro._compat import hot_dataclass
 from repro.errors import TransportError
 from repro.net.node import Device
 from repro.net.packet import Packet, PacketType
@@ -25,7 +25,7 @@ from repro.transport.scoreboard import Scoreboard, Segment
 MAX_SACK_RANGES = 3
 
 
-@hot_dataclass
+@dataclass(slots=True)
 class OutgoingMessage:
     """One application message queued on the send side."""
 
@@ -41,7 +41,7 @@ class OutgoingMessage:
         return self.end - self.start
 
 
-@hot_dataclass
+@dataclass(slots=True)
 class MessageReceipt:
     """Receiver-side notification for one completed message."""
 
@@ -51,7 +51,7 @@ class MessageReceipt:
     completed_at: float
 
 
-@hot_dataclass
+@dataclass(slots=True)
 class RttRecord:
     """One RTT measurement, kept for analysis (Fig. 1b)."""
 

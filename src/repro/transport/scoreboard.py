@@ -31,16 +31,15 @@ the filled hole when two blocks became one.
 from __future__ import annotations
 
 from bisect import bisect_left
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
-
-from repro._compat import hot_dataclass
 
 #: RFC 6675-style reordering allowance: a hole is "lost" once data this many
 #: bytes above it has been selectively acknowledged.
 SACK_REORDER_BYTES_FACTOR = 3
 
 
-@hot_dataclass
+@dataclass(slots=True)
 class Segment:
     """Sender-side record of one transmitted segment."""
 

@@ -21,8 +21,6 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-
-from repro._compat import hot_dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import TransportError
@@ -34,7 +32,7 @@ DEFAULT_CHUNK_BYTES = 16_384
 STREAM_STRIDE = 1_000_000
 
 
-@hot_dataclass
+@dataclass(slots=True)
 class StreamMessage:
     """Receiver-side notification: one application message on one stream."""
 
@@ -45,7 +43,7 @@ class StreamMessage:
     completed_at: float
 
 
-@hot_dataclass
+@dataclass(slots=True)
 class _Pending:
     """Sender-side queued message on a stream."""
 

@@ -117,3 +117,24 @@ def test_cli_import_leaves_numpy_and_the_fleet_engine_out():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_missing_numpy_fails_the_fleet_by_name_and_nothing_else(tmp_path):
+    """A ``numpy`` that cannot be imported stops ``fleet`` with the fix in
+    the message; experiments that never touch the fleet engine still run."""
+    (tmp_path / "numpy.py").write_text("raise ImportError('numpy is shadowed')\n")
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), src]))
+
+    def cli(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "repro", *args, "--no-cache"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+
+    fleet = cli("fleet", "--quick")
+    assert fleet.returncode != 0
+    assert "repro.fleet" in fleet.stderr
+    assert 'pip install "repro[fleet]"' in fleet.stderr
+    fig1a = cli("fig1a", "--duration", "1")
+    assert fig1a.returncode == 0, fig1a.stderr

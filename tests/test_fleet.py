@@ -20,15 +20,6 @@ from repro.fleet.fluid import IW_BYTES, MAX_BG_SHARE
 from repro.core.api import HvcNetwork
 from repro.net.hvc import fixed_embb_spec, urllc_spec
 
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMPY = False
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-
 
 def small_spec(tenants=50, duration=8.0, seed=0, **kw):
     return PopulationSpec(tenants=tenants, duration=duration, seed=seed, **kw)
@@ -68,12 +59,10 @@ class TestTenantPopulation:
             ).validate()
 
 
-def run_fluid(use_numpy, tenants=60, duration=6.0, seed=2, **kw):
+def run_fluid(tenants=60, duration=6.0, seed=2, **kw):
     net = HvcNetwork([fixed_embb_spec(), urllc_spec()], seed=seed)
     pop = TenantPopulation.generate(small_spec(tenants=tenants, duration=duration, seed=seed))
-    fluid = FluidBackground(
-        net.sim, net.channels, pop, horizon=duration, use_numpy=use_numpy, **kw
-    )
+    fluid = FluidBackground(net.sim, net.channels, pop, horizon=duration, **kw)
     fluid.start()
     net.run(until=duration)
     fluid.stop()
@@ -82,31 +71,15 @@ def run_fluid(use_numpy, tenants=60, duration=6.0, seed=2, **kw):
 
 class TestFluidBackground:
     def test_python_backend_runs_and_completes(self):
-        net, fluid = run_fluid(use_numpy=False)
-        assert fluid.backend == "python"
+        net, fluid = run_fluid()
         assert fluid.ticks > 0
         assert fluid.completed_count() > 0
         assert all(f > 0 for f in fluid.fct_samples())
 
-    @needs_numpy
-    def test_backends_agree(self):
-        """The vectorized and pure-python ticks implement one model."""
-        _, fp = run_fluid(use_numpy=False)
-        _, fn = run_fluid(use_numpy=True)
-        assert fp.completed_count() == fn.completed_count()
-        for a, b in zip(fp.fct_samples(), fn.fct_samples()):
-            assert a == pytest.approx(b, rel=1e-6)
-        for name in fp.bytes_by_cca:
-            assert fp.bytes_by_cca[name] == pytest.approx(
-                fn.bytes_by_cca[name], rel=1e-6
-            )
-
     def test_background_load_reaches_links_and_views(self):
         net = HvcNetwork([fixed_embb_spec(), urllc_spec()], seed=2)
         pop = TenantPopulation.generate(small_spec(tenants=120, duration=6.0, seed=2))
-        fluid = FluidBackground(
-            net.sim, net.channels, pop, horizon=6.0, use_numpy=False
-        )
+        fluid = FluidBackground(net.sim, net.channels, pop, horizon=6.0)
         fluid.start()
         snapshots = []
 
@@ -134,7 +107,7 @@ class TestFluidBackground:
         )
 
     def test_fct_respects_slow_start_floor(self):
-        _, fluid = run_fluid(use_numpy=False)
+        _, fluid = run_fluid()
         pop = fluid.population
         rtts = [max(ch.base_rtt(), 1e-4) for ch in fluid.channels]
         min_rtt = min(rtts)
@@ -145,10 +118,10 @@ class TestFluidBackground:
             assert fct >= min_rtt * rounds - 1e-9
 
     def test_digest_deterministic_and_state_sensitive(self):
-        _, a = run_fluid(use_numpy=False)
-        _, b = run_fluid(use_numpy=False)
+        _, a = run_fluid()
+        _, b = run_fluid()
         assert a.digest() == b.digest()
-        _, c = run_fluid(use_numpy=False, seed=3)
+        _, c = run_fluid(seed=3)
         assert a.digest() != c.digest()
 
     def test_sense_foreground_off_ignores_packet_traffic(self):
@@ -162,7 +135,7 @@ class TestFluidBackground:
                 preset="paper",
                 sense_foreground=False,
             )
-            sim = FleetSimulation(config, use_numpy=False)
+            sim = FleetSimulation(config)
             sim.run()
             return sim.fluid.digest()
 
@@ -174,7 +147,7 @@ class TestFluidBackground:
             small_spec(tenants=4, cca_mix=(("quic-magic", 1.0),))
         )
         with pytest.raises(ScenarioError, match="no fluid model"):
-            FluidBackground(net.sim, net.channels, pop, use_numpy=False)
+            FluidBackground(net.sim, net.channels, pop)
 
 
 class TestFleetSimulation:
@@ -191,6 +164,29 @@ class TestFleetSimulation:
         assert shares and abs(sum(shares.values()) - 1.0) < 0.01
         assert 0.0 <= min(v["up"] for v in out["utilization"].values())
         assert out["events_processed"] > 0
+
+    def test_results_hold_builtin_numbers_only(self):
+        """Unit payloads and cache blobs must not carry numpy scalars."""
+        sim = FleetSimulation(
+            FleetConfig(tenants=300, foreground=2, duration=3.0, mean_size=100_000.0)
+        )
+        embb = sim.net.channel_named("embb")
+        sim.net.sim.schedule(1.003, embb.fail)
+        sim.net.sim.schedule(1.5, embb.restore)
+        out = sim.run()
+        assert out["background"]["stalls"]["time_total_s"] > 0
+
+        def leaves(node):
+            if isinstance(node, dict):
+                node = list(node.values())
+            if isinstance(node, (list, tuple)):
+                for child in node:
+                    yield from leaves(child)
+            else:
+                yield node
+
+        foreign = {type(x) for x in leaves(out)} - {int, float, str, bool, type(None)}
+        assert not foreign
 
     def test_foreground_slows_under_background(self):
         """Packet-level flows must actually feel the fluid load."""

@@ -3,26 +3,13 @@ and slow-start re-ramp after restore."""
 
 import math
 
-import pytest
-
 from repro.core.api import HvcNetwork
 from repro.fleet import PopulationSpec, TenantPopulation
 from repro.fleet.fluid import INITIAL_PACKETS, MSS_BITS, FluidBackground
 from repro.net.hvc import fixed_embb_spec, urllc_spec
 
-try:
-    import numpy  # noqa: F401
 
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMPY = False
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-
-BACKENDS = [False] + ([True] if HAVE_NUMPY else [])
-
-
-def build(use_numpy, tenants=40, duration=6.0, seed=2, tick=0.01):
+def build(tenants=40, duration=6.0, seed=2, tick=0.01):
     net = HvcNetwork([fixed_embb_spec(), urllc_spec()], seed=seed)
     # Large transfers so the population stays active across the injected
     # outages instead of draining in the first ticks.
@@ -35,17 +22,14 @@ def build(use_numpy, tenants=40, duration=6.0, seed=2, tick=0.01):
             max_size=20_000_000,
         )
     )
-    fluid = FluidBackground(
-        net.sim, net.channels, pop, tick=tick, horizon=duration, use_numpy=use_numpy
-    )
+    fluid = FluidBackground(net.sim, net.channels, pop, tick=tick, horizon=duration)
     fluid.start()
     return net, fluid
 
 
-@pytest.mark.parametrize("use_numpy", BACKENDS)
 class TestEventTimeShedding:
-    def test_fail_clears_background_load_immediately(self, use_numpy):
-        net, fluid = build(use_numpy)
+    def test_fail_clears_background_load_immediately(self):
+        net, fluid = build()
         embb = net.channel_named("embb")
         net.run(until=2.0)
         assert embb.uplink.background_bps > 0.0
@@ -56,11 +40,11 @@ class TestEventTimeShedding:
         assert embb.downlink.background_bps == 0.0
         embb.restore()
 
-    def test_micro_outage_between_ticks_charges_no_bytes(self, use_numpy):
+    def test_micro_outage_between_ticks_charges_no_bytes(self):
         # Regression: a fail()/restore() pair shorter than one tick used
         # to be invisible — rates stayed up and background_bytes kept
         # growing through the dead window.
-        net, fluid = build(use_numpy, tick=0.1)
+        net, fluid = build(tick=0.1)
         embb = net.channel_named("embb")
         net.run(until=2.0)
         before = embb.uplink.stats.background_bytes
@@ -75,8 +59,8 @@ class TestEventTimeShedding:
         # Traffic resumes after restore.
         assert embb.uplink.stats.background_bytes > after
 
-    def test_restore_reramps_via_slow_start(self, use_numpy):
-        net, fluid = build(use_numpy, tick=0.01)
+    def test_restore_reramps_via_slow_start(self):
+        net, fluid = build(tick=0.01)
         net.run(until=2.0)
         for ch in net.channels:
             ch.fail()
@@ -99,8 +83,8 @@ class TestEventTimeShedding:
         for rate, c in rates:
             assert rate <= iw_rate[c] * 4.0
 
-    def test_stalls_accounted_per_class(self, use_numpy):
-        net, fluid = build(use_numpy)
+    def test_stalls_accounted_per_class(self):
+        net, fluid = build()
         embb = net.channel_named("embb")
         net.run(until=2.0)
         embb.fail()
@@ -119,8 +103,8 @@ class TestEventTimeShedding:
         assert stalls["events"] == fluid.stall_events
         assert stalls["stalled_at_end"] == 0
 
-    def test_total_blackout_stalls_everyone_then_recovers(self, use_numpy):
-        net, fluid = build(use_numpy, duration=8.0)
+    def test_total_blackout_stalls_everyone_then_recovers(self):
+        net, fluid = build(duration=8.0)
         net.run(until=2.0)
         for ch in net.channels:
             ch.fail()
@@ -133,8 +117,8 @@ class TestEventTimeShedding:
         assert fluid.stalled_count() == 0
         assert fluid.completed_count() > 0
 
-    def test_digest_reflects_stall_state(self, use_numpy):
-        net, fluid = build(use_numpy)
+    def test_digest_reflects_stall_state(self):
+        net, fluid = build()
         net.run(until=2.0)
         before = fluid.digest()
         for ch in net.channels:

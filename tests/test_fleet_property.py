@@ -15,7 +15,6 @@ deliberately excluded — retransmission tails are outside the documented
 fidelity boundary (see docs/ARCHITECTURE.md).
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.fleet import check_equivalence, run_equivalence_case
@@ -83,9 +82,6 @@ def test_gate_detects_a_broken_model():
     )
 
 
-@pytest.mark.parametrize("use_numpy", [False])
-def test_gate_holds_on_python_backend(use_numpy):
-    report = run_equivalence_case(
-        flows=40, duration=10.0, seed=5, use_numpy=use_numpy
-    )
+def test_gate_holds_on_python_backend():
+    report = run_equivalence_case(flows=40, duration=10.0, seed=5)
     assert not check_equivalence(report)

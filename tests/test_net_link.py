@@ -1,5 +1,7 @@
 """Unit tests for the link pipeline (serialize → loss → propagate)."""
 
+import random
+
 import pytest
 
 from repro.errors import NetworkError
@@ -144,3 +146,86 @@ class TestLinkDelivery:
         link.send(pkt())
         sim.run()
         assert departures == [pytest.approx(0.001)]
+
+
+# ----------------------------------------------------------------------
+# Serializer pins: closed-form instants, no second Link to compare with
+# ----------------------------------------------------------------------
+RATE = 8_000_000.0
+DELAY = 0.01
+BURST = 40
+#: Mid-burst interference lands here: between the 2nd and 3rd departure
+#: (1040 B at 8 Mbps = 1.04 ms each), so the 3rd packet is in service.
+T_MUTATE = 0.003
+
+
+def seq_pkt(i):
+    return Packet(flow_id=1, ptype=PacketType.DATA, payload_bytes=1000, seq=i)
+
+
+SIZE = seq_pkt(0).size_bytes
+
+
+def run_burst(mutate=None, loss=None):
+    """Offer the whole burst at t=0; return (link, [(arrival, seq)])."""
+    sim = Simulator()
+    link = Link(sim, LinkSpec(rate_bps=RATE, delay=DELAY, loss=loss), name="dut")
+    record = []
+    link.connect(lambda p: record.append((sim.now, p.seq)))
+    for i in range(BURST):
+        assert link.send(seq_pkt(i))
+    if mutate is not None:
+        sim.schedule(T_MUTATE, mutate, link)
+    sim.run()
+    return link, record
+
+
+def departures(rate_after=RATE):
+    """Departure instants by the serializer's own float chain.
+
+    A packet's ``tx`` is fixed when it begins service (the previous
+    departure instant), so one that begins before ``T_MUTATE`` keeps
+    ``RATE`` and every later one serializes at ``rate_after``.
+    """
+    out, acc = [], 0.0
+    for _ in range(BURST):
+        acc += SIZE * 8 / (RATE if acc < T_MUTATE else rate_after)
+        out.append(acc)
+    return out
+
+
+class TestSerializerPins:
+    def test_burst_arrives_at_delay_plus_running_sum(self):
+        link, record = run_burst()
+        assert record == [(t + DELAY, i) for i, t in enumerate(departures())]
+        busy = 0.0
+        for _ in range(BURST):
+            busy += SIZE * 8 / RATE
+        assert link.stats.busy_time == busy
+
+    def test_rate_factor_applies_from_the_next_packet(self):
+        link, record = run_burst(lambda l: setattr(l, "rate_factor", 0.5))
+        expected = departures(rate_after=RATE * 0.5)
+        assert record == [(t + DELAY, i) for i, t in enumerate(expected)]
+        # The packet in service at T_MUTATE kept its begin-time rate.
+        assert expected[2] - expected[1] == pytest.approx(SIZE * 8 / RATE)
+        assert expected[3] - expected[2] == pytest.approx(2 * SIZE * 8 / RATE)
+
+    def test_background_load_applies_from_the_next_packet(self):
+        link, record = run_burst(lambda l: l.set_background_load(2_000_000.0))
+        expected = departures(rate_after=RATE - 2_000_000.0)
+        assert record == [(t + DELAY, i) for i, t in enumerate(expected)]
+
+    def test_flush_spares_the_packet_in_service(self):
+        link, record = run_burst(lambda l: l.flush())
+        # Two departed before T_MUTATE, the third was in the serializer.
+        assert record == [(t + DELAY, i) for i, t in enumerate(departures()[:3])]
+        assert link.stats.flushed == BURST - 3
+        assert link.pending_packets == 0
+
+    def test_loss_draws_happen_in_departure_order(self):
+        link, record = run_burst(loss=BernoulliLoss(0.2))
+        rng = random.Random(0)  # the link's default rng
+        survivors = [i for i in range(BURST) if not rng.random() < 0.2]
+        assert [seq for _, seq in record] == survivors
+        assert link.stats.lost == BURST - len(survivors) > 0

@@ -1,17 +1,14 @@
 """Hot-path objects must be slotted: no per-instance ``__dict__``.
 
 Every per-packet / per-ACK / per-event object the simulator creates in
-bulk goes through ``repro._compat.hot_dataclass`` (slotted on Python
-3.10+) or declares ``__slots__`` directly. A stray attribute assignment
-outside the declared fields would silently resurrect ``__dict__`` on one
-of these classes — this test pins them all down.
+bulk is a ``@dataclass(slots=True)`` or declares ``__slots__`` directly.
+A stray attribute assignment outside the declared fields would silently
+resurrect ``__dict__`` on one of these classes — this test pins them all
+down.
 """
-
-import sys
 
 import pytest
 
-from repro._compat import HAS_DATACLASS_SLOTS, hot_dataclass
 from repro.net.packet import Packet, PacketType
 from repro.sim.events import Event, EventQueue
 from repro.sim.pool import EventPool
@@ -23,7 +20,7 @@ from repro.transport.connection import MessageReceipt, OutgoingMessage, RttRecor
 from repro.transport.datagram import DatagramMessage
 from repro.transport.streams import StreamMessage, _Pending
 
-#: Always-slotted classes (hand-written ``__slots__``, no version gate).
+#: Hand-written ``__slots__``.
 ALWAYS_SLOTTED = [
     (Event, lambda: Event(0.0, 0, lambda: None)),
     (EventQueue, EventQueue),
@@ -34,7 +31,7 @@ ALWAYS_SLOTTED = [
     (Packet, lambda: Packet(flow_id=0, ptype=PacketType.DATA)),
 ]
 
-#: ``hot_dataclass`` types, slotted only where dataclass(slots=) exists.
+#: ``@dataclass(slots=True)`` record types.
 HOT_DATACLASSES = [
     (Segment, lambda: Segment(seq=0, end_seq=1, sent_at=0.0, delivered_at_send=0)),
     (MessageReceipt, lambda: MessageReceipt(1, None, 10, 0.0)),
@@ -79,36 +76,11 @@ def test_core_objects_are_slotted(cls, factory):
     _assert_no_dict(factory())
 
 
-@pytest.mark.skipif(
-    not HAS_DATACLASS_SLOTS, reason="dataclass(slots=True) needs Python 3.10+"
-)
 @pytest.mark.parametrize(
     "cls,factory", HOT_DATACLASSES, ids=lambda v: getattr(v, "__name__", "")
 )
 def test_hot_dataclasses_are_slotted(cls, factory):
     _assert_no_dict(factory())
-
-
-@pytest.mark.parametrize(
-    "cls,factory", HOT_DATACLASSES, ids=lambda v: getattr(v, "__name__", "")
-)
-def test_hot_dataclasses_still_work_unslotted(cls, factory):
-    """On any Python, the shim must at minimum produce a working dataclass."""
-    instance = factory()
-    assert repr(instance)
-
-
-def test_hot_dataclass_shim_passes_options_through():
-    @hot_dataclass(frozen=True)
-    class Frozen:
-        x: int
-
-    f = Frozen(3)
-    assert f.x == 3
-    with pytest.raises(Exception):
-        f.x = 4
-    if HAS_DATACLASS_SLOTS:
-        assert not hasattr(f, "__dict__")
 
 
 def test_packet_copy_still_works():
@@ -118,7 +90,3 @@ def test_packet_copy_still_works():
     assert redundant.packet_id == packet.packet_id
     assert redundant.copy_index == 1
     assert redundant.size_bytes == packet.size_bytes
-
-
-def test_sys_version_gate_is_consistent():
-    assert HAS_DATACLASS_SLOTS == (sys.version_info >= (3, 10))
