@@ -6,7 +6,6 @@ and asserts the direction the paper's argument predicts.
 
 import pytest
 
-from benchjson import record, timed
 from repro.experiments.ablations import (
     run_ack_ablation,
     run_cc_ablation,
@@ -20,10 +19,7 @@ from repro.experiments.ablations import (
 
 @pytest.fixture(scope="module")
 def cc_ablation():
-    with timed() as t:
-        result = run_cc_ablation(duration=30.0)
-    record("ab_cc", t.seconds, events_processed=result.events_processed)
-    return result
+    return run_cc_ablation(duration=30.0)
 
 
 def test_bench_cc_ablation(benchmark, cc_ablation):
@@ -44,9 +40,7 @@ def test_bench_cc_ablation(benchmark, cc_ablation):
 
 
 def test_bench_ack_ablation(benchmark):
-    with timed() as t:
-        result = benchmark.pedantic(run_ack_ablation, rounds=1, iterations=1)
-    record("ab_ack", t.seconds, events_processed=result.events_processed)
+    result = benchmark.pedantic(run_ack_ablation, rounds=1, iterations=1)
     print()
     print(result.render())
     # Transport-layer ACK separation + tail acceleration beats network-layer
@@ -58,11 +52,9 @@ def test_bench_ack_ablation(benchmark):
 
 
 def test_bench_mlo_ablation(benchmark):
-    with timed() as t:
-        result = benchmark.pedantic(
-            lambda: run_mlo_ablation(duration=20.0), rounds=1, iterations=1
-        )
-    record("ab_mlo", t.seconds, events_processed=result.events_processed)
+    result = benchmark.pedantic(
+        lambda: run_mlo_ablation(duration=20.0), rounds=1, iterations=1
+    )
     print()
     print(result.render())
     # §2.2: replication trades bandwidth for reliability.
@@ -77,11 +69,9 @@ def test_bench_mlo_ablation(benchmark):
 
 
 def test_bench_multipath_ablation(benchmark):
-    with timed() as t:
-        result = benchmark.pedantic(
-            lambda: run_multipath_ablation(duration=30.0), rounds=1, iterations=1
-        )
-    record("ab_mp", t.seconds, events_processed=result.events_processed)
+    result = benchmark.pedantic(
+        lambda: run_multipath_ablation(duration=30.0), rounds=1, iterations=1
+    )
     print()
     print(result.render())
     # §4 design: per-channel subflows + the hvc scheduler keep the fat
@@ -92,11 +82,9 @@ def test_bench_multipath_ablation(benchmark):
 
 
 def test_bench_resequencer_ablation(benchmark):
-    with timed() as t:
-        result = benchmark.pedantic(
-            lambda: run_resequencer_ablation(duration=20.0), rounds=1, iterations=1
-        )
-    record("ab_reseq", t.seconds, events_processed=result.events_processed)
+    result = benchmark.pedantic(
+        lambda: run_resequencer_ablation(duration=20.0), rounds=1, iterations=1
+    )
     print()
     print(result.render())
     # The shim's reorder protection is load-bearing: without it, SACK
@@ -105,9 +93,7 @@ def test_bench_resequencer_ablation(benchmark):
 
 
 def test_bench_tsn_ablation(benchmark):
-    with timed() as t:
-        result = benchmark.pedantic(run_tsn_ablation, rounds=1, iterations=1)
-    record("ab_tsn", t.seconds, events_processed=result.events_processed)
+    result = benchmark.pedantic(run_tsn_ablation, rounds=1, iterations=1)
     print()
     print(result.render())
     # §2.2: one user's express traffic costs everyone else latency, and the
@@ -120,9 +106,7 @@ def test_bench_tsn_ablation(benchmark):
 
 
 def test_bench_cost_ablation(benchmark):
-    with timed() as t:
-        result = benchmark.pedantic(run_cost_ablation, rounds=1, iterations=1)
-    record("ab_cost", t.seconds, events_processed=result.events_processed)
+    result = benchmark.pedantic(run_cost_ablation, rounds=1, iterations=1)
     print()
     print(result.render())
     # §3.1: paying more buys latency; paying nothing spends nothing.

@@ -7,18 +7,15 @@ class-aware per-packet steering win.
 
 import pytest
 
-from benchjson import record, timed
 from repro.experiments.baselines import run_baselines
 
 PAGES = 10
 
 
 def test_bench_baselines(benchmark):
-    with timed() as t:
-        result = benchmark.pedantic(
-            lambda: run_baselines(page_count=PAGES), rounds=1, iterations=1
-        )
-    record("baselines", t.seconds, events_processed=result.events_processed)
+    result = benchmark.pedantic(
+        lambda: run_baselines(page_count=PAGES), rounds=1, iterations=1
+    )
     print()
     print(result.render())
     plt = result.values

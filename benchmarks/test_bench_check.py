@@ -8,14 +8,14 @@ drains identical event queues through the current loop and through a
 reconstruction of the branch-free pre-hook loop, with empty callbacks so
 the branch is as large a fraction of the work as it can ever be.
 
-For context the armed cost is recorded too: a full fig1a-style CUBIC bulk
-flow with an :class:`~repro.check.monitor.InvariantMonitor` attached vs
-the same run bare. Everything lands in ``BENCH_check.json``.
+For context the armed cost is printed too (``pytest -s``): a full
+fig1a-style CUBIC bulk flow with an
+:class:`~repro.check.monitor.InvariantMonitor` attached vs the same run
+bare.
 """
 
 import time
 
-from benchjson import record, timed
 from repro.check.monitor import InvariantMonitor
 from repro.experiments.fig1 import run_single_cca
 from repro.sim.kernel import Simulator
@@ -103,32 +103,17 @@ def test_bench_check_hook_overhead(benchmark):
     )
     disarmed_overhead = prehook_eps / current_eps
 
-    # Armed cost on a realistic workload, for the record (not gated: arming
+    # Armed cost on a realistic workload, for context (not gated: arming
     # the monitor is an explicit debugging/chaos choice, not the default).
     duration = 2.0
-    with timed() as t_bare:
-        bare = run_single_cca("cubic", duration=duration)
-    bare_eps = bare.net.sim.events_processed / t_bare.seconds
-    with timed() as t_armed:
-        armed_bulk, monitor = _run_armed(duration)
-    armed_eps = armed_bulk.net.sim.events_processed / t_armed.seconds
+    start = time.perf_counter()
+    bare = run_single_cca("cubic", duration=duration)
+    bare_eps = bare.net.sim.events_processed / (time.perf_counter() - start)
+    start = time.perf_counter()
+    armed_bulk, monitor = _run_armed(duration)
+    armed_eps = armed_bulk.net.sim.events_processed / (time.perf_counter() - start)
     armed_overhead = bare_eps / armed_eps
 
-    record(
-        "check",
-        t_armed.seconds,
-        events_processed=armed_bulk.net.sim.events_processed,
-        extra={
-            "prehook_events_per_second": round(prehook_eps, 1),
-            "disarmed_events_per_second": round(current_eps, 1),
-            "disarmed_overhead": round(disarmed_overhead, 4),
-            "disarmed_budget": DISARMED_BUDGET,
-            "bare_sim_events_per_second": round(bare_eps, 1),
-            "armed_sim_events_per_second": round(armed_eps, 1),
-            "armed_overhead": round(armed_overhead, 4),
-            "armed_checks_run": monitor.checks_run,
-        },
-    )
     print()
     print(f"  pre-hook loop  : {prehook_eps:12.0f} events/s")
     print(f"  disarmed loop  : {current_eps:12.0f} events/s  "

@@ -8,7 +8,6 @@ CCA collapses.
 
 import pytest
 
-from benchjson import record, timed
 from repro.experiments.fig1 import run_fig1a
 
 DURATION = 30.0
@@ -16,10 +15,7 @@ DURATION = 30.0
 
 @pytest.fixture(scope="module")
 def fig1a_result():
-    with timed() as t:
-        result = run_fig1a(duration=DURATION)
-    record("fig1a", t.seconds, events_processed=result.events_processed)
-    return result
+    return run_fig1a(duration=DURATION)
 
 
 def test_bench_fig1a(benchmark, fig1a_result):

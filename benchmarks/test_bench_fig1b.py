@@ -7,7 +7,6 @@ above the base RTT.
 
 import pytest
 
-from benchjson import record, timed
 from repro.experiments.fig1 import run_fig1b
 
 DURATION = 30.0
@@ -15,10 +14,7 @@ DURATION = 30.0
 
 @pytest.fixture(scope="module")
 def fig1b_result():
-    with timed() as t:
-        result = run_fig1b(duration=DURATION)
-    record("fig1b", t.seconds, events_processed=result.events_processed)
-    return result
+    return run_fig1b(duration=DURATION)
 
 
 def test_bench_fig1b(benchmark, fig1b_result):

@@ -7,7 +7,6 @@ turn beats eMBB-only) while paying a small SSIM cost relative to eMBB-only.
 
 import pytest
 
-from benchjson import record, timed
 from repro.experiments.fig2 import run_fig2
 
 DURATION = 60.0
@@ -15,10 +14,7 @@ DURATION = 60.0
 
 @pytest.fixture(scope="module")
 def fig2_result():
-    with timed() as t:
-        result = run_fig2(duration=DURATION)
-    record("fig2", t.seconds, events_processed=result.events_processed)
-    return result
+    return run_fig2(duration=DURATION)
 
 
 def test_bench_fig2(benchmark, fig2_result):

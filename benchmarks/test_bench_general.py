@@ -8,7 +8,6 @@ workload.
 
 import pytest
 
-from benchjson import record, timed
 from repro.core.metrics import Cdf
 from repro.experiments.fig2 import fig2_cell_unit
 from repro.experiments.table1 import table1_cell_unit
@@ -19,29 +18,23 @@ VIDEO_DURATION = 30.0
 
 
 def test_bench_general_policy(benchmark):
-    events = [0]
-
     def run_all():
         video = {}
         for scheme in ("priority", "general"):
             cell = fig2_cell_unit(
                 trace="5g-mmwave-driving", scheme=scheme, duration=VIDEO_DURATION
             )
-            events[0] += cell["events"]
             video[scheme] = to_ms(Cdf(cell["latencies"]).percentile(95))
         web = {}
         for policy in ("dchannel+flowprio", "general"):
             cell = table1_cell_unit(
                 condition="driving", policy=policy, page_count=PAGES
             )
-            events[0] += cell["events"]
             plts = cell["plts"]
             web[policy] = to_ms(sum(plts) / len(plts))
         return video, web
 
-    with timed() as t:
-        video, web = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    record("general", t.seconds, events_processed=events[0])
+    video, web = benchmark.pedantic(run_all, rounds=1, iterations=1)
     print()
     print(f"  video p95 latency: priority {video['priority']:.1f} ms, "
           f"general {video['general']:.1f} ms")

@@ -8,7 +8,6 @@ six-connection H1 pattern, while H2's single handshake keeps it ahead.
 
 import pytest
 
-from benchjson import record, timed
 from repro.apps.web.browser import load_page
 from repro.apps.web.corpus import generate_corpus
 from repro.apps.web.h1 import load_page_h1
@@ -18,31 +17,27 @@ from repro.units import to_ms
 PAGES = 8
 
 
-def _mean_plt(policy, loader_fn, pages, events):
+def _mean_plt(policy, loader_fn, pages):
     plts = []
     for index, page in enumerate(pages):
         net = web_network("5g-lowband-driving", policy, seed=index)
         result = loader_fn(net, page, cc="cubic", timeout=45.0)
         plts.append(result.plt if result.complete else 45.0)
-        events[0] += net.sim.events_processed
     return to_ms(sum(plts) / len(plts))
 
 
 def test_bench_h1_vs_h2(benchmark):
     pages = generate_corpus(count=PAGES, seed=0)
-    events = [0]
 
     def run_all():
         return {
-            ("embb-only", "h2"): _mean_plt("embb-only", load_page, pages, events),
-            ("embb-only", "h1"): _mean_plt("embb-only", load_page_h1, pages, events),
-            ("dchannel", "h2"): _mean_plt("dchannel", load_page, pages, events),
-            ("dchannel", "h1"): _mean_plt("dchannel", load_page_h1, pages, events),
+            ("embb-only", "h2"): _mean_plt("embb-only", load_page, pages),
+            ("embb-only", "h1"): _mean_plt("embb-only", load_page_h1, pages),
+            ("dchannel", "h2"): _mean_plt("dchannel", load_page, pages),
+            ("dchannel", "h1"): _mean_plt("dchannel", load_page_h1, pages),
         }
 
-    with timed() as t:
-        results = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    record("h1_vs_h2", t.seconds, events_processed=events[0])
+    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
     print()
     for (policy, loader), plt in sorted(results.items()):
         print(f"  {policy:10s} {loader}: {plt:7.1f} ms")

@@ -5,7 +5,7 @@ attached the data path pays nothing, and with a context attached but
 ``tracing=False`` it pays only pull-collectors (sampled at snapshot time,
 not per packet) plus a 10 Hz channel-sampler timer. This benchmark runs
 the same CUBIC bulk flow in three modes — bare, metrics-only, and full
-tracing — and records the overhead ratios in ``BENCH_obs.json``.
+tracing — and prints the overhead ratios (``pytest -s``).
 
 CI gates on ``overhead_off`` (metrics-only vs bare): the ISSUE budget is
 <= 3%, asserted here with head-room for scheduler noise.
@@ -14,12 +14,10 @@ CI gates on ``overhead_off`` (metrics-only vs bare): the ISSUE budget is
 from repro.experiments.fig1 import run_single_cca
 from repro.obs import Observability
 
-from benchjson import record
-
 DURATION = 2.0
 ROUNDS = 3
 #: Tracing-off budget from the ISSUE (3%) — asserted against the best-of
-#: rounds, which strips scheduler noise; the JSON records the raw ratio.
+#: rounds, which strips scheduler noise.
 OFF_BUDGET = 1.03
 
 
@@ -68,19 +66,6 @@ def test_bench_obs_overhead(benchmark):
     overhead_off = bare_eps / off_eps
     overhead_tracing = bare_eps / on_eps
 
-    record(
-        "obs",
-        off_s,
-        events_processed=off_events,
-        extra={
-            "bare_events_per_second": round(bare_eps, 1),
-            "metrics_only_events_per_second": round(off_eps, 1),
-            "tracing_events_per_second": round(on_eps, 1),
-            "overhead_off": round(overhead_off, 4),
-            "overhead_tracing": round(overhead_tracing, 4),
-            "off_budget": OFF_BUDGET,
-        },
-    )
     print()
     print(f"  bare           : {bare_eps:12.0f} events/s")
     print(f"  metrics only   : {off_eps:12.0f} events/s  "

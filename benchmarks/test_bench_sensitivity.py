@@ -7,7 +7,6 @@ hysteresis, and how fast the fast channel must be.
 
 import pytest
 
-from benchjson import record, timed
 from repro.experiments.sensitivity import (
     run_decode_wait_sweep,
     run_threshold_sweep,
@@ -19,11 +18,9 @@ PAGES = 8
 
 
 def test_bench_urllc_bandwidth_sweep(benchmark):
-    with timed() as t:
-        result = benchmark.pedantic(
-            lambda: run_urllc_bandwidth_sweep(page_count=PAGES), rounds=1, iterations=1
-        )
-    record("sweep_urllc_bw", t.seconds, events_processed=result.events_processed)
+    result = benchmark.pedantic(
+        lambda: run_urllc_bandwidth_sweep(page_count=PAGES), rounds=1, iterations=1
+    )
     print()
     print(result.render())
     # More URLLC bandwidth monotonically helps, and even 8 Mbps has not
@@ -38,11 +35,9 @@ def test_bench_urllc_bandwidth_sweep(benchmark):
 
 
 def test_bench_threshold_sweep(benchmark):
-    with timed() as t:
-        result = benchmark.pedantic(
-            lambda: run_threshold_sweep(page_count=PAGES), rounds=1, iterations=1
-        )
-    record("sweep_threshold", t.seconds, events_processed=result.events_processed)
+    result = benchmark.pedantic(
+        lambda: run_threshold_sweep(page_count=PAGES), rounds=1, iterations=1
+    )
     print()
     print(result.render())
     # DChannel is robust to its hysteresis: across 0–30 ms the PLT spread
@@ -53,11 +48,9 @@ def test_bench_threshold_sweep(benchmark):
 
 
 def test_bench_decode_wait_sweep(benchmark):
-    with timed() as t:
-        result = benchmark.pedantic(
-            lambda: run_decode_wait_sweep(duration=30.0), rounds=1, iterations=1
-        )
-    record("sweep_decode_wait", t.seconds, events_processed=result.events_processed)
+    result = benchmark.pedantic(
+        lambda: run_decode_wait_sweep(duration=30.0), rounds=1, iterations=1
+    )
     print()
     print(result.render())
     # §3.3's claim, both directions: no wait → lowest latency but
@@ -72,11 +65,9 @@ def test_bench_decode_wait_sweep(benchmark):
 
 
 def test_bench_urllc_rtt_sweep(benchmark):
-    with timed() as t:
-        result = benchmark.pedantic(
-            lambda: run_urllc_rtt_sweep(page_count=PAGES), rounds=1, iterations=1
-        )
-    record("sweep_urllc_rtt", t.seconds, events_processed=result.events_processed)
+    result = benchmark.pedantic(
+        lambda: run_urllc_rtt_sweep(page_count=PAGES), rounds=1, iterations=1
+    )
     print()
     print(result.render())
     # A 2 ms channel beats a 30 ms channel (which is barely faster than

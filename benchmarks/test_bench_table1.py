@@ -7,7 +7,6 @@ DChannel improves mean PLT over eMBB-only, and supplying flow priorities
 
 import pytest
 
-from benchjson import record, timed
 from repro.experiments.table1 import run_table1
 
 PAGE_COUNT = 30
@@ -15,10 +14,7 @@ PAGE_COUNT = 30
 
 @pytest.fixture(scope="module")
 def table1_result():
-    with timed() as t:
-        result = run_table1(page_count=PAGE_COUNT, loads_per_page=1)
-    record("table1", t.seconds, events_processed=result.events_processed)
-    return result
+    return run_table1(page_count=PAGE_COUNT, loads_per_page=1)
 
 
 def test_bench_table1(benchmark, table1_result):

@@ -1,8 +1,8 @@
 """Microbenchmark: timer-wheel internals — insert cost, compaction, pool.
 
 Complements ``test_bench_kernel.py`` (which measures end-to-end queue
-churn): this one isolates the wheel's three claims and records them in
-``BENCH_wheel.json``:
+churn): this one isolates the wheel's three claims, prints their numbers
+(``pytest -s``) and asserts the last two:
 
 * near-horizon inserts are O(1) bucket appends (vs heap sift),
 * cancel-heavy churn keeps the pending set bounded via compaction,
@@ -11,7 +11,6 @@ churn): this one isolates the wheel's three claims and records them in
 
 import time
 
-from benchjson import record
 from repro.sim.events import EventQueue
 from repro.sim.kernel import Simulator
 
@@ -90,15 +89,6 @@ def test_bench_wheel(benchmark):
     cancel = _cancel_churn()
     pool = _pool_hit_rate()
 
-    record(
-        "wheel",
-        0.0,
-        extra={
-            "insert_events_per_second": round(insert_eps, 1),
-            "cancel_churn": cancel,
-            "transient_churn": pool,
-        },
-    )
     print()
     print(f"  near-horizon insert : {insert_eps:12.0f} pushes/s")
     print(f"  cancel churn        : {cancel['events_per_second']:12.0f} events/s  "

@@ -424,8 +424,7 @@ class InvariantMonitor:
         """Audit a :class:`~repro.faults.FaultInjector`'s apply/revert balance.
 
         Valid when the injector is the only holder of ``Channel.fail`` on
-        this network (true for every experiment in this repo; scripted
-        :class:`~repro.net.dynamics.ChannelTimeline` uses the admin switch).
+        this network (true for every experiment in this repo).
         """
         self._injectors.append(injector)
         return self

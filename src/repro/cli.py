@@ -22,6 +22,7 @@ content-addressed cache so repeated runs skip already-computed work.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from typing import List, Optional
 
@@ -47,7 +48,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--duration",
         type=float,
         default=None,
-        help="override run duration in seconds (fig1a/fig1b/fig2/ab-cc/ab-mlo)",
+        help=(
+            "override the simulated duration in seconds; an error for an "
+            "experiment that runs to completion instead, e.g. table1 (the "
+            "error names those that take one)"
+        ),
     )
     parser.add_argument(
         "--pages", type=int, default=None, help="corpus size for table1"
@@ -115,50 +120,57 @@ def _runner_for(args: argparse.Namespace) -> ParallelRunner:
     return ParallelRunner(jobs=args.jobs, cache=cache)
 
 
+def _takes_duration(name: str) -> bool:
+    run = resolve_fn(EXPERIMENTS[name])
+    return "duration" in inspect.signature(run).parameters
+
+
+def _duration_experiments() -> List[str]:
+    """Error path only: imports every experiment module, and leaves out one
+    that cannot import here (``fleet``/``resilience`` without numpy)."""
+    names = []
+    for name in sorted(EXPERIMENTS):
+        try:
+            if _takes_duration(name):
+                names.append(name)
+        except ImportError:
+            pass
+    return names
+
+
 def _kwargs_for(name: str, args: argparse.Namespace, runner: ParallelRunner) -> dict:
     kwargs: dict = {"seed": args.seed, "runner": runner}
-    duration = args.duration
-    if args.quick and duration is None:
-        duration = 10.0
-    if duration is not None and name in (
+    if args.duration is not None:
+        if _takes_duration(name):
+            kwargs["duration"] = args.duration
+    elif args.quick and name in (
         "fig1a", "fig1b", "fig2", "ab-cc", "ab-mlo", "ab-mp", "ab-reseq", "faults"
     ):
-        kwargs["duration"] = duration
+        kwargs["duration"] = 10.0
     if name == "faults" and args.quick:
-        # One outage length, shortened run: smoke-test scale.
+        # One outage length: smoke-test scale.
         kwargs["outages"] = (1.0,)
-        kwargs["duration"] = duration if duration is not None else 8.0
     if name == "resilience":
         # Quick keeps the full regime x policy x CCA grid (the scorecard's
         # acceptance bar includes every cell) and the 10k-tenant fleet
         # cells — only the simulated duration shrinks.
-        from repro.experiments.resilience import QUICK_DURATION
-
-        kwargs["duration"] = args.duration if args.duration is not None else (
-            QUICK_DURATION if args.quick else 20.0
-        )
         if args.quick:
+            from repro.experiments.resilience import QUICK_DURATION
+
+            kwargs.setdefault("duration", QUICK_DURATION)
             kwargs["fleet_duration"] = 6.0
         if args.tenants is not None:
             kwargs["fleet_tenants"] = args.tenants
-    if name == "cc-matrix":
-        kwargs["duration"] = args.duration if args.duration is not None else (
-            2.5 if args.quick else 10.0
-        )
-        if args.quick:
-            # Headline CCAs only: 6 pairs instead of 21 per preset/policy.
-            from repro.experiments.cc_matrix import QUICK_CCAS
+    if name == "cc-matrix" and args.quick:
+        # Headline CCAs only: 6 pairs instead of 21 per preset/policy.
+        from repro.experiments.cc_matrix import QUICK_CCAS
 
-            kwargs["ccas"] = QUICK_CCAS
-    if name == "ablate":
-        # Quick keeps the full 8 s duration: the fault scenarios need their
-        # cycles to play out for the deltas to be meaningful, and the whole
-        # grid is only 30 short units.
-        if args.duration is not None:
-            kwargs["duration"] = args.duration
+        kwargs.setdefault("duration", 2.5)
+        kwargs["ccas"] = QUICK_CCAS
+    # ablate: quick keeps the full 8 s duration — the fault scenarios need
+    # their cycles to play out for the deltas to be meaningful, and the
+    # whole grid is only 30 short units.
     if name == "fleet":
-        if args.duration is not None:
-            kwargs["duration"] = args.duration
         if args.quick:
             kwargs["tenants"] = 2_000
             kwargs["foreground"] = 6
@@ -192,11 +204,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.check.chaos import main as chaos_main
 
         return chaos_main(argv[1:])
-    if argv and argv[0] == "bench":
-        # Benchmark trajectory harness (`python -m repro bench run|compare`).
-        from repro.bench.cli import main as bench_main
-
-        return bench_main(argv[1:])
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.jobs < 1:
@@ -205,6 +212,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(
             f"--trace-dir is not supported by {args.experiment!r}; "
             f"only {', '.join(TRACEABLE)} export traces"
+        )
+    if (
+        args.duration is not None
+        and args.experiment != "all"
+        and not _takes_duration(args.experiment)
+    ):
+        parser.error(
+            f"--duration is not supported by {args.experiment!r}; "
+            f"only {', '.join(_duration_experiments())} run for a set time"
         )
     runner = _runner_for(args)
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]

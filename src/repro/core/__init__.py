@@ -1,4 +1,4 @@
-"""Core library: public API, scenario building, metrics, results."""
+"""Core library: public API, metrics, results."""
 
 from repro.core.api import HvcNetwork
 from repro.core.metrics import Cdf, percentile, throughput_series

@@ -1,10 +1,9 @@
 """Applying a :class:`FaultSchedule` to a live network, deterministically.
 
-The injector turns declarative faults into ordinary simulator callbacks —
-the same mechanism :class:`~repro.net.dynamics.ChannelTimeline` uses, so
-injected faults compose with scripted timelines, traces and everything
-else. Every apply/revert is recorded (for inspection and tests) and counted
-into the network's metrics registry when one is attached.
+The injector turns declarative faults into ordinary simulator callbacks,
+so injected faults compose with traces and everything else that runs on
+the kernel. Every apply/revert is recorded (for inspection and tests) and
+counted into the network's metrics registry when one is attached.
 
 State discipline per fault kind:
 

@@ -1,8 +1,8 @@
 """Ready-made HVC channel profiles (§2 of the paper).
 
-Each factory returns a :class:`~repro.net.channel.ChannelSpec`; combine them
-into a channel set with :func:`repro.core.scenario.build_channels` or use
-them directly. Defaults follow the numbers the paper quotes:
+Each factory returns a :class:`~repro.net.channel.ChannelSpec`; pass a list
+of them to :class:`~repro.core.api.HvcNetwork`. Defaults follow the numbers
+the paper quotes:
 
 * URLLC: 5 ms RTT, 2 Mbps, effectively loss-free (five-nines).
 * eMBB (Fig. 1 emulation): 50 ms RTT, 60 Mbps.

@@ -21,7 +21,7 @@ Usage::
 
 The disabled path is a no-op by construction (components' ``obs``
 attributes stay ``None``); ``benchmarks/test_bench_obs.py`` measures the
-overhead of both modes into ``BENCH_obs.json``.
+overhead of both modes and gates the disabled one.
 """
 
 from repro.obs.export import (

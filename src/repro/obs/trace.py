@@ -12,7 +12,7 @@ hold time).
 The fast path is opt-in by construction: components carry an ``obs``
 attribute that stays ``None`` unless tracing is enabled, so a disabled
 trace costs one attribute load + identity check per instrumented site —
-measured by ``benchmarks/test_bench_obs.py`` into ``BENCH_obs.json``.
+measured and gated by ``benchmarks/test_bench_obs.py``.
 """
 
 from __future__ import annotations

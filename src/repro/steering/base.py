@@ -54,8 +54,9 @@ class ChannelHealth:
         was_up = self._was_up
         reup_at = self._reup_at
         if not reup_at:
-            # Steady state: nothing ever failed back, so every view that is
-            # up and was last seen up is trusted — ``views`` is the answer.
+            # Steady state: no failback is inside its window, so every view
+            # that is up and was last seen up is trusted — ``views`` is the
+            # answer.
             for view in views:
                 if not (view.up and was_up.get(view.index)):
                     break
@@ -79,7 +80,13 @@ class ChannelHealth:
             if up:
                 alive.append(view)
                 at = reup_at.get(index)
-                if at is None or now - at >= hysteresis:
+                if at is None:
+                    trusted.append(view)
+                elif now - at >= hysteresis:
+                    # Window served. ``now`` is monotone and a new failback
+                    # rewrites the entry, so forgetting it changes no
+                    # verdict and lets the steady-state path above resume.
+                    del reup_at[index]
                     trusted.append(view)
         if not alive:
             raise SteeringError("no channel is up")

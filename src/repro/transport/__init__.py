@@ -18,7 +18,6 @@ from repro.transport.connection import Connection
 from repro.transport.datagram import DatagramSocket
 from repro.transport.multipath import MultipathConnection
 from repro.transport.rtx import RttEstimator
-from repro.transport.streams import StreamMux
 
 _flow_ids = itertools.count(1)
 
@@ -33,6 +32,5 @@ __all__ = [
     "DatagramSocket",
     "MultipathConnection",
     "RttEstimator",
-    "StreamMux",
     "next_flow_id",
 ]

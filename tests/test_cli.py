@@ -1,5 +1,6 @@
 """Tests for the CLI entry point."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -8,6 +9,8 @@ import pytest
 
 import repro
 from repro.cli import main
+from repro.experiments import EXPERIMENTS
+from repro.runner import resolve_fn
 
 
 class TestCli:
@@ -74,6 +77,26 @@ class TestCli:
         assert "--trace-dir is not supported by 'cc-matrix'" in err
         assert "fig1a, fig1b, fig2, table1" in err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("name", ["ab-tsn", "sweep-decode-wait"])
+    def test_duration_reaches_every_experiment_that_takes_one(self, name, monkeypatch):
+        real = resolve_fn(EXPERIMENTS[name])
+        calls = []
+        monkeypatch.setattr("tests.test_cli.FAKE_CALLS", calls)
+        # wraps: the CLI reads the real signature through __wrapped__.
+        spy = functools.wraps(real)(lambda **kwargs: fake_experiment(**kwargs))
+        monkeypatch.setattr(sys.modules[real.__module__], real.__name__, spy)
+        assert main([name, "--no-cache", "--duration", "5"]) == 0
+        assert main([name, "--no-cache", "--quick"]) == 0
+        assert [kwargs.get("duration") for kwargs in calls] == [5.0, None]
+
+    def test_duration_rejected_where_it_would_be_ignored(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["table1", "--pages", "2", "--duration", "5"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--duration is not supported by 'table1'" in err
+        assert "ab-tsn" in err and "sweep-decode-wait" in err
 
     def test_all_applies_trace_dir_where_supported(self, capsys, tmp_path, monkeypatch):
         calls = []

@@ -38,6 +38,23 @@ class TestChannel:
         channel.set_up(True)
         assert channel.uplink.up and channel.downlink.up
 
+    def test_fault_holds_compose_with_admin_switch(self, sim):
+        channel = Channel(sim, ChannelSpec.symmetric("c", mbps(10), ms(5)))
+        # Two identical holds: both must be released before re-up.
+        channel.fail()
+        channel.fail()
+        channel.restore()
+        assert not channel.up
+        channel.restore()
+        assert channel.up
+        # Administrative down wins over fault-hold release.
+        channel.set_up(False)
+        channel.fail()
+        channel.restore()
+        assert not channel.up
+        channel.set_up(True)
+        assert channel.up
+
 
 class FixedSteerer:
     """Test helper: always picks the given channel indices."""

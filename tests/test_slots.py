@@ -18,7 +18,6 @@ from repro.net.monitor import ChannelSample
 from repro.obs.probes import TransportSample
 from repro.transport.connection import MessageReceipt, OutgoingMessage, RttRecord, Segment
 from repro.transport.datagram import DatagramMessage
-from repro.transport.streams import StreamMessage, _Pending
 
 #: Hand-written ``__slots__``.
 ALWAYS_SLOTTED = [
@@ -46,8 +45,6 @@ HOT_DATACLASSES = [
         OutgoingMessage,
         lambda: OutgoingMessage(start=0, end=10, message_id=1, priority=None),
     ),
-    (StreamMessage, lambda: StreamMessage(1, 0, 10, 0, 0.0)),
-    (_Pending, lambda: _Pending(message_index=0, size=10, remaining=10)),
     (
         DatagramMessage,
         lambda: DatagramMessage(message_id=1, priority=None, first_packet_at=0.0),

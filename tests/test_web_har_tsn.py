@@ -1,12 +1,5 @@
-"""Tests for HAR export and the Wi-Fi TSN channel profile."""
+"""Tests for the Wi-Fi TSN channel profile."""
 
-import json
-
-import pytest
-
-from repro.apps.web.browser import load_page
-from repro.apps.web.har import to_har, to_har_json
-from repro.apps.web.page import WebObject, WebPage
 from repro.core.api import HvcNetwork
 from repro.net.channel import Channel
 from repro.net.hvc import fixed_embb_spec, wifi_tsn_spec
@@ -14,49 +7,6 @@ from repro.net.packet import Packet, PacketType
 from repro.net.queue import PriorityDropTailQueue
 from repro.sim.kernel import Simulator
 from repro.units import mbps, ms
-
-
-def small_page():
-    return WebPage(
-        "har-test",
-        [WebObject(0, 10_000), WebObject(1, 5_000, depends_on=[0])],
-    )
-
-
-class TestHarExport:
-    def load(self):
-        net = HvcNetwork([fixed_embb_spec()], steering="single")
-        return load_page(net, small_page())
-
-    def test_har_structure(self):
-        har = to_har(self.load())
-        log = har["log"]
-        assert log["version"] == "1.2"
-        assert log["pages"][0]["pageTimings"]["onLoad"] > 0
-        assert len(log["entries"]) == 2
-
-    def test_onload_is_max_entry_time(self):
-        har = to_har(self.load())
-        onload = har["log"]["pages"][0]["pageTimings"]["onLoad"]
-        assert onload == pytest.approx(max(e["time"] for e in har["log"]["entries"]))
-
-    def test_entries_carry_sizes_and_deps(self):
-        har = to_har(self.load())
-        entry = har["log"]["entries"][1]
-        assert entry["response"]["bodySize"] == 5_000
-        assert entry["_dependsOn"] == [0]
-
-    def test_json_round_trips(self):
-        text = to_har_json(self.load(), title="demo")
-        parsed = json.loads(text)
-        assert parsed["log"]["pages"][0]["title"] == "demo"
-
-    def test_incomplete_load_rejected(self):
-        from repro.apps.web.browser import PageLoadResult
-
-        incomplete = PageLoadResult(page=small_page(), started_at=0.0)
-        with pytest.raises(ValueError):
-            to_har(incomplete)
 
 
 class TestWifiTsn:
