@@ -36,10 +36,10 @@ class PacketType(enum.Enum):
     PROBE = "probe"
     DATAGRAM = "datagram"
 
-    @property
-    def is_control(self) -> bool:
-        """True for packets that carry protocol control, not payload."""
-        return self in (PacketType.ACK, PacketType.SYN, PacketType.FIN, PacketType.PROBE)
+    def __init__(self, wire_name: str) -> None:
+        #: True for packets that carry protocol control, not payload. Set
+        #: once per member: every packet constructed reads it.
+        self.is_control = wire_name in ("ack", "syn", "fin", "probe")
 
 
 class Packet:

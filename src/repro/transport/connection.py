@@ -207,28 +207,9 @@ class Connection(Endpoint):
     # ==================================================================
     # Send path
     # ==================================================================
-    def _window_allows(self, size: int) -> bool:
-        return self._flight[0] + size <= self.cc.cwnd_bytes
-
-    def _pacing_gate(self) -> bool:
-        """True if sending must wait for the pacer; schedules the wake-up."""
-        if not self.pacing_enabled:
-            return False
-        if self.cc.pacing_rate_bps is None or self.sim.now >= self._next_send_time:
-            return False
-        if self._pacing_event is None:
-            self._pacing_event = self.sim.schedule(
-                self._next_send_time - self.sim.now, self._pacing_wakeup
-            )
-        return True
-
-    def _advance_pacer(self, size_bytes: int) -> None:
-        if not self.pacing_enabled:
-            return
-        pacing_rate = self.cc.pacing_rate_bps
-        if pacing_rate is not None and pacing_rate > 0:
-            interval = (size_bytes + 40) * 8 / pacing_rate
-            self._next_send_time = max(self._next_send_time, self.sim.now) + interval
+    def _pacing_rate(self) -> Optional[float]:
+        """The rate the pacer spaces sends at (``None``: it never gates)."""
+        return self.cc.pacing_rate_bps if self.pacing_enabled else None
 
     def _try_send(self) -> None:
         if self._handshake_pending and self._messages:
@@ -236,40 +217,60 @@ class Connection(Endpoint):
             return
         if not self._established or self._closed:
             return
+        # The controller's outputs, read once for the burst: ``on_sent``
+        # moves neither (the contract tests/test_transport_cc.py holds
+        # every registered controller to).
+        cwnd = self.cc.cwnd_bytes
+        pacing = self._pacing_rate()
         retx_queue = self._sb.retx_queue
+        flight = self._flight
         while True:
-            # Lost segments are resent before new data.
+            # Lost segments are resent before new data; new data asks the
+            # window for a full MSS whatever the head message has left.
             if retx_queue:
                 segment = retx_queue[0]
-                if not self._window_allows(segment.size) or self._pacing_gate():
-                    return
+                size = segment.end_seq - segment.seq
+            elif self._write_end > self._snd_nxt:
+                segment = None
+                size = self.mss
+            else:
+                return
+            if flight[0] + size > cwnd:
+                return
+            if pacing is not None and self.sim.now < self._next_send_time:
+                if self._pacing_event is None:
+                    self._pacing_event = self.sim.schedule(
+                        self._next_send_time - self.sim.now, self._pacing_wakeup
+                    )
+                return
+            if segment is None:
+                message = self._head_message()
+                left = message.end - self._snd_nxt
+                segment = self._carve_segment(message, left if left < size else size, 0)
+                self._transmit(segment, False, pacing)
+            else:
                 retx_queue.pop(0)
-                if segment.sacked or segment.end_seq <= self._snd_una:
-                    continue  # acknowledged while queued
-                self._retransmit_segment(segment)
-                continue
-            if self.bytes_unsent <= 0:
-                return
-            if not self._window_allows(self.mss) or self._pacing_gate():
-                return
-            segment = self._carve_segment()
-            self._snd_nxt = segment.end_seq
-            self._sb.append(segment)
-            self._transmit(segment, retransmission=False)
+                if not segment.sacked and segment.end_seq > self._snd_una:
+                    self._retransmit_segment(segment, pacing)  # else: acked while queued
 
-    def _retransmit_segment(self, segment: Segment) -> None:
+    def _retransmit_segment(self, segment: Segment, pacing: Optional[float]) -> None:
         self._sb.retransmit(segment, self.sim.now, self.rtt.srtt or 0.1)
         self.stats.retransmissions += 1
-        self._transmit(segment, retransmission=True)
+        self._transmit(segment, True, pacing)
 
-    def _transmit(self, segment: Segment, retransmission: bool) -> None:
+    def _transmit(self, segment: Segment, retransmission: bool, pacing: Optional[float]) -> None:
+        now = self.sim.now
+        size = segment.end_seq - segment.seq
         packet = self._data_packet(segment, retransmission)
         self.device.send(packet)
         segment.channel = packet.channel_index
-        self.stats.segments_sent += 1
-        self.stats.bytes_sent += segment.size
-        self._advance_pacer(segment.size)
-        self.cc.on_sent(self.sim.now, segment.size, self._flight[0])
+        stats = self.stats
+        stats.segments_sent += 1
+        stats.bytes_sent += size
+        if pacing is not None and pacing > 0:
+            start = self._next_send_time
+            self._next_send_time = (start if start > now else now) + (size + 40) * 8 / pacing
+        self.cc.on_sent(now, size, self._flight[0])
         self._arm_rto(self.rtt.rto)
 
     # ------------------------------------------------------------------
@@ -312,7 +313,7 @@ class Connection(Endpoint):
         # declared in before the timeout.
         sb.retx_queue[:] = unsacked
         if unsacked:
-            self._retransmit_segment(sb.retx_queue.pop(0))
+            self._retransmit_segment(sb.retx_queue.pop(0), self._pacing_rate())
             self._try_send()
         else:
             self._arm_rto(self.rtt.rto)
@@ -341,7 +342,7 @@ class Connection(Endpoint):
                 sb.mark_lost(first)
             if first in sb.retx_queue:
                 sb.retx_queue.remove(first)
-            self._retransmit_segment(first)
+            self._retransmit_segment(first, self._pacing_rate())
         self._try_send()
 
     # ==================================================================
@@ -368,17 +369,19 @@ class Connection(Endpoint):
         self._send_ack(packet)
 
     def _send_ack(self, data_packet: Packet) -> None:
-        ack = self._make_packet(PacketType.ACK, payload=self.ack_bytes)
-        ack.ack_seq = self._rcv_nxt
-        ack.sack = (
-            tuple(self._ooo_ranges[-MAX_SACK_RANGES:]) if self.sack_enabled else ()
+        ranges = self._ooo_ranges if self.sack_enabled else ()
+        self.device.send(
+            Packet(
+                self.flow_id, PacketType.ACK, self.ack_bytes,
+                ack_seq=self._rcv_nxt, sack=tuple(ranges[-MAX_SACK_RANGES:]) if ranges else (),
+                # Echo which segment (and so which channel) the data took,
+                # for HVC-aware CC attribution.
+                seq=data_packet.seq, segment=data_packet.segment,
+                message_id=data_packet.message_id,
+                message_priority=data_packet.message_priority,
+                flow_priority=self.flow_priority, created_at=self.sim.now,
+            )
         )
-        # Echo which channel the data took, for HVC-aware CC attribution.
-        ack.seq = data_packet.seq
-        ack.segment = data_packet.segment
-        ack.message_id = data_packet.message_id
-        ack.message_priority = data_packet.message_priority
-        self.device.send(ack)
 
     # ------------------------------------------------------------------
     # ACK processing → CC + RTT + SACK loss recovery
@@ -387,8 +390,10 @@ class Connection(Endpoint):
         ack_seq = packet.ack_seq
         if ack_seq > self._snd_nxt:
             return  # corrupt/stale beyond what we sent
-        newly_acked = max(0, ack_seq - self._snd_una)
-        if newly_acked:
+        now = self.sim.now
+        stats = self.stats
+        newly_acked = ack_seq - self._snd_una
+        if newly_acked > 0:
             self._snd_una = ack_seq
             self._dup_acks = 0
             # Forward progress proves the path carries data again; a backoff
@@ -397,60 +402,54 @@ class Connection(Endpoint):
             # never produce the sample that normally clears it).
             self.rtt.reset_backoff()
             self._total_delivered += newly_acked
-            self.stats.bytes_acked = self._snd_una
-            self.stats.delivered_timeline.append((self.sim.now, self._total_delivered))
+            stats.bytes_acked = ack_seq
+            stats.delivered_timeline.append((now, self._total_delivered))
             if self._recovery_end is not None and ack_seq >= self._recovery_end:
                 self._recovery_end = None
-        elif ack_seq == self._snd_una:
+        elif newly_acked == 0:
             # A genuine duplicate. Acks that race across channels arrive
             # *stale* (ack_seq < snd_una) and must not count — treating them
             # as dup-acks causes spurious loss recovery.
             self._dup_acks += 1
+        else:
+            newly_acked = 0
 
         newest = self._sb.ack(ack_seq, packet.sack)
 
         rtt_sample: Optional[float] = None
         delivery_rate: Optional[float] = None
+        data_channel: Optional[int] = None
         if newest is not None:
-            rtt_sample = self.sim.now - newest.sent_at
+            rtt_sample = now - newest.sent_at
             self.rtt.on_sample(rtt_sample)
-            delivered = self._total_delivered - newest.delivered_at_send
             if rtt_sample > 0:
+                delivered = self._total_delivered - newest.delivered_at_send
                 delivery_rate = delivered * 8.0 / rtt_sample
-            self.stats.rtt_records.append(
-                RttRecord(
-                    time=self.sim.now,
-                    rtt=rtt_sample,
-                    data_channel=newest.channel,
-                    ack_channel=packet.channel_index,
-                )
+            data_channel = newest.channel
+            stats.rtt_records.append(
+                RttRecord(now, rtt_sample, data_channel, packet.channel_index)
             )
 
-        self._detect_losses()
+        self._detect_losses(now)
 
-        sample = AckSample(
-            now=self.sim.now,
-            rtt=rtt_sample,
-            newly_acked=newly_acked,
-            in_flight=self._flight[0],
-            delivery_rate=delivery_rate,
-            app_limited=self.bytes_unsent == 0,
-            data_channel=newest.channel if newest is not None else None,
-            ack_channel=packet.channel_index,
-            total_delivered=self._total_delivered,
+        self.cc.on_ack(
+            AckSample(
+                now, rtt_sample, newly_acked, self._flight[0], delivery_rate,
+                self._write_end == self._snd_nxt,  # app-limited: nothing left unsent
+                data_channel, packet.channel_index, self._total_delivered,
+            )
         )
-        self.cc.on_ack(sample)
         if self.obs is not None:
             self.obs.on_ack(self)
-        self._fire_acked_messages()
+        if newly_acked:
+            self._fire_acked_messages()
         self._arm_rto(self.rtt.rto)
         self._try_send()
 
-    def _detect_losses(self) -> None:
+    def _detect_losses(self, now: float) -> None:
         """SACK-based loss inference (on the scoreboard) + dup-ACK fallback,
         then one congestion response per window of loss."""
         sb = self._sb
-        now = self.sim.now
         newly_lost = sb.detect_losses(now, self._snd_una)
         if not newly_lost and self._dup_acks >= DUP_ACK_THRESHOLD:
             first = sb.first_unsettled()

@@ -125,21 +125,23 @@ class DatagramSocket:
         offset = 0
         packets = 0
         while offset < size_bytes:
-            payload = min(self.mtu_payload, size_bytes - offset)
-            packet = Packet(
-                flow_id=self.flow_id,
-                ptype=PacketType.DATAGRAM,
-                payload_bytes=payload,
+            left = size_bytes - offset
+            payload = left if left < self.mtu_payload else self.mtu_payload
+            self.device.send(
+                Packet(
+                    self.flow_id,
+                    PacketType.DATAGRAM,
+                    payload,
+                    seq=offset,
+                    end_seq=offset + payload,
+                    message_id=message_id,
+                    message_priority=priority,
+                    message_last=payload == left,
+                    message_start=0,
+                    flow_priority=self.flow_priority,
+                    created_at=self.sim.now,
+                )
             )
-            packet.created_at = self.sim.now
-            packet.seq = offset
-            packet.end_seq = offset + payload
-            packet.message_id = message_id
-            packet.message_priority = priority
-            packet.message_start = 0
-            packet.message_last = offset + payload == size_bytes
-            packet.flow_priority = self.flow_priority
-            self.device.send(packet)
             self.stats.packets_sent += 1
             self.stats.bytes_sent += payload
             offset += payload
@@ -173,13 +175,12 @@ class DatagramSocket:
         self.stats.packets_received += 1
         state = self._assembly.get(packet.message_id)
         if state is None:
-            state = DatagramMessage(
-                message_id=packet.message_id,
-                priority=packet.message_priority,
-                first_packet_at=self.sim.now,
+            state = self._assembly[packet.message_id] = DatagramMessage(
+                packet.message_id,
+                packet.message_priority,
+                self.sim.now,
                 sent_at=packet.created_at,
             )
-            self._assembly[packet.message_id] = state
         if state.sent_at is None or packet.created_at < state.sent_at:
             state.sent_at = packet.created_at
         state.bytes_received += packet.payload_bytes

@@ -88,6 +88,7 @@ class Endpoint:
         self._sb = Scoreboard(mss, loss_keys)
         self._messages: List[OutgoingMessage] = []
         self._next_message_index = 0  # first message not fully acked
+        self._send_cursor = 0  # the message covering ``_snd_nxt``
         self._rto_event: Optional[Event] = None
         #: Lazy RTO: the deadline that actually matters. Every transmit
         #: and ACK "re-arms" the timer by storing a new deadline here
@@ -129,14 +130,9 @@ class Endpoint:
             raise TransportError(f"message size must be positive, got {size_bytes}")
         if message_id is None:
             message_id = next(self._auto_message_ids)
-        message = OutgoingMessage(
-            start=self._write_end,
-            end=self._write_end + size_bytes,
-            message_id=message_id,
-            priority=priority,
-            on_acked=on_acked,
-        )
-        self._write_end = message.end
+        start = self._write_end
+        self._write_end = start + size_bytes
+        message = OutgoingMessage(start, self._write_end, message_id, priority, on_acked)
         self._messages.append(message)
         self._try_send()
         return message
@@ -181,53 +177,66 @@ class Endpoint:
     # ==================================================================
     # Send side
     # ==================================================================
-    def _message_for_offset(self, offset: int) -> OutgoingMessage:
-        for message in self._messages[self._next_message_index:]:
-            if message.start <= offset < message.end:
-                return message
-        raise TransportError(f"flow {self.flow_id}: no message covers offset {offset}")
+    def _head_message(self) -> OutgoingMessage:
+        """The queued message covering ``_snd_nxt``.
 
-    def _carve_segment(self) -> Segment:
-        """The next unsent segment, never straddling a message boundary;
-        committed by advancing ``_snd_nxt`` and filing it on the scoreboard."""
-        message = self._message_for_offset(self._snd_nxt)
-        size = min(self.mss, message.end - self._snd_nxt)
-        return Segment(
-            seq=self._snd_nxt,
-            end_seq=self._snd_nxt + size,
-            sent_at=self.sim.now,
-            delivered_at_send=self._total_delivered,
-            message_id=message.message_id,
-            message_priority=message.priority,
-            message_last=(self._snd_nxt + size == message.end),
-            message_start=message.start,
-            message_size=message.size,
+        Messages tile the stream in the order they were queued and
+        ``_snd_nxt`` only grows, so a cursor replaces the search.
+        """
+        messages = self._messages
+        snd_nxt = self._snd_nxt
+        for index in range(self._send_cursor, len(messages)):
+            message = messages[index]
+            if snd_nxt < message.end:
+                self._send_cursor = index
+                return message
+        raise TransportError(f"flow {self.flow_id}: no message covers offset {snd_nxt}")
+
+    def _carve_segment(self, message: OutgoingMessage, size: int, key: int) -> Segment:
+        """Commit the next ``size`` unsent bytes as a segment under loss
+        ``key``: ``_snd_nxt`` advances and the scoreboard files it.
+
+        ``message`` is :meth:`_head_message` and ``size`` reaches at most
+        its end (segments never straddle a message boundary). Called only
+        for a send that will happen.
+        """
+        seq = self._snd_nxt
+        end_seq = self._snd_nxt = seq + size
+        segment = Segment(
+            seq, end_seq, self.sim.now, self._total_delivered,
+            message_id=message.message_id, message_priority=message.priority,
+            message_last=end_seq == message.end, message_start=message.start,
+            message_size=message.end - message.start,
         )
+        self._sb.append(segment, key)
+        return segment
 
     def _make_packet(self, ptype: PacketType, payload: int = 0) -> Packet:
-        packet = Packet(flow_id=self.flow_id, ptype=ptype, payload_bytes=payload)
-        packet.created_at = self.sim.now
-        packet.flow_priority = self.flow_priority
-        return packet
+        return Packet(
+            self.flow_id, ptype, payload, flow_priority=self.flow_priority, created_at=self.sim.now
+        )
 
-    def _data_packet(self, segment: Segment, retransmission: bool) -> Packet:
+    def _data_packet(
+        self, segment: Segment, retransmission: bool, channel_hint: Optional[int] = None
+    ) -> Packet:
         """The DATA packet for ``segment``, carrying its message's tags."""
-        packet = self._make_packet(PacketType.DATA, payload=segment.size)
-        packet.seq = segment.seq
-        packet.end_seq = segment.end_seq
-        packet.is_retransmission = retransmission
-        packet.segment = segment
-        packet.message_id = segment.message_id
-        packet.message_priority = segment.message_priority
-        packet.message_last = segment.message_last
-        packet.message_start = segment.message_start
-        return packet
+        return Packet(
+            self.flow_id, PacketType.DATA, segment.end_seq - segment.seq,
+            seq=segment.seq, end_seq=segment.end_seq,
+            is_retransmission=retransmission, segment=segment,
+            message_id=segment.message_id, message_priority=segment.message_priority,
+            message_last=segment.message_last, message_start=segment.message_start,
+            flow_priority=self.flow_priority, channel_hint=channel_hint,
+            created_at=self.sim.now,
+        )
 
     def _pacing_wakeup(self) -> None:
         self._pacing_event = None
         self._try_send()
 
     def _fire_acked_messages(self) -> None:
+        """Complete the messages ``_snd_una`` has passed (callers: an ACK
+        that advanced it — nothing else can complete one)."""
         while self._next_message_index < len(self._messages):
             message = self._messages[self._next_message_index]
             if message.end > self._snd_una:
@@ -333,11 +342,4 @@ class Endpoint:
         for end in sorted(completed):
             message_id, priority, start = self._message_ends.pop(end)
             if self.on_message is not None:
-                self.on_message(
-                    MessageReceipt(
-                        message_id=message_id,
-                        priority=priority,
-                        size=end - start,
-                        completed_at=self.sim.now,
-                    )
-                )
+                self.on_message(MessageReceipt(message_id, priority, end - start, self.sim.now))

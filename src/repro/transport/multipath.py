@@ -33,12 +33,24 @@ from repro.transport.cc.base import AckSample, CongestionControl
 from repro.transport.endpoint import MAX_SACK_RANGES, Endpoint, MessageReceipt, RttRecord
 from repro.transport.rtx import RttEstimator
 from repro.transport.scoreboard import Segment
-from repro.units import DEFAULT_MSS
+from repro.units import DEFAULT_HEADER_BYTES, DEFAULT_MSS
 
 #: Messages at most this large count as latency-bound for the hvc scheduler.
 SMALL_MESSAGE_BYTES = 3000
 
 SCHEDULERS = ("minrtt", "hvc")
+
+#: ``(live, ll, hb)``, see :meth:`MultipathConnection._roles`.
+Roles = Tuple[List["Subflow"], "Subflow", "Subflow"]
+
+
+def _urgent(segment: Segment) -> bool:
+    """Is an already-carved segment one the application is blocked on:
+    loss repair, a message tail, or part of a small message?"""
+    return segment.retransmitted or segment.message_last or (
+        segment.message_size is not None
+        and segment.message_size <= SMALL_MESSAGE_BYTES
+    )
 
 
 class Subflow:
@@ -53,13 +65,15 @@ class Subflow:
         self.rtt = RttEstimator(min_rto=min_rto)
         self._flight = flight
         self.next_send_time = 0.0
+        #: ``cc.cwnd_bytes`` / ``cc.pacing_rate_bps`` as read for the
+        #: current send burst (:meth:`MultipathConnection._open_burst`);
+        #: stale between bursts — everything else reads ``cc``.
+        self.cwnd = 0.0
+        self.pacing: Optional[float] = None
 
     @property
     def in_flight(self) -> int:
         return self._flight[self.channel_index]
-
-    def has_window(self, size: int) -> bool:
-        return self.in_flight + size <= self.cc.cwnd_bytes
 
     @property
     def srtt(self) -> float:
@@ -121,54 +135,53 @@ class MultipathConnection(Endpoint):
     # ------------------------------------------------------------------
     # Channel roles
     # ------------------------------------------------------------------
-    def _live_subflows(self) -> List[Subflow]:
-        """Subflows whose channel is administratively up (all, if none are)."""
-        live = [
-            s for s in self.subflows if self.device.views[s.channel_index].up
-        ]
-        return live if live else list(self.subflows)
+    def _roles(self) -> Roles:
+        """``(live, ll, hb)``: the subflows whose channel is administratively
+        up (all of them, if none is) and, of those, the one on the
+        lowest-base-delay and the one on the highest-rate channel (the
+        first, on a tie).
 
-    def _ll_subflow(self, live: List[Subflow]) -> Subflow:
-        """The subflow of ``live`` on the lowest-base-delay channel."""
-        return min(
-            live,
-            key=lambda s: self.device.views[s.channel_index].base_delay,
-        )
-
-    def _hb_subflow(self, live: List[Subflow]) -> Subflow:
-        """The subflow of ``live`` on the highest-rate channel."""
-        return max(
-            live,
-            key=lambda s: self.device.views[s.channel_index].rate_bps,
-        )
+        Computed once per send opportunity and never kept across events, so
+        a channel flap, a fault's delay offset or rate factor and a
+        trace-driven rate change need no invalidation.
+        """
+        views = self.device.views
+        live = [s for s in self.subflows if views[s.channel_index].up] or self.subflows
+        ll = hb = None
+        for subflow in live:
+            view = views[subflow.channel_index]
+            delay, rate = view.base_delay, view.rate_bps
+            if ll is None or delay < ll_delay:
+                ll, ll_delay = subflow, delay
+            if hb is None or rate > hb_rate:
+                hb, hb_rate = subflow, rate
+        return live, ll, hb
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def _pick_subflow(self, segment: Segment) -> Optional[Subflow]:
-        if self.scheduler == "minrtt":
-            candidates = [
-                s for s in self._live_subflows() if s.has_window(segment.size)
-            ]
-            if not candidates:
-                return None
-            return min(candidates, key=lambda s: s.srtt)
-        return self._pick_hvc(segment)
+    def _pick(self, size: int, urgent: bool, roles: Roles) -> Optional[Subflow]:
+        """The subflow to carry ``size`` more bytes now, or ``None`` to wait.
 
-    def _pick_hvc(self, segment: Segment) -> Optional[Subflow]:
-        """The paper's scheduler: reserve the LL subflow for urgent bytes."""
-        # One live list per pick; never kept across events, so a channel
-        # flap or a trace-driven rate change needs no invalidation.
-        live = self._live_subflows()
-        ll = self._ll_subflow(live)
-        hb = self._hb_subflow(live)
-        urgent = segment.retransmitted or segment.message_last or (
-            segment.message_size is not None
-            and segment.message_size <= SMALL_MESSAGE_BYTES
-        )
-        if urgent and ll is not hb and ll.has_window(segment.size):
+        Decided from what the head of the queue *would* be, so a segment is
+        built only for a send that happens. ``urgent`` (see :func:`_urgent`)
+        matters to the ``hvc`` scheduler only.
+        """
+        live, ll, hb = roles
+        flight = self._sb.flight
+        if self.scheduler == "minrtt":
+            best = None
+            best_srtt = 0.0
+            for subflow in live:
+                if flight[subflow.channel_index] + size <= subflow.cwnd:
+                    srtt = subflow.srtt
+                    if best is None or srtt < best_srtt:
+                        best, best_srtt = subflow, srtt
+            return best
+        # The paper's scheduler: reserve the LL subflow for urgent bytes.
+        if urgent and ll is not hb and flight[ll.channel_index] + size <= ll.cwnd:
             return ll
-        if hb.has_window(segment.size):
+        if flight[hb.channel_index] + size <= hb.cwnd:
             return hb
         # HB full: bulk *waits*. Spilling bulk onto the low-latency subflow
         # would fill its queue and rob urgent segments of the acceleration —
@@ -178,43 +191,59 @@ class MultipathConnection(Endpoint):
     # ------------------------------------------------------------------
     # Send path
     # ------------------------------------------------------------------
+    def _open_burst(self) -> Roles:
+        """Start a send opportunity: read every controller's outputs once
+        and return the channel roles. ``on_sent`` moves neither output
+        (the contract tests/test_transport_cc.py holds every registered
+        controller to), so one read serves every send of the burst."""
+        for subflow in self.subflows:
+            cc = subflow.cc
+            subflow.cwnd = cc.cwnd_bytes
+            subflow.pacing = cc.pacing_rate_bps
+        return self._roles()
+
     def _try_send(self) -> None:
-        if self._closed:
-            return
         retx_queue = self._sb.retx_queue
-        progress = True
-        while progress:
-            progress = False
+        if self._closed or not (retx_queue or self._write_end > self._snd_nxt):
+            return
+        roles = self._open_burst()
+        mss = self.mss
+        while True:
             if retx_queue:
                 segment = retx_queue[0]
                 if segment.sacked or segment.end_seq <= self._snd_una:
                     retx_queue.pop(0)
-                    progress = True
                     continue
-                subflow = self._pick_subflow(segment)
-                if subflow is not None and not self._pacing_gate(subflow):
-                    retx_queue.pop(0)
-                    self._retransmit(segment, subflow)
-                    progress = True
+                subflow = self._pick(segment.end_seq - segment.seq, _urgent(segment), roles)
+                if subflow is None or self._pacing_gate(subflow):
+                    return
+                retx_queue.pop(0)
+                self._retransmit(segment, subflow)
                 continue
-            if self.bytes_unsent <= 0:
+            if self._write_end <= self._snd_nxt:
                 return
-            probe = self._carve_segment()
-            subflow = self._pick_subflow(probe)
+            message = self._head_message()
+            left = message.end - self._snd_nxt
+            size = left if left < mss else mss
+            urgent = size == left or message.end - message.start <= SMALL_MESSAGE_BYTES
+            subflow = self._pick(size, urgent, roles)
             if subflow is None or self._pacing_gate(subflow):
                 return
-            self._snd_nxt = probe.end_seq
-            self._sb.append(probe, subflow.channel_index)
-            self._transmit(probe, subflow, retransmission=False)
-            progress = True
+            segment = self._carve_segment(message, size, subflow.channel_index)
+            self._transmit(segment, subflow, retransmission=False)
 
     def _pacing_gate(self, subflow: Subflow) -> bool:
-        if subflow.cc.pacing_rate_bps is None or self.sim.now >= subflow.next_send_time:
+        """True if ``subflow`` must wait for its pacer; the one wake-up
+        event sits at the earliest deadline any gated subflow has asked for."""
+        now = self.sim.now
+        wake = subflow.next_send_time
+        if subflow.pacing is None or now >= wake:
             return False
-        if self._pacing_event is None:
-            self._pacing_event = self.sim.schedule(
-                subflow.next_send_time - self.sim.now, self._pacing_wakeup
-            )
+        event = self._pacing_event
+        if event is None:
+            self._pacing_event = self.sim.schedule(wake - now, self._pacing_wakeup)
+        elif wake < event.time:
+            self._pacing_event = self.sim.reschedule(event, wake - now, self._pacing_wakeup)
         return True
 
     def _retransmit(self, segment: Segment, subflow: Subflow) -> None:
@@ -224,15 +253,16 @@ class MultipathConnection(Endpoint):
         self._transmit(segment, subflow, retransmission=True)
 
     def _transmit(self, segment: Segment, subflow: Subflow, retransmission: bool) -> None:
-        packet = self._data_packet(segment, retransmission)
-        packet.channel_hint = subflow.channel_index
-        self.device.send(packet)
-        segment.channel = subflow.channel_index
-        pacing = subflow.cc.pacing_rate_bps
+        now = self.sim.now
+        channel = subflow.channel_index
+        size = segment.end_seq - segment.seq
+        self.device.send(self._data_packet(segment, retransmission, channel))
+        segment.channel = channel
+        pacing = subflow.pacing
         if pacing is not None and pacing > 0:
-            interval = (segment.size + 40) * 8 / pacing
-            subflow.next_send_time = max(subflow.next_send_time, self.sim.now) + interval
-        subflow.cc.on_sent(self.sim.now, segment.size, subflow.in_flight)
+            start = subflow.next_send_time
+            subflow.next_send_time = (start if start > now else now) + (size + 40) * 8 / pacing
+        subflow.cc.on_sent(now, size, self._sb.flight[channel])
         self._arm_rto(self._rto())
 
     # ------------------------------------------------------------------
@@ -240,7 +270,11 @@ class MultipathConnection(Endpoint):
     # ------------------------------------------------------------------
     def _rto(self) -> float:
         """The one data-level timer waits out the slowest subflow's RTO."""
-        return max(s.rtt.rto for s in self.subflows)
+        rto = 0.0
+        for subflow in self.subflows:
+            if subflow.rtt.rto > rto:
+                rto = subflow.rtt.rto
+        return rto
 
     def _on_timeout(self) -> None:
         self.timeouts += 1
@@ -259,7 +293,7 @@ class MultipathConnection(Endpoint):
         if first in sb.retx_queue:
             sb.retx_queue.remove(first)
         # Reinject on whichever subflow the scheduler prefers now.
-        subflow = self._pick_subflow(first) or carrier
+        subflow = self._pick(first.size, _urgent(first), self._open_burst()) or carrier
         self._retransmit(first, subflow)
 
     # ------------------------------------------------------------------
@@ -275,21 +309,25 @@ class MultipathConnection(Endpoint):
 
     def _on_data(self, packet: Packet) -> None:
         self._receive(packet)
-        ack = self._make_packet(PacketType.ACK)
-        ack.ack_seq = self._rcv_nxt
-        ack.sack = tuple(self._ooo_ranges[-MAX_SACK_RANGES:])
-        ack.seq = packet.seq
         # §3.2/§4: ACKs return on the LL channel — but only while it has
         # headroom. A 60 Mbps data flow generates ~3 Mbps of ACKs, which
         # would drown a 2 Mbps URLLC channel; past a small queueing bound
-        # the ACK falls back to the data packet's own channel.
-        ll = self._ll_subflow(self._live_subflows())
+        # the ACK (one header on the wire) falls back to the data packet's
+        # own channel.
+        ll = self._roles()[1]
         view = self.device.views[ll.channel_index]
-        if view.queueing_delay(ack.size_bytes) <= 2 * view.base_delay:
-            ack.channel_hint = ll.channel_index
-        elif packet.channel_index is not None:
-            ack.channel_hint = packet.channel_index
-        self.device.send(ack)
+        if view.queueing_delay(DEFAULT_HEADER_BYTES) <= 2 * view.base_delay:
+            hint = ll.channel_index
+        else:
+            hint = packet.channel_index
+        ranges = self._ooo_ranges
+        self.device.send(
+            Packet(
+                self.flow_id, PacketType.ACK, seq=packet.seq,
+                ack_seq=self._rcv_nxt, sack=tuple(ranges[-MAX_SACK_RANGES:]) if ranges else (),
+                flow_priority=self.flow_priority, channel_hint=hint, created_at=self.sim.now,
+            )
+        )
 
     # ------------------------------------------------------------------
     # ACK processing
@@ -298,38 +336,32 @@ class MultipathConnection(Endpoint):
         ack_seq = packet.ack_seq
         if ack_seq > self._snd_nxt:
             return
-        newly_acked = max(0, ack_seq - self._snd_una)
-        if newly_acked:
+        now = self.sim.now
+        sb = self._sb
+        newly_acked = ack_seq - self._snd_una
+        if newly_acked > 0:
             self._snd_una = ack_seq
             self._total_delivered += newly_acked
-            self.delivered_timeline.append((self.sim.now, self._total_delivered))
-        newest = self._sb.ack(ack_seq, packet.sack)
+            self.delivered_timeline.append((now, self._total_delivered))
+        else:
+            newly_acked = 0
+        newest = sb.ack(ack_seq, packet.sack)
 
         if newest is not None:
             subflow = self.subflows[newest.key]
-            rtt_sample = self.sim.now - newest.sent_at
+            rtt_sample = now - newest.sent_at
             subflow.rtt.on_sample(rtt_sample)
             delivered = self._total_delivered - newest.delivered_at_send
-            delivery_rate = delivered * 8.0 / rtt_sample if rtt_sample > 0 else None
+            data_channel = newest.channel
             self.stats_rtt_records.append(
-                RttRecord(
-                    time=self.sim.now,
-                    rtt=rtt_sample,
-                    data_channel=newest.channel,
-                    ack_channel=packet.channel_index,
-                )
+                RttRecord(now, rtt_sample, data_channel, packet.channel_index)
             )
             subflow.cc.on_ack(
                 AckSample(
-                    now=self.sim.now,
-                    rtt=rtt_sample,
-                    newly_acked=newly_acked,
-                    in_flight=subflow.in_flight,
-                    delivery_rate=delivery_rate,
-                    app_limited=self.bytes_unsent == 0,
-                    data_channel=newest.channel,
-                    ack_channel=packet.channel_index,
-                    total_delivered=self._total_delivered,
+                    now, rtt_sample, newly_acked, sb.flight[newest.key],
+                    delivered * 8.0 / rtt_sample if rtt_sample > 0 else None,
+                    self._write_end == self._snd_nxt,  # app-limited: nothing left unsent
+                    data_channel, packet.channel_index, self._total_delivered,
                 )
             )
             if self.obs is not None:
@@ -337,11 +369,12 @@ class MultipathConnection(Endpoint):
         # A hole is lost only relative to later deliveries on its own
         # channel (the scoreboard's loss key); each subflow that lost
         # something takes one congestion response.
-        newly_lost = self._sb.detect_losses(self.sim.now, self._snd_una)
-        for channel in {segment.key for segment in newly_lost}:
-            subflow = self.subflows[channel]
-            subflow.cc.on_loss(self.sim.now, subflow.in_flight)
-        self._fire_acked_messages()
+        newly_lost = sb.detect_losses(now, self._snd_una)
+        if newly_lost:
+            for channel in {segment.key for segment in newly_lost}:
+                self.subflows[channel].cc.on_loss(now, sb.flight[channel])
+        if newly_acked:
+            self._fire_acked_messages()
         self._arm_rto(self._rto())
         self._try_send()
 

@@ -23,7 +23,13 @@ MAX_BACKOFF = 64.0
 
 
 class RttEstimator:
-    """Smoothed RTT / RTT variance / RTO state machine."""
+    """Smoothed RTT / RTT variance / RTO state machine.
+
+    ``rto`` is a plain attribute, rewritten by the three operations that
+    move its inputs (a sample, a timeout, a backoff reset): it is read on
+    every transmit and every ACK, several times as often as it changes.
+    ``min_rto`` / ``max_rto`` are fixed at construction.
+    """
 
     def __init__(self, min_rto: float = DEFAULT_MIN_RTO, max_rto: float = DEFAULT_MAX_RTO) -> None:
         if min_rto <= 0 or max_rto < min_rto:
@@ -37,6 +43,20 @@ class RttEstimator:
         self.samples = 0
         self.consecutive_timeouts = 0
         self._backoff = 1.0
+        self._store_rto()
+
+    def _store_rto(self) -> None:
+        """``min(max_rto, max(min_rto, srtt + K * rttvar) * backoff)``."""
+        if self.srtt is None:
+            base = INITIAL_RTO
+        else:
+            assert self.rttvar is not None
+            base = self.srtt + K * self.rttvar
+        if base < self.min_rto:
+            base = self.min_rto
+        rto = base * self._backoff
+        #: Current retransmission timeout (seconds).
+        self.rto = rto if rto < self.max_rto else self.max_rto
 
     def on_sample(self, rtt: float) -> None:
         """Fold in one RTT measurement (never from a retransmission)."""
@@ -55,11 +75,13 @@ class RttEstimator:
             assert self.rttvar is not None
             self.rttvar = (1 - BETA) * self.rttvar + BETA * abs(self.srtt - rtt)
             self.srtt = (1 - ALPHA) * self.srtt + ALPHA * rtt
+        self._store_rto()
 
     def on_timeout(self) -> None:
         """Exponential backoff after a retransmission timeout fires."""
         self.consecutive_timeouts += 1
         self._backoff = min(self._backoff * 2.0, MAX_BACKOFF)
+        self._store_rto()
 
     def reset_backoff(self) -> None:
         """Forget accumulated backoff without an RTT sample.
@@ -68,24 +90,18 @@ class RttEstimator:
         measure the outage, not the path — once the sender *knows* a channel
         came back (a local administrative signal, not a guess), waiting out
         a minute-scale backed-off timer would dominate time-to-recover.
+        Called on every ACK that makes progress, so it stores only when a
+        timeout is outstanding (``_backoff`` is 1 exactly when none is).
         """
-        self._backoff = 1.0
-        self.consecutive_timeouts = 0
+        if self.consecutive_timeouts:
+            self._backoff = 1.0
+            self.consecutive_timeouts = 0
+            self._store_rto()
 
     @property
     def backoff(self) -> float:
         """Current backoff multiplier (1 when no timeout is outstanding)."""
         return self._backoff
-
-    @property
-    def rto(self) -> float:
-        """Current retransmission timeout (seconds)."""
-        if self.srtt is None:
-            base = INITIAL_RTO
-        else:
-            assert self.rttvar is not None
-            base = self.srtt + K * self.rttvar
-        return min(self.max_rto, max(self.min_rto, base) * self._backoff)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         srtt = f"{self.srtt * 1e3:.1f}ms" if self.srtt is not None else "?"

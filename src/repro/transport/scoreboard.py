@@ -30,8 +30,9 @@ the filled hole when two blocks became one.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import List, Optional, Tuple
 
 #: RFC 6675-style reordering allowance: a hole is "lost" once data this many
@@ -67,6 +68,11 @@ class Segment:
     @property
     def size(self) -> int:
         return self.end_seq - self.seq
+
+
+#: Sort keys of ``Scoreboard.segments`` for the C bisections.
+_SEQ = attrgetter("seq")
+_END_SEQ = attrgetter("end_seq")
 
 
 class Scoreboard:
@@ -118,7 +124,7 @@ class Scoreboard:
         """File a newly carved segment (the next in sequence) under ``key``."""
         segment.key = key
         self.segments.append(segment)
-        self.flight[key] += segment.size
+        self.flight[key] += segment.end_seq - segment.seq
 
     def mark_lost(self, segment: Segment) -> None:
         """Declare a live segment lost: it leaves its key's pipe."""
@@ -131,16 +137,7 @@ class Scoreboard:
         segment.lost = False
         # The segment is unsettled again: the settled-prefix cursor may not
         # stay above its index.
-        segments = self.segments
-        seq = segment.seq
-        i, j = 0, self._scan_lo
-        while i < j:
-            mid = (i + j) // 2
-            if segments[mid].seq < seq:
-                i = mid + 1
-            else:
-                j = mid
-        self._scan_lo = i
+        self._scan_lo = bisect_left(self.segments, segment.seq, 0, self._scan_lo, key=_SEQ)
         segment.retransmitted = True
         segment.sent_at = now
         segment.no_remark_until = now + holdoff
@@ -187,7 +184,7 @@ class Scoreboard:
                 break
             idx += 1
             if not segment.sacked and not segment.lost:
-                flight[segment.key] -= segment.size
+                flight[segment.key] -= segment.end_seq - segment.seq
             if not segment.retransmitted:
                 newest = segment
         if idx:
@@ -263,13 +260,7 @@ class Scoreboard:
             for pos, stop in gaps:
                 # The first segment ending above ``pos``: the ones below it
                 # are inside the block that ends there, or below the range.
-                i, j = 0, n
-                while i < j:
-                    mid = (i + j) // 2
-                    if segments[mid].end_seq <= pos:
-                        i = mid + 1
-                    else:
-                        j = mid
+                i = bisect_right(segments, pos, key=_END_SEQ)
                 if i < n and segments[i].seq < lo:
                     i += 1  # straddles the range's lower edge
                 while i < n:
@@ -282,7 +273,7 @@ class Scoreboard:
                         if segment.lost:
                             segment.lost = False
                         else:
-                            flight[key] -= segment.size
+                            flight[key] -= segment.end_seq - segment.seq
                         if segment.end_seq - slack > threshold[key]:
                             threshold[key] = segment.end_seq - slack
                         if not segment.retransmitted and i > newest_idx:
@@ -315,13 +306,7 @@ class Scoreboard:
             swept = self._loss_swept[key]
             if threshold <= swept:
                 continue
-            i, hi = 0, n
-            while i < hi:
-                mid = (i + hi) // 2
-                if segments[mid].end_seq <= swept:
-                    i = mid + 1
-                else:
-                    hi = mid
+            i = bisect_right(segments, swept, key=_END_SEQ)
             while i < n:
                 segment = segments[i]
                 i += 1

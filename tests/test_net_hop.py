@@ -13,8 +13,9 @@ a count; the bodies it replaced survive only here, as oracles:
   ``min()`` over every held deadline.
 
 Both are driven step for step against the shipped classes over seeded
-inputs and must agree on everything observable. The last test bounds the
-hop's cost by a count (Python-level calls per simulated event), not a time.
+inputs and must agree on everything observable. The last tests bound the
+cost of the hop, and of the transport above it, by a count (Python-level
+calls per simulated event), not a time.
 """
 
 import itertools
@@ -30,7 +31,7 @@ from repro.core.api import HvcNetwork
 from repro.errors import SteeringError
 from repro.net import resequencer as resequencer_module
 from repro.net.channel import END_A, Channel, ChannelSpec, DirectionSpec
-from repro.net.hvc import fixed_embb_spec, urllc_spec
+from repro.net.hvc import fiber_wan_spec, fixed_embb_spec, leo_spec, urllc_spec
 from repro.net.loss import LossModel
 from repro.net.node import DEDUP_WINDOW, ChannelView, Device
 from repro.net.packet import Packet, PacketType
@@ -42,6 +43,7 @@ from repro.traces.model import NetworkTrace
 from repro.units import mbps, ms
 from tests.conftest import make_pair
 from tests.test_steering import FakeView
+from tests.test_transport_multipath import dual_net, make_mp_pair
 
 SEEDS = range(12)
 
@@ -635,29 +637,74 @@ def test_dedup_window_discards_late_copies_then_forgets(sim):
 
 
 # ----------------------------------------------------------------------
-# (e) the cost of a hop, counted
+# (e) the cost of a hop and of the transport above it, counted
 # ----------------------------------------------------------------------
-def test_hop_python_calls_per_event_bound():
-    """Python-level calls made inside ``net/`` and ``steering/`` per
-    simulated event, on 1 s of cubic over dchannel steering. The hop this
-    file's oracles describe made 23.6; the fused one makes about 14."""
+def python_calls_per_event(net, until, *layers):
+    """Python-level calls made inside ``repro/<layer>/`` per simulated
+    event while ``net`` runs to ``until``: exact and repeatable, unlike a
+    time."""
     package = os.path.dirname(repro.__file__)
-    hop_dirs = (os.path.join(package, "net") + os.sep, os.path.join(package, "steering") + os.sep)
-    net = HvcNetwork([fixed_embb_spec(), urllc_spec()], steering="dchannel", seed=0)
-    BulkTransfer(net, cc="cubic")
+    dirs = tuple(os.path.join(package, layer) + os.sep for layer in layers)
     calls = 0
 
     def count(frame, event, arg):
         nonlocal calls
-        if event == "call" and frame.f_code.co_filename.startswith(hop_dirs):
+        if event == "call" and frame.f_code.co_filename.startswith(dirs):
             calls += 1
 
     previous = sys.getprofile()
     sys.setprofile(count)
     try:
-        net.run(until=1.0)
+        net.run(until=until)
     finally:
         sys.setprofile(previous)
     events = net.sim.events_processed
     assert events > 10_000
-    assert calls / events <= 16.0, f"{calls} hop calls for {events} events"
+    return calls / events
+
+
+def test_hop_python_calls_per_event_bound():
+    """``net/`` and ``steering/`` on 1 s of cubic over dchannel steering.
+    The hop this file's oracles describe made 23.6; the fused one makes
+    about 14."""
+    net = HvcNetwork([fixed_embb_spec(), urllc_spec()], steering="dchannel", seed=0)
+    BulkTransfer(net, cc="cubic")
+    assert python_calls_per_event(net, 1.0, "net", "steering") <= 16.0
+
+
+def transport_cubic_over_dchannel():
+    net = HvcNetwork([fixed_embb_spec(), urllc_spec()], steering="dchannel", seed=0)
+    BulkTransfer(net, cc="cubic")
+    return net, 1.0
+
+
+def transport_wan_coexistence():
+    net = HvcNetwork([fiber_wan_spec(), leo_spec()], steering="min-rtt", seed=0)
+    for cc in ("bbr", "bbr2+"):
+        BulkTransfer(net, cc=cc)
+    return net, 0.6
+
+
+def transport_multipath_bulk(scheduler):
+    """The ``ab-mp`` bulk flow: one backlogged multipath connection."""
+    net = dual_net(seed=0)
+    make_mp_pair(net, scheduler)[0].send_message(10**9, message_id=1)
+    return net, 1.5
+
+
+@pytest.mark.parametrize(
+    "scenario, bound",
+    [
+        # Before the transport decided before it carved and stored what it
+        # used to recompute: 13.3, 19.0, 23.9, 21.5.
+        (transport_cubic_over_dchannel, 9.0),
+        (transport_wan_coexistence, 14.0),
+        (lambda: transport_multipath_bulk("hvc"), 14.0),
+        (lambda: transport_multipath_bulk("minrtt"), 14.0),
+    ],
+    ids=["cubic-dchannel", "bbr-vs-bbr2+-wan", "multipath-hvc", "multipath-minrtt"],
+)
+def test_transport_python_calls_per_event_bound(scenario, bound):
+    """``transport/`` (connections, scoreboard, RTO, congestion control)."""
+    net, until = scenario()
+    assert python_calls_per_event(net, until, "transport") <= bound

@@ -4,6 +4,11 @@ These pin the estimator's *invariants* rather than specific trajectories:
 whatever interleaving of samples and timeouts the network produces, the
 RTO stays inside its configured bounds, backoff behaves monotonically and
 resets on fresh evidence, and the filter state stays finite.
+
+``rto`` is stored when its inputs change instead of computed when it is
+read; the property it used to be survives here as ``rto_formula``, and
+``apply_ops`` holds the stored value to it after every operation of every
+test in this file.
 """
 
 import math
@@ -13,21 +18,35 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from repro.transport.rtx import MAX_BACKOFF, RttEstimator
+from repro.transport.rtx import INITIAL_RTO, MAX_BACKOFF, K, RttEstimator
 
 #: Plausible simulated RTTs: 10 µs to 100 s.
 rtts = st.floats(min_value=1e-5, max_value=100.0, allow_nan=False, allow_infinity=False)
 
-#: An operation stream: an RTT sample, or a timeout (None).
-ops = st.lists(st.one_of(rtts, st.none()), max_size=80)
+#: An operation stream: an RTT sample, a timeout (None), or a backoff
+#: reset ("reset": a channel came back up / an ACK made progress).
+ops = st.lists(st.one_of(rtts, st.none(), st.just("reset")), max_size=80)
+
+
+def rto_formula(estimator):
+    """Reference: the ``rto`` property as it was computed on every read."""
+    if estimator.srtt is None:
+        base = INITIAL_RTO
+    else:
+        base = estimator.srtt + K * estimator.rttvar
+    return min(estimator.max_rto, max(estimator.min_rto, base) * estimator.backoff)
 
 
 def apply_ops(estimator, stream):
+    assert estimator.rto == rto_formula(estimator)
     for op in stream:
         if op is None:
             estimator.on_timeout()
+        elif op == "reset":
+            estimator.reset_backoff()
         else:
             estimator.on_sample(op)
+        assert estimator.rto == rto_formula(estimator), op
 
 
 class TestRtoBounds:
@@ -55,7 +74,7 @@ class TestBackoff:
         previous_rto = est.rto
         previous_backoff = est.backoff
         for _ in range(timeouts):
-            est.on_timeout()
+            apply_ops(est, [None])
             assert est.backoff >= previous_backoff
             assert est.rto >= min(previous_rto, est.max_rto)
             assert est.backoff <= MAX_BACKOFF
@@ -66,9 +85,7 @@ class TestBackoff:
     @settings(max_examples=100, deadline=None)
     def test_fresh_sample_resets_backoff(self, stream, rtt):
         est = RttEstimator()
-        apply_ops(est, stream)
-        est.on_timeout()
-        est.on_sample(rtt)
+        apply_ops(est, stream + [None, rtt])
         assert est.backoff == 1.0
         assert est.consecutive_timeouts == 0
 
@@ -78,7 +95,7 @@ class TestBackoff:
         est = RttEstimator()
         apply_ops(est, stream)
         srtt_before = est.srtt
-        est.reset_backoff()
+        apply_ops(est, ["reset"])
         assert est.backoff == 1.0
         assert est.consecutive_timeouts == 0
         assert est.srtt == srtt_before  # no sample was injected

@@ -1,5 +1,7 @@
 """Unit tests for the congestion-control algorithms (synthetic ACK streams)."""
 
+import random
+
 import pytest
 
 from repro.errors import TransportError
@@ -46,6 +48,54 @@ class TestRegistry:
     def test_rejects_bad_mss(self):
         with pytest.raises(ValueError):
             make_cc("reno", mss=0)
+
+
+@pytest.mark.parametrize("name", list_ccs())
+def test_cc_outputs_do_not_move_on_sent(name):
+    """The contract the send paths lean on: they read ``cwnd_bytes`` and
+    ``pacing_rate_bps`` once per burst, so ``on_sent`` — the only hook
+    called inside one — may move neither. ACKs, losses and timeouts may."""
+    windows, rates = set(), set()
+    for seed in range(4):
+        rng = random.Random(seed)
+        cc = make_cc(name, mss=MSS)
+        now, delivered = 0.0, 0
+        for _ in range(300):
+            now += rng.choice([0.0, 0.001, 0.02, 0.3])
+            in_flight = rng.randrange(0, 400) * MSS
+            roll = rng.random()
+            if roll < 0.8:
+                newly = rng.choice([0, MSS, MSS, 5 * MSS])
+                delivered += newly
+                rtt = rng.choice([None, 0.004, 0.05, 0.05, 0.3])
+                cc.on_ack(
+                    ack(
+                        now,
+                        rtt=rtt,
+                        newly=newly,
+                        in_flight=in_flight,
+                        rate=None if rtt is None else rng.choice([None, 2e6, 6e7, 1e9]),
+                        delivered=delivered,
+                        app_limited=rng.random() < 0.2,
+                        data_channel=rng.choice([None, 0, 1]),
+                        ack_channel=rng.choice([None, 0, 1]),
+                    )
+                )
+            elif roll < 0.9:
+                cc.on_lost(now, rng.randint(1, 20) * MSS, in_flight)
+                if rng.random() < 0.5:
+                    cc.on_loss(now, in_flight)
+            else:
+                cc.on_timeout(now)
+            before = (cc.cwnd_bytes, cc.pacing_rate_bps)
+            for _ in range(rng.randint(1, 3)):
+                in_flight += MSS
+                cc.on_sent(now, MSS, rng.choice([in_flight, 10**9]))
+                assert (cc.cwnd_bytes, cc.pacing_rate_bps) == before
+            windows.add(before[0])
+            rates.add(before[1])
+    assert len(windows) > 3  # the streams did move the outputs
+    assert len(rates) > 3 or rates == {None}
 
 
 class TestReno:

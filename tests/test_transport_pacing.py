@@ -6,6 +6,7 @@ from repro.core.api import HvcNetwork
 from repro.net.hvc import fixed_embb_spec
 from repro.net.packet import PacketType
 from repro.units import mbps, ms
+from tests.test_transport_multipath import dual_net, make_mp_pair
 
 
 def departure_times(net, cc, message_bytes=20_000_000, until=5.0):
@@ -66,3 +67,30 @@ class TestPacing:
             return monitor["embb"].peak_backlog_bytes("up")
 
         assert peak_backlog("bbr") < peak_backlog("cubic") / 3
+
+
+class TestMultipathPacer:
+    @pytest.mark.parametrize("cc", ["copa", "bbr"])
+    def test_wakeup_is_never_later_than_a_gated_subflow_asks(self, cc):
+        """One wake-up event serves every subflow's pacer, so it must sit at
+        the earliest deadline: a subflow gating after another one whose
+        ``next_send_time`` is later used to sleep until that later time."""
+        net = dual_net(seed=0)
+        sender, _ = make_mp_pair(net, scheduler="minrtt", cc=cc)
+        gate = sender._pacing_gate
+        moved_earlier = late = 0
+
+        def checked_gate(subflow):
+            nonlocal moved_earlier, late
+            pending = sender._pacing_event
+            gated = gate(subflow)
+            if gated:
+                moved_earlier += pending is not None and sender._pacing_event is not pending
+                late += sender._pacing_event.time > subflow.next_send_time + 1e-12
+            return gated
+
+        sender._pacing_gate = checked_gate
+        sender.send_message(10**9, message_id=1)
+        net.run(until=3.0)
+        assert moved_earlier > 5, "no subflow ever gated behind another's later wake-up"
+        assert late == 0

@@ -20,11 +20,18 @@ marking.
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.transport.scoreboard import SACK_REORDER_BYTES_FACTOR, Scoreboard, Segment
+from repro.transport.scoreboard import (
+    _END_SEQ,
+    _SEQ,
+    SACK_REORDER_BYTES_FACTOR,
+    Scoreboard,
+    Segment,
+)
 
 MSS = 2  # small, so sizes and thresholds collide on exact boundaries
 
@@ -393,6 +400,48 @@ def test_planted_block_defect_is_caught(planted, keys):
 
     with pytest.raises(AssertionError):
         run()
+
+
+def loop_first_seq_at_least(segments, seq, hi):
+    """Reference: the search ``retransmit`` wrote out by hand."""
+    i, j = 0, hi
+    while i < j:
+        mid = (i + j) // 2
+        if segments[mid].seq < seq:
+            i = mid + 1
+        else:
+            j = mid
+    return i
+
+
+def loop_first_ending_above(segments, pos):
+    """Reference: the search ``_apply_sack`` and ``detect_losses`` wrote out."""
+    i, j = 0, len(segments)
+    while i < j:
+        mid = (i + j) // 2
+        if segments[mid].end_seq <= pos:
+            i = mid + 1
+        else:
+            j = mid
+    return i
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_keyed_bisections_find_the_indices_the_loops_found(seed):
+    rng = random.Random(seed)
+    segments, seq = [], rng.randint(0, 5)
+    for _ in range(rng.choice([0, 1, 2, 7, 64, 65])):
+        size = rng.randint(1, 3)
+        segments.append(Segment(seq, seq + size, 0.0, 0))
+        seq += size
+    # Every edge, one byte either side of the window, and the loss sweep's
+    # initial high-water mark.
+    probes = [float("-inf"), -1, seq + 1, *range(seq + 1)]
+    for pos in probes:
+        assert bisect_right(segments, pos, key=_END_SEQ) == loop_first_ending_above(segments, pos)
+        for hi in {0, len(segments) // 2, len(segments)}:  # ``_scan_lo``
+            got = bisect_left(segments, pos, 0, hi, key=_SEQ)
+            assert got == loop_first_seq_at_least(segments, pos, hi)
 
 
 class CountingList(list):
