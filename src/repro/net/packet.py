@@ -172,28 +172,23 @@ class Packet:
         """Duplicate this packet for replication across channels.
 
         The copy shares ``packet_id`` (so the receiving device can
-        de-duplicate) but gets its own delivery bookkeeping.
+        de-duplicate) and everything the transport and the sending shim
+        wrote — SACK ranges, ``shim_seq`` / ``shim_channel_count`` (stamped
+        before the device clones; the receiver's resequencer must see the
+        copy as the same shim packet), ``channel_hint`` — but gets its own
+        delivery bookkeeping (``sent_at``, ``delivered_at``,
+        ``channel_index``).
         """
-        clone = Packet(
-            flow_id=self.flow_id,
-            ptype=self.ptype,
-            payload_bytes=self.payload_bytes,
-            header_bytes=self.header_bytes,
-            seq=self.seq,
-            end_seq=self.end_seq,
-            ack_seq=self.ack_seq,
-            is_retransmission=self.is_retransmission,
-            segment=self.segment,
-            message_id=self.message_id,
-            message_priority=self.message_priority,
-            message_last=self.message_last,
-            message_start=self.message_start,
-            flow_priority=self.flow_priority,
+        return Packet(
+            self.flow_id, self.ptype, self.payload_bytes, self.header_bytes,
+            seq=self.seq, end_seq=self.end_seq, ack_seq=self.ack_seq, sack=self.sack,
+            is_retransmission=self.is_retransmission, segment=self.segment,
+            message_id=self.message_id, message_priority=self.message_priority,
+            message_last=self.message_last, message_start=self.message_start,
+            flow_priority=self.flow_priority, channel_hint=self.channel_hint,
+            shim_seq=self.shim_seq, shim_channel_count=self.shim_channel_count,
+            packet_id=self.packet_id, created_at=self.created_at, copy_index=copy_index,
         )
-        clone.packet_id = self.packet_id
-        clone.created_at = self.created_at
-        clone.copy_index = copy_index
-        return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -64,3 +64,29 @@ class TestPacketConstructionContract:
         assert clone.is_control is False
         with pytest.raises(AttributeError):
             clone.payload_bytes = 1
+
+    def test_copy_for_redundancy_field_by_field(self):
+        """A clone carries every field the transport and the sending shim
+        wrote — ``Device.send`` stamps the shim fields *before* it clones,
+        and the receiving resequencer must see a copy as the same shim
+        packet — and nothing of the original's delivery bookkeeping. Walks
+        ``__slots__``, so a field added later has to pick a side."""
+        own = {"sent_at", "delivered_at", "channel_index", "copy_index"}
+        original = Packet(
+            7, PacketType.ACK, 11, 22, seq=3, end_seq=14, ack_seq=5, sack=((20, 30), (40, 50)),
+            is_retransmission=True, segment=object(), message_id=8, message_priority=2,
+            message_last=True, message_start=3, flow_priority=1, channel_hint=1,
+            shim_seq=99, shim_channel_count=2, created_at=0.25, sent_at=0.5,
+            delivered_at=0.75, channel_index=1, copy_index=1,
+        )
+        defaults = Packet(0, PacketType.SYN)
+        clone = original.copy_for_redundancy(2)
+        for slot in Packet.__slots__:
+            # The original differs from a default packet in every field, so
+            # "copied" cannot pass by both sides holding the default.
+            assert getattr(original, slot) != getattr(defaults, slot), slot
+            if slot in own:
+                expected = 2 if slot == "copy_index" else getattr(defaults, slot)
+            else:
+                expected = getattr(original, slot)
+            assert getattr(clone, slot) == expected, slot

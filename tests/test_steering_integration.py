@@ -67,6 +67,19 @@ class TestRedundantEndToEnd:
         assert len(done_redundant) > len(done_single)
         assert len(done_redundant) > 195
 
+    def test_reliable_flow_rides_replication(self):
+        """Copies carry the shim sequence stamp and the SACK ranges of
+        their original. Unstamped, a copy whose original was lost bypassed
+        the receiving resequencer while the shim waited out the 80 ms hold
+        for it, and a cloned ACK that won the race delivered no SACK
+        ranges: this cell ran at 7.3 Mbps with 60 hold-timeout flushes."""
+        net = HvcNetwork(wifi_mlo_specs(), steering="redundant", seed=0)
+        bulk = BulkTransfer(net, cc="cubic")
+        net.run(until=5.0)
+        flushes = sum(dev.resequencer.timeout_flushes for dev in (net.client, net.server))
+        assert bulk.bytes_acked * 8 / 5.0 >= mbps(40)  # 61.8 measured
+        assert flushes <= 10  # 3 measured
+
 
 class TestPriorityUnderCompetition:
     def test_video_layer0_unharmed_by_bulk(self):
