@@ -1,18 +1,15 @@
 """Microbenchmark: the event-queue hot path, wheel vs the heap it replaced.
 
-:class:`repro.sim.events.HeapEventQueue` is the pre-PR queue (single
+:class:`repro.sim.events.HeapEventQueue` is the pre-wheel queue (single
 binary heap of Events) kept verbatim for exactly this comparison;
-:class:`repro.sim.events.EventQueue` is the timer-wheel hierarchy with
-pooling. Both are driven through the same interleaved schedule/cancel/pop
-churn — a sliding window of near-horizon timers, the kernel's steady
-state — in the same process, so machine speed cancels out of the ratio.
+:class:`repro.sim.events.EventQueue` is the timer-wheel hierarchy. Both
+are driven through the same interleaved schedule/cancel/pop churn — a
+sliding window of near-horizon timers, the kernel's steady state — in
+the same process, so machine speed cancels out of the ratio.
 
-A second rung drains one pre-filled queue through the two dispatch loops
-— ``Simulator.run`` (walks each sorted bucket in place) against
-``Simulator.run_per_event`` (one fused ``pop_next`` per event, the
-reference) — and a full simulation rate (one CUBIC bulk flow) anchors
-the numbers to reality. Every number is printed (``pytest -s``); the two
-ratios are asserted.
+``Simulator.run`` draining one pre-filled queue and a full simulation
+rate (one CUBIC bulk flow) anchor the ratio to reality. Every number is
+printed (``pytest -s``); the ratio is asserted.
 """
 
 import time
@@ -32,17 +29,11 @@ def _noop() -> None:
 
 
 def _churn_events_per_second(queue_cls) -> float:
-    """Steady-state kernel churn: pop one, schedule one, sprinkle cancels.
-
-    Transient scheduling + pool recycling mirror what ``Simulator.run``
-    does for per-packet events; ``HeapEventQueue`` has no pool, which is
-    precisely the pre-PR behaviour being measured against.
-    """
+    """Steady-state kernel churn: pop one, schedule one, sprinkle cancels."""
     queue = queue_cls()
-    pool = getattr(queue, "pool", None)
     now = 0.0
     for i in range(WINDOW):
-        queue.push(now + DELAYS[i % 7] * (1 + i % 3), _noop, (), True)
+        queue.push(now + DELAYS[i % 7] * (1 + i % 3), _noop)
     count = 0
     start = time.perf_counter()
     while count < CHURN_EVENTS:
@@ -51,9 +42,7 @@ def _churn_events_per_second(queue_cls) -> float:
         count += 1
         if count % CANCEL_EVERY == 0:
             queue.push(now + 0.25, _noop).cancel()
-        queue.push(now + DELAYS[count % 7], _noop, (), True)
-        if pool is not None and event.transient:
-            pool.release(event)
+        queue.push(now + DELAYS[count % 7], _noop)
     elapsed = time.perf_counter() - start
     return count / elapsed
 
@@ -65,27 +54,19 @@ def _best_churn(queue_cls, rounds: int = 3) -> float:
 DRAIN_EVENTS = 100_000
 
 
-def _filled_simulator() -> Simulator:
+def _drain_events_per_second() -> float:
+    """``Simulator.run`` over a pre-filled, bucket-dense queue."""
     sim = Simulator()
     for index in range(DRAIN_EVENTS):
         event = sim.schedule_at((index % 977) * 1e-3, _noop)
         if index % CANCEL_EVERY == 0:
             event.cancel()
-    return sim
-
-
-def _drain_events_per_second(loop) -> float:
-    sim = _filled_simulator()
     start = time.perf_counter()
-    loop(sim)
+    sim.run()
     elapsed = time.perf_counter() - start
     expected = DRAIN_EVENTS - (DRAIN_EVENTS + CANCEL_EVERY - 1) // CANCEL_EVERY
     assert sim.events_processed == expected, (sim.events_processed, expected)
     return expected / elapsed
-
-
-def _best_drain(loop, rounds: int = 3) -> float:
-    return max(_drain_events_per_second(loop) for _ in range(rounds))
 
 
 def test_bench_kernel_wheel_vs_heap(benchmark):
@@ -98,9 +79,8 @@ def test_bench_kernel_wheel_vs_heap(benchmark):
     )
     speedup = wheel_eps / heap_eps
 
-    # The two dispatch loops over the same bucket-dense queue.
-    per_event_eps = _best_drain(Simulator.run_per_event)
-    run_eps = _best_drain(Simulator.run)
+    # The dispatch loop over a bucket-dense queue, empty callbacks.
+    run_eps = max(_drain_events_per_second() for _ in range(3))
 
     # A realistic rate too: one CUBIC bulk flow through the full kernel.
     start = time.perf_counter()
@@ -108,16 +88,11 @@ def test_bench_kernel_wheel_vs_heap(benchmark):
     sim_eps = bulk.net.sim.events_processed / (time.perf_counter() - start)
 
     print()
-    print(f"  wheel + pool   : {wheel_eps:12.0f} events/s")
-    print(f"  heap (pre-PR)  : {heap_eps:12.0f} events/s  "
+    print(f"  wheel          : {wheel_eps:12.0f} events/s")
+    print(f"  heap (pre-wheel): {heap_eps:12.0f} events/s  "
           f"(wheel is {speedup:.2f}x)")
-    print(f"  run (batch)    : {run_eps:12.0f} events/s (full drain)")
-    print(f"  run_per_event  : {per_event_eps:12.0f} events/s  "
-          f"(run is {run_eps / per_event_eps:.2f}x)")
+    print(f"  run            : {run_eps:12.0f} events/s (full drain)")
     print(f"  full simulator : {sim_eps:12.0f} events/s (cubic bulk flow)")
-    # The batch loop must beat per-event pops on bucket-dense
-    # workloads; 1.2 leaves room for loaded CI boxes.
-    assert run_eps > 1.2 * per_event_eps, (run_eps, per_event_eps)
     # The wheel must clearly beat the heap it replaced; 1.5 leaves
     # head-room for scheduler noise on loaded CI boxes (typical measured
     # ratio is >2x on an idle machine).

@@ -1,12 +1,11 @@
-"""Microbenchmark: timer-wheel internals — insert cost, compaction, pool.
+"""Microbenchmark: timer-wheel internals — insert cost, compaction.
 
 Complements ``test_bench_kernel.py`` (which measures end-to-end queue
-churn): this one isolates the wheel's three claims, prints their numbers
-(``pytest -s``) and asserts the last two:
+churn): this one isolates the wheel's two claims, prints their numbers
+(``pytest -s``) and asserts the second:
 
 * near-horizon inserts are O(1) bucket appends (vs heap sift),
-* cancel-heavy churn keeps the pending set bounded via compaction,
-* transient events are served from the pool, not the allocator.
+* cancel-heavy churn keeps the pending set bounded via compaction.
 """
 
 import time
@@ -58,47 +57,18 @@ def _cancel_churn():
     }
 
 
-def _pool_hit_rate():
-    """Transient self-rescheduling churn: the pool should serve ~100%."""
-    sim = Simulator()
-    state = {"fires": 0}
-
-    def fire():
-        state["fires"] += 1
-        if state["fires"] < 50_000:
-            sim.schedule_transient(0.0003, fire)
-
-    sim.schedule_transient(0.0003, fire)
-    start = time.perf_counter()
-    sim.run()
-    elapsed = time.perf_counter() - start
-    pool = sim._queue.pool
-    total = pool.created + pool.reused
-    return {
-        "events_per_second": round(sim.events_processed / elapsed, 1),
-        "pool_created": pool.created,
-        "pool_reused": pool.reused,
-        "pool_hit_rate": round(pool.reused / total, 4) if total else 0.0,
-    }
-
-
 def test_bench_wheel(benchmark):
     insert_eps = benchmark.pedantic(
         lambda: max(_insert_rate() for _ in range(3)), rounds=1, iterations=1
     )
     cancel = _cancel_churn()
-    pool = _pool_hit_rate()
 
     print()
     print(f"  near-horizon insert : {insert_eps:12.0f} pushes/s")
     print(f"  cancel churn        : {cancel['events_per_second']:12.0f} events/s  "
           f"retained={cancel['retained_entries']} "
           f"compactions={cancel['compactions']}")
-    print(f"  transient churn     : {pool['events_per_second']:12.0f} events/s  "
-          f"pool_hit={pool['pool_hit_rate']:.1%}")
     # Compaction must bound the pending set: without it this workload
     # retains ~2500 cancelled RTO corpses (0.25s deadline / 0.1ms churn).
     assert cancel["retained_entries"] < 1000, cancel
     assert cancel["compactions"] > 0, cancel
-    # Steady-state transient churn runs on recycled events.
-    assert pool["pool_hit_rate"] > 0.99, pool

@@ -1,11 +1,10 @@
 """Runtime invariant checking for a live :class:`~repro.core.api.HvcNetwork`.
 
 The :class:`InvariantMonitor` taps the same instrumentation seams the
-observability layer uses — the kernel's batch invariant hook (one call
-per sorted dispatch run, batches of one on the per-event fallback loop),
-the per-link and per-device ``obs`` adapter slots, the resequencer's
-release callback — and
-continuously asserts the stack's conservation laws while a simulation runs:
+observability layer uses — the kernel's invariant hook (one call per
+event, before its callback), the per-link and per-device ``obs`` adapter
+slots, the resequencer's release callback — and continuously asserts the
+stack's conservation laws while a simulation runs:
 
 ========================== ==========================================
 law                         guards
@@ -410,13 +409,10 @@ class InvariantMonitor:
             ]
             if device.resequencer is not None:
                 self._wrap_resequencer(device)
-        # Batched hook: one call per dispatched bucket keeps the monitor
-        # off the kernel's per-event fast path. A sorted batch makes one
-        # first-event monotonicity check equivalent to checking every
-        # event (see Simulator.attach_batch_invariant_hook); both run()
-        # and run_per_event() honor the batch hook, the latter with
-        # batches of one, so events_seen stays exact either way.
-        net.sim.attach_batch_invariant_hook(self._on_kernel_batch)
+        # One call per event, before its callback: events_seen equals
+        # sim.events_processed and a backwards clock is reported before
+        # the offending callback can act on it.
+        net.sim.attach_invariant_hook(self._on_kernel_event)
         net.sim.schedule(self.period, self._audit_event)
         return self
 
@@ -478,19 +474,6 @@ class InvariantMonitor:
                 "kernel",
                 f"event at t={event_time:.9f} dispatched with clock at t={now:.9f}",
                 now=now, event_time=event_time,
-            )
-
-    def _on_kernel_batch(self, now: float, first_time: float, count: int) -> None:
-        """Per-batch clock law: the batch is a sorted run, so its first
-        event at or after ``now`` certifies every event in it."""
-        self.events_seen += count
-        if first_time < now:
-            self._violate(
-                "clock-monotonic",
-                "kernel",
-                f"batch of {count} starting at t={first_time:.9f} dispatched "
-                f"with clock at t={now:.9f}",
-                now=now, event_time=first_time, batch=count,
             )
 
     def _observe(self, kind: str, entity: str, packet, now: float) -> None:

@@ -249,13 +249,11 @@ class Link:
             rate = self.current_rate()
         if rate <= 0:
             # Trace outage: re-check shortly; the packet stays in service.
-            self.sim.schedule_transient(OUTAGE_POLL_INTERVAL, self._begin_serialization, packet)
+            self.sim.schedule(OUTAGE_POLL_INTERVAL, self._begin_serialization, packet)
             return
         tx_time = packet.size_bytes * 8 / rate
         self.stats.busy_time += tx_time
-        # Serialization/delivery events are fire-and-forget: nobody holds
-        # or cancels them, so they ride the event pool (transient).
-        self.sim.schedule_transient(tx_time, self._finish_serialization, packet)
+        self.sim.schedule(tx_time, self._finish_serialization, packet)
 
     def _finish_serialization(self, packet: Packet) -> None:
         self._transmit(packet)
@@ -281,7 +279,7 @@ class Link:
             if arrival <= self._last_delivery_time:
                 arrival = self._last_delivery_time + 1e-9
             self._last_delivery_time = arrival
-            self.sim.schedule_at_transient(arrival, self._deliver, packet)
+            self.sim.schedule_at(arrival, self._deliver, packet)
 
     def _deliver(self, packet: Packet) -> None:
         self.stats.delivered += 1

@@ -8,8 +8,9 @@ insertion counter, which gives FIFO ordering among events scheduled for
 the same instant — a requirement for deterministic replay. Both levels
 store ``(time, seq, event)`` tuples so every comparison happens at C
 speed; dispatch order is bit-for-bit identical to the classic
-single-heap queue (kept below as :class:`HeapEventQueue` for
-cross-checking and benchmarks).
+single-heap queue, kept below as :class:`HeapEventQueue`: the reference
+the equivalence tests hold the wheel to and the kernel benchmark
+measures it against (nothing in ``src/repro`` uses it).
 
 Cancellation is lazy — a cancelled event stays filed until its time
 arrives — but bounded: when dead entries outnumber live ones the queue
@@ -34,13 +35,9 @@ class Event:
     rather than directly. Holding a reference allows cancellation via
     :meth:`cancel`; a cancelled event stays filed but is skipped when
     popped (lazy deletion, bounded by compaction).
-
-    ``transient`` events come from ``schedule_transient``: the caller has
-    promised to drop the reference and never cancel, so the kernel
-    recycles the object through the event pool right after dispatch.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "transient", "_queue")
+    __slots__ = ("time", "seq", "callback", "args", "cancelled", "_queue")
 
     def __init__(
         self,
@@ -48,14 +45,12 @@ class Event:
         seq: int,
         callback: Callable[..., Any],
         args: tuple = (),
-        transient: bool = False,
     ) -> None:
         self.time = time
         self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
-        self.transient = transient
         self._queue: Optional["EventQueue"] = None
 
     def cancel(self) -> None:
@@ -63,16 +58,9 @@ class Event:
 
         Live-count accounting lives in the queue, so cancelling directly or
         via :meth:`repro.sim.kernel.Simulator.cancel` agree on ``len(queue)``.
-
-        Cancelling proves the caller retained a handle, so a transient
-        event is demoted to a regular one here: it must never be recycled
-        through the event pool, or the retained handle would alias whatever
-        event the pool hands out next (stale callback firing, or a future
-        cancel() silently killing an unrelated event).
         """
         if not self.cancelled:
             self.cancelled = True
-            self.transient = False
             queue = self._queue
             if queue is not None:
                 queue._on_event_cancelled()
@@ -85,8 +73,6 @@ class Event:
         name = getattr(self.callback, "__name__", repr(self.callback))
         return f"<Event t={self.time:.6f} #{self.seq} {name}{state}>"
 
-
-from repro.sim.pool import EventPool  # noqa: E402  (needs Event defined above)
 
 #: Compaction trigger floor: never compact while fewer dead entries than
 #: this are filed, whatever the dead:live ratio (tiny queues churn).
@@ -102,10 +88,7 @@ class EventQueue:
         "_next_seq",
         "_live",
         "_dead",
-        "_pool",
         "_inv_g",
-        "_in_batch",
-        "_compact_pending",
         "compact_min_dead",
         "compactions",
     )
@@ -114,7 +97,6 @@ class EventQueue:
         self,
         granularity: float = DEFAULT_GRANULARITY,
         horizon: float = DEFAULT_HORIZON,
-        pool: Optional[EventPool] = None,
     ) -> None:
         self._wheel = TimerWheel(granularity, horizon)
         self._overflow: List[Tuple[float, int, Event]] = []
@@ -122,17 +104,7 @@ class EventQueue:
         self._live = 0
         #: Cancelled entries still physically filed somewhere.
         self._dead = 0
-        self._pool = pool if pool is not None else EventPool()
         self._inv_g = self._wheel.inv_granularity
-        #: Batch-dispatch guard: while the kernel walks a drain bucket it
-        #: holds local aliases into the wheel's ``_drain`` list, so a
-        #: compaction (which rebinds that list and resets the cursor)
-        #: must not run underneath it. ``Event.cancel`` inside a batch
-        #: sets ``_compact_pending`` instead; the kernel compacts at the
-        #: next batch boundary. A bucket spans at most one granularity
-        #: tick of events, so the deferral stays bounded.
-        self._in_batch = False
-        self._compact_pending = False
         self.compact_min_dead = COMPACT_MIN_DEAD
         self.compactions = 0
 
@@ -144,34 +116,24 @@ class EventQueue:
         time: float,
         callback: Callable[..., Any],
         args: tuple = (),
-        transient: bool = False,
     ) -> Event:
         """Insert a new event and return it (for possible cancellation).
 
-        Event recycling and wheel filing are done here by reaching into
-        :class:`TimerWheel` and :class:`EventPool` slots directly: this
-        runs once per scheduled event and method-call overhead would
-        measurably dominate the real work.
+        Wheel filing is done here by reaching into :class:`TimerWheel`
+        slots directly: this runs once per scheduled event and
+        method-call overhead would measurably dominate the real work.
         """
         seq = self._next_seq
         self._next_seq = seq + 1
-        pool = self._pool
-        free = pool._free
-        if free:
-            event = free.pop()
-            pool.reused += 1
-        else:
-            # ``__new__`` + direct slot stores: ~25% cheaper than calling
-            # ``Event.__init__`` and this is the single hottest allocation
-            # site in the simulator.
-            event = Event.__new__(Event)
-            pool.created += 1
+        # ``__new__`` + direct slot stores: ~25% cheaper than calling
+        # ``Event.__init__`` and this is the single hottest allocation
+        # site in the simulator.
+        event = Event.__new__(Event)
         event.time = time
         event.seq = seq
         event.callback = callback
         event.args = args
         event.cancelled = False
-        event.transient = transient
         event._queue = self
         entry = (time, seq, event)
         tick = int(time * self._inv_g)
@@ -261,8 +223,8 @@ class EventQueue:
         """Time of the earliest non-cancelled event, or ``None`` if empty.
 
         Cancelled heads encountered on the way are discarded *and*
-        reclaimed (``_queue`` cleared, dead count adjusted, transient
-        objects pooled) — symmetric with :meth:`pop_next`.
+        reclaimed (``_queue`` cleared, dead count adjusted) — symmetric
+        with :meth:`pop_next`.
         """
         wheel, overflow = self._heads()
         if wheel is None:
@@ -295,27 +257,16 @@ class EventQueue:
         """A cancelled entry left the structures: finish its bookkeeping."""
         self._dead -= 1
         event._queue = None
-        if event.transient:
-            self._pool.release(event)
 
     # ------------------------------------------------------------------
     # Cancellation + compaction
     # ------------------------------------------------------------------
     def _on_event_cancelled(self) -> None:
-        """Hook invoked by :meth:`Event.cancel` (exactly once per event).
-
-        Inside a kernel batch the compaction is deferred (flag only):
-        the batch loop aliases the wheel's drain list and compaction
-        rebinds it. The kernel settles the flag at every batch boundary,
-        so the deferral is bounded by one bucket's worth of cancels.
-        """
+        """Hook invoked by :meth:`Event.cancel` (exactly once per event)."""
         self._live -= 1
         self._dead += 1
         if self._dead >= self.compact_min_dead and self._dead > self._live:
-            if self._in_batch:
-                self._compact_pending = True
-            else:
-                self._compact()
+            self._compact()
 
     def _compact(self) -> None:
         """Rebuild every level in O(live), dropping cancelled entries."""
@@ -330,21 +281,14 @@ class EventQueue:
                     live.append(entry)
             heapify(live)
             self._overflow = live
-        pool = self._pool
         for event in removed:
             event._queue = None
-            if event.transient:
-                pool.release(event)
         self._dead -= len(removed)
         self.compactions += 1
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def pool(self) -> EventPool:
-        return self._pool
-
     @property
     def dead_events(self) -> int:
         """Cancelled entries still filed (bounded by compaction)."""
@@ -381,9 +325,8 @@ class HeapEventQueue:
         time: float,
         callback: Callable[..., Any],
         args: tuple = (),
-        transient: bool = False,
     ) -> Event:
-        event = Event(time, self._next_seq, callback, args, transient)
+        event = Event(time, self._next_seq, callback, args)
         event._queue = self
         self._next_seq += 1
         heappush(self._heap, event)

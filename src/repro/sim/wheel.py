@@ -14,19 +14,13 @@ within a bucket the tuple sort provides the total order — so the hybrid
 queue in :mod:`repro.sim.events` is bit-for-bit interchangeable with the
 classic binary heap it replaces.
 
-Batch draining: the sorted drain bucket *is* the batch. The kernel's
-fast loop (:meth:`repro.sim.kernel.Simulator.run`) walks ``_drain`` from
-``_drain_pos`` directly — one Python-level loop per bucket instead of
-one ``pop_next`` call per event — writing the cursor back when it
-leaves the bucket.
-
 Filing lives in the owner: :meth:`repro.sim.events.EventQueue.push`
 writes the wheel's slots directly (once per scheduled event, where a
 method call would dominate the work). It merges same-bucket arrivals
-into the un-drained suffix, so mid-batch schedules for the current
-instant keep exact FIFO order, and keeps entries further out than
-``horizon`` seconds from the wheel's current position in the overflow
-heap (the second level of the hierarchy).
+into the un-drained suffix, so schedules for the current instant made
+while its bucket drains keep exact FIFO order, and keeps entries further
+out than ``horizon`` seconds from the wheel's current position in the
+overflow heap (the second level of the hierarchy).
 """
 
 from __future__ import annotations

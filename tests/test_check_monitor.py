@@ -51,7 +51,7 @@ class TestCleanRuns:
         assert monitor.violation is None
         assert monitor.checks_run > 100
         assert monitor.audits_run >= 10
-        assert monitor.events_seen > 0
+        assert monitor.events_seen == net.sim.events_processed > 0
 
     def test_healthy_run_with_faults_has_zero_violations(self):
         net = make_net(steering="round-robin")
@@ -95,6 +95,23 @@ class TestEventLevelLaws:
         with pytest.raises(InvariantError) as excinfo:
             monitor._on_kernel_event(1.0, 0.5)
         assert violation(excinfo)["law"] == "clock-monotonic"
+
+    def test_backwards_clock_reported_before_the_callback_runs(self):
+        """The kernel hook fires per event, ahead of its callback."""
+        net = make_net()
+        InvariantMonitor(net).arm()
+        sim = net.sim
+        ran = []
+
+        def plant():
+            # Behind schedule_at's back: an event earlier than the clock.
+            sim._queue.push(0.0002, ran.append, ("offender",))
+
+        sim.schedule_at(0.0015, plant)
+        with pytest.raises(InvariantError) as excinfo:
+            net.run(until=0.01)
+        assert violation(excinfo)["law"] == "clock-monotonic"
+        assert ran == []
 
     def test_link_fifo_violation(self):
         net = make_net()

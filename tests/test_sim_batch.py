@@ -1,9 +1,9 @@
-"""Batch-dispatch surfaces: pool recycling, entry count, start-up imports.
+"""Kernel surfaces beside dispatch order: entry count, start-up imports.
 
-Complements ``test_sim_wheel.py`` (which proves the batch loop's
-dispatch *order* equals the per-event and heap references): these tests
-pin pool recycling through the fast loop, the O(1) entry counter, and
-the packet stack's numpy-free start-up.
+Complements ``test_sim_wheel.py`` (which proves the wheel's dispatch
+*order* equals the heap reference's): these tests pin the O(1) entry
+counter and the packet stack's numpy-free start-up. (The file keeps its
+name so these ids stay put; the batch loop is gone.)
 """
 
 import os
@@ -19,27 +19,6 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def _noop():
     return None
-
-
-# ----------------------------------------------------------------------
-# Pool behaviour through the batch loop
-# ----------------------------------------------------------------------
-class TestPoolThroughBatchLoop:
-    def test_transient_chain_hits_pool(self):
-        sim = Simulator()
-        state = {"fires": 0}
-
-        def fire():
-            state["fires"] += 1
-            if state["fires"] < 5000:
-                sim.schedule_transient(0.0003, fire)
-
-        sim.schedule_transient(0.0003, fire)
-        sim.run()
-        pool = sim._queue.pool
-        total = pool.created + pool.reused
-        assert pool.reused / total > 0.99
-        assert pool.released == 5000
 
 
 # ----------------------------------------------------------------------

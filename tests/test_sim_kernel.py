@@ -230,6 +230,22 @@ class TestSimulator:
         sim.run(until=20.0)
         assert sim.now == 20.0
 
+    def test_reentrant_run_rejected(self):
+        sim = Simulator()
+        sim.schedule(1.0, sim.run)
+        with pytest.raises(SimulationError):
+            sim.run()
+        sim.run()  # the guard is released on the way out
+
+    def test_pending_events_is_exact_mid_run(self):
+        """A callback sees the live count, its own event already gone."""
+        sim = Simulator()
+        seen = []
+        for i in range(1, 6):  # one wheel bucket
+            sim.schedule(i * 1e-4, lambda: seen.append(sim.pending_events))
+        sim.run()
+        assert seen == [4, 3, 2, 1, 0]
+
     def test_args_are_passed(self):
         sim = Simulator()
         seen = []

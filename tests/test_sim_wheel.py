@@ -117,7 +117,7 @@ class TestWheelMatchesHeap:
 # Per-fire actions for the simulator-level equivalence suite: each
 # dispatched event consumes the next action and mutates the pending set
 # mid-run — schedules into the currently draining bucket, same-tick
-# cancels, reschedules — exactly the reentrancy the batch loop must get
+# cancels, reschedules — exactly the reentrancy the wheel must get
 # right. Delays mix three scales: sub-granularity (same-bucket merges),
 # near-horizon, and beyond-horizon (overflow interleavings).
 _actions = st.lists(
@@ -192,31 +192,33 @@ def _heap_sim():
 
 
 class TestSimulatorLoopEquivalence:
-    """run() (batch), run_per_event(), and a heap-backed sim must agree."""
+    """A wheel-backed and a heap-backed simulator must dispatch identically.
+
+    ``Simulator.run`` is one loop over ``pop_next``; only the queue
+    differs between the two sides. (Two of the ids date from when a
+    batch loop and a per-event loop were a third and fourth side.)
+    """
 
     @settings(max_examples=120, deadline=None)
     @given(_actions)
     def test_three_way_identical_dispatch(self, actions):
-        batch = _dispatch_record(actions, Simulator, lambda s: s.run())
-        per_event = _dispatch_record(
-            actions, Simulator, lambda s: s.run_per_event()
-        )
+        wheel = _dispatch_record(actions, Simulator, lambda s: s.run())
         heap = _dispatch_record(actions, _heap_sim, lambda s: s.run())
-        assert batch == per_event == heap
+        assert wheel == heap
 
     @settings(max_examples=40, deadline=None)
     @given(_actions)
     def test_batch_equivalence_tiny_horizon(self, actions):
-        """Constant wheel/overflow hand-offs mid-batch."""
+        """Constant wheel/overflow hand-offs while a bucket drains."""
 
         def tiny():
             sim = Simulator()
             sim._queue = EventQueue(granularity=1e-3, horizon=10e-3)
             return sim
 
-        batch = _dispatch_record(actions, tiny, lambda s: s.run())
+        wheel = _dispatch_record(actions, tiny, lambda s: s.run())
         heap = _dispatch_record(actions, _heap_sim, lambda s: s.run())
-        assert batch == heap
+        assert wheel == heap
 
     @settings(max_examples=40, deadline=None)
     @given(_actions, st.floats(min_value=0.0005, max_value=3.0))

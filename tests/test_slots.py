@@ -11,7 +11,6 @@ import pytest
 
 from repro.net.packet import Packet, PacketType
 from repro.sim.events import Event, EventQueue
-from repro.sim.pool import EventPool
 from repro.sim.wheel import TimerWheel
 from repro.transport.cc.base import AckSample
 from repro.net.monitor import ChannelSample
@@ -23,7 +22,6 @@ from repro.transport.datagram import DatagramMessage
 ALWAYS_SLOTTED = [
     (Event, lambda: Event(0.0, 0, lambda: None)),
     (EventQueue, EventQueue),
-    (EventPool, EventPool),
     (TimerWheel, TimerWheel),
     # Hand-written since the byte fields became read-only properties
     # (PR 7): a slotted dataclass cannot shadow same-name fields.
