@@ -11,18 +11,19 @@ import pytest
 from repro.apps.web.browser import load_page
 from repro.apps.web.corpus import generate_corpus
 from repro.apps.web.h1 import load_page_h1
-from repro.experiments.table1 import web_network
+from repro.experiments.table1 import corpus_plts, web_network
 from repro.units import to_ms
 
 PAGES = 8
 
 
 def _mean_plt(policy, loader_fn, pages):
-    plts = []
-    for index, page in enumerate(pages):
-        net = web_network("5g-lowband-driving", policy, seed=index)
-        result = loader_fn(net, page, cc="cubic", timeout=45.0)
-        plts.append(result.plt if result.complete else 45.0)
+    plts, _events = corpus_plts(
+        pages,
+        lambda index: web_network("5g-lowband-driving", policy, seed=index),
+        background=False,
+        loader_fn=loader_fn,
+    )
     return to_ms(sum(plts) / len(plts))
 
 

@@ -10,8 +10,8 @@ headroom).
 Run:  python examples/multipath_transport.py
 """
 
-from repro.experiments.ablations import _multipath_mixed_workload
-from repro.units import to_mbps, to_ms
+from repro.experiments.ablations import mp_unit
+from repro.units import to_ms
 from repro.core.metrics import Cdf
 
 DURATION = 30.0
@@ -21,9 +21,9 @@ def main() -> None:
     print(f"{DURATION:.0f} s of bulk + 2 kB RPCs over eMBB (60 Mbps/50 ms) "
           "+ URLLC (2 Mbps/5 ms), one multipath connection each\n")
     for scheduler in ("minrtt", "hvc"):
-        goodput, latencies = _multipath_mixed_workload(scheduler, duration=DURATION)
-        cdf = Cdf(latencies)
-        print(f"{scheduler:8s} bulk {to_mbps(goodput):5.1f} Mbps | "
+        cell = mp_unit(scheduler, duration=DURATION)
+        cdf = Cdf(cell["latencies"])
+        print(f"{scheduler:8s} bulk {cell['goodput_mbps']:5.1f} Mbps | "
               f"rpc p50 {to_ms(cdf.median):6.1f} ms | "
               f"rpc p95 {to_ms(cdf.percentile(95)):6.1f} ms")
     print("\nper-channel subflows keep every congestion controller's RTT "

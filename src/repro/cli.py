@@ -24,13 +24,22 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.experiments import EXPERIMENTS
 from repro.runner import ParallelRunner, ResultCache, default_cache_dir, resolve_fn
 
-#: Experiments that export repro.obs traces when given ``--trace-dir``.
-TRACEABLE = ("fig1a", "fig1b", "fig2", "table1")
+#: Scale flag (argparse dest) -> the ``run_*`` parameter it sets. An
+#: experiment takes a flag when its signature declares one of the names;
+#: everything else about an experiment — its ``--quick`` scale included, the
+#: ``quick`` dict on its run function — lives with the experiment.
+FLAG_PARAMS: Dict[str, Tuple[str, ...]] = {
+    "duration": ("duration",),
+    "pages": ("page_count",),
+    "tenants": ("tenants", "fleet_tenants"),
+    "shards": ("shards",),
+    "trace_dir": ("trace_dir",),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,13 +58,13 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help=(
-            "override the simulated duration in seconds; an error for an "
-            "experiment that runs to completion instead, e.g. table1 (the "
-            "error names those that take one)"
+            "simulated duration in seconds; like --pages, --tenants, --shards "
+            "and --trace-dir an error for an experiment with no such parameter "
+            "(the error names those that take it; 'all' applies it where taken)"
         ),
     )
     parser.add_argument(
-        "--pages", type=int, default=None, help="corpus size for table1"
+        "--pages", type=int, default=None, help="corpus size for the page-load experiments"
     )
     parser.add_argument(
         "--quick",
@@ -87,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tenants",
         type=int,
         default=None,
-        help="background tenant count for the fleet experiment",
+        help="background tenant count, for experiments with fleet cells",
     )
     parser.add_argument(
         "--shards",
@@ -105,88 +114,37 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help=(
-            "export repro.obs packet-lifecycle traces (JSONL) into DIR "
-            f"({'/'.join(TRACEABLE)}); inspect with `python -m repro obs "
-            "summarize`"
+            "export repro.obs packet-lifecycle traces (JSONL) into DIR, for "
+            "experiments that trace; traced units always execute (the cache "
+            "holds no files); inspect with `python -m repro obs summarize`"
         ),
     )
     return parser
 
 
-def _runner_for(args: argparse.Namespace) -> ParallelRunner:
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir or default_cache_dir())
-    return ParallelRunner(jobs=args.jobs, cache=cache)
+def _flag_params(run: Callable) -> Dict[str, str]:
+    """Scale flag -> the parameter of ``run`` it sets, for each flag ``run``
+    takes (the one signature read per experiment)."""
+    parameters = inspect.signature(run).parameters
+    return {
+        flag: param
+        for flag, candidates in FLAG_PARAMS.items()
+        for param in candidates
+        if param in parameters
+    }
 
 
-def _takes_duration(name: str) -> bool:
-    run = resolve_fn(EXPERIMENTS[name])
-    return "duration" in inspect.signature(run).parameters
-
-
-def _duration_experiments() -> List[str]:
+def _experiments_taking(flag: str) -> List[str]:
     """Error path only: imports every experiment module, and leaves out one
     that cannot import here (``fleet``/``resilience`` without numpy)."""
     names = []
     for name in sorted(EXPERIMENTS):
         try:
-            if _takes_duration(name):
+            if flag in _flag_params(resolve_fn(EXPERIMENTS[name])):
                 names.append(name)
         except ImportError:
             pass
     return names
-
-
-def _kwargs_for(name: str, args: argparse.Namespace, runner: ParallelRunner) -> dict:
-    kwargs: dict = {"seed": args.seed, "runner": runner}
-    if args.duration is not None:
-        if _takes_duration(name):
-            kwargs["duration"] = args.duration
-    elif args.quick and name in (
-        "fig1a", "fig1b", "fig2", "ab-cc", "ab-mlo", "ab-mp", "ab-reseq", "faults"
-    ):
-        kwargs["duration"] = 10.0
-    if name == "faults" and args.quick:
-        # One outage length: smoke-test scale.
-        kwargs["outages"] = (1.0,)
-    if name == "resilience":
-        # Quick keeps the full regime x policy x CCA grid (the scorecard's
-        # acceptance bar includes every cell) and the 10k-tenant fleet
-        # cells — only the simulated duration shrinks.
-        if args.quick:
-            from repro.experiments.resilience import QUICK_DURATION
-
-            kwargs.setdefault("duration", QUICK_DURATION)
-            kwargs["fleet_duration"] = 6.0
-        if args.tenants is not None:
-            kwargs["fleet_tenants"] = args.tenants
-    if name == "cc-matrix" and args.quick:
-        # Headline CCAs only: 6 pairs instead of 21 per preset/policy.
-        from repro.experiments.cc_matrix import QUICK_CCAS
-
-        kwargs.setdefault("duration", 2.5)
-        kwargs["ccas"] = QUICK_CCAS
-    # ablate: quick keeps the full 8 s duration — the fault scenarios need
-    # their cycles to play out for the deltas to be meaningful, and the
-    # whole grid is only 30 short units.
-    if name == "fleet":
-        if args.quick:
-            kwargs["tenants"] = 2_000
-            kwargs["foreground"] = 6
-            kwargs.setdefault("duration", 6.0)
-        if args.tenants is not None:
-            kwargs["tenants"] = args.tenants
-        if args.shards is not None:
-            kwargs["shards"] = args.shards
-    if name in ("table1", "baselines", "sweep-urllc-bw", "sweep-threshold", "sweep-urllc-rtt"):
-        if args.pages is not None:
-            kwargs["page_count"] = args.pages
-        elif args.quick:
-            kwargs["page_count"] = 4 if name == "table1" else 3
-    if args.trace_dir is not None and name in TRACEABLE:
-        kwargs["trace_dir"] = args.trace_dir
-    return kwargs
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -208,26 +166,33 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    if args.trace_dir is not None and args.experiment not in TRACEABLE + ("all",):
-        parser.error(
-            f"--trace-dir is not supported by {args.experiment!r}; "
-            f"only {', '.join(TRACEABLE)} export traces"
-        )
-    if (
-        args.duration is not None
-        and args.experiment != "all"
-        and not _takes_duration(args.experiment)
-    ):
-        parser.error(
-            f"--duration is not supported by {args.experiment!r}; "
-            f"only {', '.join(_duration_experiments())} run for a set time"
-        )
-    runner = _runner_for(args)
+    given = {
+        flag: getattr(args, flag)
+        for flag in FLAG_PARAMS
+        if getattr(args, flag) is not None
+    }
+    cache = None if args.no_cache else ResultCache(args.cache_dir or default_cache_dir())
+    runner = ParallelRunner(jobs=args.jobs, cache=cache)
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     for name in names:
         run = resolve_fn(EXPERIMENTS[name])
-        result = run(**_kwargs_for(name, args, runner))
-        print(result.render())
+        params = _flag_params(run)
+        unsupported = [flag for flag in given if flag not in params]
+        if unsupported and args.experiment != "all":
+            option = "--" + unsupported[0].replace("_", "-")
+            parser.error(
+                f"{option} is not supported by {name!r}; only "
+                f"{', '.join(_experiments_taking(unsupported[0]))} take it"
+            )
+        # seed and runner, then the experiment's own --quick scale, then
+        # whatever the command line set explicitly.
+        kwargs = {"seed": args.seed, "runner": runner}
+        if args.quick:
+            kwargs.update(getattr(run, "quick", {}))
+        kwargs.update(
+            (params[flag], value) for flag, value in given.items() if flag in params
+        )
+        print(run(**kwargs).render())
         print()
     if runner.cache is not None and (runner.cache_hits or runner.executed):
         print(

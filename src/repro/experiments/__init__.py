@@ -1,26 +1,17 @@
 """Programmatic definitions of every paper figure/table + ablations.
 
-Each experiment is a function returning an
-:class:`~repro.core.results.ExperimentResult`; the benchmarks in
-``benchmarks/`` call these and print the rendered output, and
+Each experiment is a ``run_*`` function returning an
+:class:`~repro.core.results.ExperimentResult`; :data:`EXPERIMENTS` below is
+the list (``python -m repro --help`` prints the names), the benchmarks in
+``benchmarks/`` call the functions and print the rendered output, and
 ``python -m repro <name>`` runs them from the CLI.
 
-| id       | paper artifact                 | function                  |
-|----------|--------------------------------|---------------------------|
-| fig1a    | Fig. 1a CCA throughputs        | :func:`run_fig1a`         |
-| fig1b    | Fig. 1b BBR RTT timeline       | :func:`run_fig1b`         |
-| fig2     | Fig. 2 video latency/SSIM CDFs | :func:`run_fig2`          |
-| table1   | Table 1 web PLT                | :func:`run_table1`        |
-| ab-cc    | §3.2 HVC-aware CC ablation     | :func:`run_cc_ablation`   |
-| ab-ack   | §3.2 transport steering        | :func:`run_ack_ablation`  |
-| ab-mlo   | §2.2 MLO replication           | :func:`run_mlo_ablation`  |
-| ab-cost  | §3.1 latency-vs-cost           | :func:`run_cost_ablation` |
-| ab-mp    | §4 multipath subflow design    | :func:`run_multipath_ablation` |
-| faults   | §3.2 outage resilience sweep   | :func:`run_faults`        |
-| resilience| recovery-SLO scorecard        | :func:`run_resilience`    |
-| fleet    | §4 fleet-scale multi-tenancy   | :func:`run_fleet`         |
-| cc-matrix| CCA coexistence fairness matrix| :func:`run_cc_matrix`     |
-| ablate   | component-importance ranking   | :func:`run_ablation_harness` |
+What the CLI needs to know about an experiment lives on its run function:
+the keyword parameters it declares say which scale flags it takes
+(``duration``, ``page_count``, ``tenants``/``fleet_tenants``, ``shards``,
+``trace_dir``), and an optional ``quick`` attribute — a dict of its own
+keyword arguments, set right after the definition — is its ``--quick``
+scale.
 """
 
 from repro.runner.units import resolve_fn

@@ -184,19 +184,20 @@ def run_ablation_harness(
     seed: int = 0,
     runner: Optional[ParallelRunner] = None,
 ) -> ExperimentResult:
-    """Disable each component across every scenario; rank by mean delta."""
+    """Disable each component across every scenario; rank by mean delta.
+
+    No ``--quick`` scale: the fault scenarios need their cycles to play out
+    for the deltas to be meaningful, and the whole grid is 30 short units.
+    """
     if "noop" not in components:
         components = ("noop",) + tuple(components)
     runner = runner if runner is not None else ParallelRunner()
-    payloads = runner.run(
-        harness_units(scenarios, components, duration, seed)
-    )
-    grid: Dict[Tuple[str, str], dict] = {}
-    index = 0
-    for component in components:
-        for scenario in scenarios:
-            grid[(component, scenario)] = payloads[index]
-            index += 1
+    units = harness_units(scenarios, components, duration, seed)
+    payloads = runner.run(units)
+    grid: Dict[Tuple[str, str], dict] = {
+        (unit.kwargs["component"], unit.kwargs["scenario"]): payload
+        for unit, payload in zip(units, payloads)
+    }
 
     result = ExperimentResult(
         name="ablate",

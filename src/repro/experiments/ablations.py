@@ -14,7 +14,7 @@ These go beyond the paper's figures: each isolates one claimed mechanism.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.apps.bulk import BulkTransfer
 from repro.core.api import HvcNetwork
@@ -28,7 +28,9 @@ from repro.net.hvc import (
     wifi_mlo_specs,
     wifi_tsn_spec,
 )
+from repro.net.packet import Packet, PacketType
 from repro.runner import ParallelRunner, RunUnit
+from repro.sim.timers import PeriodicTimer
 from repro.steering.cost import CostAwareSteerer
 from repro.steering.redundant import RedundantSteerer
 from repro.steering.single import SingleChannelSteerer
@@ -37,7 +39,7 @@ from repro.transport.connection import Connection
 from repro.transport.multipath import MultipathConnection
 from repro.units import kb, to_mbps, to_ms
 
-from repro.experiments.fig1 import fig1a_units, run_single_cca
+from repro.experiments.fig1 import fig1a_units
 
 
 # ----------------------------------------------------------------------
@@ -85,34 +87,35 @@ def run_cc_ablation(
     return result
 
 
+run_cc_ablation.quick = {"duration": 10.0}
+
+
 # ----------------------------------------------------------------------
 # ab-ack: transport-layer segment steering
 # ----------------------------------------------------------------------
-def _request_response_latencies(
-    steering,
-    count: int = 40,
-    response_bytes: int = kb(30),
+def _sequential_rpcs(
+    net: HvcNetwork,
+    count: int,
+    request_bytes: int,
+    response_bytes: int,
+    step: float,
+    deadline: float,
     ack_bytes: int = 0,
-    background: bool = True,
-    seed: int = 0,
-) -> Tuple[List[float], int]:
-    """Round-trip times of sequential request→response exchanges.
+) -> List[float]:
+    """Round-trip times of ``count`` sequential request→response exchanges.
 
-    Returns ``(latencies, kernel_events)``. An optional bulk background
-    flow keeps the eMBB queue occupied so control-packet placement matters
-    (an idle network hides it).
+    One CUBIC connection on ``net``; each response triggers the next
+    request. The clock advances ``step`` seconds at a time until the last
+    response arrives, the event queue empties or simulated time reaches
+    ``deadline`` (ab-ack, ab-tsn and ab-cost each keep their own step and
+    deadline: both decide where the run stops, hence its event count).
     """
-    net = HvcNetwork([fixed_embb_spec(), urllc_spec()], steering=steering, seed=seed)
-    if background:
-        BulkTransfer(net, cc="cubic")
-        net.run(until=1.0)
-
     latencies: List[float] = []
     flow_id = next_flow_id()
-    state = {"started_at": 0.0}
+    started_at = 0.0
 
     def on_response(receipt):
-        latencies.append(net.now - state["started_at"])
+        latencies.append(net.now - started_at)
         issue_next()
 
     client = Connection(
@@ -129,24 +132,30 @@ def _request_response_latencies(
     )
 
     def issue_next():
+        nonlocal started_at
         if len(latencies) >= count:
             return
-        state["started_at"] = net.now
-        client.send_message(kb(1), message_id=len(latencies))
+        started_at = net.now
+        client.send_message(request_bytes, message_id=len(latencies))
 
     issue_next()
-    deadline = net.now + 120.0
     while len(latencies) < count and net.now < deadline and net.sim.pending_events:
-        net.run(until=min(net.now + 1.0, deadline))
-    return latencies, net.sim.events_processed
+        net.run(until=net.now + step)
+    return latencies
 
 
 def ack_unit(policy: str = "dchannel", ack_bytes: int = 0, seed: int = 0) -> dict:
     """One request-response latency measurement (runner unit)."""
-    latencies, events = _request_response_latencies(
-        policy, ack_bytes=ack_bytes, seed=seed
+    net = HvcNetwork([fixed_embb_spec(), urllc_spec()], steering=policy, seed=seed)
+    # A bulk flow keeps the eMBB queue occupied so control-packet placement
+    # matters (an idle network hides it).
+    BulkTransfer(net, cc="cubic")
+    net.run(until=1.0)
+    latencies = _sequential_rpcs(
+        net, count=40, request_bytes=kb(1), response_bytes=kb(30),
+        step=1.0, deadline=net.now + 120.0, ack_bytes=ack_bytes,
     )
-    return {"latencies": latencies, "events": events}
+    return {"latencies": latencies, "events": net.sim.events_processed}
 
 
 def run_ack_ablation(
@@ -206,8 +215,6 @@ MLO_POLICIES = ("single-link", "spray (min-rtt)", "replicate")
 
 def mlo_unit(policy: str = "replicate", duration: float = 20.0, seed: int = 0) -> dict:
     """One MLO delivery/goodput measurement (runner unit)."""
-    from repro.sim.timers import PeriodicTimer
-
     steering = {
         "single-link": lambda: SingleChannelSteerer(index=0),
         "spray (min-rtt)": lambda: "min-rtt",
@@ -280,16 +287,17 @@ def run_mlo_ablation(
     return result
 
 
+run_mlo_ablation.quick = {"duration": 10.0}
+
+
 # ----------------------------------------------------------------------
 # ab-mp: multipath transport with per-channel subflows (§4 design)
 # ----------------------------------------------------------------------
-def _multipath_mixed_workload(
-    scheduler: str, duration: float = 20.0, seed: int = 0
-) -> Tuple[float, List[float], int]:
+def mp_unit(scheduler: str = "hvc", duration: float = 30.0, seed: int = 0) -> dict:
     """A backlogged bulk connection plus a small-RPC connection, both
-    multipath with the given scheduler; returns (bulk goodput bps, rpc
-    latencies). The interesting effect is contention: what the bulk
-    scheduler does to the URLLC queue determines the RPCs' fate."""
+    multipath with the given scheduler (runner unit). The interesting
+    effect is contention: what the bulk scheduler does to the URLLC queue
+    determines the RPCs' fate."""
     net = HvcNetwork(
         [fixed_embb_spec(), urllc_spec()], steering="single", seed=seed
     )
@@ -316,8 +324,6 @@ def _multipath_mixed_workload(
         on_message=on_message,
     )
 
-    from repro.sim.timers import PeriodicTimer
-
     state = {"next_id": 0}
 
     def send_rpc():
@@ -338,18 +344,10 @@ def _multipath_mixed_workload(
     delivered_at_end = bulk_sender.delivered_timeline[-1][1]
     net.run(until=duration + 2.0)
     goodput = (delivered_at_end - delivered_at_warmup) * 8 / (duration - warmup)
-    return goodput, rpc_latencies, net.sim.events_processed
-
-
-def mp_unit(scheduler: str = "hvc", duration: float = 30.0, seed: int = 0) -> dict:
-    """One multipath mixed-workload measurement (runner unit)."""
-    goodput, latencies, events = _multipath_mixed_workload(
-        scheduler, duration=duration, seed=seed
-    )
     return {
         "goodput_mbps": to_mbps(goodput),
-        "latencies": latencies,
-        "events": events,
+        "latencies": rpc_latencies,
+        "events": net.sim.events_processed,
     }
 
 
@@ -405,14 +403,14 @@ def run_multipath_ablation(
     return result
 
 
+run_multipath_ablation.quick = {"duration": 10.0}
+
+
 # ----------------------------------------------------------------------
 # ab-tsn: Wi-Fi TSN's express lane is paid for by other users (§2.2)
 # ----------------------------------------------------------------------
 def tsn_unit(express_mbps: float = 0.0, duration: float = 10.0, seed: int = 0) -> dict:
     """Bystander RPC latency under one express load level (runner unit)."""
-    from repro.net.packet import Packet, PacketType
-    from repro.sim.timers import PeriodicTimer
-
     net = HvcNetwork([wifi_tsn_spec()], steering="single", seed=seed)
 
     # User A: time-critical express traffic (control-class datagrams).
@@ -436,30 +434,10 @@ def tsn_unit(express_mbps: float = 0.0, duration: float = 10.0, seed: int = 0) -
         net.client.set_default_handler(lambda p: None)
 
     # User B: request/response RPCs in the normal band.
-    latencies: List[float] = []
-    state = {"started": 0.0}
-    flow_id = next_flow_id()
-
-    def on_reply(receipt):
-        latencies.append(net.now - state["started"])
-        issue()
-
-    client = Connection(net.sim, net.client, flow_id, cc="cubic", on_message=on_reply)
-
-    def on_request(receipt):
-        server.send_message(kb(20), message_id=receipt.message_id + 5000)
-
-    server = Connection(net.sim, net.server, flow_id, cc="cubic", on_message=on_request)
-
-    def issue():
-        if len(latencies) >= 50:
-            return
-        state["started"] = net.now
-        client.send_message(kb(1), message_id=len(latencies))
-
-    issue()
-    while len(latencies) < 50 and net.now < duration * 6 and net.sim.pending_events:
-        net.run(until=net.now + 0.5)
+    latencies = _sequential_rpcs(
+        net, count=50, request_bytes=kb(1), response_bytes=kb(20),
+        step=0.5, deadline=duration * 6,
+    )
     cdf = Cdf(latencies)
     return {"p95_ms": to_ms(cdf.percentile(95)), "events": net.sim.events_processed}
 
@@ -587,43 +565,24 @@ def run_resequencer_ablation(
     return result
 
 
+run_resequencer_ablation.quick = {"duration": 10.0}
+
+
 # ----------------------------------------------------------------------
 # ab-cost: latency vs monetary cost
 # ----------------------------------------------------------------------
 def cost_unit(willingness: float = 0.0, seed: int = 0) -> dict:
     """Latency/spend at one willingness-to-pay level (runner unit)."""
+    # One instance on both devices on purpose: the budget is one spending
+    # account for the session, not one per direction.
     steerer = CostAwareSteerer(
         budget_per_s=0.05, burst=0.2, max_price_per_second_saved=willingness
     )
     net = HvcNetwork([fiber_wan_spec(), cisp_spec()], steering=steerer, seed=seed)
-    latencies: List[float] = []
-    flow_id = next_flow_id()
-    state = {"started_at": 0.0}
-
-    def on_response(receipt):
-        latencies.append(net.now - state["started_at"])
-        issue()
-
-    client = Connection(
-        net.sim, net.client, flow_id, cc="cubic", on_message=on_response
+    latencies = _sequential_rpcs(
+        net, count=60, request_bytes=300, response_bytes=kb(4),
+        step=1.0, deadline=120.0,
     )
-
-    def on_request(receipt):
-        server.send_message(kb(4), message_id=receipt.message_id + 5000)
-
-    server = Connection(
-        net.sim, net.server, flow_id, cc="cubic", on_message=on_request
-    )
-
-    def issue():
-        if len(latencies) >= 60:
-            return
-        state["started_at"] = net.now
-        client.send_message(300, message_id=len(latencies))
-
-    issue()
-    while len(latencies) < 60 and net.now < 120.0 and net.sim.pending_events:
-        net.run(until=net.now + 1.0)
     cdf = Cdf(latencies)
     return {
         "p95_ms": to_ms(cdf.percentile(95)),

@@ -18,16 +18,12 @@ Expected ordering (the paper's narrative):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from repro.apps.web.browser import load_page
 from repro.apps.web.corpus import generate_corpus
-from repro.core.api import HvcNetwork
 from repro.core.results import ExperimentResult, Table
-from repro.net.hvc import traced_embb_spec, urllc_spec
+from repro.experiments.table1 import corpus_plts, web_network
 from repro.runner import ParallelRunner, RunUnit
-from repro.steering.single import SingleChannelSteerer
-from repro.traces.catalog import get_trace
 from repro.units import to_ms
 
 BASELINE_POLICIES = (
@@ -41,30 +37,15 @@ BASELINE_POLICIES = (
 )
 
 
-def _steering_for(policy: str):
-    if policy == "embb-only":
-        return SingleChannelSteerer(channel_name="embb")
-    return policy
-
-
 def baseline_policy_unit(
     policy: str = "dchannel", page_count: int = 10, seed: int = 0
 ) -> dict:
     """Mean PLT for one steering policy over the corpus (runner unit)."""
-    pages = generate_corpus(count=page_count, seed=seed)
-    plts: List[float] = []
-    events = 0
-    for index, page in enumerate(pages):
-        trace = get_trace("5g-lowband-driving", seed=seed + index + 1)
-        embb = traced_embb_spec(trace)
-        embb.name = "embb"
-        net = HvcNetwork(
-            [embb, urllc_spec()], steering=_steering_for(policy),
-            seed=seed + index,
-        )
-        outcome = load_page(net, page, cc="cubic", timeout=45.0)
-        plts.append(outcome.plt if outcome.complete else 45.0)
-        events += net.sim.events_processed
+    plts, events = corpus_plts(
+        generate_corpus(count=page_count, seed=seed),
+        lambda index: web_network("5g-lowband-driving", policy, seed=seed + index),
+        background=False,
+    )
     return {"plt_ms": to_ms(sum(plts) / len(plts)), "events": events}
 
 
@@ -113,3 +94,6 @@ def run_baselines(
     ordering = sorted(means, key=means.get)
     result.notes.append("fastest to slowest: " + " < ".join(ordering))
     return result
+
+
+run_baselines.quick = {"page_count": 3}

@@ -122,26 +122,6 @@ def matrix_cells(
     ]
 
 
-def matrix_units(
-    cells: Sequence[Tuple[str, str, str, str]],
-    duration: float,
-    seed: int,
-) -> List[RunUnit]:
-    return [
-        RunUnit.make(
-            "cc-matrix",
-            "repro.experiments.cc_matrix:pair_unit",
-            seed=seed,
-            cc_a=cc_a,
-            cc_b=cc_b,
-            preset=preset,
-            steering=policy,
-            duration=duration,
-        )
-        for preset, policy, cc_a, cc_b in cells
-    ]
-
-
 def rtt_unfairness(rtt_a_ms: Optional[float], rtt_b_ms: Optional[float]) -> Optional[float]:
     """max/min of the two flows' mean RTTs; None when a flow saw no RTT."""
     if not rtt_a_ms or not rtt_b_ms:
@@ -163,7 +143,21 @@ def run_cc_matrix(
     """Run the full coexistence matrix and aggregate fairness metrics."""
     runner = runner if runner is not None else ParallelRunner()
     cells = matrix_cells(ccas=ccas, presets=presets, policies=policies)
-    payloads = runner.run(matrix_units(cells, duration, seed))
+    payloads = runner.run(
+        [
+            RunUnit.make(
+                "cc-matrix",
+                "repro.experiments.cc_matrix:pair_unit",
+                seed=seed,
+                cc_a=cc_a,
+                cc_b=cc_b,
+                preset=preset,
+                steering=policy,
+                duration=duration,
+            )
+            for preset, policy, cc_a, cc_b in cells
+        ]
+    )
 
     result = ExperimentResult(
         name="cc-matrix",
@@ -228,6 +222,10 @@ def run_cc_matrix(
 
     _headline_notes(result, ccas, presets, policies)
     return result
+
+
+#: ``--quick``: 6 pairs instead of 21 per preset/policy, short cells.
+run_cc_matrix.quick = {"duration": 2.5, "ccas": QUICK_CCAS}
 
 
 def _headline_notes(

@@ -83,33 +83,6 @@ def faults_unit(
     return payload
 
 
-def faults_units(
-    outages: Sequence[float],
-    ccas: Sequence[str],
-    policies: Sequence[str],
-    duration: float,
-    seed: int,
-) -> list:
-    """Declare the full sweep's units (ordering: outage, cc, policy)."""
-    units = []
-    for outage in outages:
-        rows = outage_schedule(outage).to_params()
-        for cc in ccas:
-            for policy in policies:
-                units.append(
-                    RunUnit.make(
-                        "faults-outage",
-                        "repro.experiments.faults:faults_unit",
-                        seed=seed,
-                        cc=cc,
-                        steering=policy,
-                        fault_rows=rows,
-                        duration=duration,
-                    )
-                )
-    return units
-
-
 def run_faults(
     duration: float = DEFAULT_DURATION,
     outages: Sequence[float] = DEFAULT_OUTAGES,
@@ -140,29 +113,43 @@ def run_faults(
         x_label="s",
         y_label="Mbps",
     )
-    payloads = runner.run(faults_units(outages, ccas, policies, duration, seed))
-    index = 0
-    for outage in outages:
-        for cc in ccas:
-            for policy in policies:
-                payload = payloads[index]
-                index += 1
-                key = f"{cc}/{policy}/outage{outage:g}"
-                result.values[f"{key}/mbps"] = payload["mbps"]
-                result.values[f"{key}/recovery_max_s"] = payload["recovery_max_s"]
-                result.values[f"{key}/failovers"] = payload["failovers"]
-                result.events_processed += payload["events"]
-                table.add_row(
-                    outage,
-                    cc,
-                    policy,
-                    round(payload["mbps"], 2),
-                    round(payload["mbps_during"], 2),
-                    payload["failovers"],
-                    round(payload["recovery_max_s"], 3),
-                )
-                if outage == max(outages) and cc == ccas[0]:
-                    series.add(policy, payload["series"])
+    cells = [
+        (outage, cc, policy)
+        for outage in outages
+        for cc in ccas
+        for policy in policies
+    ]
+    payloads = runner.run(
+        [
+            RunUnit.make(
+                "faults-outage",
+                "repro.experiments.faults:faults_unit",
+                seed=seed,
+                cc=cc,
+                steering=policy,
+                fault_rows=outage_schedule(outage).to_params(),
+                duration=duration,
+            )
+            for outage, cc, policy in cells
+        ]
+    )
+    for (outage, cc, policy), payload in zip(cells, payloads):
+        key = f"{cc}/{policy}/outage{outage:g}"
+        result.values[f"{key}/mbps"] = payload["mbps"]
+        result.values[f"{key}/recovery_max_s"] = payload["recovery_max_s"]
+        result.values[f"{key}/failovers"] = payload["failovers"]
+        result.events_processed += payload["events"]
+        table.add_row(
+            outage,
+            cc,
+            policy,
+            round(payload["mbps"], 2),
+            round(payload["mbps_during"], 2),
+            payload["failovers"],
+            round(payload["recovery_max_s"], 3),
+        )
+        if outage == max(outages) and cc == ccas[0]:
+            series.add(policy, payload["series"])
     result.tables.append(table)
     result.series.append(series)
 
@@ -180,3 +167,7 @@ def run_faults(
             "(failover rides through; no stall to recover from)"
         )
     return result
+
+
+#: ``--quick``: one outage length, smoke-test scale.
+run_faults.quick = {"duration": 10.0, "outages": (1.0,)}

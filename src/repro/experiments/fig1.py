@@ -20,6 +20,7 @@ from repro.core.api import HvcNetwork
 from repro.core.results import ExperimentResult, PaperComparison, SeriesSet, Table
 from repro.net.hvc import fixed_embb_spec, urllc_spec
 from repro.runner import ParallelRunner, RunUnit
+from repro.steering.single import SingleChannelSteerer
 from repro.units import to_mbps, to_ms
 
 #: Paper-reported mean throughputs (Mbps) on this setup.
@@ -38,6 +39,15 @@ def _fig1_network(steering: str = "dchannel", seed: int = 0) -> HvcNetwork:
     return HvcNetwork(
         [fixed_embb_spec(), urllc_spec()], steering=steering, seed=seed
     )
+
+
+def _steering_for(policy):
+    """The paper's ``embb-only`` baseline (Fig. 2, Table 1, the policy zoo)
+    pins everything to the channel named ``embb``; any other policy is a
+    registry name, resolved once per device."""
+    if policy == "embb-only":
+        return SingleChannelSteerer(channel_name="embb")
+    return policy
 
 
 def run_single_cca(
@@ -83,7 +93,12 @@ def fig1a_unit(
 
 
 def _unit_obs(trace_dir: Optional[str]):
-    """A tracing-enabled Observability when a trace directory is given."""
+    """A tracing-enabled Observability when a trace directory is given.
+
+    The file :func:`_export_trace` writes is part of a traced unit's output
+    and the result cache holds payloads only, so every ``run_*`` that takes
+    a ``trace_dir`` runs its traced units with ``cached=False``.
+    """
     if trace_dir is None:
         return None
     from repro.obs import Observability
@@ -142,7 +157,10 @@ def run_fig1a(
     series = SeriesSet(
         title="Fig. 1a throughput over time", x_label="s", y_label="Mbps"
     )
-    payloads = runner.run(fig1a_units(ccas, duration, seed, trace_dir=trace_dir))
+    payloads = runner.run(
+        fig1a_units(ccas, duration, seed, trace_dir=trace_dir),
+        cached=trace_dir is None,
+    )
     for cc, payload in zip(ccas, payloads):
         mbps = payload["mbps"]
         result.values[cc] = mbps
@@ -164,6 +182,9 @@ def run_fig1a(
         + " > ".join(ordering)
     )
     return result
+
+
+run_fig1a.quick = {"duration": 10.0}
 
 
 def fig1b_unit(
@@ -211,7 +232,8 @@ def run_fig1b(
             seed=seed,
             duration=duration,
             **extra,
-        )
+        ),
+        cached=trace_dir is None,
     )
     records = [_RecordView(row) for row in payload["records"]]
     result = ExperimentResult(
@@ -254,3 +276,6 @@ def run_fig1b(
         "the min-RTT poisoning behind Fig. 1a's BBR collapse"
     )
     return result
+
+
+run_fig1b.quick = {"duration": 10.0}

@@ -24,11 +24,11 @@ from repro.apps.video.session import VideoSessionResult, run_video_session
 from repro.core.api import HvcNetwork
 from repro.core.metrics import Cdf
 from repro.core.results import ExperimentResult, PaperComparison, SeriesSet, Table
+from repro.experiments.fig1 import _export_trace, _steering_for, _unit_obs
 from repro.net.hvc import traced_embb_spec, urllc_spec
 from repro.runner import ParallelRunner, RunUnit
-from repro.steering.single import SingleChannelSteerer
 from repro.traces.catalog import get_trace
-from repro.units import to_ms
+from repro.units import kib, to_ms
 
 SCHEMES = ("embb-only", "dchannel", "priority")
 TRACES = ("5g-mmwave-driving", "5g-lowband-driving")
@@ -39,12 +39,6 @@ PAPER_P95_LATENCY_MS = {"embb-only": 2058.0, "dchannel": 176.0, "priority": 78.0
 PAPER_SSIM_DELTA = {"embb-only": 0.068, "dchannel": 0.002}
 
 
-def _steering_for(scheme: str):
-    if scheme == "embb-only":
-        return SingleChannelSteerer(channel_name="embb")
-    return scheme  # registry name
-
-
 def video_network(trace_name: str, scheme: str, seed: int = 0) -> HvcNetwork:
     """Build the Fig. 2 network: traced eMBB + URLLC, chosen steering.
 
@@ -52,14 +46,8 @@ def video_network(trace_name: str, scheme: str, seed: int = 0) -> HvcNetwork:
     multi-hundred-Mbps line rate), which is what turns blockage outages
     into the multi-second delay tail rather than a burst of drops.
     """
-    from repro.units import kib
-
-    trace = get_trace(trace_name, seed=seed + 1)
-    queue = kib(8192) if "mmwave" in trace_name else None
-    if queue is not None:
-        embb = traced_embb_spec(trace, queue_bytes=queue)
-    else:
-        embb = traced_embb_spec(trace)
+    queue = {"queue_bytes": kib(8192)} if "mmwave" in trace_name else {}
+    embb = traced_embb_spec(get_trace(trace_name, seed=seed + 1), **queue)
     embb.name = "embb"  # stable name for the embb-only steerer
     return HvcNetwork([embb, urllc_spec()], steering=_steering_for(scheme), seed=seed)
 
@@ -81,11 +69,9 @@ def fig2_cell_unit(
 ) -> dict:
     """One Fig. 2 cell reduced to picklable distributions (runner unit)."""
     net = video_network(trace, scheme, seed=seed)
-    obs = None
-    if trace_dir is not None:
-        from repro.obs import Observability
-
-        obs = net.attach_obs(Observability(tracing=True))
+    obs = _unit_obs(trace_dir)
+    if obs is not None:
+        net.attach_obs(obs)
     cell = run_video_session(net, duration=duration)
     payload = {
         "latencies": [f.latency for f in cell.frames if f.decoded],
@@ -94,11 +80,7 @@ def fig2_cell_unit(
         "events": net.sim.events_processed,
     }
     if obs is not None:
-        import os
-
-        path = os.path.join(trace_dir, f"fig2-{trace}-{scheme}.jsonl")
-        obs.export_jsonl(path)
-        payload["trace"] = path
+        payload["trace"] = _export_trace(obs, trace_dir, f"fig2-{trace}-{scheme}")
     return payload
 
 
@@ -134,7 +116,8 @@ def run_fig2(
                 **extra,
             )
             for trace_name, scheme in cells
-        ]
+        ],
+        cached=trace_dir is None,
     )
     by_cell = dict(zip(cells, payloads))
     for trace_name in traces:
@@ -213,3 +196,6 @@ def run_fig2(
             + " < ".join(sorted(p95, key=p95.get))
         )
     return result
+
+
+run_fig2.quick = {"duration": 10.0}

@@ -63,32 +63,6 @@ def fleet_unit(
     return sim.run()
 
 
-def fleet_units(
-    tenants: int,
-    foreground: int,
-    duration: float,
-    preset: str,
-    tick: float,
-    shards: int,
-    seed: int,
-) -> List[RunUnit]:
-    return [
-        RunUnit.make(
-            "fleet",
-            "repro.experiments.fleet:fleet_unit",
-            seed=seed,
-            tenants=tenants,
-            foreground=foreground,
-            duration=duration,
-            preset=preset,
-            tick=tick,
-            shard=shard,
-            shards=shards,
-        )
-        for shard in range(shards)
-    ]
-
-
 def _merge_shards(payloads: List[dict]) -> dict:
     """Deterministic merge: background from shard 0, foreground by index.
 
@@ -144,7 +118,21 @@ def run_fleet(
     runner = runner if runner is not None else ParallelRunner()
     shards = max(1, min(int(shards), max(foreground, 1)))
     payloads = runner.run(
-        fleet_units(tenants, foreground, duration, preset, tick, shards, seed)
+        [
+            RunUnit.make(
+                "fleet",
+                "repro.experiments.fleet:fleet_unit",
+                seed=seed,
+                tenants=tenants,
+                foreground=foreground,
+                duration=duration,
+                preset=preset,
+                tick=tick,
+                shard=shard,
+                shards=shards,
+            )
+            for shard in range(shards)
+        ]
     )
     merged = _merge_shards(payloads)
 
@@ -228,3 +216,6 @@ def run_fleet(
                 f"{report['full']['tenants']} packet-level flows)"
             )
     return result
+
+
+run_fleet.quick = {"tenants": 2_000, "foreground": 6, "duration": 6.0}

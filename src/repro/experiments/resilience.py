@@ -234,51 +234,6 @@ def resilience_fleet_unit(
     }
 
 
-def resilience_units(
-    regimes: Sequence[str],
-    policies: Sequence[str],
-    ccas: Sequence[str],
-    duration: float,
-    fleet_tenants: int,
-    fleet_duration: float,
-    seed: int,
-) -> List[RunUnit]:
-    """Declare the grid (ordering: regime, policy, cc; then fleet cells)."""
-    units = []
-    for regime in regimes:
-        rows = regime_rows(regime, duration)
-        for policy in policies:
-            for cc in ccas:
-                units.append(
-                    RunUnit.make(
-                        "resilience",
-                        "repro.experiments.resilience:resilience_unit",
-                        seed=seed,
-                        regime=regime,
-                        steering=policy,
-                        cc=cc,
-                        fault_rows=rows,
-                        duration=duration,
-                    )
-                )
-    for regime in regimes:
-        fleet_rows = fleet_regime_rows(
-            regime, fleet_duration, ("embb", "urllc")
-        )
-        units.append(
-            RunUnit.make(
-                "resilience-fleet",
-                "repro.experiments.resilience:resilience_fleet_unit",
-                seed=seed,
-                regime=regime,
-                fault_rows=fleet_rows,
-                tenants=fleet_tenants,
-                duration=fleet_duration,
-            )
-        )
-    return units
-
-
 def run_resilience(
     duration: float = DEFAULT_DURATION,
     regimes: Sequence[str] = DEFAULT_REGIMES,
@@ -302,11 +257,43 @@ def run_resilience(
             "fleet cell per regime (10k fluid tenants, invariants armed)."
         ),
     )
+    # Once per regime, not per cell: a trace-named regime generates its
+    # catalog trace to derive the schedule.
+    rows = {regime: regime_rows(regime, duration) for regime in regimes}
+    cells = [
+        (regime, policy, cc)
+        for regime in regimes
+        for policy in policies
+        for cc in ccas
+    ]
     payloads = runner.run(
-        resilience_units(
-            regimes, policies, ccas, duration,
-            fleet_tenants, fleet_duration, seed,
-        )
+        [
+            RunUnit.make(
+                "resilience",
+                "repro.experiments.resilience:resilience_unit",
+                seed=seed,
+                regime=regime,
+                steering=policy,
+                cc=cc,
+                fault_rows=rows[regime],
+                duration=duration,
+            )
+            for regime, policy, cc in cells
+        ]
+        + [
+            RunUnit.make(
+                "resilience-fleet",
+                "repro.experiments.resilience:resilience_fleet_unit",
+                seed=seed,
+                regime=regime,
+                fault_rows=fleet_regime_rows(
+                    regime, fleet_duration, ("embb", "urllc")
+                ),
+                tenants=fleet_tenants,
+                duration=fleet_duration,
+            )
+            for regime in regimes
+        ]
     )
 
     table = Table(
@@ -316,38 +303,31 @@ def run_resilience(
         ],
         title="Recovery-SLO scorecard (packet cells)",
     )
-    index = 0
-    for regime in regimes:
-        for policy in policies:
-            for cc in ccas:
-                payload = payloads[index]
-                index += 1
-                key = f"{regime}/{policy}/{cc}"
-                result.values[f"{key}/ttr_p50_s"] = payload["ttr_p50_s"]
-                result.values[f"{key}/ttr_p99_s"] = payload["ttr_p99_s"]
-                result.values[f"{key}/failovers"] = payload["failovers"]
-                result.values[f"{key}/goodput_mbps"] = round(
-                    payload["goodput_mbps"], 3
-                )
-                result.values[f"{key}/goodput_during_outage_mbps"] = round(
-                    payload["goodput_during_outage_mbps"], 3
-                )
-                rates = payload["slo_violation_rates"]
-                for rclass, rate in rates.items():
-                    result.values[f"{key}/slo_violation_{rclass}"] = round(rate, 4)
-                worst = max(rates, key=lambda k: rates[k])
-                result.events_processed += payload["events"]
-                table.add_row(
-                    regime,
-                    policy,
-                    cc,
-                    round(payload["ttr_p50_s"], 3),
-                    round(payload["ttr_p99_s"], 3),
-                    payload["failovers"],
-                    f"{worst} {rates[worst]:.0%}",
-                    round(payload["goodput_mbps"], 2),
-                    round(payload["goodput_during_outage_mbps"], 2),
-                )
+    for (regime, policy, cc), payload in zip(cells, payloads):
+        key = f"{regime}/{policy}/{cc}"
+        result.values[f"{key}/ttr_p50_s"] = payload["ttr_p50_s"]
+        result.values[f"{key}/ttr_p99_s"] = payload["ttr_p99_s"]
+        result.values[f"{key}/failovers"] = payload["failovers"]
+        result.values[f"{key}/goodput_mbps"] = round(payload["goodput_mbps"], 3)
+        result.values[f"{key}/goodput_during_outage_mbps"] = round(
+            payload["goodput_during_outage_mbps"], 3
+        )
+        rates = payload["slo_violation_rates"]
+        for rclass, rate in rates.items():
+            result.values[f"{key}/slo_violation_{rclass}"] = round(rate, 4)
+        worst = max(rates, key=lambda k: rates[k])
+        result.events_processed += payload["events"]
+        table.add_row(
+            regime,
+            policy,
+            cc,
+            round(payload["ttr_p50_s"], 3),
+            round(payload["ttr_p99_s"], 3),
+            payload["failovers"],
+            f"{worst} {rates[worst]:.0%}",
+            round(payload["goodput_mbps"], 2),
+            round(payload["goodput_during_outage_mbps"], 2),
+        )
     result.tables.append(table)
 
     fleet_table = Table(
@@ -357,9 +337,7 @@ def run_resilience(
         ],
         title=f"Fleet cells ({fleet_tenants} fluid tenants, invariants armed)",
     )
-    for regime in regimes:
-        payload = payloads[index]
-        index += 1
+    for regime, payload in zip(regimes, payloads[len(cells):]):
         key = f"fleet/{regime}"
         result.values[f"{key}/completed"] = payload["completed"]
         result.values[f"{key}/stall_events"] = payload["stall_events"]
@@ -392,3 +370,9 @@ def run_resilience(
                 "(0 ms = failover rode through every disruption)"
             )
     return result
+
+
+#: ``--quick`` keeps the full regime x policy x CCA grid (the scorecard's
+#: acceptance bar includes every cell) and the 10k-tenant fleet cells — only
+#: the simulated durations shrink.
+run_resilience.quick = {"duration": QUICK_DURATION, "fleet_duration": 6.0}

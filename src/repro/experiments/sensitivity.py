@@ -14,18 +14,13 @@ series per metric, printed by ``benchmarks/test_bench_sensitivity.py``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
-from repro.apps.web.background import BackgroundFlows
-from repro.apps.web.browser import load_page
 from repro.apps.web.corpus import generate_corpus
-from repro.core.api import HvcNetwork
 from repro.core.results import ExperimentResult, SeriesSet, Table
-from repro.net.channel import ChannelSpec, DirectionSpec
-from repro.net.hvc import URLLC_QUEUE_BYTES, traced_embb_spec
+from repro.experiments.table1 import corpus_plts, web_network
+from repro.net.hvc import urllc_spec
 from repro.runner import ParallelRunner, RunUnit
-from repro.steering.dchannel import DChannelSteerer
-from repro.traces.catalog import get_trace
 from repro.units import mbps, ms, to_ms
 
 DEFAULT_URLLC_RATES_MBPS = (0.5, 1.0, 2.0, 4.0, 8.0)
@@ -33,68 +28,26 @@ DEFAULT_THRESHOLDS_MS = (0.0, 5.0, 15.0, 30.0)
 DEFAULT_URLLC_RTTS_MS = (2.0, 5.0, 15.0, 30.0)
 
 
-def _custom_urllc(rate_bps: float, rtt: float) -> ChannelSpec:
-    one_way = rtt / 2.0
-    return ChannelSpec(
-        name="urllc",
-        up=DirectionSpec(rate_bps=rate_bps, delay=one_way, queue_bytes=URLLC_QUEUE_BYTES),
-        down=DirectionSpec(rate_bps=rate_bps, delay=one_way, queue_bytes=URLLC_QUEUE_BYTES),
-        reliable=True,
-    )
-
-
-def _mean_plt(
-    urllc_rate_bps: float,
-    urllc_rtt: float,
-    steerer,
-    pages,
-    seed: int,
-    with_background: bool = True,
-) -> Tuple[float, int]:
-    """(mean PLT seconds, kernel events) over ``pages`` for one setting."""
-    plts: List[float] = []
-    events = 0
-    for index, page in enumerate(pages):
-        trace = get_trace("5g-lowband-driving", seed=seed + index + 1)
-        embb = traced_embb_spec(trace)
-        embb.name = "embb"
-        net = HvcNetwork(
-            [embb, _custom_urllc(urllc_rate_bps, urllc_rtt)],
-            steering=steerer,
-            seed=seed + index,
-        )
-        background = BackgroundFlows(net) if with_background else None
-        net.run(until=0.2)
-        result = load_page(net, page, cc="cubic", timeout=45.0)
-        if background is not None:
-            background.close()
-        plts.append(result.plt if result.complete else 45.0)
-        events += net.sim.events_processed
-    return sum(plts) / len(plts), events
-
-
-# ----------------------------------------------------------------------
-# Runner units: one sweep point each, reduced to picklable payloads
-# ----------------------------------------------------------------------
-def bw_sweep_unit(rate_mbps: float = 2.0, page_count: int = 8, seed: int = 0) -> dict:
-    pages = generate_corpus(count=page_count, seed=seed)
-    plt, events = _mean_plt(mbps(rate_mbps), ms(5), DChannelSteerer(), pages, seed)
-    return {"plt_ms": to_ms(plt), "events": events}
-
-
-def threshold_sweep_unit(
-    threshold_ms: float = 0.0, page_count: int = 8, seed: int = 0
+def plt_sweep_unit(
+    rate_mbps: float = 2.0,
+    rtt_ms: float = 5.0,
+    threshold_ms: float = 0.0,
+    page_count: int = 8,
+    seed: int = 0,
 ) -> dict:
-    pages = generate_corpus(count=page_count, seed=seed)
-    steerer = DChannelSteerer(savings_threshold=ms(threshold_ms))
-    plt, events = _mean_plt(mbps(2), ms(5), steerer, pages, seed)
-    return {"plt_ms": to_ms(plt), "events": events}
-
-
-def rtt_sweep_unit(rtt_ms: float = 5.0, page_count: int = 8, seed: int = 0) -> dict:
-    pages = generate_corpus(count=page_count, seed=seed)
-    plt, events = _mean_plt(mbps(2), ms(rtt_ms), DChannelSteerer(), pages, seed)
-    return {"plt_ms": to_ms(plt), "events": events}
+    """Mean web PLT at one (URLLC rate, URLLC RTT, DChannel savings
+    threshold) point: driving trace, background flows on (runner unit)."""
+    plts, events = corpus_plts(
+        generate_corpus(count=page_count, seed=seed),
+        lambda index: web_network(
+            "5g-lowband-driving",
+            "dchannel",  # by name: one steerer per device, as in Table 1
+            seed=seed + index,
+            urllc=urllc_spec(rate_bps=mbps(rate_mbps), rtt=ms(rtt_ms)),
+            steering_kwargs={"savings_threshold": ms(threshold_ms)},
+        ),
+    )
+    return {"plt_ms": to_ms(sum(plts) / len(plts)), "events": events}
 
 
 def decode_wait_unit(
@@ -131,6 +84,90 @@ def decode_wait_unit(
     }
 
 
+#: The three PLT sweeps each vary one argument of :func:`plt_sweep_unit`
+#: and leave the other two at the paper's point, so that point (2 Mbps,
+#: 5 ms, threshold 0) is one unit — one cache entry — shared by all three.
+PAPER_POINT = {"rate_mbps": 2.0, "rtt_ms": 5.0, "threshold_ms": 0.0}
+
+_PLT_SWEEPS = {
+    "sweep-urllc-bw": {
+        "axis": "rate_mbps",
+        "description": (
+            "Mean web PLT (driving trace, background flows) as URLLC "
+            "bandwidth varies, DChannel steering."
+        ),
+        "column": "URLLC Mbps",
+        "title": "URLLC bandwidth sweep",
+        "series": ("PLT vs URLLC bandwidth", "Mbps"),
+        "note": (
+            "finding: with background flows competing, PLT keeps improving past "
+            "2 Mbps — the paper's URLLC emulation point is genuinely scarce, "
+            "which is why Table 1's flow-priority arbitration matters"
+        ),
+    },
+    "sweep-threshold": {
+        "axis": "threshold_ms",
+        "description": "Mean web PLT vs DChannel savings_threshold.",
+        "column": "threshold (ms)",
+        "title": "Savings-threshold sweep",
+        "note": (
+            "finding: PLT is fairly flat across 0-30 ms; a moderate hysteresis "
+            "(~15 ms) can help slightly by damping channel flapping"
+        ),
+    },
+    "sweep-urllc-rtt": {
+        "axis": "rtt_ms",
+        "description": "Mean web PLT as the low-latency channel's RTT varies.",
+        "column": "URLLC RTT (ms)",
+        "title": "URLLC RTT sweep",
+        "note": (
+            "expected: gains shrink as the URLLC RTT approaches eMBB's ~50 ms "
+            "(the base-delay gap is the steering budget)"
+        ),
+    },
+}
+
+
+def _run_plt_sweep(
+    name: str,
+    values: Sequence[float],
+    page_count: int,
+    seed: int,
+    runner: Optional[ParallelRunner],
+) -> ExperimentResult:
+    spec = _PLT_SWEEPS[name]
+    runner = runner if runner is not None else ParallelRunner()
+    result = ExperimentResult(name=name, description=spec["description"])
+    table = Table([spec["column"], "mean PLT (ms)"], title=spec["title"])
+    payloads = runner.run(
+        [
+            RunUnit.make(
+                "sweep-plt",
+                "repro.experiments.sensitivity:plt_sweep_unit",
+                seed=seed,
+                page_count=page_count,
+                **{**PAPER_POINT, spec["axis"]: float(value)},
+            )
+            for value in values
+        ]
+    )
+    for value, payload in zip(values, payloads):
+        result.values[f"{value}"] = payload["plt_ms"]
+        result.events_processed += payload["events"]
+        table.add_row(value, payload["plt_ms"])
+    result.tables.append(table)
+    if "series" in spec:
+        title, x_label = spec["series"]
+        series = SeriesSet(title=title, x_label=x_label, y_label="ms")
+        series.add(
+            "dchannel",
+            [(value, payload["plt_ms"]) for value, payload in zip(values, payloads)],
+        )
+        result.series.append(series)
+    result.notes.append(spec["note"])
+    return result
+
+
 def run_urllc_bandwidth_sweep(
     rates_mbps: Sequence[float] = DEFAULT_URLLC_RATES_MBPS,
     page_count: int = 8,
@@ -138,44 +175,10 @@ def run_urllc_bandwidth_sweep(
     runner: Optional[ParallelRunner] = None,
 ) -> ExperimentResult:
     """Web PLT vs URLLC bandwidth under DChannel steering."""
-    runner = runner if runner is not None else ParallelRunner()
-    result = ExperimentResult(
-        name="sweep-urllc-bw",
-        description=(
-            "Mean web PLT (driving trace, background flows) as URLLC "
-            "bandwidth varies, DChannel steering."
-        ),
-    )
-    table = Table(["URLLC Mbps", "mean PLT (ms)"], title="URLLC bandwidth sweep")
-    series = SeriesSet(title="PLT vs URLLC bandwidth", x_label="Mbps", y_label="ms")
-    points = []
-    payloads = runner.run(
-        [
-            RunUnit.make(
-                "sweep-urllc-bw",
-                "repro.experiments.sensitivity:bw_sweep_unit",
-                seed=seed,
-                rate_mbps=rate,
-                page_count=page_count,
-            )
-            for rate in rates_mbps
-        ]
-    )
-    for rate, payload in zip(rates_mbps, payloads):
-        plt_ms = payload["plt_ms"]
-        result.values[f"{rate}"] = plt_ms
-        result.events_processed += payload["events"]
-        table.add_row(rate, plt_ms)
-        points.append((rate, plt_ms))
-    series.add("dchannel", points)
-    result.tables.append(table)
-    result.series.append(series)
-    result.notes.append(
-        "finding: with background flows competing, PLT keeps improving past "
-        "2 Mbps — the paper's URLLC emulation point is genuinely scarce, "
-        "which is why Table 1's flow-priority arbitration matters"
-    )
-    return result
+    return _run_plt_sweep("sweep-urllc-bw", rates_mbps, page_count, seed, runner)
+
+
+run_urllc_bandwidth_sweep.quick = {"page_count": 3}
 
 
 def run_threshold_sweep(
@@ -185,34 +188,23 @@ def run_threshold_sweep(
     runner: Optional[ParallelRunner] = None,
 ) -> ExperimentResult:
     """Web PLT vs DChannel's savings threshold (reward hysteresis)."""
-    runner = runner if runner is not None else ParallelRunner()
-    result = ExperimentResult(
-        name="sweep-threshold",
-        description="Mean web PLT vs DChannel savings_threshold.",
-    )
-    table = Table(["threshold (ms)", "mean PLT (ms)"], title="Savings-threshold sweep")
-    payloads = runner.run(
-        [
-            RunUnit.make(
-                "sweep-threshold",
-                "repro.experiments.sensitivity:threshold_sweep_unit",
-                seed=seed,
-                threshold_ms=threshold,
-                page_count=page_count,
-            )
-            for threshold in thresholds_ms
-        ]
-    )
-    for threshold, payload in zip(thresholds_ms, payloads):
-        result.values[f"{threshold}"] = payload["plt_ms"]
-        result.events_processed += payload["events"]
-        table.add_row(threshold, payload["plt_ms"])
-    result.tables.append(table)
-    result.notes.append(
-        "finding: PLT is fairly flat across 0-30 ms; a moderate hysteresis "
-        "(~15 ms) can help slightly by damping channel flapping"
-    )
-    return result
+    return _run_plt_sweep("sweep-threshold", thresholds_ms, page_count, seed, runner)
+
+
+run_threshold_sweep.quick = {"page_count": 3}
+
+
+def run_urllc_rtt_sweep(
+    rtts_ms: Sequence[float] = DEFAULT_URLLC_RTTS_MS,
+    page_count: int = 8,
+    seed: int = 0,
+    runner: Optional[ParallelRunner] = None,
+) -> ExperimentResult:
+    """Web PLT vs URLLC RTT: how fast must the fast channel be?"""
+    return _run_plt_sweep("sweep-urllc-rtt", rtts_ms, page_count, seed, runner)
+
+
+run_urllc_rtt_sweep.quick = {"page_count": 3}
 
 
 def run_decode_wait_sweep(
@@ -262,42 +254,5 @@ def run_decode_wait_sweep(
     result.notes.append(
         "paper's claim: no wait → base-layer-only quality; long waits → "
         "stale frames; ~60 ms balances the two"
-    )
-    return result
-
-
-def run_urllc_rtt_sweep(
-    rtts_ms: Sequence[float] = DEFAULT_URLLC_RTTS_MS,
-    page_count: int = 8,
-    seed: int = 0,
-    runner: Optional[ParallelRunner] = None,
-) -> ExperimentResult:
-    """Web PLT vs URLLC RTT: how fast must the fast channel be?"""
-    runner = runner if runner is not None else ParallelRunner()
-    result = ExperimentResult(
-        name="sweep-urllc-rtt",
-        description="Mean web PLT as the low-latency channel's RTT varies.",
-    )
-    table = Table(["URLLC RTT (ms)", "mean PLT (ms)"], title="URLLC RTT sweep")
-    payloads = runner.run(
-        [
-            RunUnit.make(
-                "sweep-urllc-rtt",
-                "repro.experiments.sensitivity:rtt_sweep_unit",
-                seed=seed,
-                rtt_ms=rtt,
-                page_count=page_count,
-            )
-            for rtt in rtts_ms
-        ]
-    )
-    for rtt, payload in zip(rtts_ms, payloads):
-        result.values[f"{rtt}"] = payload["plt_ms"]
-        result.events_processed += payload["events"]
-        table.add_row(rtt, payload["plt_ms"])
-    result.tables.append(table)
-    result.notes.append(
-        "expected: gains shrink as the URLLC RTT approaches eMBB's ~50 ms "
-        "(the base-delay gap is the steering budget)"
     )
     return result

@@ -20,7 +20,7 @@ Paper's Table 1 (mean PLT in ms):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.apps.web.background import BackgroundFlows
 from repro.apps.web.browser import load_page
@@ -28,9 +28,10 @@ from repro.apps.web.corpus import generate_corpus
 from repro.core.api import HvcNetwork
 from repro.core.metrics import percentile
 from repro.core.results import ExperimentResult, PaperComparison, Table
+from repro.experiments.fig1 import _export_trace, _steering_for, _unit_obs
+from repro.net.channel import ChannelSpec
 from repro.net.hvc import traced_embb_spec, urllc_spec
 from repro.runner import ParallelRunner, RunUnit
-from repro.steering.single import SingleChannelSteerer
 from repro.traces.catalog import get_trace
 from repro.units import to_ms
 
@@ -50,18 +51,60 @@ PAPER_PLT_MS = {
 }
 
 
-def _steering_for(policy: str):
-    if policy == "embb-only":
-        return SingleChannelSteerer(channel_name="embb")
-    return policy
-
-
-def web_network(trace_name: str, policy: str, seed: int = 0) -> HvcNetwork:
+def web_network(
+    trace_name: str,
+    policy,
+    seed: int = 0,
+    urllc: Optional[ChannelSpec] = None,
+    steering_kwargs: Optional[dict] = None,
+) -> HvcNetwork:
     """Build the Table 1 network: traced Lowband eMBB + URLLC."""
     trace = get_trace(trace_name, seed=seed + 1)
     embb = traced_embb_spec(trace)
     embb.name = "embb"
-    return HvcNetwork([embb, urllc_spec()], steering=_steering_for(policy), seed=seed)
+    return HvcNetwork(
+        [embb, urllc if urllc is not None else urllc_spec()],
+        steering=_steering_for(policy),
+        steering_kwargs=steering_kwargs,
+        seed=seed,
+    )
+
+
+def corpus_plts(
+    pages: Sequence,
+    make_network: Callable[[int], HvcNetwork],
+    background: bool = True,
+    loader_fn=load_page,
+    timeout: float = 45.0,
+    obs=None,
+) -> Tuple[List[float], int]:
+    """(PLT samples in seconds, kernel events) over ``pages``.
+
+    Each page loads on the fresh network ``make_network(page_index)``
+    builds (cleared caches and re-established connections, as in the
+    paper's methodology); with ``background`` the two background flows run
+    throughout and get 0.2 s to reach steady state first. A load that
+    stalls counts at ``timeout``.
+
+    ``obs`` instruments the first page's network only: one realization
+    already exhibits the full packet lifecycle, and a whole corpus would
+    multiply trace volume ~30x for no extra signal.
+    """
+    plts: List[float] = []
+    events = 0
+    for index, page in enumerate(pages):
+        net = make_network(index)
+        if obs is not None and index == 0:
+            net.attach_obs(obs)
+        if background:
+            flows = BackgroundFlows(net)
+            net.run(until=0.2)
+        result = loader_fn(net, page, cc="cubic", timeout=timeout)
+        if background:
+            flows.close()
+        plts.append(result.plt if result.complete else timeout)
+        events += net.sim.events_processed
+    return plts, events
 
 
 def run_table1_cell(
@@ -72,18 +115,12 @@ def run_table1_cell(
     seed: int = 0,
     page_timeout: float = 45.0,
 ) -> List[float]:
-    """Mean-PLT samples (seconds) for one (condition, policy) cell.
-
-    Each page load runs on a fresh network realization (cleared caches and
-    re-established connections, as in the paper's methodology) with the two
-    background flows running throughout.
-    """
+    """Mean-PLT samples (seconds) for one (condition, policy) cell."""
     if pages is None:
         pages = generate_corpus(count=30, seed=seed)
-    plts, _, _ = _cell_samples(
+    return _cell_samples(
         condition, pages, policy, loads_per_page, seed, page_timeout
-    )
-    return plts
+    )[0]
 
 
 def _cell_samples(
@@ -93,45 +130,25 @@ def _cell_samples(
     loads_per_page: int,
     seed: int,
     page_timeout: float,
-    trace_dir: Optional[str] = None,
-) -> "tuple[List[float], int, Optional[str]]":
-    """(PLT samples, kernel events, trace path) — the unit's inner loop.
-
-    When ``trace_dir`` is given, only the first network realization (first
-    page, first round) is traced: each page load builds a fresh network, so
-    one realization already exhibits the cell's full packet lifecycle and a
-    full cell would multiply trace volume ~30x for no extra signal.
-    """
+    obs=None,
+) -> Tuple[List[float], int]:
+    """(PLT samples, kernel events) over ``loads_per_page`` rounds of the
+    corpus; ``obs`` traces the first load of the first round."""
     plts: List[float] = []
     events = 0
-    trace_path: Optional[str] = None
     for load_round in range(loads_per_page):
-        for page_index, page in enumerate(pages):
-            net = web_network(
-                TRACES[condition], policy, seed=seed + 101 * load_round + page_index
-            )
-            obs = None
-            if trace_dir is not None and load_round == 0 and page_index == 0:
-                from repro.obs import Observability
-
-                obs = net.attach_obs(Observability(tracing=True))
-            background = BackgroundFlows(net)
-            net.run(until=0.2)  # let background loops reach steady state
-            result = load_page(net, page, cc="cubic", timeout=page_timeout)
-            background.close()
-            if result.complete:
-                plts.append(result.plt)
-            else:
-                plts.append(page_timeout)  # stalled load counted at timeout
-            events += net.sim.events_processed
-            if obs is not None:
-                import os
-
-                trace_path = os.path.join(
-                    trace_dir, f"table1-{condition}-{policy}.jsonl"
-                )
-                obs.export_jsonl(trace_path)
-    return plts, events, trace_path
+        round_seed = seed + 101 * load_round
+        round_plts, round_events = corpus_plts(
+            pages,
+            lambda index: web_network(
+                TRACES[condition], policy, seed=round_seed + index
+            ),
+            timeout=page_timeout,
+            obs=obs if load_round == 0 else None,
+        )
+        plts += round_plts
+        events += round_events
+    return plts, events
 
 
 def table1_cell_unit(
@@ -149,14 +166,16 @@ def table1_cell_unit(
     worker, which is deterministic, so the unit's parameters fully describe
     the run.
     """
-    pages = generate_corpus(count=page_count, seed=seed)
-    plts, events, trace_path = _cell_samples(
-        condition, pages, policy, loads_per_page, seed, page_timeout,
-        trace_dir=trace_dir,
+    obs = _unit_obs(trace_dir)
+    plts, events = _cell_samples(
+        condition, generate_corpus(count=page_count, seed=seed), policy,
+        loads_per_page, seed, page_timeout, obs=obs,
     )
     payload = {"plts": plts, "events": events}
-    if trace_path is not None:
-        payload["trace"] = trace_path
+    if obs is not None:
+        payload["trace"] = _export_trace(
+            obs, trace_dir, f"table1-{condition}-{policy}"
+        )
     return payload
 
 
@@ -190,7 +209,8 @@ def run_table1(
                         **extra,
                     )
                     for condition, policy in cell_keys
-                ]
+                ],
+                cached=trace_dir is None,
             ),
         )
     )
@@ -240,3 +260,6 @@ def run_table1(
         )
     result.tables.append(table)
     return result
+
+
+run_table1.quick = {"page_count": 4}

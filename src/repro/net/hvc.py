@@ -30,11 +30,16 @@ EMBB_QUEUE_BYTES = kib(2440)
 URLLC_QUEUE_BYTES = kib(64)
 
 
-def urllc_spec(queue_bytes: int = URLLC_QUEUE_BYTES) -> ChannelSpec:
+def urllc_spec(
+    rate_bps: float = mbps(2),
+    rtt: float = ms(5),
+    queue_bytes: int = URLLC_QUEUE_BYTES,
+) -> ChannelSpec:
     """URLLC per the paper's emulation: 2 Mbps, 5 ms RTT, reliable."""
-    direction = DirectionSpec(rate_bps=mbps(2), delay=ms(2.5), queue_bytes=queue_bytes)
-    down = DirectionSpec(rate_bps=mbps(2), delay=ms(2.5), queue_bytes=queue_bytes)
-    return ChannelSpec(name="urllc", up=direction, down=down, reliable=True)
+    one_way = rtt / 2.0
+    up = DirectionSpec(rate_bps=rate_bps, delay=one_way, queue_bytes=queue_bytes)
+    down = DirectionSpec(rate_bps=rate_bps, delay=one_way, queue_bytes=queue_bytes)
+    return ChannelSpec(name="urllc", up=up, down=down, reliable=True)
 
 
 def fixed_embb_spec(

@@ -173,19 +173,24 @@ class ParallelRunner:
     # ------------------------------------------------------------------
     # Strict execution (experiments): first failure raises
     # ------------------------------------------------------------------
-    def run(self, units: Sequence[RunUnit]) -> List[Any]:
+    def run(self, units: Sequence[RunUnit], cached: bool = True) -> List[Any]:
         """Execute every unit; results align index-for-index with ``units``.
 
         Strict mode: the first failure raises :class:`RunnerError` after
         cancelling every not-yet-started unit — no point simulating the
         rest of a figure whose experiment code is broken.
+
+        ``cached=False`` is for units whose output is more than their
+        payload (a traced unit also writes a file): they are executed, and
+        neither read from nor written to the cache.
         """
         units = list(units)
+        cache = self.cache if cached else None
         results: List[Any] = [None] * len(units)
         pending: List[int] = []
         for index, unit in enumerate(units):
-            if self.cache is not None:
-                hit, value = self.cache.get(unit)
+            if cache is not None:
+                hit, value = cache.get(unit)
                 if hit:
                     results[index] = value
                     self.cache_hits += 1
@@ -200,12 +205,12 @@ class ParallelRunner:
             for index, value in zip(pending, computed):
                 results[index] = value
                 self.executed += 1
-                if self.cache is not None:
-                    self.cache.put(units[index], value)
+                if cache is not None:
+                    cache.put(units[index], value)
         return results
 
-    def run_one(self, unit: RunUnit) -> Any:
-        return self.run([unit])[0]
+    def run_one(self, unit: RunUnit, cached: bool = True) -> Any:
+        return self.run([unit], cached=cached)[0]
 
     # ------------------------------------------------------------------
     # Resilient execution (campaigns): every unit gets an outcome

@@ -98,6 +98,27 @@ class TestRanking:
         assert any(note.startswith("ranking:") for note in result.notes)
 
 
+class TestGridLabels:
+    def test_rows_are_labelled_with_the_cell_that_produced_them(self):
+        # Axis order is the caller's: neither list is in catalogue order.
+        scenarios = ("outage-flap", "reorder-bulk")
+        components = ("resequencer", "noop")
+        result = run_ablation_harness(
+            duration=2.0, scenarios=scenarios, components=components, seed=0
+        )
+        for component in components:
+            for scenario in scenarios:
+                unit = ablation_unit(
+                    scenario=scenario, component=component, duration=2.0, seed=0
+                )
+                assert result.values[f"{component}/{scenario}/mbps"] == round(
+                    unit["mbps"], 3
+                )
+        grid = result.tables[0]
+        assert grid.headers == ["component"] + [f"{s} (Mbps)" for s in scenarios]
+        assert [row[0] for row in grid.rows] == list(components)
+
+
 class TestDeterminism:
     def test_same_seed_same_ranking_and_values(self, tmp_path):
         kwargs = dict(

@@ -1,6 +1,7 @@
 """Tests for the CLI entry point."""
 
 import functools
+import inspect
 import os
 import subprocess
 import sys
@@ -78,6 +79,32 @@ class TestCli:
         assert "fig1a, fig1b, fig2, table1" in err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "argv, option, takers",
+        [
+            (["fig1a", "--pages", "3"], "--pages", "baselines, sweep-threshold"),
+            (["fig1a", "--tenants", "5"], "--tenants", "fleet, resilience"),
+            (["table1", "--shards", "2"], "--shards", "fleet"),
+        ],
+    )
+    def test_scale_flag_rejected_where_it_would_be_ignored(
+        self, capsys, argv, option, takers
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--no-cache"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"{option} is not supported by {argv[0]!r}" in captured.err
+        assert takers in captured.err
+        assert captured.out == ""  # nothing ran
+
+    def test_tenants_reaches_the_fleet_cells_of_resilience(self, monkeypatch):
+        real, calls = spy_on("resilience", monkeypatch)
+        assert main(["resilience", "--no-cache", "--quick", "--tenants", "7"]) == 0
+        (kwargs,) = calls
+        assert kwargs["fleet_tenants"] == 7
+        assert kwargs["duration"] == real.quick["duration"]
+
     @pytest.mark.parametrize("name", ["ab-tsn", "sweep-decode-wait"])
     def test_duration_reaches_every_experiment_that_takes_one(self, name, monkeypatch):
         real = resolve_fn(EXPERIMENTS[name])
@@ -102,7 +129,10 @@ class TestCli:
         calls = []
         monkeypatch.setattr(
             "repro.cli.EXPERIMENTS",
-            dict.fromkeys(["fig1b", "ab-cost"], "tests.test_cli:fake_experiment"),
+            {
+                "fig1b": "tests.test_cli:fake_traceable_experiment",
+                "ab-cost": "tests.test_cli:fake_experiment",
+            },
         )
         monkeypatch.setattr("tests.test_cli.FAKE_CALLS", calls)
         assert main(["all", "--no-cache", "--trace-dir", str(tmp_path)]) == 0
@@ -124,6 +154,36 @@ def fake_experiment(**kwargs):
             return "fake"
 
     return Rendered
+
+
+def spy_on(name, monkeypatch):
+    """Swap experiment ``name`` for a recording fake that keeps its signature
+    and attributes (the CLI reads both); returns (real function, calls)."""
+    real = resolve_fn(EXPERIMENTS[name])
+    calls = []
+    monkeypatch.setattr("tests.test_cli.FAKE_CALLS", calls)
+    spy = functools.wraps(real)(lambda **kwargs: fake_experiment(**kwargs))
+    monkeypatch.setattr(sys.modules[real.__module__], real.__name__, spy)
+    return real, calls
+
+
+def fake_traceable_experiment(seed=0, runner=None, trace_dir=None):
+    """An experiment counts as traceable by declaring ``trace_dir``."""
+    return fake_experiment(seed=seed, runner=runner, trace_dir=trace_dir)
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_quick_scale_lives_with_the_experiment_and_binds(name, monkeypatch):
+    """Every registry entry resolves; ``--quick`` passes exactly the run
+    function's own ``quick`` dict, and that dict names real parameters — a
+    typo fails here, not two minutes into ``all --quick``."""
+    real, calls = spy_on(name, monkeypatch)
+    quick = getattr(real, "quick", {})
+    inspect.signature(real).bind_partial(seed=0, runner=None, **quick)
+    assert main([name, "--no-cache", "--quick"]) == 0
+    (kwargs,) = calls
+    assert sorted(kwargs) == sorted({"seed", "runner", *quick})
+    assert all(kwargs[param] == value for param, value in quick.items())
 
 
 def test_cli_import_leaves_numpy_and_the_fleet_engine_out():

@@ -104,6 +104,23 @@ class TestScorecard:
             assert result.values[f"fleet/{regime}/stalled_at_end"] == 0
         assert len(result.tables) == 2
 
+    def test_rows_are_labelled_with_the_cell_that_produced_them(self):
+        # Axis order is the caller's: "dchannel" listed before "single".
+        result = run_resilience(
+            duration=6.0, regimes=("handover",), policies=("dchannel", "single"),
+            ccas=("cubic",), fleet_tenants=200, fleet_duration=2.0,
+        )
+        assert result.values["handover/single/cubic/failovers"] == 0
+        assert result.values["handover/dchannel/cubic/failovers"] > 0
+        assert result.values["handover/single/cubic/ttr_p99_s"] > 0.0
+        rows = result.tables[0].rows
+        assert [row[1] for row in rows] == ["dchannel", "single"]
+        assert [row[5] for row in rows] == [
+            str(result.values[f"handover/{policy}/cubic/failovers"])
+            for policy in ("dchannel", "single")
+        ]
+        assert [row[0] for row in result.tables[1].rows] == ["handover"]
+
     def test_deterministic_and_cache_stable(self, tmp_path):
         runner1 = ParallelRunner(cache=ResultCache(tmp_path / "cache"))
         cold = run_resilience(runner=runner1, **QUICK)

@@ -252,3 +252,23 @@ class TestBlackoutDegradation:
         net.run(until=5.0)
         assert pair.client.stats.messages_blackout_buffered == 1
         assert pair.server.stats.messages_completed == 1
+
+
+class TestOutageSweep:
+    def test_rows_are_labelled_with_the_cell_that_produced_them(self):
+        from repro.experiments.faults import run_faults
+
+        # Axis order is the caller's: "dchannel" listed before "single".
+        policies = ("dchannel", "single")
+        result = run_faults(
+            duration=6.5, outages=(0.5,), ccas=("cubic",), policies=policies
+        )
+        assert result.values["cubic/single/outage0.5/failovers"] == 0
+        assert result.values["cubic/dchannel/outage0.5/failovers"] > 0
+        rows = result.tables[0].rows
+        assert [row[2] for row in rows] == list(policies)
+        assert [row[5] for row in rows] == [
+            str(result.values[f"cubic/{policy}/outage0.5/failovers"])
+            for policy in policies
+        ]
+        assert list(result.series[0].series) == list(policies)

@@ -3,6 +3,7 @@
 from repro.experiments.fig1 import run_fig1a
 from repro.experiments.table1 import table1_cell_unit
 from repro.obs import summarize_file, validate_file
+from repro.runner import ParallelRunner, ResultCache
 
 
 class TestExperimentTraceExport:
@@ -19,6 +20,23 @@ class TestExperimentTraceExport:
         # a cubic bulk flow, so its uplink was busy.
         assert 0.0 < summary.utilization("embb", "up") <= 1.0
         assert "artifacts" in result.render()
+
+    def test_traced_units_are_executed_not_served_from_the_cache(self, tmp_path):
+        # The trace file is part of a traced unit's output and the cache
+        # holds payloads only: a second run into an emptied directory must
+        # write the files again, not list paths that do not exist.
+        cache = ResultCache(tmp_path / "cache")
+        traces = tmp_path / "traces"
+        for _ in range(2):
+            runner = ParallelRunner(cache=cache)
+            result = run_fig1a(duration=1.0, runner=runner, trace_dir=str(traces))
+            assert (runner.executed, runner.cache_hits) == (4, 0)
+            paths = sorted(result.artifacts.values())
+            assert len(paths) == 4
+            assert sorted(str(path) for path in traces.iterdir()) == paths
+            for path in traces.iterdir():
+                path.unlink()
+        assert not any((tmp_path / "cache").rglob("*.pkl"))
 
     def test_fig1a_without_trace_dir_has_no_artifacts(self):
         result = run_fig1a(duration=2.0, ccas=("cubic",))

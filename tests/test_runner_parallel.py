@@ -13,7 +13,11 @@ import pytest
 
 from repro.errors import RunnerError
 from repro.experiments.fig1 import run_fig1a
-from repro.experiments.sensitivity import run_urllc_bandwidth_sweep
+from repro.experiments.sensitivity import (
+    run_threshold_sweep,
+    run_urllc_bandwidth_sweep,
+    run_urllc_rtt_sweep,
+)
 from repro.runner import ParallelRunner, ResultCache, RunUnit
 
 PROBE_FN = "repro.runner.units:probe_unit"
@@ -138,6 +142,16 @@ class TestExperimentDeterminism:
         assert cold == reference
         assert warm == reference
         assert warm_runner.cache_hits == 2 and warm_runner.executed == 0
+
+    def test_the_three_plt_sweeps_share_the_paper_point(self, tmp_path):
+        # 5 rates + 4 thresholds + 4 RTTs, and (2 Mbps, 5 ms, threshold 0)
+        # is on all three axes: one unit, simulated once.
+        runner = ParallelRunner(cache=ResultCache(tmp_path))
+        bandwidth = run_urllc_bandwidth_sweep(page_count=2, runner=runner)
+        threshold = run_threshold_sweep(page_count=2, runner=runner)
+        rtt = run_urllc_rtt_sweep(page_count=2, runner=runner)
+        assert (runner.executed, runner.cache_hits) == (11, 2)
+        assert bandwidth.values["2.0"] == threshold.values["0.0"] == rtt.values["5.0"]
 
     def test_seed_change_busts_cache(self, tmp_path):
         cache = ResultCache(tmp_path)
