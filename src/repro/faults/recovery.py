@@ -26,29 +26,17 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from repro.core.metrics import percentile
 from repro.errors import ScenarioError
 from repro.net.packet import PacketType
 
 
 def recovery_percentile(samples: Sequence[float], q: float) -> float:
-    """Linear-interpolation percentile of recovery samples (0.0 if empty).
-
-    Matches the trace model's percentile convention (rank over n-1 with
-    ``a + f*(b-a)`` interpolation, exact when neighbours are equal) so
-    scorecard and trace statistics read on the same scale.
-    """
+    """:func:`repro.core.metrics.percentile` of recovery samples, the
+    convention trace statistics use too, but 0.0 if empty."""
     if not 0 <= q <= 100:
         raise ScenarioError(f"percentile must be in [0, 100], got {q}")
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (q / 100.0) * (len(ordered) - 1)
-    low = int(rank)
-    high = min(low + 1, len(ordered) - 1)
-    frac = rank - low
-    return ordered[low] + frac * (ordered[high] - ordered[low])
+    return percentile(samples, q) if samples else 0.0
 
 
 class RecoveryTracker:

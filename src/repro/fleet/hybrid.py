@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.core import metrics
 from repro.core.api import HvcNetwork
 from repro.errors import ScenarioError
 from repro.fleet.fluid import FluidBackground
@@ -257,14 +258,6 @@ def goodput_shares(
 
 
 def percentile(samples: List[float], q: float) -> float:
-    """Nearest-rank percentile (q in [0, 100]); 0.0 on empty input."""
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (q / 100.0) * (len(ordered) - 1)
-    lo = int(rank)
-    hi = min(lo + 1, len(ordered) - 1)
-    frac = rank - lo
-    return ordered[lo] * (1 - frac) + ordered[hi] * frac
+    """:func:`repro.core.metrics.percentile` (linear interpolation, q in
+    [0, 100]), but 0.0 on empty input."""
+    return metrics.percentile(samples, q) if samples else 0.0

@@ -20,6 +20,11 @@ Guarantees:
   order; ``jobs=N`` and a warm cache reproduce ``jobs=1`` bit-for-bit.
 * **Cache safety** — keys hash experiment name, unit function, params,
   seed, and package version; damaged cache files read as misses.
+* **Checkpointing** — one scheduler serves ``run`` (experiments: the first
+  failure raises, naming its unit) and ``run_outcomes`` (campaigns: every
+  unit gets an outcome); both cache each unit as it completes, so an
+  interrupted batch resumes where it stopped, and a worker death is blamed
+  on the unit that caused it.
 """
 
 from repro.runner.cache import CACHE_DIR_ENV, ResultCache, default_cache_dir

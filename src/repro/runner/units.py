@@ -10,7 +10,9 @@ function object so that the description pickles cheaply and resolves
 identically in every worker, whatever the multiprocessing start method.
 Unit functions must be module-level callables accepting keyword arguments
 plus ``seed``, and must return a picklable payload (plain dicts of floats
-and lists by convention).
+and lists by convention). They must also be deterministic in those
+arguments: the cache key rests on it, and it is why the runner never
+runs a failed unit again — a second run would only replay the failure.
 """
 
 from __future__ import annotations
@@ -140,9 +142,9 @@ def probe_unit(value: float = 0.0, seed: int = 0) -> Dict[str, float]:
 
 # ----------------------------------------------------------------------
 # Failure-mode probe units. These exist so the runner's resilience paths
-# (per-unit timeouts, BrokenProcessPool recovery, retries) can be exercised
-# by real worker processes in tests, not just by mocks. They must stay
-# module-level and importable, like every unit function.
+# (per-unit timeouts, BrokenProcessPool recovery, checkpoint/resume) can
+# be exercised by real worker processes in tests, not just by mocks. They
+# must stay module-level and importable, like every unit function.
 # ----------------------------------------------------------------------
 
 def error_unit(message: str = "probe failure", seed: int = 0) -> None:
@@ -167,24 +169,3 @@ def sleep_unit(duration: float = 3600.0, seed: int = 0) -> Dict[str, float]:
 
     time.sleep(duration)
     return {"slept": duration, "seed": seed}
-
-
-def flaky_unit(marker: str, fail_times: int = 1, seed: int = 0) -> Dict[str, int]:
-    """Fails its first ``fail_times`` executions, then succeeds.
-
-    ``marker`` names a scratch file used as a cross-process attempt counter
-    (worker processes share no memory), letting tests exercise the runner's
-    bounded-retry path with genuine process-pool executions.
-    """
-    from pathlib import Path
-
-    path = Path(marker)
-    try:
-        attempts = int(path.read_text())
-    except (OSError, ValueError):
-        attempts = 0
-    attempts += 1
-    path.write_text(str(attempts))
-    if attempts <= fail_times:
-        raise RuntimeError(f"flaky failure {attempts}/{fail_times} (seed={seed})")
-    return {"attempts": attempts, "seed": seed}

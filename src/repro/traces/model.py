@@ -15,6 +15,7 @@ from __future__ import annotations
 import bisect
 from typing import List, Sequence, Tuple
 
+from repro.core import metrics
 from repro.errors import TraceError
 
 
@@ -88,15 +89,7 @@ class NetworkTrace:
         """Delay percentile across samples (unweighted; samples are uniform)."""
         if not 0 <= percentile <= 100:
             raise TraceError(f"percentile must be in [0, 100], got {percentile}")
-        ordered = sorted(self.delays)
-        if len(ordered) == 1:
-            return ordered[0]
-        rank = (percentile / 100.0) * (len(ordered) - 1)
-        low = int(rank)
-        high = min(low + 1, len(ordered) - 1)
-        frac = rank - low
-        # a + f*(b-a) is exact when a == b (a*(1-f) + b*f can round below a).
-        return ordered[low] + frac * (ordered[high] - ordered[low])
+        return metrics.percentile(self.delays, percentile)
 
     def min_rate(self) -> float:
         return min(self.rates_bps)

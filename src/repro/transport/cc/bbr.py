@@ -12,6 +12,10 @@ Under DChannel steering the min-RTT filter latches onto URLLC's ~5 ms
 samples while data actually rides the ~50 ms eMBB path, so the BDP — and
 with it throughput — is underestimated by roughly RTprop(urllc)/RTT(embb).
 That emergent failure is the point of the reproduction.
+
+:class:`~repro.transport.cc.bbr2.Bbr2` subclasses :class:`Bbr`: the
+filters, the ACK-aggregation estimate, the STARTUP exit and the constants
+here are the one model both generations run.
 """
 
 from __future__ import annotations
@@ -60,7 +64,9 @@ class Bbr(CongestionControl):
         # ACKs arrive in bursts (aggregating links, or a resequencing shim
         # batching cross-channel deliveries), delivered bytes transiently
         # exceed btlbw × elapsed; the windowed max of that excess is added
-        # to cwnd so throughput does not collapse to the BDP estimate.
+        # to cwnd so throughput does not collapse to the BDP estimate. On
+        # HVC paths this also softens min-RTT poisoning (a URLLC-floored
+        # min_rtt understates the eMBB BDP).
         self._extra_acked_start = 0.0
         self._extra_acked_delivered = 0
         self._extra_acked_samples = WindowedMax()

@@ -3,7 +3,10 @@
 BBR v2 (Cardwell et al., IETF drafts 2019-2021) keeps v1's model — a
 windowed-max bandwidth filter, a windowed-min RTT filter, STARTUP / DRAIN
 / PROBE_BW / PROBE_RTT — but bounds it with explicit *inflight limits*
-learned from loss:
+learned from loss. :class:`Bbr2` therefore extends :class:`~repro.transport.
+cc.bbr.Bbr`: the filters, the ACK-aggregation estimate, the STARTUP exit
+and their constants are v1's, defined once in :mod:`repro.transport.cc.bbr`;
+this module adds only what v2 changes:
 
 * ``inflight_hi`` — a hard ceiling on bytes in flight, set where loss
   exceeded :data:`LOSS_THRESH` (2%) and only raised again by deliberate
@@ -33,24 +36,21 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.transport.cc.base import AckSample, CongestionControl, INITIAL_WINDOW_SEGMENTS
-from repro.transport.cc.windowed import WindowedMax
+from repro.transport.cc.base import AckSample, INITIAL_WINDOW_SEGMENTS
+from repro.transport.cc.bbr import (
+    BTLBW_WINDOW_ROUNDS,
+    CWND_GAIN,
+    DRAIN_GAIN,
+    MIN_CWND_SEGMENTS,
+    PROBE_RTT_DURATION,
+    STARTUP_GAIN,
+    Bbr,
+)
 
-# -- gains (Linux bbr2 values) ----------------------------------------
-STARTUP_GAIN = 2.885  # 2/ln(2)
-DRAIN_GAIN = 1.0 / STARTUP_GAIN
+# -- PROBE_BW phase gains (Linux bbr2 values) --------------------------
 PROBE_DOWN_GAIN = 0.75
 CRUISE_GAIN = 1.0
 PROBE_UP_GAIN = 1.25
-CWND_GAIN = 2.0
-
-# -- filters -----------------------------------------------------------
-MIN_RTT_WINDOW = 10.0  # seconds
-PROBE_RTT_DURATION = 0.2  # seconds
-BTLBW_WINDOW_ROUNDS = 10
-STARTUP_GROWTH_TARGET = 1.25
-STARTUP_FULL_BW_ROUNDS = 3
-MIN_CWND_SEGMENTS = 4
 
 # -- v2 loss model -----------------------------------------------------
 #: Loss rate (lost / (delivered + lost) per round) above which a PROBE_UP
@@ -76,15 +76,12 @@ PROBE_BACKOFF = 2.0
 MAX_PROBE_INTERVAL = 8.0
 
 
-class Bbr2(CongestionControl):
-    """BBR v2; pass ``delay_aware=True`` (the ``"bbr2+"`` registry name)
-    for BBRv2+'s delay-aware probing."""
+class Bbr2(Bbr):
+    """BBR v2 on v1's model; pass ``delay_aware=True`` (the ``"bbr2+"``
+    registry name) for BBRv2+'s delay-aware probing."""
 
     name = "bbr2"
 
-    STARTUP = "startup"
-    DRAIN = "drain"
-    PROBE_RTT = "probe_rtt"
     # PROBE_BW sub-phases (each is a top-level state here; ``in_probe_bw``
     # groups them).
     PROBE_DOWN = "probe_down"
@@ -99,37 +96,13 @@ class Bbr2(CongestionControl):
         self.delay_aware = delay_aware
         if delay_aware:
             self.name = "bbr2+"
-        self.state = self.STARTUP
-
-        # Bandwidth filter: (round, bytes/s) windowed max, as in v1
-        # (monotonic deque, O(1) queries).
-        self._bw_samples = WindowedMax()
-        # RTT filter.
-        self._min_rtt: Optional[float] = None
-        self._min_rtt_stamp = 0.0
 
         # Round accounting: a round ends when total_delivered passes the
         # level recorded at the round's start plus the flight size then.
-        self._round = 0
         self._round_target = 0
         self._round_delivered = 0
         self._round_lost = 0
         self._round_max_inflight = 0
-
-        # Startup full-bandwidth detection.
-        self._full_bw = 0.0
-        self._full_bw_count = 0
-
-        # ACK-aggregation compensation (Linux "extra_acked", kept from
-        # v1): when deliveries arrive in bursts — aggregating links, or
-        # the resequencing shim batching cross-channel deliveries — the
-        # windowed max of delivered-beyond-expected bytes is added to
-        # cwnd so throughput does not collapse to the BDP estimate. On
-        # HVC paths this also softens min-RTT poisoning (a URLLC-floored
-        # min_rtt understates the eMBB BDP).
-        self._extra_acked_start = 0.0
-        self._extra_acked_delivered = 0
-        self._extra_acked_samples = WindowedMax()
 
         # v2 inflight bounds. ``inf`` means "not yet learned".
         self.inflight_hi = float("inf")
@@ -147,23 +120,12 @@ class Bbr2(CongestionControl):
         #: Counts delay-aborted probes (BBRv2+), exposed for experiments.
         self.delay_probe_aborts = 0
 
-        # PROBE_RTT bookkeeping.
-        self._probe_rtt_done_at: Optional[float] = None
+        # PROBE_RTT returns to the cycle through CRUISE.
         self._state_before_probe = self.CRUISE
-        self._in_flight = 0
 
     # ------------------------------------------------------------------
     # Filters
     # ------------------------------------------------------------------
-    @property
-    def btlbw_bytes_per_s(self) -> float:
-        """Windowed-max bandwidth estimate (bytes/s); 0 if unknown."""
-        return self._bw_samples.value
-
-    @property
-    def min_rtt(self) -> Optional[float]:
-        return self._min_rtt
-
     @property
     def in_probe_bw(self) -> bool:
         return self.state in self._PROBE_BW_STATES
@@ -181,34 +143,6 @@ class Bbr2(CongestionControl):
             return
         self._bw_samples.push(self._round, rate_bytes)
         self._bw_samples.evict(self._round - BTLBW_WINDOW_ROUNDS)
-
-    def _update_min_rtt(self, sample: AckSample) -> None:
-        if sample.rtt is None:
-            return
-        expired = sample.now - self._min_rtt_stamp > MIN_RTT_WINDOW
-        if self._min_rtt is None or sample.rtt <= self._min_rtt:
-            self._min_rtt = sample.rtt
-            self._min_rtt_stamp = sample.now
-        elif expired:
-            self._enter_probe_rtt(sample.now)
-            self._min_rtt = sample.rtt
-            self._min_rtt_stamp = sample.now
-
-    def _update_extra_acked(self, sample: AckSample) -> None:
-        elapsed = sample.now - self._extra_acked_start
-        self._extra_acked_delivered += sample.newly_acked
-        expected = self.btlbw_bytes_per_s * elapsed
-        extra = self._extra_acked_delivered - expected
-        if extra <= 0 or elapsed > 1.0:
-            self._extra_acked_start = sample.now
-            self._extra_acked_delivered = sample.newly_acked
-            extra = max(0.0, float(sample.newly_acked))
-        self._extra_acked_samples.push(self._round, extra)
-        self._extra_acked_samples.evict(self._round - BTLBW_WINDOW_ROUNDS)
-
-    @property
-    def extra_acked_bytes(self) -> float:
-        return self._extra_acked_samples.value
 
     # ------------------------------------------------------------------
     # Round + loss model
@@ -244,15 +178,14 @@ class Bbr2(CongestionControl):
             self.state = self.DRAIN
 
     def on_lost(self, now: float, lost_bytes: int, in_flight: int) -> None:
-        """Segments were declared lost (SACK/dup-ACK inference)."""
+        """Segments were declared lost (SACK/dup-ACK inference).
+
+        This byte accounting is v2's whole loss signal; the once-per-window
+        :meth:`on_loss` the connection fires alongside stays v1's no-op."""
         self._round_lost += lost_bytes
         self._in_flight = in_flight
         if not self._loss_round and self._round_loss_rate() >= LOSS_THRESH:
             self._apply_loss_bounds(in_flight)
-
-    def on_loss(self, now: float, in_flight: int) -> None:
-        """Once-per-window loss signal; byte accounting arrives via
-        :meth:`on_lost`, which the connection fires alongside this."""
 
     def _end_round(self, sample: AckSample) -> None:
         if not self._loss_round and self._round_loss_rate() >= LOSS_THRESH:
@@ -292,16 +225,6 @@ class Bbr2(CongestionControl):
     # ------------------------------------------------------------------
     # State machine
     # ------------------------------------------------------------------
-    def _check_startup_done(self) -> None:
-        bw = self.btlbw_bytes_per_s
-        if bw >= self._full_bw * STARTUP_GROWTH_TARGET:
-            self._full_bw = bw
-            self._full_bw_count = 0
-            return
-        self._full_bw_count += 1
-        if self._full_bw_count >= STARTUP_FULL_BW_ROUNDS:
-            self.state = self.DRAIN
-
     def _enter_probe_rtt(self, now: float) -> None:
         if self.state != self.PROBE_RTT:
             if self.in_probe_bw:

@@ -1,11 +1,13 @@
-"""Runner resilience tests: crashes, hangs, retries, checkpoint/resume.
+"""Runner resilience tests: crashes, hangs, checkpoint/resume.
 
 The acceptance bar from the robustness design: a sweep containing one
-crashing, one hanging, and one flaky-then-ok unit still returns a
-per-unit :class:`~repro.runner.UnitOutcome` for every unit, and a rerun
-against the same cache resumes from the checkpoint — only the units that
-never completed execute again. Every failure here is produced by a real
-worker process running a real probe unit, not by a mock.
+crashing, one hanging, and healthy units still returns a per-unit
+:class:`~repro.runner.UnitOutcome` for every unit, and a rerun against the
+same cache resumes from the checkpoint — only the units that never
+completed execute again. ``run`` (what every experiment calls) reads the
+same scheduler, so it checkpoints and blames worker deaths the same way.
+Every failure here is produced by a real worker process running a real
+probe unit, not by a mock.
 """
 
 from __future__ import annotations
@@ -15,13 +17,12 @@ import time
 import pytest
 
 from repro.errors import RunnerError
-from repro.runner import ParallelRunner, ResultCache, RunUnit
+from repro.runner import ParallelRunner, ResultCache, RunUnit, parallel
 
 PROBE_FN = "repro.runner.units:probe_unit"
 ERROR_FN = "repro.runner.units:error_unit"
 CRASH_FN = "repro.runner.units:crash_unit"
 SLEEP_FN = "repro.runner.units:sleep_unit"
-FLAKY_FN = "repro.runner.units:flaky_unit"
 
 
 def probe(seed: int = 0) -> RunUnit:
@@ -52,26 +53,6 @@ class TestOutcomeBasics:
         with pytest.raises(RunnerError):
             outcomes[1].raise_if_failed()
         outcomes[0].raise_if_failed()  # no-op on ok
-
-    def test_flaky_unit_succeeds_within_retry_budget(self, tmp_path):
-        unit = RunUnit.make(
-            "probe", FLAKY_FN, marker=str(tmp_path / "flaky"), fail_times=1
-        )
-        runner = ParallelRunner(jobs=1, retries=2)
-        (outcome,) = runner.run_outcomes([unit])
-        assert outcome.ok
-        assert outcome.attempts == 2
-        assert runner.retried == 1
-
-    def test_flaky_unit_exhausts_retry_budget(self, tmp_path):
-        unit = RunUnit.make(
-            "probe", FLAKY_FN, marker=str(tmp_path / "flaky"), fail_times=5
-        )
-        runner = ParallelRunner(jobs=1)
-        (outcome,) = runner.run_outcomes([unit], retries=1)
-        assert outcome.status == "error"
-        assert outcome.attempts == 2
-        assert "flaky failure" in outcome.error
 
 
 class TestTimeouts:
@@ -108,9 +89,10 @@ class TestWorkerDeath:
         assert "worker process died" in outcomes[1].error
         assert runner.pool_respawns >= 1
 
-    def test_repeated_crashes_exhaust_respawn_budget(self):
+    def test_repeated_crashes_exhaust_respawn_budget(self, monkeypatch):
+        monkeypatch.setattr(parallel, "DEFAULT_MAX_POOL_RESPAWNS", 1)
         units = [RunUnit.make("probe", CRASH_FN, seed=s) for s in range(3)]
-        runner = ParallelRunner(jobs=2, max_pool_respawns=1)
+        runner = ParallelRunner(jobs=2)
         outcomes = runner.run_outcomes(units)
         assert all(o.status == "error" for o in outcomes)
 
@@ -172,18 +154,16 @@ class TestCheckpointResume:
         assert hit and value == outcome.value
 
     def test_mixed_sweep_outcomes_and_resume(self, tmp_path):
-        """The acceptance sweep: crash + hang + flaky + healthy units."""
+        """The acceptance sweep: crash + hang + healthy units."""
         units = [
             probe(1),
             RunUnit.make("probe", CRASH_FN),
             RunUnit.make("probe", SLEEP_FN, duration=30.0),
-            RunUnit.make(
-                "probe", FLAKY_FN, marker=str(tmp_path / "flaky"), fail_times=1
-            ),
+            probe(3),
             probe(2),
         ]
         cache = ResultCache(tmp_path / "cache")
-        first = ParallelRunner(jobs=2, cache=cache, retries=1)
+        first = ParallelRunner(jobs=2, cache=cache)
         outcomes = first.run_outcomes(units, timeout=3.0)
         assert [o.status for o in outcomes] == [
             "ok", "error", "timeout", "ok", "ok",
@@ -192,9 +172,51 @@ class TestCheckpointResume:
 
         # Resume: completed units come from the checkpoint, only the crash
         # and the hang execute again.
-        second = ParallelRunner(jobs=2, cache=cache, retries=1)
+        second = ParallelRunner(jobs=2, cache=cache)
         resumed = second.run_outcomes(units, timeout=2.0)
         assert [o.cached for o in resumed] == [True, False, False, True, True]
         assert second.cache_hits == 3
         assert resumed[1].status == "error"
         assert resumed[2].status == "timeout"
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_run_interrupted_at_unit_k_resumes_from_checkpoint(self, tmp_path, jobs):
+        """``run`` — the experiments' entry point — checkpoints too: the
+        units that finished before the interrupt are cached, and a re-run
+        executes only the rest."""
+        k = 3
+        marker = str(tmp_path / "interrupt")
+        interrupt = RunUnit.make(
+            "probe", "tests.test_runner_failures:interrupt_unit", marker=marker
+        )
+        units = [probe(s) for s in range(1, k + 1)] + [interrupt, probe(7), probe(8)]
+        cache = ResultCache(tmp_path / "cache")
+        first = ParallelRunner(jobs=jobs, cache=cache)
+        with pytest.raises(KeyboardInterrupt):
+            first.run(units)
+        assert first.executed == k
+        assert all(cache.get(unit)[0] for unit in units[:k])
+
+        second = ParallelRunner(jobs=jobs, cache=cache)
+        results = second.run(units)
+        assert results[k] == {"resumed": 1, "seed": 0}
+        assert second.cache_hits == k
+        assert second.executed == len(units) - k
+
+
+class TestRunAttribution:
+    def test_worker_death_is_blamed_on_the_crashing_unit(self, tmp_path):
+        """A crash that breaks the pool while a sibling sleeps is blamed on
+        the crash unit, not the sleeper, and both healthy payloads are
+        kept."""
+        sleeper = RunUnit.make("probe", SLEEP_FN, duration=1.0)
+        crash = RunUnit.make("probe", CRASH_FN)
+        cache = ResultCache(tmp_path / "cache")
+        runner = ParallelRunner(jobs=2, cache=cache)
+        with pytest.raises(RunnerError) as info:
+            runner.run([probe(1), sleeper, crash])
+        message = str(info.value)
+        assert crash.key in message
+        assert sleeper.key not in message
+        assert cache.get(probe(1)) == (True, {"value": 3.0, "events": 1})
+        assert cache.get(sleeper) == (True, {"slept": 1.0, "seed": 0})
