@@ -16,21 +16,32 @@ Entry points:
 * :mod:`repro.experiments` — the paper's figures/tables as functions.
 """
 
+from repro import core, units
 from repro._version import __version__
-from repro.core.api import HvcNetwork
-from repro.core.metrics import Cdf, percentile, throughput_series
-from repro.core.results import ExperimentResult, Table
-from repro.obs import Observability
-from repro import units
 
-__all__ = [
-    "__version__",
-    "HvcNetwork",
-    "Cdf",
-    "percentile",
-    "throughput_series",
-    "ExperimentResult",
-    "Table",
-    "Observability",
-    "units",
-]
+#: Public name → ``"module:attr"`` (the :attr:`RunUnit.fn` convention), resolved on
+#: first access (PEP 562), so ``import repro`` and a warm CLI run load no simulator.
+_EXPORTS = {
+    "HvcNetwork": "repro.core.api:HvcNetwork",
+    "Cdf": "repro.core.metrics:Cdf",
+    "percentile": "repro.core.metrics:percentile",
+    "throughput_series": "repro.core.metrics:throughput_series",
+    "ExperimentResult": "repro.core.results:ExperimentResult",
+    "Table": "repro.core.results:Table",
+    "Observability": "repro.obs:Observability",
+}
+
+__all__ = ["__version__", *_EXPORTS, "units"]
+
+
+def __getattr__(name: str):
+    path = _EXPORTS.get(name)
+    if path is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from repro.runner.units import resolve_fn
+
+    return resolve_fn(path)
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

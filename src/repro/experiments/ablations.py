@@ -14,32 +14,17 @@ These go beyond the paper's figures: each isolates one claimed mechanism.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.apps.bulk import BulkTransfer
-from repro.core.api import HvcNetwork
 from repro.core.metrics import Cdf
 from repro.core.results import ExperimentResult, SeriesSet, Table
-from repro.net.hvc import (
-    cisp_spec,
-    fiber_wan_spec,
-    fixed_embb_spec,
-    urllc_spec,
-    wifi_mlo_specs,
-    wifi_tsn_spec,
-)
-from repro.net.packet import Packet, PacketType
 from repro.runner import ParallelRunner, RunUnit
-from repro.sim.timers import PeriodicTimer
-from repro.steering.cost import CostAwareSteerer
-from repro.steering.redundant import RedundantSteerer
-from repro.steering.single import SingleChannelSteerer
-from repro.transport import next_flow_id
-from repro.transport.connection import Connection
-from repro.transport.multipath import MultipathConnection
 from repro.units import kb, to_mbps, to_ms
 
-from repro.experiments.fig1 import fig1a_units
+from repro.experiments.fig1 import _fig1_network, fig1a_units
+
+if TYPE_CHECKING:
+    from repro.core.api import HvcNetwork
 
 
 # ----------------------------------------------------------------------
@@ -110,6 +95,9 @@ def _sequential_rpcs(
     ``deadline`` (ab-ack, ab-tsn and ab-cost each keep their own step and
     deadline: both decide where the run stops, hence its event count).
     """
+    from repro.transport import next_flow_id
+    from repro.transport.connection import Connection
+
     latencies: List[float] = []
     flow_id = next_flow_id()
     started_at = 0.0
@@ -146,7 +134,9 @@ def _sequential_rpcs(
 
 def ack_unit(policy: str = "dchannel", ack_bytes: int = 0, seed: int = 0) -> dict:
     """One request-response latency measurement (runner unit)."""
-    net = HvcNetwork([fixed_embb_spec(), urllc_spec()], steering=policy, seed=seed)
+    from repro.apps.bulk import BulkTransfer
+
+    net = _fig1_network(steering=policy, seed=seed)
     # A bulk flow keeps the eMBB queue occupied so control-packet placement
     # matters (an idle network hides it).
     BulkTransfer(net, cc="cubic")
@@ -215,6 +205,12 @@ MLO_POLICIES = ("single-link", "spray (min-rtt)", "replicate")
 
 def mlo_unit(policy: str = "replicate", duration: float = 20.0, seed: int = 0) -> dict:
     """One MLO delivery/goodput measurement (runner unit)."""
+    from repro.core.api import HvcNetwork
+    from repro.net.hvc import wifi_mlo_specs
+    from repro.sim.timers import PeriodicTimer
+    from repro.steering.redundant import RedundantSteerer
+    from repro.steering.single import SingleChannelSteerer
+
     steering = {
         "single-link": lambda: SingleChannelSteerer(index=0),
         "spray (min-rtt)": lambda: "min-rtt",
@@ -298,9 +294,11 @@ def mp_unit(scheduler: str = "hvc", duration: float = 30.0, seed: int = 0) -> di
     multipath with the given scheduler (runner unit). The interesting
     effect is contention: what the bulk scheduler does to the URLLC queue
     determines the RPCs' fate."""
-    net = HvcNetwork(
-        [fixed_embb_spec(), urllc_spec()], steering="single", seed=seed
-    )
+    from repro.sim.timers import PeriodicTimer
+    from repro.transport import next_flow_id
+    from repro.transport.multipath import MultipathConnection
+
+    net = _fig1_network(steering="single", seed=seed)
     bulk_id = next_flow_id()
     bulk_sender = MultipathConnection(
         net.sim, net.client, bulk_id, cc="cubic", scheduler=scheduler
@@ -411,6 +409,11 @@ run_multipath_ablation.quick = {"duration": 10.0}
 # ----------------------------------------------------------------------
 def tsn_unit(express_mbps: float = 0.0, duration: float = 10.0, seed: int = 0) -> dict:
     """Bystander RPC latency under one express load level (runner unit)."""
+    from repro.core.api import HvcNetwork
+    from repro.net.hvc import wifi_tsn_spec
+    from repro.net.packet import Packet, PacketType
+    from repro.sim.timers import PeriodicTimer
+
     net = HvcNetwork([wifi_tsn_spec()], steering="single", seed=seed)
 
     # User A: time-critical express traffic (control-class datagrams).
@@ -497,12 +500,9 @@ def run_tsn_ablation(
 # ----------------------------------------------------------------------
 def reseq_unit(enabled: bool = True, duration: float = 20.0, seed: int = 0) -> dict:
     """CUBIC bulk with the reorder buffer on/off (runner unit)."""
-    net = HvcNetwork(
-        [fixed_embb_spec(), urllc_spec()],
-        steering="dchannel",
-        seed=seed,
-        resequence=enabled,
-    )
+    from repro.apps.bulk import BulkTransfer
+
+    net = _fig1_network(steering="dchannel", seed=seed, resequence=enabled)
     bulk = BulkTransfer(net, cc="cubic")
     net.run(until=duration)
     return {
@@ -573,6 +573,10 @@ run_resequencer_ablation.quick = {"duration": 10.0}
 # ----------------------------------------------------------------------
 def cost_unit(willingness: float = 0.0, seed: int = 0) -> dict:
     """Latency/spend at one willingness-to-pay level (runner unit)."""
+    from repro.core.api import HvcNetwork
+    from repro.net.hvc import cisp_spec, fiber_wan_spec
+    from repro.steering.cost import CostAwareSteerer
+
     # One instance on both devices on purpose: the budget is one spending
     # account for the session, not one per direction.
     steerer = CostAwareSteerer(

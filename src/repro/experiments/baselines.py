@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from repro.apps.web.corpus import generate_corpus
 from repro.core.results import ExperimentResult, Table
 from repro.experiments.table1 import corpus_plts, web_network
 from repro.runner import ParallelRunner, RunUnit
@@ -41,6 +40,8 @@ def baseline_policy_unit(
     policy: str = "dchannel", page_count: int = 10, seed: int = 0
 ) -> dict:
     """Mean PLT for one steering policy over the corpus (runner unit)."""
+    from repro.apps.web.corpus import generate_corpus
+
     plts, events = corpus_plts(
         generate_corpus(count=page_count, seed=seed),
         lambda index: web_network("5g-lowband-driving", policy, seed=seed + index),

@@ -24,11 +24,8 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.apps.bulk import BulkTransfer
-from repro.core.api import HvcNetwork
 from repro.core.results import ExperimentResult, Table
 from repro.errors import ExperimentError
-from repro.net.hvc import fiber_wan_spec, fixed_embb_spec, leo_spec, urllc_spec
 from repro.runner import ParallelRunner, RunUnit
 from repro.units import kib, to_mbps, to_ms
 
@@ -53,6 +50,8 @@ SHALLOW_EMBB_QUEUE = kib(120)
 
 def preset_specs(preset: str):
     """Channel specs for a named matrix preset."""
+    from repro.net.hvc import fiber_wan_spec, fixed_embb_spec, leo_spec, urllc_spec
+
     if preset == "paper":
         return [fixed_embb_spec(), urllc_spec()]
     if preset == "shallow":
@@ -89,6 +88,9 @@ def pair_unit(
     seed: int = 0,
 ) -> dict:
     """Two backlogged flows compete; steady-window goodput + RTT each."""
+    from repro.apps.bulk import BulkTransfer
+    from repro.core.api import HvcNetwork
+
     net = HvcNetwork(preset_specs(preset), steering=steering, seed=seed)
     flow_a = BulkTransfer(net, cc=cc_a)
     flow_b = BulkTransfer(net, cc=cc_b)

@@ -13,15 +13,17 @@ eMBB at 50 ms RTT / 60 Mbps (5G Lowband under movement) and URLLC at
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from repro.apps.bulk import BulkTransfer
-from repro.core.api import HvcNetwork
 from repro.core.results import ExperimentResult, PaperComparison, SeriesSet, Table
-from repro.net.hvc import fixed_embb_spec, urllc_spec
 from repro.runner import ParallelRunner, RunUnit
-from repro.steering.single import SingleChannelSteerer
 from repro.units import to_mbps, to_ms
+
+# Simulator imports live in the functions that build a network or run a unit:
+# declaring units and rendering cached payloads (a warm run) never load it.
+if TYPE_CHECKING:
+    from repro.apps.bulk import BulkTransfer
+    from repro.core.api import HvcNetwork
 
 #: Paper-reported mean throughputs (Mbps) on this setup.
 PAPER_THROUGHPUT_MBPS = {
@@ -35,9 +37,12 @@ DEFAULT_CCAS = ("cubic", "bbr", "vegas", "vivace")
 DEFAULT_DURATION = 60.0
 
 
-def _fig1_network(steering: str = "dchannel", seed: int = 0) -> HvcNetwork:
+def _fig1_network(steering: str = "dchannel", seed: int = 0, **kwargs) -> HvcNetwork:
+    from repro.core.api import HvcNetwork
+    from repro.net.hvc import fixed_embb_spec, urllc_spec
+
     return HvcNetwork(
-        [fixed_embb_spec(), urllc_spec()], steering=steering, seed=seed
+        [fixed_embb_spec(), urllc_spec()], steering=steering, seed=seed, **kwargs
     )
 
 
@@ -46,6 +51,8 @@ def _steering_for(policy):
     pins everything to the channel named ``embb``; any other policy is a
     registry name, resolved once per device."""
     if policy == "embb-only":
+        from repro.steering.single import SingleChannelSteerer
+
         return SingleChannelSteerer(channel_name="embb")
     return policy
 
@@ -62,6 +69,8 @@ def run_single_cca(
     Pass an :class:`repro.obs.Observability` to instrument the run (it is
     attached before the connection opens, so transport probes engage).
     """
+    from repro.apps.bulk import BulkTransfer
+
     net = _fig1_network(steering=steering, seed=seed)
     if obs is not None:
         net.attach_obs(obs)

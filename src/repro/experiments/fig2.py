@@ -18,17 +18,17 @@ DChannel 176 ms (2.26×) vs eMBB-only ~2.06 s (26×); SSIM costs 0.002 and
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.apps.video.session import VideoSessionResult, run_video_session
-from repro.core.api import HvcNetwork
 from repro.core.metrics import Cdf
 from repro.core.results import ExperimentResult, PaperComparison, SeriesSet, Table
 from repro.experiments.fig1 import _export_trace, _steering_for, _unit_obs
-from repro.net.hvc import traced_embb_spec, urllc_spec
 from repro.runner import ParallelRunner, RunUnit
-from repro.traces.catalog import get_trace
 from repro.units import kib, to_ms
+
+if TYPE_CHECKING:
+    from repro.apps.video.session import VideoSessionResult
+    from repro.core.api import HvcNetwork
 
 SCHEMES = ("embb-only", "dchannel", "priority")
 TRACES = ("5g-mmwave-driving", "5g-lowband-driving")
@@ -46,6 +46,10 @@ def video_network(trace_name: str, scheme: str, seed: int = 0) -> HvcNetwork:
     multi-hundred-Mbps line rate), which is what turns blockage outages
     into the multi-second delay tail rather than a burst of drops.
     """
+    from repro.core.api import HvcNetwork
+    from repro.net.hvc import traced_embb_spec, urllc_spec
+    from repro.traces.catalog import get_trace
+
     queue = {"queue_bytes": kib(8192)} if "mmwave" in trace_name else {}
     embb = traced_embb_spec(get_trace(trace_name, seed=seed + 1), **queue)
     embb.name = "embb"  # stable name for the embb-only steerer
@@ -56,6 +60,8 @@ def run_fig2_cell(
     trace_name: str, scheme: str, duration: float = 60.0, seed: int = 0
 ) -> VideoSessionResult:
     """One (trace, scheme) cell of Fig. 2."""
+    from repro.apps.video.session import run_video_session
+
     net = video_network(trace_name, scheme, seed=seed)
     return run_video_session(net, duration=duration)
 
@@ -68,6 +74,8 @@ def fig2_cell_unit(
     trace_dir: Optional[str] = None,
 ) -> dict:
     """One Fig. 2 cell reduced to picklable distributions (runner unit)."""
+    from repro.apps.video.session import run_video_session
+
     net = video_network(trace, scheme, seed=seed)
     obs = _unit_obs(trace_dir)
     if obs is not None:

@@ -16,10 +16,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.apps.web.corpus import generate_corpus
 from repro.core.results import ExperimentResult, SeriesSet, Table
 from repro.experiments.table1 import corpus_plts, web_network
-from repro.net.hvc import urllc_spec
 from repro.runner import ParallelRunner, RunUnit
 from repro.units import mbps, ms, to_ms
 
@@ -37,6 +35,9 @@ def plt_sweep_unit(
 ) -> dict:
     """Mean web PLT at one (URLLC rate, URLLC RTT, DChannel savings
     threshold) point: driving trace, background flows on (runner unit)."""
+    from repro.apps.web.corpus import generate_corpus
+    from repro.net.hvc import urllc_spec
+
     plts, events = corpus_plts(
         generate_corpus(count=page_count, seed=seed),
         lambda index: web_network(

@@ -20,20 +20,17 @@ Paper's Table 1 (mean PLT in ms):
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.apps.web.background import BackgroundFlows
-from repro.apps.web.browser import load_page
-from repro.apps.web.corpus import generate_corpus
-from repro.core.api import HvcNetwork
 from repro.core.metrics import percentile
 from repro.core.results import ExperimentResult, PaperComparison, Table
 from repro.experiments.fig1 import _export_trace, _steering_for, _unit_obs
-from repro.net.channel import ChannelSpec
-from repro.net.hvc import traced_embb_spec, urllc_spec
 from repro.runner import ParallelRunner, RunUnit
-from repro.traces.catalog import get_trace
 from repro.units import to_ms
+
+if TYPE_CHECKING:
+    from repro.core.api import HvcNetwork
+    from repro.net.channel import ChannelSpec
 
 POLICIES = ("embb-only", "dchannel", "dchannel+flowprio")
 TRACES = {
@@ -59,6 +56,10 @@ def web_network(
     steering_kwargs: Optional[dict] = None,
 ) -> HvcNetwork:
     """Build the Table 1 network: traced Lowband eMBB + URLLC."""
+    from repro.core.api import HvcNetwork
+    from repro.net.hvc import traced_embb_spec, urllc_spec
+    from repro.traces.catalog import get_trace
+
     trace = get_trace(trace_name, seed=seed + 1)
     embb = traced_embb_spec(trace)
     embb.name = "embb"
@@ -74,7 +75,7 @@ def corpus_plts(
     pages: Sequence,
     make_network: Callable[[int], HvcNetwork],
     background: bool = True,
-    loader_fn=load_page,
+    loader_fn=None,
     timeout: float = 45.0,
     obs=None,
 ) -> Tuple[List[float], int]:
@@ -90,6 +91,9 @@ def corpus_plts(
     already exhibits the full packet lifecycle, and a whole corpus would
     multiply trace volume ~30x for no extra signal.
     """
+    from repro.apps.web.background import BackgroundFlows
+    from repro.apps.web.browser import load_page
+
     plts: List[float] = []
     events = 0
     for index, page in enumerate(pages):
@@ -99,7 +103,7 @@ def corpus_plts(
         if background:
             flows = BackgroundFlows(net)
             net.run(until=0.2)
-        result = loader_fn(net, page, cc="cubic", timeout=timeout)
+        result = (loader_fn or load_page)(net, page, cc="cubic", timeout=timeout)
         if background:
             flows.close()
         plts.append(result.plt if result.complete else timeout)
@@ -117,6 +121,8 @@ def run_table1_cell(
 ) -> List[float]:
     """Mean-PLT samples (seconds) for one (condition, policy) cell."""
     if pages is None:
+        from repro.apps.web.corpus import generate_corpus
+
         pages = generate_corpus(count=30, seed=seed)
     return _cell_samples(
         condition, pages, policy, loads_per_page, seed, page_timeout
@@ -166,6 +172,8 @@ def table1_cell_unit(
     worker, which is deterministic, so the unit's parameters fully describe
     the run.
     """
+    from repro.apps.web.corpus import generate_corpus
+
     obs = _unit_obs(trace_dir)
     plts, events = _cell_samples(
         condition, generate_corpus(count=page_count, seed=seed), policy,

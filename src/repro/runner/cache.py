@@ -99,7 +99,8 @@ class ResultCache:
                 pass
 
     def put(self, unit: RunUnit, value: Any) -> Optional[Path]:
-        """Atomically persist ``value``; returns the path or ``None``."""
+        """Atomically persist ``value``; returns the path, or ``None`` when it
+        cannot be written or pickled (a lock, a local function)."""
         path = self.path_for(unit)
         try:
             payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
@@ -118,7 +119,7 @@ class ResultCache:
                 except OSError:
                     pass
                 raise
-        except (OSError, pickle.PicklingError):
+        except (OSError, pickle.PicklingError, TypeError, AttributeError):
             return None
         self.stores += 1
         return path

@@ -43,11 +43,7 @@ from __future__ import annotations
 
 import time
 import traceback
-from concurrent.futures import (
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    TimeoutError as FutureTimeoutError,
-)
+from concurrent.futures import BrokenExecutor, Executor, TimeoutError as FutureTimeoutError
 from contextlib import closing
 from dataclasses import dataclass
 from typing import Any, Generator, Iterator, List, Optional, Sequence, Tuple
@@ -240,7 +236,7 @@ class ParallelRunner:
         ).strip()
 
     @staticmethod
-    def _kill_pool(pool: ProcessPoolExecutor) -> None:
+    def _kill_pool(pool: Executor) -> None:
         """Forcibly stop a pool whose workers may be hung or dead."""
         for process in list(getattr(pool, "_processes", {}).values()):
             try:
@@ -305,6 +301,9 @@ class ParallelRunner:
         with a single unit in flight, a death is the unit's own error and
         is recorded directly.
         """
+        # Imported per pool, so a --jobs 1 or warm run never loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
             futures = [(pool.submit(execute_unit, units[index]), index) for index in batch]

@@ -145,11 +145,6 @@ class Connection(Endpoint):
         return self._flight[0]
 
     @property
-    def bytes_outstanding(self) -> int:
-        """Bytes sent but not cumulatively acknowledged."""
-        return self._snd_nxt - self._snd_una
-
-    @property
     def established(self) -> bool:
         return self._established
 

@@ -151,10 +151,6 @@ class Endpoint:
             self._pacing_event = None
         self.device.unregister_flow(self.flow_id)
 
-    @property
-    def bytes_unsent(self) -> int:
-        return self._write_end - self._snd_nxt
-
     def audit_state(self) -> dict:
         """Internal state snapshot for the invariant monitor.
 

@@ -202,6 +202,100 @@ def test_cli_import_leaves_numpy_and_the_fleet_engine_out():
     assert done.stdout.strip() == "[]"
 
 
+#: What a warm cache hit (or ``--help``) must not import: the packet
+#: simulator, the process pool and numpy.
+SIMULATOR_MODULES = (
+    "repro.sim", "repro.net", "repro.transport", "repro.steering",
+    "concurrent.futures.process", "numpy",
+)
+
+
+def _cli_with_imports(*argv):
+    """``python -m repro *argv`` in a fresh interpreter: (stdout without the
+    ``[runner]`` line, the ``[runner]`` line, every module it imported)."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "repro", *argv],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    imported = {
+        line.rpartition("|")[2].strip()
+        for line in done.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    output, _, runner = done.stdout.partition("[runner]")
+    return output, runner, imported
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["fig1a", "--duration", "2"],
+        ["fig1b", "--duration", "2"],
+        ["fig2", "--duration", "2"],
+        ["table1", "--quick"],
+    ],
+    ids=lambda argv: argv[0].lstrip("-"),
+)
+def test_warm_path_imports_no_simulator(argv, tmp_path):
+    """A cache hit costs a cache read: after a cold run primes the cache, the
+    warm run prints the same output and imports none of the simulator (the
+    experiment modules import it inside the functions that run units)."""
+    cache = ["--cache-dir", str(tmp_path)] if argv != ["--help"] else []
+    cold, _, _ = _cli_with_imports(*argv, *cache)
+    warm, runner, imported = _cli_with_imports(*argv, *cache)
+    loaded = sorted(
+        name for name in imported
+        for banned in SIMULATOR_MODULES
+        if name == banned or name.startswith(banned + ".")
+    )
+    assert loaded == []
+    assert warm == cold
+    if cache:
+        fields = dict(field.split("=", 1) for field in runner.split())
+        assert fields["executed"] == "0" and fields["cache_hits"] == fields["units"]
+
+
+def test_experiment_modules_import_no_simulator():
+    """The modules whose warm runs need no simulator import it only inside
+    the functions that build networks or run units."""
+    modules = ["fig1", "fig2", "table1", "ablations", "baselines", "sensitivity", "cc_matrix"]
+    code = (
+        "import sys\n"
+        + "".join(f"import repro.experiments.{name}\n" for name in modules)
+        + f"print(sorted(m for m in sys.modules if m.startswith({SIMULATOR_MODULES!r})))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_lazy_package_roots_keep_their_public_names():
+    """``repro`` and ``repro.core`` resolve their names on first access
+    (PEP 562), and every name they exported eagerly is still there."""
+    from repro.core.api import HvcNetwork
+    from repro.core.results import Table
+
+    assert repro.HvcNetwork is HvcNetwork
+    assert repro.core.Table is Table
+    namespace = {}
+    exec("from repro import *", namespace)
+    assert set(repro.__all__) <= set(namespace)
+    assert namespace["units"] is repro.units
+    exec("from repro.core import *", namespace)
+    assert namespace["Table"] is Table
+    assert set(repro.__all__) <= set(dir(repro))
+    assert set(repro.core.__all__) <= set(dir(repro.core))
+    for module in (repro, repro.core):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            module.no_such_name
+
+
 def test_missing_numpy_fails_the_fleet_by_name_and_nothing_else(tmp_path):
     """A ``numpy`` that cannot be imported stops ``fleet`` with the fix in
     the message; experiments that never touch the fleet engine still run."""

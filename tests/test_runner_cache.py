@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 import pickle
+import threading
 
 import pytest
 
 from repro.errors import RunnerError
-from repro.runner import ResultCache, RunUnit, default_cache_dir
+from repro.runner import ParallelRunner, ResultCache, RunUnit, default_cache_dir
+
+def _local_function():
+    def local():
+        pass
+
+    return local
+
 
 UNIT = RunUnit.make(
     "probe", "repro.runner.units:probe_unit", seed=3, value=1.5
@@ -109,8 +117,34 @@ class TestResultCache:
         hit, _ = cache.get(UNIT)
         assert not hit
 
+    @pytest.mark.parametrize(
+        "payload",
+        [threading.Lock(), lambda: None, _local_function()],
+        ids=["lock", "lambda", "local-function"],
+    )
+    def test_unpicklable_payload_is_dropped_not_raised(self, tmp_path, payload):
+        cache = ResultCache(tmp_path)
+        assert cache.put(UNIT, payload) is None
+        assert cache.stores == 0
+        assert not cache.get(UNIT)[0]
+        assert not any(path.is_file() for path in tmp_path.rglob("*"))
+
+    def test_inline_run_survives_an_unpicklable_payload(self, tmp_path):
+        """``--jobs 1`` checkpoints inline: a payload the cache cannot
+        pickle is returned, not turned into a crash after the unit ran."""
+        runner = ParallelRunner(cache=ResultCache(tmp_path))
+        unit = RunUnit.make("probe-lock", "tests.test_runner_cache:lock_unit")
+        (value,) = runner.run([unit])
+        assert isinstance(value, type(threading.Lock()))
+        assert (runner.executed, runner.cache.stores) == (1, 0)
+
     def test_default_dir_honours_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "elsewhere"))
         assert default_cache_dir() == tmp_path / "elsewhere"
         cache = ResultCache()
         assert cache.path_for(UNIT).is_relative_to(tmp_path / "elsewhere")
+
+
+def lock_unit(seed: int = 0):
+    """A unit whose payload cannot be pickled."""
+    return threading.Lock()
