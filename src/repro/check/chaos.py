@@ -398,6 +398,8 @@ def replay_bundle(path, progress=None) -> dict:
 # ----------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
+    from repro.runner import usable_cpus
+
     parser = argparse.ArgumentParser(
         prog="python -m repro chaos",
         description=(
@@ -414,7 +416,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--quick", action="store_true",
         help=f"CI smoke scale ({QUICK_SCENARIOS} scenarios x {QUICK_DURATION}s)",
     )
-    parser.add_argument("--jobs", type=int, default=1, metavar="N")
+    parser.add_argument(
+        "--jobs", type=int, default=usable_cpus(), metavar="N",
+        help="worker processes (default: the CPUs this process may use)",
+    )
     parser.add_argument(
         "--timeout", type=float, default=120.0,
         help="per-scenario wall-clock budget in seconds (0 disables)",

@@ -13,9 +13,10 @@ Examples::
     python -m repro chaos --quick --jobs 4
 
 Every experiment decomposes into independent simulation units executed
-through :class:`repro.runner.ParallelRunner`: ``--jobs N`` fans units out
-over N worker processes (results are merged deterministically, so output
-is identical to a serial run), and units are memoized in a
+through :class:`repro.runner.ParallelRunner`: units fan out over one worker
+process per usable CPU (``--jobs N`` sets the count; ``--jobs 1`` runs them
+inline, the reference mode), results are merged deterministically, so
+output is identical to a serial run, and units are memoized in a
 content-addressed cache so repeated runs skip already-computed work.
 """
 
@@ -27,7 +28,13 @@ import sys
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.experiments import EXPERIMENTS
-from repro.runner import ParallelRunner, ResultCache, default_cache_dir, resolve_fn
+from repro.runner import (
+    ParallelRunner,
+    ResultCache,
+    default_cache_dir,
+    resolve_fn,
+    usable_cpus,
+)
 
 #: Scale flag (argparse dest) -> the ``run_*`` parameter it sets. An
 #: experiment takes a flag when its signature declares one of the names;
@@ -74,9 +81,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--jobs",
         type=int,
-        default=1,
+        default=usable_cpus(),
         metavar="N",
-        help="run simulation units on N worker processes (default: 1, inline)",
+        help=(
+            "run simulation units on N worker processes (default: the CPUs "
+            "this process may use; 1 runs them inline, no pool)"
+        ),
     )
     parser.add_argument(
         "--no-cache",

@@ -23,13 +23,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.apps.bulk import BulkTransfer
-from repro.core.api import HvcNetwork
 from repro.core.results import ExperimentResult, Table
 from repro.errors import ExperimentError
 from repro.experiments.cc_matrix import preset_specs
-from repro.faults import FaultInjector, FaultSchedule
-from repro.net.hvc import fixed_embb_spec, leo_spec
+from repro.faults import FaultSchedule
 from repro.runner import ParallelRunner, RunUnit
 from repro.units import kib, mbps, to_mbps
 
@@ -76,6 +73,8 @@ MEASURE_START = 0.5
 
 
 def _scenario_specs(preset: str):
+    from repro.net.hvc import fixed_embb_spec, leo_spec
+
     if preset == "lossy":
         return [leo_spec(loss_rate=0.02)]
     if preset == "burst":
@@ -116,6 +115,10 @@ def ablation_unit(
     seed: int = 0,
 ) -> dict:
     """One scenario with one component disabled; goodput is the metric."""
+    from repro.apps.bulk import BulkTransfer
+    from repro.core.api import HvcNetwork
+    from repro.faults import FaultInjector
+
     try:
         preset, policy, cc, fault_plan = SCENARIOS[scenario]
     except KeyError:

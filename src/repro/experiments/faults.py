@@ -19,11 +19,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.apps.bulk import BulkTransfer
-from repro.core.api import HvcNetwork
 from repro.core.results import ExperimentResult, SeriesSet, Table
-from repro.faults import FaultInjector, FaultSchedule, RecoveryTracker
-from repro.net.hvc import fixed_embb_spec, urllc_spec
+from repro.faults import FaultSchedule
 from repro.runner import ParallelRunner, RunUnit
 from repro.units import to_mbps
 
@@ -57,6 +54,11 @@ def faults_unit(
     ``fault_rows`` is :meth:`FaultSchedule.to_params` output — primitive
     tuples, so the unit stays content-addressable in the result cache.
     """
+    from repro.apps.bulk import BulkTransfer
+    from repro.core.api import HvcNetwork
+    from repro.faults import FaultInjector, RecoveryTracker
+    from repro.net.hvc import fixed_embb_spec, urllc_spec
+
     net = HvcNetwork([fixed_embb_spec(), urllc_spec()], steering=steering, seed=seed)
     schedule = FaultSchedule.from_params(fault_rows)
     injector = FaultInjector(net, schedule)

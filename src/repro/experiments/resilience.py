@@ -39,14 +39,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.apps.bulk import BulkTransfer
-from repro.core.api import HvcNetwork
 from repro.core.results import ExperimentResult, Table
-from repro.faults import FaultInjector, FaultSchedule, RecoveryTracker
-from repro.net.hvc import fixed_embb_spec, urllc_spec
-from repro.resilience.slo import RECOVERY_SLOS, violation_rate
+from repro.faults import FaultSchedule
 from repro.runner import ParallelRunner, RunUnit
-from repro.steering.requirements import requirement_class
 from repro.units import to_mbps
 
 DEFAULT_REGIMES = ("handover", "starlink-leo", "wifi-5g-handoff")
@@ -132,6 +127,13 @@ def resilience_unit(
     seed: int = 0,
 ) -> dict:
     """One packet-mode scorecard cell as a picklable payload."""
+    from repro.apps.bulk import BulkTransfer
+    from repro.core.api import HvcNetwork
+    from repro.faults import FaultInjector, RecoveryTracker
+    from repro.net.hvc import fixed_embb_spec, urllc_spec
+    from repro.resilience.slo import RECOVERY_SLOS, violation_rate
+    from repro.steering.requirements import requirement_class
+
     net = HvcNetwork([fixed_embb_spec(), urllc_spec()], steering=steering, seed=seed)
     schedule = FaultSchedule.from_params(fault_rows)
     FaultInjector(net, schedule).arm()
@@ -196,6 +198,7 @@ def resilience_fleet_unit(
     it.
     """
     from repro.check.monitor import InvariantMonitor
+    from repro.faults import FaultInjector
     from repro.fleet.hybrid import FleetConfig, FleetSimulation
 
     config = FleetConfig(

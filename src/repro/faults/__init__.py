@@ -22,9 +22,16 @@ simulator events, so runs stay deterministic and the runner cache applies.
 policies and reports time-to-recover per cell.
 """
 
-from repro.faults.injector import AppliedFault, FaultInjector, FaultLossOverlay
-from repro.faults.recovery import RecoveryTracker
 from repro.faults.schedule import KINDS, Fault, FaultSchedule
+
+#: The names whose modules import the simulator, resolved on first access
+#: (PEP 562) like the package root's, so declaring a schedule loads none of it.
+_EXPORTS = {
+    "AppliedFault": "repro.faults.injector:AppliedFault",
+    "FaultInjector": "repro.faults.injector:FaultInjector",
+    "FaultLossOverlay": "repro.faults.injector:FaultLossOverlay",
+    "RecoveryTracker": "repro.faults.recovery:RecoveryTracker",
+}
 
 __all__ = [
     "AppliedFault",
@@ -35,3 +42,16 @@ __all__ = [
     "KINDS",
     "RecoveryTracker",
 ]
+
+
+def __getattr__(name: str):
+    path = _EXPORTS.get(name)
+    if path is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from repro.runner.units import resolve_fn
+
+    return resolve_fn(path)
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

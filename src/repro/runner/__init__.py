@@ -22,13 +22,16 @@ Guarantees:
   seed, and package version; damaged cache files read as misses.
 * **Checkpointing** — one scheduler serves ``run`` (experiments: the first
   failure raises, naming its unit) and ``run_outcomes`` (campaigns: every
-  unit gets an outcome); both cache each unit as it completes, so an
-  interrupted batch resumes where it stopped, and a worker death is blamed
-  on the unit that caused it.
+  unit gets an outcome); both cache each unit the moment its worker
+  returns it, so an interrupted batch resumes where it stopped, and a
+  worker death is blamed on the unit that caused it.
+* **Workers** — ``ParallelRunner()`` runs inline; ``python -m repro``
+  defaults ``--jobs`` to :func:`usable_cpus`, the CPUs the process may run
+  on.
 """
 
 from repro.runner.cache import CACHE_DIR_ENV, ResultCache, default_cache_dir
-from repro.runner.parallel import ParallelRunner, UnitOutcome
+from repro.runner.parallel import ParallelRunner, UnitOutcome, usable_cpus
 from repro.runner.units import RunUnit, execute_unit, probe_unit, resolve_fn
 
 __all__ = [
@@ -41,4 +44,5 @@ __all__ = [
     "execute_unit",
     "probe_unit",
     "resolve_fn",
+    "usable_cpus",
 ]

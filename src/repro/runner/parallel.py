@@ -6,10 +6,12 @@ returned list is bit-identical whether it ran serially, on one worker, or
 on sixteen. ``jobs=1`` executes inline in the calling process (no pool, no
 pickling of results), which is also the default every experiment uses when
 no runner is passed; the parallel path exists purely to cut wall-clock.
+``python -m repro`` asks for :func:`usable_cpus` workers instead.
 
 There is one scheduler, read two ways. It gives every unit a
-:class:`UnitOutcome` (ok / error / timeout) and writes each success to the
-cache the moment it lands:
+:class:`UnitOutcome` (ok / error / timeout), in submission order, and writes
+each success to the cache the moment its worker returns it — a fast unit
+queued behind a slow one is stored while the slow one still runs:
 
 * ``run_outcomes`` collects every outcome, so one bad scenario in a
   200-run chaos campaign cannot take down the other 199;
@@ -41,9 +43,16 @@ only replay the failure.
 
 from __future__ import annotations
 
+import os
 import time
 import traceback
-from concurrent.futures import BrokenExecutor, Executor, TimeoutError as FutureTimeoutError
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    BrokenExecutor,
+    Executor,
+    TimeoutError as FutureTimeoutError,
+    wait,
+)
 from contextlib import closing
 from dataclasses import dataclass
 from typing import Any, Generator, Iterator, List, Optional, Sequence, Tuple
@@ -92,6 +101,18 @@ class UnitOutcome:
 _Stream = Iterator[Tuple[int, UnitOutcome]]
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask (``taskset``, a
+    container's cpuset), not the host's core count."""
+    process_cpu_count = getattr(os, "process_cpu_count", None)  # 3.13+
+    if process_cpu_count is not None:
+        return process_cpu_count() or 1
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except AttributeError:  # no affinity API (macOS, Windows)
+        return os.cpu_count() or 1
+
+
 class _Lost:
     __slots__ = ()
 
@@ -117,7 +138,8 @@ class ParallelRunner:
     ----------
     jobs:
         Worker process count. ``1`` (default) runs units inline — the
-        reference execution mode the parallel path must match exactly.
+        reference execution mode the parallel path must match exactly. A
+        batch never starts more workers than it has units to execute.
     cache:
         Optional :class:`~repro.runner.cache.ResultCache`. Hits skip
         execution entirely; each miss is stored as soon as it completes.
@@ -219,14 +241,12 @@ class ParallelRunner:
                 error=self._render_error(exc),
                 duration=time.monotonic() - start,
             )
-        return self._complete(unit, value, time.monotonic() - start, cache)
-
-    def _complete(
-        self, unit: RunUnit, value: Any, duration: float, cache: Optional[ResultCache]
-    ) -> UnitOutcome:
-        self.executed += 1
         if cache is not None:
             cache.put(unit, value)  # checkpoint as results land
+        return self._complete(unit, value, time.monotonic() - start)
+
+    def _complete(self, unit: RunUnit, value: Any, duration: float) -> UnitOutcome:
+        self.executed += 1
         return UnitOutcome(unit, "ok", value=value, duration=duration)
 
     @staticmethod
@@ -294,9 +314,11 @@ class ParallelRunner:
     ) -> Generator[Tuple[int, UnitOutcome], None, Tuple[List[int], bool]]:
         """Run one submission wave; returns (lost indices, pool broke?).
 
-        Verdicts stream in submission order. ``lost`` units were in flight
-        when the pool had to be killed and carry no verdict; the caller
-        decides how to re-run them. ``broken`` is True only for
+        Verdicts stream in submission order, but each success is cached as
+        soon as its worker returns it: while the stream waits on one unit,
+        every sibling that finishes meanwhile is stored. ``lost`` units were
+        in flight when the pool had to be killed and carry no verdict; the
+        caller decides how to re-run them. ``broken`` is True only for
         *unattributable* worker deaths (more than one unit in flight) —
         with a single unit in flight, a death is the unit's own error and
         is recorded directly.
@@ -310,6 +332,27 @@ class ParallelRunner:
         except BrokenExecutor:
             self._kill_pool(pool)
             return batch, len(batch) > 1
+        running = {future: index for future, index in futures}
+
+        def land(done) -> None:
+            """Checkpoint each finished future's payload, once."""
+            for future in done:
+                index = running.pop(future, None)
+                if index is None or cache is None or future.cancelled():
+                    continue
+                if future.exception() is None:
+                    cache.put(units[index], future.result())
+
+        def wait_for(future, timeout: Optional[float]) -> None:
+            """Block until ``future`` finishes or ``timeout`` passes,
+            landing every sibling that finishes first."""
+            deadline = None if timeout is None else time.monotonic() + timeout
+            while future in running:
+                remaining = None if deadline is None else deadline - time.monotonic()
+                if remaining is not None and remaining <= 0:
+                    return
+                land(wait(running, timeout=remaining, return_when=FIRST_COMPLETED).done)
+
         lost: List[int] = []
         broken = False
         dead = False
@@ -324,11 +367,13 @@ class ParallelRunner:
                     if value is _LOST:
                         lost.append(index)
                     else:
-                        yield index, self._complete(unit, value, 0.0, cache)
+                        land([future])
+                        yield index, self._complete(unit, value, 0.0)
                     continue
                 start = time.monotonic()
                 try:
-                    value = future.result(timeout=timeout)
+                    wait_for(future, timeout)
+                    value = future.result(timeout=0)
                 except FutureTimeoutError:
                     self.unit_timeouts += 1
                     outcome = UnitOutcome(
@@ -362,14 +407,14 @@ class ParallelRunner:
                         duration=time.monotonic() - start,
                     )
                 else:
-                    outcome = self._complete(
-                        unit, value, time.monotonic() - start, cache
-                    )
+                    outcome = self._complete(unit, value, time.monotonic() - start)
                 yield index, outcome
         except BaseException:
             # KeyboardInterrupt, or the consumer closed the stream early
-            # (``run`` at its first failure): stop every worker now.
+            # (``run`` at its first failure): keep what already finished,
+            # then stop every worker now.
             if not dead:
+                land([future for future in list(running) if future.done()])
                 self._kill_pool(pool)
             raise
         if not dead:

@@ -11,7 +11,7 @@ import pytest
 import repro
 from repro.cli import main
 from repro.experiments import EXPERIMENTS
-from repro.runner import resolve_fn
+from repro.runner import resolve_fn, usable_cpus
 
 
 class TestCli:
@@ -35,13 +35,25 @@ class TestCli:
         assert "Table 1" in out
         assert "Stati." in out or "Stat" in out
 
-    def test_jobs_flag_matches_serial_output(self, capsys, tmp_path):
-        args = ["fig1b", "--duration", "2", "--cache-dir", str(tmp_path)]
-        assert main(args + ["--no-cache"]) == 0
-        serial = capsys.readouterr().out
-        assert main(args + ["--jobs", "2", "--no-cache"]) == 0
-        fanned = capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["fig1a", "--duration", "2"],
+            ["fig1b", "--duration", "2"],
+            ["table1", "--pages", "2"],
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_jobs_flag_matches_serial_output(self, args, capsys, tmp_path):
+        """The default worker count prints what ``--jobs 1`` (inline, the
+        reference mode) prints, apart from the ``[runner]`` line."""
+        assert main(args + ["--jobs", "1", "--cache-dir", str(tmp_path / "inline")]) == 0
+        serial, _, serial_runner = capsys.readouterr().out.partition("[runner]")
+        assert main(args + ["--cache-dir", str(tmp_path / "default")]) == 0
+        fanned, _, fanned_runner = capsys.readouterr().out.partition("[runner]")
         assert fanned == serial
+        assert serial_runner.split()[0] == "jobs=1"
+        assert fanned_runner.split()[0] == f"jobs={usable_cpus()}"
 
     def test_cache_dir_flag_populates_and_reuses_cache(self, capsys, tmp_path):
         args = ["fig1b", "--duration", "2", "--cache-dir", str(tmp_path)]
@@ -64,6 +76,43 @@ class TestCli:
         out = capsys.readouterr().out
         assert "[runner]" not in out
         assert not any(tmp_path.rglob("*.pkl"))
+
+    def test_one_usable_cpu_runs_inline_without_a_pool(self, tmp_path):
+        """``--jobs`` defaults to the CPUs the process may use: with one, a
+        cold run executes inline and never imports the process pool."""
+        code = (
+            "import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0}\n"
+            "if hasattr(os, 'process_cpu_count'):\n"
+            "    os.process_cpu_count = lambda: 1\n"
+            "from repro.cli import main\n"
+            f"main(['fig1a', '--duration', '1', '--cache-dir', {str(tmp_path)!r}])\n"
+            "print('concurrent.futures.process' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        *_, runner, pool_imported = done.stdout.strip().splitlines()
+        assert runner.startswith("[runner] jobs=1 units=4 cache_hits=0 executed=4 ")
+        assert pool_imported == "False"
+
+    def test_many_usable_cpus_start_one_worker_per_pending_unit(self, monkeypatch):
+        import concurrent.futures
+
+        started = []
+
+        class SpyPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(os, "process_cpu_count", lambda: 8, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+        assert main(["fig1a", "--duration", "1", "--no-cache"]) == 0
+        assert started == [4]  # fig1a's four CCA cells, not eight workers
 
     def test_rejects_zero_jobs(self, capsys):
         with pytest.raises(SystemExit):
@@ -236,6 +285,7 @@ def _cli_with_imports(*argv):
         ["fig1b", "--duration", "2"],
         ["fig2", "--duration", "2"],
         ["table1", "--quick"],
+        ["faults", "--quick"],
     ],
     ids=lambda argv: argv[0].lstrip("-"),
 )
@@ -261,7 +311,10 @@ def test_warm_path_imports_no_simulator(argv, tmp_path):
 def test_experiment_modules_import_no_simulator():
     """The modules whose warm runs need no simulator import it only inside
     the functions that build networks or run units."""
-    modules = ["fig1", "fig2", "table1", "ablations", "baselines", "sensitivity", "cc_matrix"]
+    modules = [
+        "fig1", "fig2", "table1", "ablations", "baselines", "sensitivity", "cc_matrix",
+        "faults", "ablation_harness", "resilience",
+    ]
     code = (
         "import sys\n"
         + "".join(f"import repro.experiments.{name}\n" for name in modules)

@@ -13,6 +13,7 @@ probe unit, not by a mock.
 from __future__ import annotations
 
 import time
+from contextlib import closing
 
 import pytest
 
@@ -39,6 +40,13 @@ def interrupt_unit(marker: str, seed: int = 0) -> dict:
         path.write_text("interrupted")
         raise KeyboardInterrupt
     return {"resumed": 1, "seed": seed}
+
+
+def late_error_unit(delay: float = 1.0, seed: int = 0) -> None:
+    """Raises after ``delay`` seconds: a failure that lands well after its
+    faster siblings have finished."""
+    time.sleep(delay)
+    raise ValueError(f"late failure (seed={seed})")
 
 
 class TestOutcomeBasics:
@@ -183,7 +191,9 @@ class TestCheckpointResume:
     def test_run_interrupted_at_unit_k_resumes_from_checkpoint(self, tmp_path, jobs):
         """``run`` — the experiments' entry point — checkpoints too: the
         units that finished before the interrupt are cached, and a re-run
-        executes only the rest."""
+        executes only the rest. Inline, that is exactly the first ``k``;
+        under the pool, a unit queued after the interrupted one may also
+        have finished (and been stored) before the interrupt landed."""
         k = 3
         marker = str(tmp_path / "interrupt")
         interrupt = RunUnit.make(
@@ -195,13 +205,49 @@ class TestCheckpointResume:
         with pytest.raises(KeyboardInterrupt):
             first.run(units)
         assert first.executed == k
-        assert all(cache.get(unit)[0] for unit in units[:k])
+        stored = [cache.get(unit)[0] for unit in units]
+        assert stored[:k + 1] == [True] * k + [False]
+        if jobs == 1:
+            assert sum(stored) == k
 
         second = ParallelRunner(jobs=jobs, cache=cache)
         results = second.run(units)
         assert results[k] == {"resumed": 1, "seed": 0}
-        assert second.cache_hits == k
-        assert second.executed == len(units) - k
+        assert second.cache_hits == sum(stored)
+        assert second.executed == len(units) - sum(stored)
+
+
+class TestCheckpointOnCompletion:
+    """Under the pool, a unit is cached when its worker returns it, not when
+    the in-order stream reaches it."""
+
+    @staticmethod
+    def fast(seed: int) -> RunUnit:
+        return RunUnit.make("probe", SLEEP_FN, duration=0.05, seed=seed)
+
+    def test_units_finished_behind_a_failing_unit_stay_cached(self, tmp_path):
+        slow = RunUnit.make("probe", "tests.test_runner_failures:late_error_unit")
+        cache = ResultCache(tmp_path / "cache")
+        runner = ParallelRunner(jobs=2, cache=cache)
+        with pytest.raises(RunnerError) as info:
+            runner.run([slow, self.fast(1), self.fast(2)])
+        assert slow.key in str(info.value)
+        assert cache.get(self.fast(1)) == (True, {"slept": 0.05, "seed": 1})
+        assert cache.get(self.fast(2)) == (True, {"slept": 0.05, "seed": 2})
+
+    def test_consumer_failure_after_the_first_verdict_keeps_finished_units(
+        self, tmp_path
+    ):
+        slow = RunUnit.make("probe", SLEEP_FN, duration=1.0)
+        units = [slow, self.fast(1), self.fast(2)]
+        cache = ResultCache(tmp_path / "cache")
+        runner = ParallelRunner(jobs=2, cache=cache)
+        with pytest.raises(KeyboardInterrupt):
+            with closing(runner._outcomes(units, cache)) as stream:
+                for index, outcome in stream:
+                    assert index == 0 and outcome.ok
+                    raise KeyboardInterrupt
+        assert all(cache.get(unit)[0] for unit in units)
 
 
 class TestRunAttribution:

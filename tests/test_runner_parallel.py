@@ -9,6 +9,8 @@ from a warm cache.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.errors import RunnerError
@@ -18,7 +20,7 @@ from repro.experiments.sensitivity import (
     run_urllc_bandwidth_sweep,
     run_urllc_rtt_sweep,
 )
-from repro.runner import ParallelRunner, ResultCache, RunUnit
+from repro.runner import ParallelRunner, ResultCache, RunUnit, usable_cpus
 
 PROBE_FN = "repro.runner.units:probe_unit"
 
@@ -70,6 +72,39 @@ class TestParallelRunner:
         results = runner.run(units)
         assert [r["value"] for r in results] == [0.0, 3.0, 6.0, 9.0, 12.0]
         assert runner.cache_hits == 2 and runner.executed == 3
+
+
+class TestUsableCpus:
+    """What ``--jobs`` defaults to: the CPUs this process may run on, from
+    the most specific query the platform offers."""
+
+    def test_process_cpu_count_wins_where_it_exists(self, monkeypatch):
+        monkeypatch.setattr(os, "process_cpu_count", lambda: 3, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert usable_cpus() == 3
+
+    def test_affinity_mask_bounds_the_count_before_3_13(self, monkeypatch):
+        monkeypatch.delattr(os, "process_cpu_count", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert usable_cpus() == 2
+
+    def test_host_core_count_without_an_affinity_api(self, monkeypatch):
+        monkeypatch.delattr(os, "process_cpu_count", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert usable_cpus() == 6
+
+    def test_an_unknown_count_reads_as_one(self, monkeypatch):
+        monkeypatch.setattr(os, "process_cpu_count", lambda: None, raising=False)
+        assert usable_cpus() == 1
+        monkeypatch.delattr(os, "process_cpu_count")
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert usable_cpus() == 1
+
+    def test_the_library_default_stays_inline(self):
+        assert ParallelRunner().jobs == 1
 
 
 def _snapshot(result):
