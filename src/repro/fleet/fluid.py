@@ -135,21 +135,31 @@ class FluidBackground:
         )
 
         self._arrival = np.asarray(population.arrivals, dtype=np.float64)
-        self._remaining = np.asarray(population.sizes, dtype=np.float64)
+        # An active tenant's rate, remaining bytes and channel live in its
+        # slot (below); they reach these on read or when it completes.
+        self._tenant_remaining = np.asarray(population.sizes, dtype=np.float64)
+        self._tenant_rate = np.zeros(n, dtype=np.float64)
+        self._tenant_channel = np.full(n, -1, dtype=np.int64)
         # Slow-start round-trip count for each size: a packet-level flow
         # needs ceil(log2(S/IW + 1)) RTTs of window growth to move S
         # bytes, no matter how idle the link is.
         self._ss_rounds = np.maximum(
-            np.ceil(np.log2(self._remaining / IW_BYTES + 1.0)), 1.0
+            np.ceil(np.log2(self._tenant_remaining / IW_BYTES + 1.0)), 1.0
         )
-        self._rate = np.zeros(n, dtype=np.float64)
-        self._channel = np.full(n, -1, dtype=np.int64)
         self._active = np.zeros(n, dtype=bool)
         self._done = np.zeros(n, dtype=bool)
         self._fct = np.full(n, np.nan, dtype=np.float64)
-        #: Active tenants in arrival order: admission appends, completion
-        #: drops, so the tick never scans the whole population.
-        self._act = np.zeros(0, dtype=np.int64)
+        #: Active tenants, slot-major in arrival order: slot j < ``_m``
+        #: holds tenant ``_slot_id[j]``. Admission appends slots and
+        #: completion compacts them, so the tick works on contiguous
+        #: ``[:m]`` views instead of gathering through an index. ``combo``
+        #: is channel * kinds + kind, the row of the coefficient tables.
+        self._m = 0
+        self._slots = [np.empty(n, dtype=t) for t in (np.int64, float, float) + (np.int64,) * 4]
+        (self._slot_id, self._slot_rate, self._slot_remaining, self._slot_channel,
+         self._slot_combo, self._slot_class, self._slot_cca) = self._slots
+        #: Reassign every slot next tick: a channel failed or a tenant has none.
+        self._rescan = False
 
         # Per-tenant stall bookkeeping: when a tenant's channel fails (or
         # no channel is live at admission) it stalls until re-steered to a
@@ -214,12 +224,12 @@ class FluidBackground:
         channel.uplink.set_background_load(0.0)
         channel.downlink.set_background_load(0.0)
         self._last_avail[idx] = 0.0
-        on = self._act[self._channel[self._act] == idx]
-        if on.size:
-            self._rate[on] = 0.0
-            self._channel[on] = -2
-            fresh = on[np.isnan(self._stalled_at[on])]
-            self._stalled_at[fresh] = now
+        on = np.flatnonzero(self._slot_channel[: self._m] == idx)
+        self._slot_rate[on] = 0.0
+        self._slot_channel[on] = -2
+        ids = self._slot_id[on]
+        self._stalled_at[ids[np.isnan(self._stalled_at[ids])]] = now
+        self._rescan = True
 
     def _close_stall(self, tenant: int, now: float) -> None:
         """Record the end of one tenant's stall interval."""
@@ -294,52 +304,55 @@ class FluidBackground:
             self._gauge_active.set(self.active_count())
 
     def _step_numpy(self, now, dt, table_idx, caps, rtts, fg) -> List[float]:
-        # 1. Admit arrivals (population is arrival-sorted).
+        nch = len(self.channels)
+        ncca = len(self._cca_names)
+        # 1. Admit arrivals (population is arrival-sorted) into new slots.
+        m0, first = self._m, self._cursor
         cur = int(np.searchsorted(self._arrival, now, side="right"))
-        if cur > self._cursor:
-            fresh = np.arange(self._cursor, cur)
-            self._active[fresh] = True
-            self._channel[fresh] = -2  # force (re)assignment below
-            self._act = np.concatenate((self._act, fresh))
-            self._cursor = cur
-        # 2. (Re)assign active tenants with no live channel.
-        act = self._act
-        chan = self._channel
-        c_act = chan[act]
-        lost = c_act < 0
+        m = m0 + cur - first
+        self._active[first:cur] = True
+        self._slot_id[m0:m] = np.arange(first, cur)
+        self._slot_remaining[m0:m] = self._tenant_remaining[first:cur]
+        self._slot_channel[m0:m] = -2  # force assignment below
+        self._slot_class[m0:m], self._slot_cca[m0:m] = np.divmod(self._kind[first:cur], ncca)
+        self._cursor, self._m = cur, m
+        # 2. (Re)assign tenants with no live channel: the new slots, or all
+        # after a failure, under a zero capacity or while one has none.
+        chan = self._slot_channel[:m]
+        lo = 0 if self._rescan or min(caps) <= 0 else m0
+        c_scan = chan[lo:]
+        lost = c_scan < 0
         for i, cap in enumerate(caps):
             if cap <= 0:
-                lost |= c_act == i
-        lost_at = np.flatnonzero(lost)
-        ncca = len(self._cca_names)
-        if lost_at.size:
-            idx = act[lost_at]
-            wanted = np.asarray(table_idx, dtype=np.int64)[self._kind[idx] // ncca]
-            chan[idx] = wanted
-            c_act[lost_at] = wanted
-            rtt_arr = np.asarray(rtts)
+                lost |= c_scan == i
+        at = lo + np.flatnonzero(lost)
+        rtt_arr = np.asarray(rtts)
+        self._rescan = False
+        if at.size:
+            idx = self._slot_id[at]
+            wanted = np.asarray(table_idx, dtype=np.int64)[self._slot_class[at]]
+            chan[at] = wanted
+            self._slot_combo[at] = wanted * len(self._kind_target) + self._kind[idx]
             ok = wanted >= 0
-            assigned = idx[ok]
-            self._rate[assigned] = (
-                INITIAL_PACKETS * MSS_BITS / rtt_arr[wanted[ok]]
-            )
-            self._rate[idx[~ok]] = 0.0
+            self._slot_rate[at] = np.where(ok, INITIAL_PACKETS * MSS_BITS / rtt_arr[wanted], 0.0)
             # Stall accounting: re-steering to a live channel closes a
             # stall; failing to find one opens it (total blackout).
             st = self._stalled_at
+            assigned = idx[ok]
             for t in assigned[~np.isnan(st[assigned])]:
                 self._close_stall(int(t), now)
             unassigned = idx[~ok]
             st[unassigned[np.isnan(st[unassigned])]] = now
+            self._rescan = bool(unassigned.size)
         # Tenants left without a channel (total blackout) stay active but
-        # sit out the ODE.
-        live = c_act >= 0
-        li, c = (act, c_act) if live.all() else (act[live], c_act[live])
-        if not li.size:
-            return [0.0] * len(self.channels)
+        # sit out the ODE. Only they keep ``_rescan`` set; without them
+        # every slot is live and the tick reads the slots in place.
+        sel = np.flatnonzero(chan >= 0) if self._rescan else slice(0, m)
+        c = chan[sel]
+        if not c.size:
+            return [0.0] * nch
         # 3. Per-channel load from fluid rates + measured foreground.
-        nch = len(self.channels)
-        rate = self._rate[li]
+        rate = self._slot_rate[sel]
         sums = np.bincount(c, weights=rate, minlength=nch)
         caps_arr = np.asarray(caps)
         fg_arr = np.asarray(fg)
@@ -347,7 +360,6 @@ class FluidBackground:
         load = np.where(caps_arr > 0, (sums + fg_arr) / safe_caps, np.inf)
         counts = np.bincount(c, minlength=nch).astype(np.float64)
         counts = np.maximum(counts, 1.0)
-        rtt_arr = np.asarray(rtts)
         # 4. The ODE update. Every coefficient depends only on the
         # tenant's (channel, kind), so it is computed once per combo
         # (same operations, same order) and gathered per live tenant. A
@@ -363,18 +375,25 @@ class FluidBackground:
         share = (caps_arr[:, None] * target / counts[:, None]).ravel()
         ss_below = np.where(dec.ravel(), -np.inf, 0.5 * share)
         add = np.where(dec, 0.0, self._kind_gain * MSS_BITS * dt / (rtt * rtt)).ravel()
-        kind = self._kind[li]
-        combo = c * len(target) + kind
-        rate = rate * mult[combo]
-        ss = np.flatnonzero(rate < ss_below[combo])
+        # ``rate`` and ``remaining`` are updated in place (in the slots
+        # while all are live) with ``tmp`` holding each operand: fresh
+        # temporaries would be page-faulted in again every tick. (``take``
+        # fills ``out`` unbuffered only in a mode that cannot raise.)
+        combo = self._slot_combo[sel]
+        tmp = mult.take(combo)
+        rate *= tmp
+        ss = np.flatnonzero(rate < ss_below.take(combo, out=tmp, mode="clip"))
         ss_rate = np.minimum(rate[ss] * (2.0 ** (dt / rtt_arr))[c[ss]], share[combo[ss]])
-        rate += add[combo]
+        rate += add.take(combo, out=tmp, mode="clip")
         rate[ss] = ss_rate
-        remaining = self._remaining[li]
+        remaining = self._slot_remaining[sel]
         # At most what is left to send this tick, but never below
         # MIN_RATE_BPS (the floor wins), and at most the channel capacity.
-        rate = np.maximum(np.minimum(rate, remaining * 8.0 / dt), MIN_RATE_BPS)
-        rate = np.minimum(rate, caps_arr[c])
+        np.multiply(remaining, 8.0, out=tmp)
+        tmp /= dt
+        np.minimum(rate, tmp, out=rate)
+        np.maximum(rate, MIN_RATE_BPS, out=rate)
+        np.minimum(rate, caps_arr.take(c, out=tmp, mode="clip"), out=rate)
         # 5. Per-channel ceiling: never occupy more than MAX_BG_SHARE.
         new_sums = np.bincount(c, weights=rate, minlength=nch)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -383,11 +402,14 @@ class FluidBackground:
                 np.minimum(1.0, MAX_BG_SHARE * caps_arr / np.where(new_sums > 0, new_sums, 1.0)),
                 1.0,
             )
-        eff = rate * scale[c]
-        sent = np.minimum(eff * dt / 8.0, remaining)
-        remaining = remaining - sent
-        self._rate[li] = rate
-        self._remaining[li] = remaining
+        eff = scale.take(c)
+        eff *= rate
+        sent = np.multiply(eff, dt, out=tmp)
+        sent /= 8.0
+        np.minimum(sent, remaining, out=sent)
+        remaining -= sent
+        self._slot_rate[sel] = rate
+        self._slot_remaining[sel] = remaining
         # 6. Byte accounting.
         sent_by_ch = np.bincount(c, weights=sent, minlength=nch)
         # float(): the meters end up in results() and cache blobs, which
@@ -397,21 +419,26 @@ class FluidBackground:
             self._bg_byte_accum[i] += sent_i
             self._ack_byte_accum[i] += sent_i * self.ack_fraction
             self.bytes_by_channel[i] += sent_i
-        cls = kind // ncca
-        cca_sent = np.bincount(kind - cls * ncca, weights=sent, minlength=ncca)
+        cca_sent = np.bincount(self._slot_cca[sel], weights=sent, minlength=ncca)
         for i, name in enumerate(self._cca_names):
             self.bytes_by_cca[name] += float(cca_sent[i])
-        class_sent = np.bincount(cls, weights=sent, minlength=len(self._class_names))
+        class_sent = np.bincount(
+            self._slot_class[sel], weights=sent, minlength=len(self._class_names)
+        )
         for i, name in enumerate(self._class_names):
             self.bytes_by_class[name] += float(class_sent[i])
         # 7. Completions. A finished transfer installs no load: its eff
         # becomes +0.0, and adding +0.0 leaves a per-channel sum exact.
         finished = np.flatnonzero(remaining <= 1e-6)
         if finished.size:
-            done_idx = li[finished]
+            gone = np.arange(m)[sel][finished]  # their slots
+            done_idx = self._slot_id[gone]
+            done_c = c[finished]
             self._done[done_idx] = True
             self._active[done_idx] = False
-            self._act = act[self._active[act]]
+            self._tenant_rate[done_idx] = rate[finished]
+            self._tenant_remaining[done_idx] = remaining[finished]
+            self._tenant_channel[done_idx] = done_c
             eff[finished] = 0.0
             # Slow-start floor (Cardwell-style latency model): a
             # packet-level flow pays ceil(log2(S/IW + 1)) round trips
@@ -421,17 +448,35 @@ class FluidBackground:
             # time exceeds the floor and wins the max.
             self._fct[done_idx] = np.maximum(
                 now - self._arrival[done_idx],
-                rtt_arr[chan[done_idx]] * self._ss_rounds[done_idx],
+                rtt_arr[done_c] * self._ss_rounds[done_idx],
             )
         applied = np.bincount(c, weights=eff, minlength=nch)
         applied = np.minimum(applied, MAX_BG_SHARE * caps_arr)
+        if finished.size:
+            # Compact the slots from the first finished one on. ``c``
+            # views the slot buffer, so nothing may read it after this.
+            start = int(gone[0])
+            keep = np.ones(m - start, dtype=bool)
+            keep[gone - start] = False
+            self._m = m - gone.size
+            for slot in self._slots:
+                slot[start : self._m] = slot[start:m][keep]
         return [float(x) for x in applied]
 
     # ------------------------------------------------------------------
     # Results
     # ------------------------------------------------------------------
+    def _current(self, tenant, slot):
+        """``tenant`` with every active tenant's slot value written in."""
+        tenant[self._slot_id[: self._m]] = slot[: self._m]
+        return tenant
+
+    _rate = property(lambda self: self._current(self._tenant_rate, self._slot_rate))
+    _remaining = property(lambda self: self._current(self._tenant_remaining, self._slot_remaining))
+    _channel = property(lambda self: self._current(self._tenant_channel, self._slot_channel))
+
     def active_count(self) -> int:
-        return len(self._act)
+        return self._m
 
     def completed_count(self) -> int:
         return int(self._done.sum())
@@ -473,15 +518,11 @@ class FluidBackground:
         accidentally perturbing the background) before results merge.
         """
         h = hashlib.sha256()
-        rows = zip(
-            self._remaining.tolist(),
-            self._rate.tolist(),
-            self._done.tolist(),
-            self._fct.tolist(),
-            (~np.isnan(self._stalled_at)).tolist(),
-        )
-        for i, (remaining, rate, done, fct, stalled) in enumerate(rows):
-            h.update(
-                f"{i}:{remaining:.6f}:{rate:.6f}:{int(done)}:{fct:.9f}:{int(stalled)};".encode()
-            )
+        columns = (self._remaining, self._rate, self._done, self._fct, ~np.isnan(self._stalled_at))
+        # 4,096 tenants at a time: five whole-population lists of Python
+        # objects would set the run's peak memory at fleet scale.
+        for lo in range(0, len(self._fct), 4096):
+            hi = lo + 4096
+            rows = zip(range(lo, hi), *(col[lo:hi].tolist() for col in columns))
+            h.update("".join("%d:%.6f:%.6f:%d:%.9f:%d;" % row for row in rows).encode())
         return h.hexdigest()

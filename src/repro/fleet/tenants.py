@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -73,21 +74,16 @@ class PopulationSpec:
                 raise ScenarioError(f"{name} must hold non-negative weights summing > 0")
 
 
-def _weighted_pick(rng: random.Random, cumulative: List[Tuple[float, str]]) -> str:
-    x = rng.random() * cumulative[-1][0]
-    for bound, name in cumulative:
-        if x < bound:
-            return name
-    return cumulative[-1][1]
-
-
-def _cumulative(mix) -> List[Tuple[float, str]]:
+def _cumulative(mix) -> Tuple[List[float], List[str]]:
+    """Cumulative bounds and names of ``mix``, plus an ``inf`` bound that
+    gives the last name to a ``random() * total`` rounded up to ``total``."""
+    bounds, names = [], []
     acc = 0.0
-    out = []
     for name, weight in mix:
         acc += weight
-        out.append((acc, name))
-    return out
+        bounds.append(acc)
+        names.append(name)
+    return bounds + [math.inf], names + names[-1:]
 
 
 @dataclass
@@ -107,27 +103,30 @@ class TenantPopulation:
     def generate(cls, spec: PopulationSpec) -> "TenantPopulation":
         spec.validate()
         rng = random.Random(spec.seed)
-        # Lognormal with the requested mean: mu = ln(mean) - sigma^2/2.
+        rand, normal = rng.random, rng.normalvariate
+        # Lognormal with the requested mean: mu = ln(mean) - sigma^2/2;
+        # exp(normalvariate) is exactly what Random.lognormvariate returns.
         mu = math.log(spec.mean_size) - spec.sigma * spec.sigma / 2.0
-        class_cum = _cumulative(spec.class_mix)
-        cca_cum = _cumulative(spec.cca_mix)
+        sigma, lo, hi = spec.sigma, spec.min_size, spec.max_size
+        class_bounds, class_names = _cumulative(spec.class_mix)
+        cca_bounds, cca_names = _cumulative(spec.cca_mix)
+        class_total, cca_total = class_bounds[-2], cca_bounds[-2]  # last finite bounds
         window = spec.duration * spec.arrival_span
-        rows = []
+        arrivals, sizes, classes, ccas = [], [], [], []
+        # Four draws per tenant, in this order: arrival, size, class, CCA.
         for _ in range(spec.tenants):
-            arrival = rng.random() * window
-            size = int(rng.lognormvariate(mu, spec.sigma))
-            size = max(spec.min_size, min(spec.max_size, size))
-            rclass = _weighted_pick(rng, class_cum)
-            cca = _weighted_pick(rng, cca_cum)
-            rows.append((arrival, size, rclass, cca))
-        rows.sort(key=lambda r: r[0])
-        pop = cls(spec=spec)
-        for arrival, size, rclass, cca in rows:
-            pop.arrivals.append(arrival)
-            pop.sizes.append(size)
-            pop.classes.append(rclass)
-            pop.ccas.append(cca)
-        return pop
+            arrivals.append(rand() * window)
+            sizes.append(max(lo, min(hi, int(math.exp(normal(mu, sigma))))))
+            classes.append(class_names[bisect_right(class_bounds, rand() * class_total)])
+            ccas.append(cca_names[bisect_right(cca_bounds, rand() * cca_total)])
+        order = sorted(range(spec.tenants), key=arrivals.__getitem__)
+        return cls(
+            spec=spec,
+            arrivals=[arrivals[i] for i in order],
+            sizes=[sizes[i] for i in order],
+            classes=[classes[i] for i in order],
+            ccas=[ccas[i] for i in order],
+        )
 
     def class_names(self) -> List[str]:
         return sorted({name for name, _ in self.spec.class_mix})

@@ -1,6 +1,8 @@
 """The fleet package: tenant populations, the fluid engine, the hybrid
 simulation, and the sharded experiment merge."""
 
+import hashlib
+import json
 import math
 
 import pytest
@@ -25,6 +27,37 @@ def small_spec(tenants=50, duration=8.0, seed=0, **kw):
     return PopulationSpec(tenants=tenants, duration=duration, seed=seed, **kw)
 
 
+#: Population specs whose generated tenants are pinned below: the
+#: ``fleet-50k`` ledger workload's, and a small one with a zero-weight
+#: class, a one-entry CCA mix and sizes clamped at both ends.
+POPULATION_SPECS = {
+    "fleet-50k": FleetConfig(tenants=50_000, duration=3.0, seed=0).population_spec(),
+    "clamped": small_spec(
+        tenants=500, duration=2.0, seed=3, mean_size=20_000.0, sigma=1.5,
+        min_size=2_000, max_size=60_000,
+        class_mix=(("latency", 0.5), ("deadline", 0.0), ("throughput", 0.5)),
+        cca_mix=(("reno", 1.0),),
+    ),
+}
+
+#: sha256 of ``json.dumps`` of each generated field. A run-against-run
+#: check cannot see a generator that takes different draws; these can.
+POPULATION_PINS = {
+    "fleet-50k": {
+        "arrivals": "3dad2d7c53848fe6fbeafd3213c39dab659f435fc2b0f857f91a799c10d5dba1",
+        "sizes": "a66c0f0d14776cbc15b4005a58d33a164e71eba4ed0e948efcb4666e33c9db4f",
+        "classes": "a2ff2f6fce347ebece7599d1e1d436727c431db81cb7604daddac8c349520a27",
+        "ccas": "e01e4e36ceb4949b5c808985b3666a3e4c22b64579eb2dfb349ca1e9dd73049c",
+    },
+    "clamped": {
+        "arrivals": "0f5ed2a554058eeef0c57435fb8cd2e848607076fcba379341e90b92aba2aeca",
+        "sizes": "fa60d28b5de3ebca31e4274225d645a0e963787651a4ec4fb6df1c54d69c3b70",
+        "classes": "12f010641d5976077c1f7bef067aa37b7f47e90ec35acedf734ee436033c66a7",
+        "ccas": "3e9022a2ffa80e547a36b556b440f2a6b9e41bbafff102cd256390574d8dfcd1",
+    },
+}
+
+
 class TestTenantPopulation:
     def test_deterministic_for_seed(self):
         a = TenantPopulation.generate(small_spec(seed=3))
@@ -47,6 +80,21 @@ class TestTenantPopulation:
         assert all(spec.min_size <= s <= spec.max_size for s in pop.sizes)
         assert set(pop.classes) <= {name for name, _ in spec.class_mix}
         assert set(pop.ccas) <= {name for name, _ in spec.cca_mix}
+
+    @pytest.mark.parametrize("name", POPULATION_PINS)
+    def test_population_is_pinned_bit_for_bit(self, name):
+        spec = POPULATION_SPECS[name]
+        pop = TenantPopulation.generate(spec)
+        if name == "clamped":
+            # The spec exercises both size clamps, a class that can never
+            # be drawn and a one-entry CCA mix.
+            assert spec.min_size in pop.sizes and spec.max_size in pop.sizes
+            assert "deadline" not in pop.classes and set(pop.ccas) == {"reno"}
+        digests = {
+            field: hashlib.sha256(json.dumps(getattr(pop, field)).encode()).hexdigest()
+            for field in ("arrivals", "sizes", "classes", "ccas")
+        }
+        assert digests == POPULATION_PINS[name]
 
     def test_validation_rejects_bad_specs(self):
         with pytest.raises(ScenarioError):

@@ -253,6 +253,16 @@ def test_numpy_tick_matches_scalar_reference_every_tick(case):
         assert sent == pytest.approx(ref.bytes_by_class[name], rel=REL)
 
 
+def test_outage_inside_one_tick_interval_re_steers_its_tenants():
+    """``embb`` fails and comes back between two ticks: no tick sees it
+    down, yet its tenants were stalled and must all be re-steered."""
+    fluid, ref = run_shadowed(
+        400, 7, 100_000.0, [(1.503, "embb", "fail"), (1.507, "embb", "restore")]
+    )
+    assert fluid.stall_events == ref.stall_events > 0
+    assert fluid.stalled_count() == 0
+
+
 def test_planted_tick_defect_is_caught():
     """An engine whose additive-increase term lost its per-CCA ``gain``."""
     with pytest.raises(AssertionError):
@@ -262,8 +272,14 @@ def test_planted_tick_defect_is_caught():
 
 
 #: ``CASES`` plus a world whose ODEs ignore the packet foreground (the
-#: mode sharded runs use), as ``fleet_world`` arguments.
-PINNED_WORLDS = dict(CASES, decoupled=(80, 11, 100_000.0, (), False))
+#: mode sharded runs use) and one at scale (up to 7,009 tenants active at
+#: once, 4,073 completions, an ``embb`` failure and restore while tenants
+#: still arrive), as ``fleet_world`` arguments.
+PINNED_WORLDS = {
+    **CASES,
+    "decoupled": (80, 11, 100_000.0, (), False),
+    "at-scale": (10_000, 13, 6_000.0, [(1.0, "embb", "fail"), (1.6, "embb", "restore")]),
+}
 
 #: (``background_digest``, sha256 of ``json.dumps(run(), sort_keys=True)``)
 #: per world. ``REL`` lets the tick drift in the last digit; these do not:
@@ -290,6 +306,10 @@ PINNED = {
     "decoupled": (
         "297a95d942ccfdf4a3614fb0715b8738cd0b1eea8c09a0c2540f837f26a0f550",
         "6bb5307cabf0356ad9d4081df2903d76075718f5f3998f86c01eee01fca01c42",
+    ),
+    "at-scale": (
+        "1a383551ca893c0d76cab6cb0b27f431c2eceac88be903ce3b0b5ee91c40f652",
+        "c5a0bfd9d0147ba8cf25a711c49b7e6a0e6e4bae197b64a8897f9ae5071efa4e",
     ),
 }
 
