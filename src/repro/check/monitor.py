@@ -21,7 +21,8 @@ device-conservation         device: sends/receives balance link totals;
                             dispatches == receives − resequencer holds
 reseq-no-dup-release        resequencer: each (flow, shim_seq) released once
 transport-sequence          connection: 0 ≤ snd_una ≤ snd_nxt ≤ write_end
-transport-flight            connection: flight ledger == Σ live segments
+transport-flight            connection: flight ledger == Σ live segments,
+                            per loss key
 transport-segments          connection: segment list sorted and disjoint;
                             remembered SACK blocks likewise, each segment
                             wholly inside one sacked
@@ -30,8 +31,9 @@ transport-receive           connection: OOO ranges disjoint, non-touching,
                             above rcv_nxt
 transport-cross             pair: sender's ACKed prefix ≤ peer's contiguous
                             receive prefix ≤ sender's sent prefix
-transport-cc-bounds         connection: cwnd finite and > 0, pacing rate
-                            (when paced) finite and > 0, RTO in [min, max]
+transport-cc-bounds         connection, per loss key: cwnd finite and > 0,
+                            pacing rate (when paced) finite and > 0, RTO in
+                            [min, max]
 fault-balance               injector: channel holds / link overlays match
                             the set of applied-but-unreverted faults
 fault-final                 injector: everything reverted past the horizon
@@ -534,18 +536,20 @@ class InvariantMonitor:
             "sequence bounds violated (need 0 <= una <= nxt <= write_end)",
             snd_una=snd_una, snd_nxt=snd_nxt, write_end=state["write_end"],
         )
+        # Flight is booked per loss key (one list entry per key).
+        flight = state["flight_bytes"]
         check(
             "transport-flight", entity,
-            state["flight_bytes"] == state["segment_flight"],
+            flight == state["segment_flight"],
             "flight-byte ledger disagrees with the live segment list",
-            flight_bytes=state["flight_bytes"],
+            flight_bytes=flight,
             segment_flight=state["segment_flight"],
         )
         check(
             "transport-flight", entity,
-            0 <= state["flight_bytes"] <= snd_nxt - snd_una,
+            min(flight) >= 0 and sum(flight) <= snd_nxt - snd_una,
             "flight bytes outside [0, outstanding]",
-            flight_bytes=state["flight_bytes"], outstanding=snd_nxt - snd_una,
+            flight_bytes=flight, outstanding=snd_nxt - snd_una,
         )
         segments = state["segments"]
         ok = all(
@@ -590,26 +594,29 @@ class InvariantMonitor:
             "out-of-order ranges overlap, touch or sit inside the contiguous prefix",
             rcv_nxt=rcv_nxt, ranges=ranges[:8],
         )
-        check(
-            "transport-cc-bounds", entity,
-            state["cwnd_bytes"] > 0 and math.isfinite(state["cwnd_bytes"]),
-            "congestion window collapsed to zero or escaped to infinity",
-            cwnd_bytes=state["cwnd_bytes"],
-        )
-        pacing_rate = state.get("pacing_rate_bps")
-        check(
-            "transport-cc-bounds", entity,
-            pacing_rate is None
-            or (pacing_rate > 0 and math.isfinite(pacing_rate)),
-            "pacing rate is zero, negative, or non-finite",
-            pacing_rate_bps=pacing_rate,
-        )
-        check(
-            "transport-cc-bounds", entity,
-            state["min_rto"] - ADDITIVE_EPS <= state["rto"] <= state["max_rto"] + ADDITIVE_EPS,
-            "RTO escaped its [min_rto, max_rto] envelope",
-            rto=state["rto"], min_rto=state["min_rto"], max_rto=state["max_rto"],
-        )
+        for key, envelope in enumerate(state["keys"]):
+            cwnd = envelope["cwnd_bytes"]
+            check(
+                "transport-cc-bounds", entity,
+                cwnd > 0 and math.isfinite(cwnd),
+                "congestion window collapsed to zero or escaped to infinity",
+                key=key, cwnd_bytes=cwnd,
+            )
+            pacing_rate = envelope["pacing_rate_bps"]
+            check(
+                "transport-cc-bounds", entity,
+                pacing_rate is None
+                or (pacing_rate > 0 and math.isfinite(pacing_rate)),
+                "pacing rate is zero, negative, or non-finite",
+                key=key, pacing_rate_bps=pacing_rate,
+            )
+            rto, min_rto, max_rto = envelope["rto"], envelope["min_rto"], envelope["max_rto"]
+            check(
+                "transport-cc-bounds", entity,
+                min_rto - ADDITIVE_EPS <= rto <= max_rto + ADDITIVE_EPS,
+                "RTO escaped its [min_rto, max_rto] envelope",
+                key=key, rto=rto, min_rto=min_rto, max_rto=max_rto,
+            )
 
     def _audit_pair(self, pair) -> None:
         for sender, receiver, label in (

@@ -335,11 +335,11 @@ def mp_unit(scheduler: str = "hvc", duration: float = 30.0, seed: int = 0) -> di
     warmup = min(10.0, duration / 2.0)
     net.run(until=warmup)
     delivered_at_warmup = (
-        bulk_sender.delivered_timeline[-1][1] if bulk_sender.delivered_timeline else 0
+        bulk_sender.stats.delivered_timeline[-1][1] if bulk_sender.stats.delivered_timeline else 0
     )
     net.run(until=duration)
     timer.stop()
-    delivered_at_end = bulk_sender.delivered_timeline[-1][1]
+    delivered_at_end = bulk_sender.stats.delivered_timeline[-1][1]
     net.run(until=duration + 2.0)
     goodput = (delivered_at_end - delivered_at_warmup) * 8 / (duration - warmup)
     return {

@@ -33,7 +33,6 @@ from repro.obs.export import (
 )
 from repro.obs.probes import (
     ConnectionProbe,
-    MultipathProbe,
     TransportSample,
     TransportSeries,
     probe_for,
@@ -55,7 +54,6 @@ __all__ = [
     "validate_record",
     "write_jsonl",
     "ConnectionProbe",
-    "MultipathProbe",
     "TransportSample",
     "TransportSeries",
     "probe_for",

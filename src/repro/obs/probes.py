@@ -8,9 +8,9 @@ Samples land in ``Observability.transport_series`` keyed by
 ``(host, flow)`` — or ``(host, flow, subflow)`` for multipath subflows —
 and, when tracing is on, are mirrored as ``transport`` trace records.
 
-Connections discover their probe through ``device.obs_ctx`` at
-construction time, so both :class:`~repro.transport.connection.Connection`
-and :class:`~repro.transport.multipath.MultipathConnection` are covered no
+Endpoints discover their probe through ``device.obs_ctx`` at construction
+time, so both :class:`~repro.transport.connection.Connection` and
+:class:`~repro.transport.multipath.MultipathConnection` are covered no
 matter how they were created.
 """
 
@@ -53,11 +53,20 @@ class TransportSeries:
 
 
 class ConnectionProbe:
-    """Probe for a single-path :class:`Connection` endpoint."""
+    """Probe for a transport endpoint: samples one loss key's sender state
+    (:class:`~repro.transport.endpoint.Subflow`) per event.
 
-    __slots__ = ("series", "trace", "host", "flow_id", "c_timeouts")
+    A single-path :class:`Connection` fills one series per flow. With
+    ``per_key`` (a :class:`MultipathConnection`, whose keys are channels)
+    each key gets its own ``(host, flow, key)`` series, created on its
+    first sample; the per-flow series is still registered, and stays empty.
+    """
 
-    def __init__(self, obs, host: str, flow_id: int) -> None:
+    __slots__ = ("obs", "series", "trace", "host", "flow_id", "c_timeouts", "per_key",
+                 "_key_series")
+
+    def __init__(self, obs, host: str, flow_id: int, per_key: bool = False) -> None:
+        self.obs = obs
         self.host = host
         self.flow_id = flow_id
         self.series = TransportSeries(host=host, flow_id=flow_id)
@@ -66,75 +75,23 @@ class ConnectionProbe:
         self.c_timeouts = obs.registry.counter(
             "transport.timeouts", host=host, flow=flow_id
         )
+        self.per_key = per_key
+        self._key_series = {}
 
-    def _sample(self, conn, event: str, subflow: Optional[int] = None) -> TransportSample:
-        return TransportSample(
-            time=conn.sim.now,
-            cwnd_bytes=conn.cc.cwnd_bytes,
-            srtt=conn.rtt.srtt,
-            rto=conn.rtt.rto,
-            inflight_bytes=conn.bytes_in_flight,
-            event=event,
-            subflow=subflow,
-        )
-
-    def _emit(self, sample: TransportSample) -> None:
-        self.series.samples.append(sample)
-        if self.trace is not None:
-            self.trace.append(
-                {
-                    "kind": "transport",
-                    "time": sample.time,
-                    "host": self.host,
-                    "flow": self.flow_id,
-                    "cwnd_bytes": sample.cwnd_bytes,
-                    "srtt": sample.srtt,
-                    "rto": sample.rto,
-                    "inflight_bytes": sample.inflight_bytes,
-                    "event": sample.event,
-                    "subflow": sample.subflow,
-                }
-            )
-
-    def on_ack(self, conn) -> None:
-        self._emit(self._sample(conn, "ack"))
-
-    def on_timeout(self, conn) -> None:
-        self.c_timeouts.inc()
-        self._emit(self._sample(conn, "timeout"))
-
-
-class MultipathProbe(ConnectionProbe):
-    """Probe for a :class:`MultipathConnection`: one series per subflow."""
-
-    __slots__ = ("obs", "_subflow_series")
-
-    def __init__(self, obs, host: str, flow_id: int) -> None:
-        super().__init__(obs, host, flow_id)
-        self.obs = obs
-        self._subflow_series = {}
-
-    def _series_for(self, subflow_index: int) -> TransportSeries:
-        series = self._subflow_series.get(subflow_index)
+    def _series_for(self, key: int) -> TransportSeries:
+        series = self._key_series.get(key)
         if series is None:
-            series = TransportSeries(
-                host=self.host, flow_id=self.flow_id, subflow=subflow_index
-            )
-            self._subflow_series[subflow_index] = series
-            self.obs.transport_series[(self.host, self.flow_id, subflow_index)] = series
+            series = TransportSeries(host=self.host, flow_id=self.flow_id, subflow=key)
+            self._key_series[key] = series
+            self.obs.transport_series[(self.host, self.flow_id, key)] = series
         return series
 
-    def _emit_subflow(self, mp_conn, subflow, event: str) -> None:
+    def _emit(self, conn, sub, event: str) -> None:
+        key = sub.key if self.per_key else None
         sample = TransportSample(
-            time=mp_conn.sim.now,
-            cwnd_bytes=subflow.cc.cwnd_bytes,
-            srtt=subflow.rtt.srtt,
-            rto=subflow.rtt.rto,
-            inflight_bytes=subflow.in_flight,
-            event=event,
-            subflow=subflow.channel_index,
+            conn.sim.now, sub.cc.cwnd_bytes, sub.rtt.srtt, sub.rtt.rto, sub.in_flight, event, key
         )
-        self._series_for(subflow.channel_index).samples.append(sample)
+        (self.series if key is None else self._series_for(key)).samples.append(sample)
         if self.trace is not None:
             self.trace.append(
                 {
@@ -151,15 +108,15 @@ class MultipathProbe(ConnectionProbe):
                 }
             )
 
-    def on_subflow_ack(self, mp_conn, subflow) -> None:
-        self._emit_subflow(mp_conn, subflow, "ack")
+    def on_ack(self, conn, sub) -> None:
+        self._emit(conn, sub, "ack")
 
-    def on_subflow_timeout(self, mp_conn, subflow) -> None:
+    def on_timeout(self, conn, sub) -> None:
         self.c_timeouts.inc()
-        self._emit_subflow(mp_conn, subflow, "timeout")
+        self._emit(conn, sub, "timeout")
 
 
-def probe_for(device, flow_id: int, multipath: bool = False):
+def probe_for(device, flow_id: int, per_key: bool = False):
     """The probe a transport endpoint on ``device`` should use, or None.
 
     The device exposes its observability context as ``obs_ctx`` once
@@ -169,5 +126,4 @@ def probe_for(device, flow_id: int, multipath: bool = False):
     obs = getattr(device, "obs_ctx", None)
     if obs is None or not obs.probes:
         return None
-    cls = MultipathProbe if multipath else ConnectionProbe
-    return cls(obs, device.name, flow_id)
+    return ConnectionProbe(obs, device.name, flow_id, per_key)

@@ -2,23 +2,32 @@
 
 Everything about a reliable, message-aware endpoint that does not depend
 on how many paths it sends over: the application message queue and segment
-carving, the sender :class:`~repro.transport.scoreboard.Scoreboard`, the
-receiver's reassembly and message completion, the lazy retransmission
-timer and the pacer wake-up. Subclasses supply ``_try_send`` (what to send
-next, and where), ``_on_packet`` and ``_on_timeout``.
+carving, the sender :class:`~repro.transport.scoreboard.Scoreboard`, one
+:class:`Subflow` of sender state per loss key, the send primitives
+(transmit, retransmit, pacing gate), the ACK builder and the ACK path up to
+the congestion response, the lazy retransmission timer with its blackout
+handling and channel-up recovery probe, and the receiver's reassembly and
+message completion.
+
+Subclasses supply placement (``_try_send``, ``_place_repair``), the channel
+an ACK returns on (``_ack_channel``) and the per-ACK loss inference and
+congestion response (``_loss_response``).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import TransportError
 from repro.net.node import Device
 from repro.net.packet import Packet, PacketType
+from repro.obs.probes import probe_for
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator
+from repro.transport.cc.base import CongestionControl
+from repro.transport.rtx import RttEstimator
 from repro.transport.scoreboard import Scoreboard, Segment
 
 #: Number of SACK ranges an ACK carries (TCP fits ~3 in options).
@@ -61,8 +70,78 @@ class RttRecord:
     ack_channel: Optional[int]
 
 
+@dataclass
+class ConnectionStats:
+    """Lifetime accounting for one endpoint."""
+
+    bytes_sent: int = 0
+    bytes_acked: int = 0
+    bytes_received: int = 0
+    segments_sent: int = 0
+    retransmissions: int = 0
+    timeouts: int = 0
+    #: RTOs that fired while *every* channel was down. Retransmitting into a
+    #: blackout is pointless and would poison the congestion controller, so
+    #: these back off the timer without touching cwnd.
+    blackout_timeouts: int = 0
+    #: Fast retransmissions issued right after a channel came back up.
+    recovery_probes: int = 0
+    fast_retransmits: int = 0
+    rtt_records: List[RttRecord] = field(default_factory=list)
+    #: (time, cumulative bytes delivered) checkpoints for throughput series.
+    delivered_timeline: List[Tuple[float, int]] = field(default_factory=list)
+
+
+class Subflow:
+    """Sender state for one loss key: congestion controller, RTT estimator,
+    pacer, and ``in_flight``, the scoreboard's flight ledger for the key.
+
+    :class:`Connection` has one. :class:`MultipathConnection` has one per
+    channel, pinned to it: ``channel`` is the hint its packets carry
+    (``None`` leaves each packet to the device's steering).
+    """
+
+    def __init__(
+        self,
+        key: int,
+        channel: Optional[int],
+        cc: CongestionControl,
+        min_rto: float,
+        flight: List[int],
+    ) -> None:
+        self.key = key
+        self.channel = channel
+        self.cc = cc
+        self.rtt = RttEstimator(min_rto=min_rto)
+        self._flight = flight
+        self.next_send_time = 0.0
+        #: ``cc.cwnd_bytes`` / the pacing rate as read for the current send
+        #: burst (:meth:`Endpoint._open_burst`); stale between bursts —
+        #: everything else reads ``cc``.
+        self.cwnd = 0.0
+        self.pacing: Optional[float] = None
+
+    @property
+    def in_flight(self) -> int:
+        return self._flight[self.key]
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"<Subflow key={self.key} cwnd={self.cc.cwnd_bytes:.0f} "
+            f"inflight={self.in_flight}>"
+        )
+
+
 class Endpoint:
-    """Message queue, scoreboard, receiver and timers of one endpoint."""
+    """Message queue, scoreboard, per-key sender state, receiver and timers
+    of one endpoint."""
+
+    #: Stand-in SRTT of a key without an RTT sample: the remark holdoff of a
+    #: repair it carries (and, multipath, its place in min-RTT order).
+    UNSAMPLED_SRTT = 0.1
+    #: Loss key ``k`` is pinned to channel ``k``: its packets carry the
+    #: channel as a hint and the probe keeps one series per key.
+    KEYS_ARE_CHANNELS = False
 
     def __init__(
         self,
@@ -72,7 +151,8 @@ class Endpoint:
         mss: int,
         flow_priority: Optional[int],
         on_message: Optional[Callable[[MessageReceipt], None]],
-        loss_keys: int,
+        ccs: List[CongestionControl],
+        min_rto: float,
     ) -> None:
         self.sim = sim
         self.device = device
@@ -80,12 +160,29 @@ class Endpoint:
         self.mss = mss
         self.flow_priority = flow_priority
         self.on_message = on_message
+        self.stats = ConnectionStats()
+        #: Component switches (the ablation harness turns them off through
+        #: :class:`Connection`'s constructor). Off means: ACKs carry no SACK
+        #: ranges / the pacer never gates a send / RTOs during total
+        #: blackout take the normal timeout path.
+        self.sack_enabled = True
+        self.pacing_enabled = True
+        self.blackout_suppression = True
+        #: Payload bytes a pure ACK carries (0 = genuinely pure). Setting
+        #: this >0 models "data tacked onto the ACK" (§3.2 discussion).
+        self.ack_bytes = 0
 
         # --- send state ---
         self._write_end = 0
         self._snd_una = 0
         self._snd_nxt = 0
-        self._sb = Scoreboard(mss, loss_keys)
+        self._sb = Scoreboard(mss, len(ccs))
+        pinned = self.KEYS_ARE_CHANNELS
+        #: Indexed by loss key.
+        self.subflows: List[Subflow] = [
+            Subflow(key, key if pinned else None, cc, min_rto, self._sb.flight)
+            for key, cc in enumerate(ccs)
+        ]
         self._messages: List[OutgoingMessage] = []
         self._next_message_index = 0  # first message not fully acked
         self._send_cursor = 0  # the message covering ``_snd_nxt``
@@ -99,14 +196,23 @@ class Endpoint:
         self._pacing_event: Optional[Event] = None
         self._total_delivered = 0
         self._auto_message_ids = iter(range(10**9, 2 * 10**9))
+        #: True while RTOs are being suppressed because no channel is up;
+        #: cleared by the first channel-up transition, which re-probes fast.
+        self._blackout_suppressed = False
 
         # --- receive state ---
+        self._established = True
         self._rcv_nxt = 0
         self._ooo_ranges: List[Tuple[int, int]] = []
         self._message_ends: Dict[int, Tuple[int, Optional[int], int]] = {}
         self._closed = False
 
+        #: Transport probe (:class:`repro.obs.ConnectionProbe`), attached
+        #: when the device is wired into an observability context with
+        #: probes enabled; ``None`` otherwise.
+        self.obs = probe_for(device, flow_id, per_key=pinned)
         device.register_flow(flow_id, self._on_packet)
+        device.on_channel_transition_hooks.append(self._on_channel_transition)
 
     # ==================================================================
     # Application interface
@@ -138,7 +244,7 @@ class Endpoint:
         return message
 
     def close(self) -> None:
-        """Stop timers and detach from the device."""
+        """Stop timers and detach from the device and its transition hooks."""
         if self._closed:
             return
         self._closed = True
@@ -150,6 +256,10 @@ class Endpoint:
             self.sim.cancel(self._pacing_event)
             self._pacing_event = None
         self.device.unregister_flow(self.flow_id)
+        try:
+            self.device.on_channel_transition_hooks.remove(self._on_channel_transition)
+        except ValueError:
+            pass
 
     def audit_state(self) -> dict:
         """Internal state snapshot for the invariant monitor.
@@ -157,7 +267,8 @@ class Endpoint:
         Everything :mod:`repro.check` needs to assert the transport's
         conservation laws without reaching into private fields: sequence
         bounds, the per-loss-key flight ledger and its recomputation from
-        the segment list, and receive-side contiguity.
+        the segment list, receive-side contiguity, and per key the
+        controller's outputs and the RTO's envelope.
         """
         state = self._sb.audit()
         state.update(
@@ -167,6 +278,18 @@ class Endpoint:
             rcv_nxt=self._rcv_nxt,
             ooo_ranges=list(self._ooo_ranges),
             closed=self._closed,
+            keys=[
+                {
+                    "cwnd_bytes": sub.cc.cwnd_bytes,
+                    "pacing_rate_bps": sub.cc.pacing_rate_bps if self.pacing_enabled else None,
+                    "rto": sub.rtt.rto,
+                    "min_rto": sub.rtt.min_rto,
+                    "max_rto": sub.rtt.max_rto,
+                }
+                for sub in self.subflows
+            ],
+            bytes_acked=self.stats.bytes_acked,
+            bytes_sent=self.stats.bytes_sent,
         )
         return state
 
@@ -226,9 +349,64 @@ class Endpoint:
             created_at=self.sim.now,
         )
 
+    def _open_burst(self) -> None:
+        """Start a send opportunity: read every controller's outputs once.
+        ``on_sent`` moves neither (the contract tests/test_transport_cc.py
+        holds every registered controller to), so one read serves every
+        send of the burst."""
+        pacing_enabled = self.pacing_enabled
+        for sub in self.subflows:
+            cc = sub.cc
+            sub.cwnd = cc.cwnd_bytes
+            sub.pacing = cc.pacing_rate_bps if pacing_enabled else None
+
+    def _pacing_gate(self, sub: Subflow) -> bool:
+        """True if ``sub`` must wait for its pacer; the one wake-up event
+        sits at the earliest deadline any gated key has asked for."""
+        now = self.sim.now
+        wake = sub.next_send_time
+        if sub.pacing is None or now >= wake:
+            return False
+        event = self._pacing_event
+        if event is None:
+            self._pacing_event = self.sim.schedule(wake - now, self._pacing_wakeup)
+        elif wake < event.time:
+            self._pacing_event = self.sim.reschedule(event, wake - now, self._pacing_wakeup)
+        return True
+
     def _pacing_wakeup(self) -> None:
         self._pacing_event = None
         self._try_send()
+
+    def _retransmit(self, segment: Segment, sub: Subflow) -> None:
+        """Resend a lost segment on ``sub`` — under multipath, not
+        necessarily the key it was lost on."""
+        srtt = sub.rtt.srtt
+        holdoff = srtt if srtt is not None else self.UNSAMPLED_SRTT
+        self._sb.retransmit(segment, self.sim.now, holdoff, sub.key)
+        self.stats.retransmissions += 1
+        self._transmit(segment, sub, True)
+
+    def _transmit(self, segment: Segment, sub: Subflow, retransmission: bool) -> None:
+        now = self.sim.now
+        size = segment.end_seq - segment.seq
+        packet = self._data_packet(segment, retransmission, sub.channel)
+        self.device.send(packet)
+        segment.channel = packet.channel_index
+        stats = self.stats
+        stats.segments_sent += 1
+        stats.bytes_sent += size
+        pacing = sub.pacing
+        if pacing is not None and pacing > 0:
+            start = sub.next_send_time
+            sub.next_send_time = (start if start > now else now) + (size + 40) * 8 / pacing
+        sub.cc.on_sent(now, size, self._sb.flight[sub.key])
+        self._arm_rto()
+
+    def _place_repair(self, segment: Segment) -> Subflow:
+        """The key a forced repair (RTO, recovery probe) goes out on: by
+        default the one that carried it. Called after :meth:`_open_burst`."""
+        return self.subflows[segment.key]
 
     def _fire_acked_messages(self) -> None:
         """Complete the messages ``_snd_una`` has passed (callers: an ACK
@@ -243,11 +421,63 @@ class Endpoint:
             self._next_message_index += 1
 
     # ------------------------------------------------------------------
+    # ACK processing → RTT + scoreboard, then the subclass's loss response
+    # ------------------------------------------------------------------
+    def _on_ack(self, packet: Packet) -> None:
+        ack_seq = packet.ack_seq
+        if ack_seq > self._snd_nxt:
+            return  # corrupt/stale beyond what we sent
+        now = self.sim.now
+        stats = self.stats
+        newly_acked = ack_seq - self._snd_una
+        if newly_acked > 0:
+            self._snd_una = ack_seq
+            # Forward progress proves the path carries data again; a backoff
+            # accumulated during an outage must not throttle recovery (the
+            # acked data may all be retransmissions, so Karn's rule would
+            # never produce the sample that normally clears it).
+            for sub in self.subflows:
+                if sub.rtt.consecutive_timeouts:
+                    sub.rtt.reset_backoff()
+            self._total_delivered += newly_acked
+            stats.bytes_acked = ack_seq
+            stats.delivered_timeline.append((now, self._total_delivered))
+        else:
+            newly_acked = 0  # a duplicate, or stale: raced across channels
+
+        newest = self._sb.ack(ack_seq, packet.sack)
+
+        rtt_sample: Optional[float] = None
+        delivery_rate: Optional[float] = None
+        if newest is not None:
+            # The sample belongs to the key that carried the segment.
+            rtt_sample = now - newest.sent_at
+            self.subflows[newest.key].rtt.on_sample(rtt_sample)
+            if rtt_sample > 0:
+                delivered = self._total_delivered - newest.delivered_at_send
+                delivery_rate = delivered * 8.0 / rtt_sample
+            stats.rtt_records.append(
+                RttRecord(now, rtt_sample, newest.channel, packet.channel_index)
+            )
+
+        self._loss_response(now, packet, newly_acked, newest, rtt_sample, delivery_rate)
+        if newly_acked:
+            self._fire_acked_messages()
+        self._arm_rto()
+        self._try_send()
+
+    # ------------------------------------------------------------------
     # Retransmission timer
     # ------------------------------------------------------------------
-    def _arm_rto(self, rto: float) -> None:
-        """Re-arm on outstanding data with timeout ``rto``; disarm otherwise."""
+    def _arm_rto(self) -> None:
+        """Re-arm on outstanding data with the slowest key's RTO; disarm
+        otherwise."""
         if self._snd_una < self._snd_nxt:
+            rto = 0.0
+            for sub in self.subflows:
+                key_rto = sub.rtt.rto
+                if key_rto > rto:
+                    rto = key_rto
             deadline = self.sim.now + rto
             self._rto_deadline = deadline
             event = self._rto_event
@@ -279,9 +509,125 @@ class Endpoint:
             return
         self._on_timeout()
 
+    def _on_timeout(self) -> None:
+        """The timer waited out every key with data the peer has not
+        reported; those keys time out."""
+        sb = self._sb
+        unsacked = [s for s in sb.segments if not s.sacked]
+        keys = {segment.key for segment in unsacked}
+        timed_out = [sub for sub in self.subflows if sub.key in keys]
+        obs = self.obs
+        if self.blackout_suppression and not self.device.any_channel_up():
+            # Total blackout: the timeout measured the outage, not
+            # congestion. Don't collapse cwnd, don't waste a retransmission
+            # the device would drop anyway — just back the timer off and
+            # wait for the channel-up signal to re-probe.
+            self.stats.blackout_timeouts += 1
+            self._blackout_suppressed = True
+            for sub in timed_out:
+                sub.rtt.on_timeout()
+                if obs is not None:
+                    # Probe the suppressed fire too: a run of timeout samples
+                    # with growing RTO but flat cwnd is the blackout signature.
+                    obs.on_timeout(self, sub)
+            self._arm_rto()
+            return
+        self.stats.timeouts += 1
+        now = self.sim.now
+        for sub in timed_out:
+            sub.rtt.on_timeout()
+            sub.cc.on_timeout(now)
+            if obs is not None:
+                obs.on_timeout(self, sub)
+        # RFC 5681 semantics: after an RTO the whole outstanding window is
+        # presumed lost and the pipe empty. Without this, segments that died
+        # in a channel outage (never SACKed, so never marked lost) keep
+        # inflating flight above the collapsed cwnd and recovery
+        # degenerates to one segment per backed-off RTO.
+        for segment in unsacked:
+            if not segment.lost:
+                sb.mark_lost(segment)
+        # Rebuild the retransmission queue in sequence order: the hole at
+        # snd_una is what advances the cumulative ACK (and clears the
+        # backoff), so it must go out first, whatever order losses were
+        # declared in before the timeout.
+        sb.retx_queue[:] = unsacked
+        if unsacked:
+            self._open_burst()
+            first = sb.retx_queue.pop(0)
+            self._retransmit(first, self._place_repair(first))
+            self._try_send()
+        else:
+            self._arm_rto()
+
+    def _on_channel_transition(self, channel, up: bool, now: float) -> None:
+        """Fault-aware recovery: a channel coming back up ends the wait.
+
+        If RTOs were suppressed during a total blackout, the backed-off
+        timer may be minutes out — but the recovery signal is local and
+        certain, so forget the backoff and immediately re-probe with the
+        first unacknowledged segment (no congestion penalty: nothing about
+        the path's capacity was learned from the outage).
+        """
+        if not up or self._closed or not self._blackout_suppressed:
+            return
+        self._blackout_suppressed = False
+        for sub in self.subflows:
+            sub.rtt.reset_backoff()
+        if self._snd_una >= self._snd_nxt:
+            self._arm_rto()
+            return
+        sb = self._sb
+        first = sb.first_unsacked()
+        if first is not None:
+            self.stats.recovery_probes += 1
+            if not first.lost:
+                sb.mark_lost(first)
+            if first in sb.retx_queue:
+                sb.retx_queue.remove(first)
+            self._open_burst()
+            self._retransmit(first, self._place_repair(first))
+        self._try_send()
+
     # ==================================================================
     # Receive side
     # ==================================================================
+    def _on_packet(self, packet: Packet) -> None:
+        if self._closed:
+            return
+        ptype = packet.ptype
+        if ptype == PacketType.DATA:
+            self._on_data(packet)
+        elif ptype == PacketType.ACK:
+            self._on_ack(packet)
+        elif ptype == PacketType.SYN:
+            self._on_syn(packet)
+
+    def _on_syn(self, packet: Packet) -> None:
+        """No handshake by default: a SYN is ignored."""
+
+    def _ack_channel(self, data_packet: Packet) -> Optional[int]:
+        """The channel the ACK of ``data_packet`` returns on (``None``: the
+        device's steering places it)."""
+        return None
+
+    def _on_data(self, packet: Packet) -> None:
+        """Absorb one data packet, then ACK it: cumulative + selective."""
+        self._established = True  # data implies the peer established
+        self.stats.bytes_received += packet.payload_bytes
+        self._receive(packet)
+        ranges = self._ooo_ranges if self.sack_enabled else ()
+        self.device.send(
+            Packet(
+                self.flow_id, PacketType.ACK, self.ack_bytes,
+                ack_seq=self._rcv_nxt, sack=tuple(ranges[-MAX_SACK_RANGES:]) if ranges else (),
+                seq=packet.seq, message_id=packet.message_id,
+                message_priority=packet.message_priority,
+                flow_priority=self.flow_priority, channel_hint=self._ack_channel(packet),
+                created_at=self.sim.now,
+            )
+        )
+
     def _receive(self, packet: Packet) -> None:
         """Reassemble one data packet and fire the messages it completes."""
         rcv_nxt = self._rcv_nxt

@@ -87,7 +87,7 @@ class TestSubflowIsolation:
         sender.send_message(5_000_000, message_id=1)
         net.run(until=10.0)
         per_channel = {}
-        for record in sender.stats_rtt_records:
+        for record in sender.stats.rtt_records:
             per_channel.setdefault(record.data_channel, []).append(record.rtt)
         assert all(rtt >= 0.027 for rtt in per_channel.get(0, []))
         if 1 in per_channel:
@@ -98,9 +98,9 @@ class TestSubflowIsolation:
         sender, _ = make_mp_pair(net, scheduler="hvc")
         sender.send_message(200_000_000, message_id=1)
         net.run(until=5.0)
-        at_5s = sender.delivered_timeline[-1][1]
+        at_5s = sender.stats.delivered_timeline[-1][1]
         net.run(until=15.0)
-        achieved = (sender.delivered_timeline[-1][1] - at_5s) * 8 / 10.0
+        achieved = (sender.stats.delivered_timeline[-1][1] - at_5s) * 8 / 10.0
         assert to_mbps(achieved) > 50  # no Fig. 1-style collapse
 
     def test_minrtt_scheduler_congests_urllc(self):
@@ -136,7 +136,7 @@ class TestMultipathRecovery:
         sender.send_message(kb(500), message_id=1)
         net.run(until=30.0)
         assert len(receipts) == 1
-        assert sender.retransmissions > 0
+        assert sender.stats.retransmissions > 0
 
     def test_reinjection_can_switch_channels(self):
         """Loss repair may go out on a different subflow than the original."""

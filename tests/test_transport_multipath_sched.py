@@ -61,36 +61,37 @@ def segment(size=1460, last=False, retx=False, message_size=10**9):
 
 def pick(conn, seg):
     """What the send loop asks about a queue head shaped like ``seg``."""
-    return conn._pick(seg.size, _urgent(seg), conn._open_burst())
+    conn._open_burst()
+    return conn._pick(seg.size, _urgent(seg), conn._roles())
 
 
 class TestHvcScheduler:
     def test_bulk_goes_to_hb(self):
         net, conn = make_conn()
         chosen = pick(conn, segment())
-        assert chosen.channel_index == 0  # eMBB
+        assert chosen.key == 0  # eMBB
 
     def test_message_tail_goes_to_ll(self):
         net, conn = make_conn()
         chosen = pick(conn, segment(last=True))
-        assert chosen.channel_index == 1  # URLLC
+        assert chosen.key == 1  # URLLC
 
     def test_small_message_goes_to_ll_from_first_segment(self):
         net, conn = make_conn()
         chosen = pick(conn, segment(message_size=SMALL_MESSAGE_BYTES))
-        assert chosen.channel_index == 1
+        assert chosen.key == 1
 
     def test_retransmission_goes_to_ll(self):
         net, conn = make_conn()
         chosen = pick(conn, segment(retx=True))
-        assert chosen.channel_index == 1
+        assert chosen.key == 1
 
     def test_urgent_falls_back_to_hb_when_ll_window_full(self):
         net, conn = make_conn()
         ll = conn.subflows[1]
         conn._sb.flight[1] = int(ll.cc.cwnd_bytes)  # no room
         chosen = pick(conn, segment(last=True))
-        assert chosen.channel_index == 0
+        assert chosen.key == 0
 
     def test_bulk_waits_when_hb_window_full(self):
         net, conn = make_conn()
@@ -101,8 +102,8 @@ class TestHvcScheduler:
     def test_single_channel_everything_on_it(self):
         net = HvcNetwork([fixed_embb_spec()], steering="single")
         conn = MultipathConnection(net.sim, net.client, next_flow_id())
-        assert pick(conn, segment(last=True)).channel_index == 0
-        assert pick(conn, segment()).channel_index == 0
+        assert pick(conn, segment(last=True)).key == 0
+        assert pick(conn, segment()).key == 0
 
 
 class TestMinRttScheduler:
@@ -110,19 +111,19 @@ class TestMinRttScheduler:
         net, conn = make_conn(scheduler="minrtt")
         conn.subflows[0].rtt.on_sample(0.050)
         conn.subflows[1].rtt.on_sample(0.005)
-        assert pick(conn, segment()).channel_index == 1
+        assert pick(conn, segment()).key == 1
 
     def test_spills_when_preferred_full(self):
         net, conn = make_conn(scheduler="minrtt")
         conn.subflows[0].rtt.on_sample(0.050)
         conn.subflows[1].rtt.on_sample(0.005)
         conn._sb.flight[1] = int(conn.subflows[1].cc.cwnd_bytes)
-        assert pick(conn, segment()).channel_index == 0
+        assert pick(conn, segment()).key == 0
 
     def test_none_when_all_full(self):
         net, conn = make_conn(scheduler="minrtt")
         for subflow in conn.subflows:
-            conn._sb.flight[subflow.channel_index] = int(subflow.cc.cwnd_bytes)
+            conn._sb.flight[subflow.key] = int(subflow.cc.cwnd_bytes)
         assert pick(conn, segment()) is None
 
 
@@ -138,17 +139,17 @@ class NaiveScheduler:
 
     def _live_subflows(self):
         conn = self.conn
-        live = [s for s in conn.subflows if conn.device.views[s.channel_index].up]
+        live = [s for s in conn.subflows if conn.device.views[s.key].up]
         return live if live else list(conn.subflows)
 
     def _ll_subflow(self, live):
         return min(
-            live, key=lambda s: self.conn.device.views[s.channel_index].base_delay
+            live, key=lambda s: self.conn.device.views[s.key].base_delay
         )
 
     def _hb_subflow(self, live):
         return max(
-            live, key=lambda s: self.conn.device.views[s.channel_index].rate_bps
+            live, key=lambda s: self.conn.device.views[s.key].rate_bps
         )
 
     @staticmethod
@@ -162,7 +163,7 @@ class NaiveScheduler:
             ]
             if not candidates:
                 return None
-            return min(candidates, key=lambda s: s.srtt)
+            return min(candidates, key=lambda s: s.rtt.srtt or 0.05)
         return self._pick_hvc(segment)
 
     def _pick_hvc(self, segment):
@@ -306,7 +307,7 @@ def test_send_loop_matches_naive_scheduler(seed, scheduler):
         want = naive._live_subflows()
         assert live == want
         assert ll is naive._ll_subflow(want) and hb is naive._hb_subflow(want)
-        up = [conn.device.views[s.channel_index].up for s in conn.subflows]
+        up = [conn.device.views[s.key].up for s in conn.subflows]
         seen["down"] += not all(up)
         seen["all_down"] += not any(up)
         return roles
@@ -340,7 +341,7 @@ def test_send_loop_matches_naive_scheduler(seed, scheduler):
     conn._pick = checked_pick
     conn._carve_segment = checked_carve
     conn._transmit = lambda seg, subflow, retransmission: sent.append(
-        (seg.seq, subflow.channel_index, retransmission)
+        (seg.seq, subflow.key, retransmission)
     )
     for _ in range(400):
         mutate(rng, sim, channels, conn)
