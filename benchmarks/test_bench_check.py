@@ -5,8 +5,8 @@ kernel hot path: a ``check is not None`` branch per dispatched event (the
 hook itself is hoisted out of the loop). Every production experiment runs
 disarmed, so that configuration is gated, and gated on a count: with no
 hook attached ``Simulator.run`` makes exactly the Python-level calls of a
-reconstruction of the branch-free pre-hook loop — one ``pop_next`` per
-event and whatever the queue calls beneath it. A wall-clock budget cannot
+reconstruction of the branch-free pre-hook loop — none per event beyond
+the callbacks, since both drain the heap inline. A wall-clock budget cannot
 resolve one branch per event on a shared box (the two loops read 0.94 to
 1.18 of each other round to round), a count repeats exactly.
 
@@ -17,6 +17,7 @@ the same run bare.
 """
 
 import time
+from heapq import heappop, heappush
 
 from repro.check.monitor import InvariantMonitor
 from repro.experiments.fig1 import run_single_cca
@@ -43,20 +44,32 @@ def _drain_current(sim: Simulator) -> None:
 
 def _drain_prehook(sim: Simulator) -> None:
     # The pre-hook dispatch loop: a faithful replica of ``Simulator.run``
-    # (stop flag, run counter, max_events test, try/finally) minus *only*
-    # the invariant branch.
+    # (stop flag, inline heap drain with cancelled-head reclaim and the
+    # ``until`` refile, run counter, max_events test, try/finally) minus
+    # *only* the invariant branch.
     until = None
     max_events = None
     sim._running = True
     sim._stop_requested = False
     processed = 0
-    pop_next = sim._queue.pop_next
+    heap = sim._heap
+    pop = heappop
+    limit = float("inf") if until is None else until
     try:
         while not sim._stop_requested:
-            event = pop_next(until)
-            if event is None:
+            if not heap:
                 break
-            sim.now = event.time
+            entry = pop(heap)
+            event = entry[2]
+            if event.cancelled:
+                sim._dead -= 1
+                continue
+            time_ = entry[0]
+            if time_ > limit:
+                heappush(heap, entry)
+                break
+            event._sim = None
+            sim.now = time_
             event.callback(*event.args)
             processed += 1
             if max_events is not None and processed >= max_events:
@@ -124,8 +137,8 @@ def test_bench_check_hook_overhead(benchmark):
     print(f"  armed fig1a    : {armed_eps:12.0f} events/s  "
           f"({(armed_overhead - 1) * 100:+.2f}% overhead, "
           f"{monitor.checks_run} checks)")
-    # Disarmed, the shipped loop is the replica plus its own frame.
+    # Disarmed, the shipped loop is the replica plus its own frame: no
+    # Python call into ``sim/`` per event on either side.
     calls = _sim_calls(_drain_current)
     assert calls.pop("run") == 1
-    assert calls["pop_next"] == EVENT_COUNT + 1  # the last one finds it empty
     assert calls == _sim_calls(_drain_prehook)

@@ -1,21 +1,24 @@
-"""Microbenchmark: the event-queue hot path, wheel vs the heap it replaced.
+"""Microbenchmark: the event kernel — churn, drain, full stack, compaction.
 
-:class:`repro.sim.events.HeapEventQueue` is the pre-wheel queue (single
-binary heap of Events) kept verbatim for exactly this comparison;
-:class:`repro.sim.events.EventQueue` is the timer-wheel hierarchy. Both
-are driven through the same interleaved schedule/cancel/pop churn — a
-sliding window of near-horizon timers, the kernel's steady state — in
-the same process, so machine speed cancels out of the ratio.
+Three rates are printed (``pytest -s``):
 
-``Simulator.run`` draining one pre-filled queue and a full simulation
-rate (one CUBIC bulk flow) anchor the ratio to reality. Every number is
-printed (``pytest -s``); the ratio is asserted.
+* **churn**: the kernel's steady state through ``Simulator.run`` — each
+  event schedules its successor from a sliding window of near-future
+  timers and every seventh also arms and cancels a far decoy (pacing/RTO
+  churn);
+* **drain**: ``Simulator.run`` emptying one pre-filled, tie-dense heap
+  with empty callbacks;
+* **full simulator**: one CUBIC bulk flow through the whole stack.
+
+One bound is asserted: cancel-heavy churn (a pacing and an RTO timer
+re-armed on every event) keeps the heap bounded through compaction.
+Without compaction that workload retains ~2500 cancelled RTO entries
+(0.25 s deadline / 0.1 ms churn).
 """
 
 import time
 
 from repro.experiments.fig1 import run_single_cca
-from repro.sim.events import EventQueue, HeapEventQueue
 from repro.sim.kernel import Simulator
 
 CHURN_EVENTS = 120_000
@@ -28,34 +31,30 @@ def _noop() -> None:
     return None
 
 
-def _churn_events_per_second(queue_cls) -> float:
-    """Steady-state kernel churn: pop one, schedule one, sprinkle cancels."""
-    queue = queue_cls()
-    now = 0.0
-    for i in range(WINDOW):
-        queue.push(now + DELAYS[i % 7] * (1 + i % 3), _noop)
-    count = 0
-    start = time.perf_counter()
-    while count < CHURN_EVENTS:
-        event = queue.pop_next(None)
-        now = event.time
-        count += 1
+def _churn_events_per_second() -> float:
+    """Steady-state kernel churn: dispatch one, schedule one, sprinkle cancels."""
+    sim = Simulator()
+    state = {"count": 0}
+
+    def fire() -> None:
+        count = state["count"] = state["count"] + 1
         if count % CANCEL_EVERY == 0:
-            queue.push(now + 0.25, _noop).cancel()
-        queue.push(now + DELAYS[count % 7], _noop)
+            sim.schedule(0.25, _noop).cancel()
+        sim.schedule(DELAYS[count % 7], fire)
+
+    for i in range(WINDOW):
+        sim.schedule(DELAYS[i % 7] * (1 + i % 3), fire)
+    start = time.perf_counter()
+    sim.run(max_events=CHURN_EVENTS)
     elapsed = time.perf_counter() - start
-    return count / elapsed
-
-
-def _best_churn(queue_cls, rounds: int = 3) -> float:
-    return max(_churn_events_per_second(queue_cls) for _ in range(rounds))
+    return CHURN_EVENTS / elapsed
 
 
 DRAIN_EVENTS = 100_000
 
 
 def _drain_events_per_second() -> float:
-    """``Simulator.run`` over a pre-filled, bucket-dense queue."""
+    """``Simulator.run`` over a pre-filled, tie-dense heap."""
     sim = Simulator()
     for index in range(DRAIN_EVENTS):
         event = sim.schedule_at((index % 977) * 1e-3, _noop)
@@ -69,31 +68,47 @@ def _drain_events_per_second() -> float:
     return expected / elapsed
 
 
-def test_bench_kernel_wheel_vs_heap(benchmark):
-    # Interleave the two queues and keep each one's best round so a noisy
-    # neighbour cannot bias the ratio toward whichever ran second.
-    _best_churn(HeapEventQueue, rounds=1)  # warm allocators/caches
-    heap_eps = _best_churn(HeapEventQueue)
-    wheel_eps = benchmark.pedantic(
-        lambda: _best_churn(EventQueue), rounds=1, iterations=1
+def _cancel_churn():
+    """The transport pacing pattern: arm two timers, cancel, re-arm."""
+    sim = Simulator()
+    state = {"pacing": None, "rto": None, "retained": 0}
+
+    def fire():
+        if state["pacing"] is not None:
+            state["pacing"].cancel()
+        if state["rto"] is not None:
+            state["rto"].cancel()
+        state["pacing"] = sim.schedule(0.002, _noop)
+        state["rto"] = sim.schedule(0.25, _noop)
+        sim.schedule(0.0001, fire)
+        state["retained"] = max(state["retained"], len(sim._heap))
+
+    sim.schedule(0.0001, fire)
+    start = time.perf_counter()
+    sim.run(max_events=100_000)
+    elapsed = time.perf_counter() - start
+    return {
+        "events_per_second": round(sim.events_processed / elapsed, 1),
+        "max_retained_entries": state["retained"],
+        "retained_entries": len(sim._heap),
+        "dead_entries": sim._dead,
+    }
+
+
+def test_bench_kernel(benchmark):
+    churn_eps = benchmark.pedantic(
+        lambda: max(_churn_events_per_second() for _ in range(3)), rounds=1, iterations=1
     )
-    speedup = wheel_eps / heap_eps
-
-    # The dispatch loop over a bucket-dense queue, empty callbacks.
     run_eps = max(_drain_events_per_second() for _ in range(3))
-
-    # A realistic rate too: one CUBIC bulk flow through the full kernel.
     start = time.perf_counter()
     bulk = run_single_cca("cubic", duration=2.0)
     sim_eps = bulk.net.sim.events_processed / (time.perf_counter() - start)
+    cancel = _cancel_churn()
 
     print()
-    print(f"  wheel          : {wheel_eps:12.0f} events/s")
-    print(f"  heap (pre-wheel): {heap_eps:12.0f} events/s  "
-          f"(wheel is {speedup:.2f}x)")
-    print(f"  run            : {run_eps:12.0f} events/s (full drain)")
+    print(f"  churn          : {churn_eps:12.0f} events/s")
+    print(f"  drain          : {run_eps:12.0f} events/s (full drain)")
     print(f"  full simulator : {sim_eps:12.0f} events/s (cubic bulk flow)")
-    # The wheel must clearly beat the heap it replaced; 1.5 leaves
-    # head-room for scheduler noise on loaded CI boxes (typical measured
-    # ratio is >2x on an idle machine).
-    assert speedup > 1.5, (wheel_eps, heap_eps)
+    print(f"  cancel churn   : {cancel['events_per_second']:12.0f} events/s  "
+          f"retained<={cancel['max_retained_entries']} dead={cancel['dead_entries']}")
+    assert cancel["max_retained_entries"] < 1000, cancel

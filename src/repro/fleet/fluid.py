@@ -11,8 +11,8 @@ packet-level serializer, (b) shows up in steering's ``ChannelView`` rates
 and (c) is sampled by :class:`~repro.net.monitor.ChannelMonitor` — one
 coherent world across both fidelities.
 
-Per tick of length ``dt`` (default 10 ms, i.e. coarse against the wheel's
-1 ms buckets but fine against multi-second transfers):
+Per tick of length ``dt`` (default 10 ms, i.e. coarse against packet
+events but fine against multi-second transfers):
 
 * below its load target a tenant grows — exponentially while far below
   its fair share (slow-start analogue), else additively at

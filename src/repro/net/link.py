@@ -12,12 +12,20 @@ One serializer: every packet takes ``_start_next -> _begin_serialization
 (fault scaling, background load, a trace step) applies from the next
 packet on; the loss draw happens at departure and the delivery is
 scheduled at departure with the delay then in force.
+
+A trace-driven link reads its trace once per sample step, not once per
+packet: it keeps the step it last read — the trace-time window
+``[start, end)`` and that sample's rate and delay — and consults the
+trace again only when the clock, folded into one loop of the trace,
+leaves the window. Between steps it runs the fixed-rate link's
+arithmetic on the cached sample.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import fmod
 from typing import Callable, Optional
 
 from repro.errors import NetworkError
@@ -33,9 +41,9 @@ OUTAGE_POLL_INTERVAL = 1e-3
 class LinkSpec:
     """Static description of one link direction.
 
-    Either give a fixed ``rate_bps``/``delay``, or a ``trace`` providing
-    ``rate_at(t)`` and ``delay_at(t)`` (see :mod:`repro.traces.model`); the
-    trace takes precedence when present.
+    Either give a fixed ``rate_bps``/``delay``, or a ``trace`` (a
+    :class:`~repro.traces.model.NetworkTrace`); the trace takes precedence
+    when present.
     """
 
     rate_bps: float = 0.0
@@ -105,9 +113,18 @@ class Link:
         self._serving: Optional[Packet] = None
         self._last_delivery_time = -1.0
         #: ``spec.trace``, resolved once: ``None`` means rate and delay are
-        #: spec constants under the fault overlays, which the hot paths
-        #: read inline instead of through ``current_rate``/``current_delay``.
+        #: spec constants under the fault overlays.
         self._trace = spec.trace
+        #: Rate (bits/s) and one-way delay before the fault overlays and
+        #: background load: the spec constants on a fixed link; on a traced
+        #: one the sample in force over trace time ``[_trace_lo,
+        #: _trace_hi)``, re-read by :meth:`_seek_trace` only once the clock
+        #: leaves that window. The hot paths read these inline.
+        self._rate = spec.rate_bps
+        self._delay = spec.delay
+        if self._trace is not None:
+            self._trace_period = self._trace.duration
+            self._trace_lo = self._trace_hi = 0.0  # empty: the first read seeks
         #: Optional instrumentation hook called as ``fn(packet, link)``
         #: when a packet completes serialization (before loss is applied).
         self.on_depart: Optional[Callable[[Packet, "Link"], None]] = None
@@ -128,8 +145,8 @@ class Link:
         true fraction of the physical link.
         """
         if self._trace is not None:
-            return float(self._trace.rate_at(self.sim.now)) * self.rate_factor
-        return self.spec.rate_bps * self.rate_factor
+            self._follow_trace()
+        return self._rate * self.rate_factor
 
     def current_rate(self) -> float:
         """Serialization rate available to packets right now (bits/s).
@@ -164,8 +181,24 @@ class Link:
     def current_delay(self) -> float:
         """One-way propagation delay right now (seconds)."""
         if self._trace is not None:
-            return float(self._trace.delay_at(self.sim.now)) + self.delay_offset
-        return self.spec.delay + self.delay_offset
+            self._follow_trace()
+        return self._delay + self.delay_offset
+
+    def _follow_trace(self) -> None:
+        """Bring ``_rate``/``_delay`` to the trace sample in force now.
+
+        The window test is ``bisect_right(times, now % duration) - 1``
+        without the search; ``fmod`` equals ``%`` for the clock's
+        non-negative values and leaves a negative one outside every
+        window, so the trace raises for it as it always did.
+        """
+        now = self.sim.now
+        t = fmod(now, self._trace_period)
+        if t < self._trace_lo or t >= self._trace_hi:
+            self._seek_trace(now)
+
+    def _seek_trace(self, now: float) -> None:
+        self._trace_lo, self._trace_hi, self._rate, self._delay = self._trace.step_at(now)
 
     @property
     def backlog_bytes(self) -> int:
@@ -243,10 +276,13 @@ class Link:
         self._begin_serialization(packet)
 
     def _begin_serialization(self, packet: Packet) -> None:
-        if self._trace is None:
-            rate = self.spec.rate_bps * self.rate_factor - self._background_bps
-        else:
-            rate = self.current_rate()
+        if self._trace is not None:
+            now = self.sim.now
+            t = fmod(now, self._trace_period)
+            if t < self._trace_lo or t >= self._trace_hi:
+                self._seek_trace(now)
+        # ``current_rate`` without the clamp at 0: both sides of it poll.
+        rate = self._rate * self.rate_factor - self._background_bps
         if rate <= 0:
             # Trace outage: re-check shortly; the packet stays in service.
             self.sim.schedule(OUTAGE_POLL_INTERVAL, self._begin_serialization, packet)
@@ -271,10 +307,12 @@ class Link:
             if obs is not None:
                 obs.on_loss(packet, self.sim.now)
         else:
-            if self._trace is None:
-                arrival = self.sim.now + (self.spec.delay + self.delay_offset)
-            else:
-                arrival = self.sim.now + self.current_delay()
+            now = self.sim.now
+            if self._trace is not None:
+                t = fmod(now, self._trace_period)
+                if t < self._trace_lo or t >= self._trace_hi:
+                    self._seek_trace(now)
+            arrival = now + (self._delay + self.delay_offset)
             # FIFO delivery even if the propagation delay just dropped.
             if arrival <= self._last_delivery_time:
                 arrival = self._last_delivery_time + 1e-9

@@ -1,10 +1,11 @@
 """Piecewise-constant network traces.
 
 A :class:`NetworkTrace` maps simulation time to an instantaneous link rate
-(bits/s) and one-way propagation delay (seconds). Links sample it at packet
-granularity (:meth:`rate_at` when serialization starts, :meth:`delay_at` when
-it ends), which is the same approximation Mahimahi's shells make at the
-millisecond level.
+(bits/s) and one-way propagation delay (seconds). Links apply it at packet
+granularity (the rate when serialization starts, the delay when it ends),
+which is the same approximation Mahimahi's shells make at the millisecond
+level; they fetch a whole sample step at a time (:meth:`step_at`) and reuse
+it until the clock leaves the step.
 
 Traces loop: queries past the last sample wrap around modulo the trace
 duration, so a 120 s trace can drive an arbitrarily long experiment.
@@ -73,6 +74,18 @@ class NetworkTrace:
     def delay_at(self, t: float) -> float:
         """Instantaneous one-way delay (seconds) at simulation time ``t``."""
         return self.delays[self._index_at(t)]
+
+    def step_at(self, t: float) -> Tuple[float, float, float, float]:
+        """The sample step in force at ``t``: ``(start, end, rate_bps, delay)``.
+
+        ``start``/``end`` are trace time within one loop: the step holds at
+        every ``t'`` with ``start <= t' % duration < end``; the last
+        sample's step ends at :attr:`duration`.
+        """
+        i = self._index_at(t)
+        times = self.times
+        end = times[i + 1] if i + 1 < len(times) else self.duration
+        return times[i], end, self.rates_bps[i], self.delays[i]
 
     # ------------------------------------------------------------------
     # Summary statistics (used for calibration tests and reporting)

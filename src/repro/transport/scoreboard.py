@@ -32,6 +32,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import count
 from operator import attrgetter
 from typing import List, Optional, Tuple
 
@@ -99,10 +101,19 @@ class Scoreboard:
         #: so each ACK only needs to sweep the newly uncovered span). The
         #: deferred leftovers — segments below the mark whose
         #: ``no_remark_until`` was still in the future — wait in
-        #: ``_remark_pending`` instead of forcing a re-walk of the whole
+        #: ``_remark_heap`` instead of forcing a re-walk of the whole
         #: sacked scoreboard.
         self._loss_swept: List[float] = [float("-inf")] * keys
-        self._remark_pending: List[Segment] = []
+        #: Segments to re-examine once their remark holdoff expires, as
+        #: ``(no_remark_until, order, segment)``, one entry per
+        #: retransmission: an ACK pops only the entries that are due, so a
+        #: mass retransmission (RTO) parks the whole window here without
+        #: any ACK re-reading what is not yet due. An entry goes stale when
+        #: its segment is SACKed, acked, marked lost or retransmitted
+        #: again (which files a newer entry); the per-candidate tests in
+        #: :meth:`detect_losses` skip it.
+        self._remark_heap: List[Tuple[float, int, Segment]] = []
+        self._remark_order = count()
         #: SACK ranges already walked, sorted and disjoint: every outstanding
         #: segment lying wholly inside one is ``sacked``. Blocks are the
         #: peer's ranges verbatim — two adjacent ones are never merged here,
@@ -110,12 +121,6 @@ class Scoreboard:
         #: must stay unmarked until the peer reports the merged range. None
         #: lies wholly below the first outstanding segment.
         self._sack_blocks: List[Tuple[int, int]] = []
-        #: Wake gate for ``_remark_pending``: the earliest holdoff expiry.
-        #: A pending segment can only become markable when the clock passes
-        #: its holdoff, so the scan is skipped entirely until then — a mass
-        #: retransmission (RTO) parks the whole window here without every
-        #: later ACK re-walking it.
-        self._pending_time_wake = float("inf")
 
     # ------------------------------------------------------------------
     # Transmission bookkeeping
@@ -145,9 +150,10 @@ class Scoreboard:
         # Its end_seq may be behind the key's sweep high-water mark, where
         # the delta sweep never revisits it — queue it for re-examination
         # once the remark holdoff expires.
-        self._remark_pending.append(segment)
-        if segment.no_remark_until < self._pending_time_wake:
-            self._pending_time_wake = segment.no_remark_until
+        heappush(
+            self._remark_heap,
+            (segment.no_remark_until, next(self._remark_order), segment),
+        )
         self.flight[key] += segment.size
 
     def first_unsacked(self) -> Optional[Segment]:
@@ -289,8 +295,8 @@ class Scoreboard:
         — not the whole sub-threshold scoreboard, which is mostly SACKed
         holes' neighbours that a full walk re-read on every ACK. Segments
         examined while their remark holdoff was still running wait in
-        ``_remark_pending``; retransmissions re-enter through the same
-        list (see :meth:`retransmit`).
+        ``_remark_heap`` until it expires; retransmissions re-enter through
+        the same heap (see :meth:`retransmit`).
         """
         segments = self.segments
         thresholds = self._threshold
@@ -300,7 +306,7 @@ class Scoreboard:
         # are created above every threshold (their seq exceeds the highest
         # SACK), so every segment is examined by exactly one delta sweep of
         # the key it was sent on; one that changes key re-enters through
-        # ``_remark_pending``.
+        # ``_remark_heap``.
         candidates: List[Segment] = []
         for key, threshold in enumerate(thresholds):
             swept = self._loss_swept[key]
@@ -315,12 +321,10 @@ class Scoreboard:
                 if segment.key == key and not segment.sacked and not segment.lost:
                     candidates.append(segment)
             self._loss_swept[key] = threshold
-        # Deferred candidates, once the wake gate says one may be markable.
-        pending = self._remark_pending
-        if pending and now >= self._pending_time_wake:
-            candidates += pending
-            self._remark_pending = pending = []
-            self._pending_time_wake = float("inf")
+        # Deferred candidates whose holdoff has expired.
+        pending = self._remark_heap
+        while pending and pending[0][0] <= now:
+            candidates.append(heappop(pending)[2])
         newly_lost: List[Segment] = []
         for segment in candidates:
             if segment.sacked or segment.lost:
@@ -333,12 +337,12 @@ class Scoreboard:
             if not snd_una < segment.end_seq <= thresholds[key]:
                 continue
             if now < segment.no_remark_until:
-                pending.append(segment)
-                if segment.no_remark_until < self._pending_time_wake:
-                    self._pending_time_wake = segment.no_remark_until
-            else:
-                self.mark_lost(segment)
-                newly_lost.append(segment)
+                # Still in its holdoff: the entry its last retransmission
+                # filed, due at exactly this ``no_remark_until``, brings
+                # it back.
+                continue
+            self.mark_lost(segment)
+            newly_lost.append(segment)
         if len(newly_lost) > 1:
             # Several sources feed the retransmission queue; keep the
             # sequence order a single full walk would produce.

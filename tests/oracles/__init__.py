@@ -1,0 +1,16 @@
+"""Independent references the production code is held to.
+
+Each module here is a deliberately simple implementation of something
+``src/repro`` does fast, kept out of ``src`` because nothing there runs
+it:
+
+- :mod:`tests.oracles.event_queue`: a heap of comparable event objects
+  behind a ``pop_next`` call, and the per-event run loop over it — the
+  reference for :class:`repro.sim.kernel.Simulator`'s inline heap drain;
+- :mod:`tests.oracles.trace_lookup`: ``bisect`` into a trace's sample
+  times on every read — the reference for a trace-driven link's cached
+  sample window;
+- :mod:`tests.oracles.remark_list`: the scoreboard whose remark holdoff
+  re-scans one list of pending retransmissions — the reference for the
+  wake-ordered heap in :class:`repro.transport.scoreboard.Scoreboard`.
+"""

@@ -12,6 +12,8 @@ structured report the chaos bundles are built from.
 
 from __future__ import annotations
 
+import heapq
+
 import pytest
 
 import repro.net.resequencer as reseq_mod
@@ -23,6 +25,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.schedule import FaultSchedule
 from repro.net.hvc import fixed_embb_spec, urllc_spec
 from repro.net.packet import Packet, PacketType
+from repro.sim.events import Event
 
 
 def make_net(steering: str = "dchannel", **kwargs) -> HvcNetwork:
@@ -104,8 +107,12 @@ class TestEventLevelLaws:
         ran = []
 
         def plant():
-            # Behind schedule_at's back: an event earlier than the clock.
-            sim._queue.push(0.0002, ran.append, ("offender",))
+            # Behind schedule_at's back: an event earlier than the clock,
+            # pushed straight onto the kernel's heap.
+            seq = next(sim._seq)
+            offender = Event(0.0002, seq, ran.append, ("offender",))
+            offender._sim = sim
+            heapq.heappush(sim._heap, (0.0002, seq, offender))
 
         sim.schedule_at(0.0015, plant)
         with pytest.raises(InvariantError) as excinfo:

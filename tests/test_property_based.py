@@ -8,7 +8,6 @@ from repro.core.metrics import Cdf, percentile
 from repro.net.channel import ChannelSpec
 from repro.net.packet import Packet, PacketType
 from repro.net.queue import DropTailQueue
-from repro.sim.events import EventQueue
 from repro.sim.kernel import Simulator
 from repro.steering import make_steerer, list_steerers
 from repro.steering.util import TokenBucket
@@ -23,30 +22,30 @@ from tests.test_steering import FakeView
 class TestEventQueueProperties:
     @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=200))
     def test_pops_sorted(self, times):
-        queue = EventQueue()
+        sim = Simulator()
+        fired = []
         for t in times:
-            queue.push(t, lambda: None)
-        popped = []
-        while queue:
-            popped.append(queue.pop().time)
-        assert popped == sorted(popped)
+            sim.schedule_at(t, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == sorted(times)
 
     @given(
         st.lists(st.floats(min_value=0, max_value=100), min_size=1, max_size=100),
         st.data(),
     )
     def test_cancellation_conserves_count(self, times, data):
-        queue = EventQueue()
-        events = [queue.push(t, lambda: None) for t in times]
+        sim = Simulator()
+        fired = []
+        events = [sim.schedule_at(t, fired.append, i) for i, t in enumerate(times)]
         to_cancel = data.draw(
             st.lists(st.integers(0, len(events) - 1), unique=True, max_size=len(events))
         )
         for index in to_cancel:
             events[index].cancel()
-        survivors = 0
-        while queue.pop() is not None:
-            survivors += 1
-        assert survivors == len(events) - len(to_cancel)
+        assert sim.pending_events == len(events) - len(to_cancel)
+        sim.run()
+        assert len(fired) == len(events) - len(to_cancel)
+        assert not set(fired) & set(to_cancel)
 
 
 class TestQueueProperties:

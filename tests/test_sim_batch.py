@@ -1,9 +1,9 @@
-"""Kernel surfaces beside dispatch order: entry count, start-up imports.
+"""Kernel surfaces beside dispatch order: pending count, start-up imports.
 
-Complements ``test_sim_wheel.py`` (which proves the wheel's dispatch
-*order* equals the heap reference's): these tests pin the O(1) entry
-counter and the packet stack's numpy-free start-up. (The file keeps its
-name so these ids stay put; the batch loop is gone.)
+Complements ``test_sim_wheel.py`` (which proves the kernel's dispatch
+*order* equals the naive reference's): these tests pin the exact pending
+count, the compaction bound and the packet stack's numpy-free start-up.
+(The file keeps its name so these ids stay put; the batch loop is gone.)
 """
 
 import os
@@ -11,7 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.sim.events import COMPACT_MIN_DEAD, EventQueue
+from repro.sim.events import COMPACT_MIN_DEAD
 from repro.sim.kernel import Simulator
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -26,31 +26,21 @@ def _noop():
 # ----------------------------------------------------------------------
 class TestEntryCount:
     def test_entry_count_matches_brute_force(self):
-        queue = EventQueue(granularity=1e-3, horizon=50e-3)
-        events = []
-        for i in range(300):
-            events.append(queue.push((i % 97) * 1e-3, _noop))
+        """``pending_events`` is the live entries of the heap, counted."""
+        sim = Simulator()
+        events = [sim.schedule((i % 97) * 1e-3, _noop) for i in range(300)]
         for event in events[::3]:
             event.cancel()
-        for _ in range(80):
-            queue.pop_next(None)
-
-        wheel = queue._wheel
-        brute = (
-            len(wheel._drain)
-            - wheel._drain_pos
-            + sum(len(b) for b in wheel._buckets.values())
-            + len(queue._overflow)
-        )
-        assert queue.entry_count() == brute
+        for chunk in range(8):
+            sim.run(max_events=10)
+            events[chunk * 31].cancel()  # fired or pending: both must count right
+            brute = sum(1 for entry in sim._heap if not entry[2].cancelled)
+            assert sim.pending_events == brute
 
     def test_cancel_heavy_retention_stays_at_pr5_level(self):
-        """Regression gate: O(1) entry_count must not change compaction.
-
-        The pacing/RTO cancel churn retained ``max_queue_entries`` ~257
-        with the walking counter; the cached counter must keep the same
-        compaction cadence, bounded by the trigger threshold.
-        """
+        """Regression gate: the pacing/RTO cancel churn retained ~257
+        entries under the first compacting queue; the heap must keep that
+        bound, set by the compaction trigger."""
         sim = Simulator()
         state = {"pacing": None, "rto": None}
 
@@ -67,8 +57,7 @@ class TestEntryCount:
         max_entries = 0
         for _ in range(32):
             sim.run(max_events=1000)
-            max_entries = max(max_entries, sim._queue.entry_count())
-        assert sim._queue.compactions > 0
+            max_entries = max(max_entries, len(sim._heap))
         assert max_entries <= 2 * COMPACT_MIN_DEAD + 2
 
 

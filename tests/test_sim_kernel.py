@@ -3,13 +3,17 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.events import EventQueue
 from repro.sim.kernel import Simulator
+from tests.oracles.event_queue import NaiveEventQueue
 
 
 class TestEventQueue:
+    """The reference queue's own rules (``tests/oracles``): the equivalence
+    suite in ``test_sim_wheel.py`` is only as good as the queue it holds the
+    kernel to."""
+
     def test_pops_in_time_order(self):
-        queue = EventQueue()
+        queue = NaiveEventQueue()
         fired = []
         queue.push(2.0, fired.append, (2,))
         queue.push(1.0, fired.append, (1,))
@@ -18,21 +22,21 @@ class TestEventQueue:
         assert order == [1.0, 2.0, 3.0]
 
     def test_fifo_among_simultaneous_events(self):
-        queue = EventQueue()
+        queue = NaiveEventQueue()
         first = queue.push(1.0, lambda: None)
         second = queue.push(1.0, lambda: None)
         assert queue.pop() is first
         assert queue.pop() is second
 
     def test_cancelled_events_are_skipped(self):
-        queue = EventQueue()
+        queue = NaiveEventQueue()
         doomed = queue.push(1.0, lambda: None)
         survivor = queue.push(2.0, lambda: None)
         doomed.cancel()
         assert queue.pop() is survivor
 
     def test_len_tracks_live_events(self):
-        queue = EventQueue()
+        queue = NaiveEventQueue()
         event = queue.push(1.0, lambda: None)
         queue.push(2.0, lambda: None)
         assert len(queue) == 2
@@ -40,25 +44,25 @@ class TestEventQueue:
         assert len(queue) == 1
 
     def test_peek_time_skips_cancelled(self):
-        queue = EventQueue()
+        queue = NaiveEventQueue()
         doomed = queue.push(1.0, lambda: None)
         queue.push(5.0, lambda: None)
         doomed.cancel()
         assert queue.peek_time() == 5.0
 
     def test_pop_empty_returns_none(self):
-        assert EventQueue().pop() is None
+        assert NaiveEventQueue().pop() is None
 
     def test_cancel_without_notify_updates_len(self):
         # cancel() does its own bookkeeping.
-        queue = EventQueue()
+        queue = NaiveEventQueue()
         event = queue.push(1.0, lambda: None)
         queue.push(2.0, lambda: None)
         event.cancel()
         assert len(queue) == 1
 
     def test_cancel_after_pop_does_not_corrupt_len(self):
-        queue = EventQueue()
+        queue = NaiveEventQueue()
         event = queue.push(1.0, lambda: None)
         queue.push(2.0, lambda: None)
         assert queue.pop() is event
@@ -66,25 +70,25 @@ class TestEventQueue:
         assert len(queue) == 1
 
     def test_pop_next_returns_due_event(self):
-        queue = EventQueue()
+        queue = NaiveEventQueue()
         event = queue.push(1.0, lambda: None)
         assert queue.pop_next(until=2.0) is event
         assert len(queue) == 0
 
     def test_pop_next_leaves_future_events_queued(self):
-        queue = EventQueue()
+        queue = NaiveEventQueue()
         queue.push(5.0, lambda: None)
         assert queue.pop_next(until=2.0) is None
         assert len(queue) == 1
         assert queue.peek_time() == 5.0
 
     def test_pop_next_boundary_is_inclusive(self):
-        queue = EventQueue()
+        queue = NaiveEventQueue()
         event = queue.push(2.0, lambda: None)
         assert queue.pop_next(until=2.0) is event
 
     def test_pop_next_without_bound_pops_everything(self):
-        queue = EventQueue()
+        queue = NaiveEventQueue()
         queue.push(3.0, lambda: None)
         queue.push(1.0, lambda: None)
         times = [queue.pop_next().time for _ in range(2)]
@@ -92,7 +96,7 @@ class TestEventQueue:
         assert queue.pop_next() is None
 
     def test_pop_next_skips_cancelled_before_bound_check(self):
-        queue = EventQueue()
+        queue = NaiveEventQueue()
         doomed = queue.push(1.0, lambda: None)
         survivor = queue.push(1.5, lambda: None)
         doomed.cancel()
@@ -241,10 +245,40 @@ class TestSimulator:
         """A callback sees the live count, its own event already gone."""
         sim = Simulator()
         seen = []
-        for i in range(1, 6):  # one wheel bucket
+        for i in range(1, 6):
             sim.schedule(i * 1e-4, lambda: seen.append(sim.pending_events))
         sim.run()
         assert seen == [4, 3, 2, 1, 0]
+
+    def test_until_is_inclusive(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(2.0, lambda: seen.append(sim.now))
+        sim.schedule(2.0 + 1e-9, lambda: seen.append(sim.now))
+        sim.run(until=2.0)
+        assert seen == [2.0]
+        assert sim.pending_events == 1
+
+    def test_cancelled_head_does_not_stop_the_run(self):
+        sim = Simulator()
+        seen = []
+        doomed = sim.schedule(1.0, lambda: seen.append("doomed"))
+        sim.schedule(1.5, lambda: seen.append("survivor"))
+        doomed.cancel()
+        sim.run(until=2.0)
+        assert seen == ["survivor"]
+        assert sim.pending_events == 0 and not sim._heap
+
+    def test_invariant_hook_sees_the_old_clock_before_the_callback(self):
+        sim = Simulator()
+        seen = []
+        sim.attach_invariant_hook(lambda now, at: seen.append(("hook", now, at)))
+        sim.schedule(1.0, lambda: seen.append(("callback", sim.now)))
+        sim.schedule(3.0, lambda: seen.append(("callback", sim.now)))
+        sim.run()
+        assert seen == [
+            ("hook", 0.0, 1.0), ("callback", 1.0), ("hook", 1.0, 3.0), ("callback", 3.0),
+        ]
 
     def test_args_are_passed(self):
         sim = Simulator()

@@ -1,32 +1,37 @@
-"""The timer-wheel queue must be bit-for-bit interchangeable with the heap.
+"""The kernel's inline heap drain against the naive event queue.
 
-:class:`repro.sim.events.EventQueue` (wheel + overflow) and
-:class:`repro.sim.events.HeapEventQueue` (the classic single heap it
-replaced) are driven through identical randomized workloads — schedules
-at arbitrary times (same-instant collisions and far-beyond-horizon
-overflow included), cancels, reschedules, interleaved pops — and must
-dispatch exactly the same events in exactly the same order.
+:class:`repro.sim.kernel.Simulator` (one heap of ``(time, seq, event)``
+tuples, drained inline) and :class:`tests.oracles.event_queue.NaiveSimulator`
+(a heap of comparable event objects behind one ``pop_next`` call per
+event) are driven through identical randomized scripts — schedules at
+arbitrary times with same-instant collisions, cancels and reschedules made
+mid-run from inside callbacks, chunked ``run(until=...)``, ``stop()`` and
+``max_events`` — and must dispatch exactly the same events in exactly the
+same order, with the same clock and the same pending count after every
+run call.
+
+The file is named for the timer wheel this suite was first written
+against; it keeps its name (and its test ids) now that the wheel is gone.
 """
 
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.events import COMPACT_MIN_DEAD, EventQueue, HeapEventQueue
+from repro.sim.events import COMPACT_MIN_DEAD
 from repro.sim.kernel import Simulator
-from repro.sim.wheel import DEFAULT_HORIZON, TimerWheel
+from tests.oracles.event_queue import NaiveSimulator
 
 
 def _noop():
     return None
 
 
-# One operation = (kind, payload) chosen by index into the live handles.
+# One operation = (kind, payload), applied between run calls.
 _ops = st.lists(
     st.one_of(
-        # Schedule at a time drawn from a mix of scales: sub-granularity
-        # collisions, normal near-horizon timers, and far-future overflow.
+        # Delays from three scales: sub-millisecond collisions, transport
+        # timers, and far-future sentinels.
         st.tuples(
             st.just("push"),
             st.one_of(
@@ -44,34 +49,46 @@ _ops = st.lists(
     max_size=120,
 )
 
+# Dense ties: every delay inside 10 ms, a quarter of them exactly zero.
+_dense_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("push"),
+            st.one_of(st.just(0.0), st.sampled_from([1e-3, 2e-3, 5e-3]),
+                      st.floats(min_value=0.0, max_value=0.01)),
+        ),
+        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=10**6)),
+        st.tuples(st.just("reschedule"), st.integers(min_value=0, max_value=10**6)),
+        st.tuples(st.just("pop"), st.just(None)),
+    ),
+    min_size=1,
+    max_size=120,
+)
 
-def _run_workload(queue, ops):
-    """Apply ops; return the (time, seq) dispatch record."""
-    clock = 0.0
+
+def _run_workload(sim, ops):
+    """Apply ops between one-event runs; return what was dispatched and seen."""
     handles = []
     record = []
+
+    def fire(label):
+        record.append((sim.now, label))
+
     for kind, payload in ops:
         if kind == "push":
-            handles.append(queue.push(clock + payload, _noop))
+            handles.append(sim.schedule(payload, fire, len(handles)))
         elif kind == "cancel" and handles:
-            handles[payload % len(handles)].cancel()
+            sim.cancel(handles[payload % len(handles)])
         elif kind == "reschedule" and handles:
             old = handles[payload % len(handles)]
-            if not old.cancelled:
-                old.cancel()
-                handles.append(queue.push(old.time + 0.5, _noop))
+            handles.append(sim.reschedule(old, 0.5, fire, len(handles)))
         elif kind == "pop":
-            event = queue.pop_next(None)
-            if event is not None:
-                clock = event.time
-                record.append((event.time, event.seq))
+            sim.run(max_events=1)
+            record.append(("clock", sim.now))
         elif kind == "peek":
-            record.append(("peek", queue.peek_time()))
-    while True:
-        event = queue.pop_next(None)
-        if event is None:
-            break
-        record.append((event.time, event.seq))
+            record.append(("pending", sim.pending_events))
+    sim.run()
+    record.append(("end", sim.now, sim.pending_events))
     return record
 
 
@@ -79,35 +96,31 @@ class TestWheelMatchesHeap:
     @settings(max_examples=200, deadline=None)
     @given(_ops)
     def test_identical_dispatch_order(self, ops):
-        wheel_record = _run_workload(EventQueue(), ops)
-        heap_record = _run_workload(HeapEventQueue(), ops)
-        assert wheel_record == heap_record
+        assert _run_workload(Simulator(), ops) == _run_workload(NaiveSimulator(), ops)
 
     @settings(max_examples=50, deadline=None)
-    @given(_ops)
+    @given(_dense_ops)
     def test_identical_dispatch_order_tiny_horizon(self, ops):
-        """A 10 ms horizon forces constant overflow/wheel hand-offs."""
-        wheel_record = _run_workload(
-            EventQueue(granularity=1e-3, horizon=10e-3), ops
-        )
-        heap_record = _run_workload(HeapEventQueue(), ops)
-        assert wheel_record == heap_record
+        """Every delay within 10 ms: the order rests on ``seq`` tie-breaks."""
+        assert _run_workload(Simulator(), ops) == _run_workload(NaiveSimulator(), ops)
 
     def test_same_instant_fifo(self):
-        queue = EventQueue()
-        events = [queue.push(1.0, _noop) for _ in range(50)]
-        popped = [queue.pop_next(None) for _ in range(50)]
-        assert popped == events
+        sim = Simulator()
+        fired = []
+        events = [sim.schedule(1.0, fired.append, i) for i in range(50)]
+        sim.run()
+        assert fired == list(range(50))
+        assert [event.seq for event in events] == sorted(event.seq for event in events)
 
     def test_mid_drain_insert_keeps_order(self):
-        """Scheduling for 'now' while its bucket drains stays FIFO."""
+        """Scheduling for 'now' from a callback stays FIFO."""
         sim = Simulator()
         order = []
 
         def chain(n):
             order.append(n)
             if n < 5:
-                sim.schedule(0.0, chain, n + 1)  # same instant, same bucket
+                sim.schedule(0.0, chain, n + 1)  # same instant
 
         sim.schedule(0.0001, chain, 0)
         sim.run()
@@ -116,15 +129,14 @@ class TestWheelMatchesHeap:
 
 # Per-fire actions for the simulator-level equivalence suite: each
 # dispatched event consumes the next action and mutates the pending set
-# mid-run — schedules into the currently draining bucket, same-tick
-# cancels, reschedules — exactly the reentrancy the wheel must get
-# right. Delays mix three scales: sub-granularity (same-bucket merges),
-# near-horizon, and beyond-horizon (overflow interleavings).
+# mid-run — same-instant schedules, cancels (of pending, fired or already
+# cancelled events), reschedules, a stop.
 _actions = st.lists(
     st.one_of(
         st.tuples(
             st.just("sched"),
             st.one_of(
+                st.just(0.0),
                 st.floats(min_value=0.0, max_value=0.004),
                 st.floats(min_value=0.0, max_value=2.0),
                 st.floats(min_value=0.0, max_value=50.0),
@@ -132,6 +144,7 @@ _actions = st.lists(
         ),
         st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=10**6)),
         st.tuples(st.just("resched"), st.integers(min_value=0, max_value=10**6)),
+        st.tuples(st.just("stop"), st.just(None)),
         st.tuples(st.just("noop"), st.just(None)),
     ),
     min_size=1,
@@ -140,7 +153,7 @@ _actions = st.lists(
 
 
 class _Script:
-    """Replays one action list through a Simulator, recording dispatch."""
+    """Replays one action list through a simulator, recording dispatch."""
 
     def __init__(self, sim, actions):
         self.sim = sim
@@ -151,7 +164,6 @@ class _Script:
         self.record = []
 
     def seed(self):
-        # Same three scales as the actions, landing in distinct buckets.
         for delay in (0.0003, 0.0009, 0.25, 7.0):
             self.spawn(delay)
 
@@ -161,7 +173,7 @@ class _Script:
         self.handles.append(self.sim.schedule(delay, self.fire, label))
 
     def fire(self, label):
-        self.record.append((round(self.sim.now, 9), label))
+        self.record.append((self.sim.now, label, self.sim.pending_events))
         if self.cursor >= len(self.actions):
             return
         kind, payload = self.actions[self.cursor]
@@ -172,96 +184,75 @@ class _Script:
             self.handles[payload % len(self.handles)].cancel()
         elif kind == "resched" and self.handles:
             old = self.handles[payload % len(self.handles)]
-            if not old.cancelled:
-                old.cancel()
-                self.spawn(0.0007)
+            label = self.label
+            self.label += 1
+            self.handles.append(self.sim.reschedule(old, 0.0007, self.fire, label))
+        elif kind == "stop":
+            self.sim.stop()
 
 
 def _dispatch_record(actions, make_sim, run):
     sim = make_sim()
     script = _Script(sim, actions)
     script.seed()
-    run(sim)
+    run(sim, script.record)
     return script.record
 
 
-def _heap_sim():
-    sim = Simulator()
-    sim._queue = HeapEventQueue()
-    return sim
+def _drain(sim, record):
+    """Run to empty, restarting after every ``stop()``."""
+    while sim.pending_events:
+        sim.run()
+        record.append(("run", sim.now, sim.pending_events))
 
 
 class TestSimulatorLoopEquivalence:
-    """A wheel-backed and a heap-backed simulator must dispatch identically.
+    """The inline drain and the naive ``pop_next`` loop dispatch identically.
 
-    ``Simulator.run`` is one loop over ``pop_next``; only the queue
-    differs between the two sides. (Two of the ids date from when a
-    batch loop and a per-event loop were a third and fourth side.)
+    (Two of the ids date from when a batch loop, a per-event loop and the
+    timer wheel were further sides of this comparison.)
     """
 
     @settings(max_examples=120, deadline=None)
     @given(_actions)
     def test_three_way_identical_dispatch(self, actions):
-        wheel = _dispatch_record(actions, Simulator, lambda s: s.run())
-        heap = _dispatch_record(actions, _heap_sim, lambda s: s.run())
-        assert wheel == heap
+        fast = _dispatch_record(actions, Simulator, _drain)
+        naive = _dispatch_record(actions, NaiveSimulator, _drain)
+        assert fast == naive
 
     @settings(max_examples=40, deadline=None)
-    @given(_actions)
-    def test_batch_equivalence_tiny_horizon(self, actions):
-        """Constant wheel/overflow hand-offs while a bucket drains."""
+    @given(_actions, st.integers(min_value=1, max_value=7))
+    def test_batch_equivalence_tiny_horizon(self, actions, budget):
+        """``run(max_events=N)`` slices, resumed until empty."""
 
-        def tiny():
-            sim = Simulator()
-            sim._queue = EventQueue(granularity=1e-3, horizon=10e-3)
-            return sim
+        def sliced(sim, record):
+            while sim.pending_events:
+                sim.run(max_events=budget)
+                record.append(("slice", sim.now, sim.pending_events))
 
-        wheel = _dispatch_record(actions, tiny, lambda s: s.run())
-        heap = _dispatch_record(actions, _heap_sim, lambda s: s.run())
-        assert wheel == heap
+        fast = _dispatch_record(actions, Simulator, sliced)
+        naive = _dispatch_record(actions, NaiveSimulator, sliced)
+        assert fast == naive
 
     @settings(max_examples=40, deadline=None)
     @given(_actions, st.floats(min_value=0.0005, max_value=3.0))
     def test_epoch_runs_match(self, actions, epoch):
-        """Repeated run(until=...) epochs agree with one full drain."""
+        """Repeated run(until=...) epochs agree with the naive loop's epochs
+        and dispatch what one full drain does."""
 
-        def run_epochs(sim):
+        def run_epochs(sim, record):
             until = epoch
             for _ in range(30):
                 sim.run(until=until)
+                record.append(("epoch", sim.now, sim.pending_events))
                 until += epoch
-            sim.run()
+            _drain(sim, record)
 
         chunked = _dispatch_record(actions, Simulator, run_epochs)
-        whole = _dispatch_record(actions, Simulator, lambda s: s.run())
-        assert chunked == whole
-
-
-class TestWheelMechanics:
-    def test_beyond_horizon_rejected(self):
-        queue = EventQueue()
-        near = queue.push(DEFAULT_HORIZON / 2, _noop)
-        far = queue.push(DEFAULT_HORIZON + 1.0, _noop)
-        assert [entry[2] for entry in queue._overflow] == [far]
-        assert queue._wheel.entry_count() == 1
-        assert queue.pop_next(None) is near
-        assert queue.pop_next(None) is far
-
-    def test_bad_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            TimerWheel(granularity=0.0)
-        with pytest.raises(ValueError):
-            TimerWheel(granularity=1.0, horizon=0.5)
-
-    def test_overflow_pop_advances_base(self):
-        """Far-future pops move the wheel's position so the horizon tracks."""
-        queue = EventQueue(granularity=1e-3, horizon=1.0)
-        queue.push(50.0, _noop)
-        assert queue.pop_next(None).time == 50.0
-        # The wheel's base moved to ~50s: a 50.5s push is near-horizon now.
-        queue.push(50.5, _noop)
-        assert queue._wheel.entry_count() == 1
-        assert len(queue._overflow) == 0
+        assert chunked == _dispatch_record(actions, NaiveSimulator, run_epochs)
+        whole = _dispatch_record(actions, Simulator, _drain)
+        fired = [entry for entry in chunked if isinstance(entry[1], int)]
+        assert fired == [entry for entry in whole if isinstance(entry[1], int)]
 
 
 class TestCompaction:
@@ -269,6 +260,7 @@ class TestCompaction:
         """Pacing-style churn must not retain corpses until their deadline."""
         sim = Simulator()
         state = {"pacing": None, "rto": None, "fires": 0}
+        retained = []
 
         def fire():
             state["fires"] += 1
@@ -278,72 +270,89 @@ class TestCompaction:
                 state["rto"].cancel()
             state["pacing"] = sim.schedule(0.002, _noop)
             state["rto"] = sim.schedule(0.25, _noop)  # cancelled 0.0001s later
+            retained.append(len(sim._heap))
             if state["fires"] < 20_000:
                 sim.schedule(0.0001, fire)
 
         sim.schedule(0.0001, fire)
         sim.run()
-        queue = sim._queue
-        assert queue.compactions > 0
         # Without compaction ~2500 cancelled RTO entries would be retained
         # (0.25s deadline / 0.0001s churn); bounded means O(threshold).
-        assert queue.entry_count() <= 2 * COMPACT_MIN_DEAD + 2
-        assert queue.dead_events <= 2 * COMPACT_MIN_DEAD
+        assert max(retained) <= 2 * COMPACT_MIN_DEAD + 4
+        assert sim._dead <= 2 * COMPACT_MIN_DEAD
+        assert sim.pending_events == 0
 
     def test_compaction_preserves_order(self):
         rng = random.Random(7)
-        queue = EventQueue()
-        queue.compact_min_dead = 16  # make compaction easy to trigger
-        reference = HeapEventQueue()
-        live = []
-        for _ in range(500):
+        fast, naive = Simulator(), NaiveSimulator()
+        fired = {id(fast): [], id(naive): []}
+        compacted = False
+        for _ in range(2000):
             t = rng.random() * 8.0
-            a = queue.push(t, _noop)
-            b = reference.push(t, _noop)
+            pair = [sim.schedule(t, fired[id(sim)].append, t) for sim in (fast, naive)]
             if rng.random() < 0.7:
-                a.cancel()
-                b.cancel()
-            else:
-                live.append((a, b))
-        assert queue.compactions > 0
-        got = []
-        expected = []
-        while True:
-            x = queue.pop_next(None)
-            y = reference.pop_next(None)
-            assert (x is None) == (y is None)
-            if x is None:
-                break
-            got.append((x.time, x.seq))
-            expected.append((y.time, y.seq))
-        assert got == expected
+                before = len(fast._heap)
+                for event in pair:
+                    event.cancel()
+                compacted |= len(fast._heap) < before
+        assert compacted
+        assert fast.pending_events == naive.pending_events
+        fast.run()
+        naive.run()
+        assert fired[id(fast)] == fired[id(naive)]
+
+    def test_compaction_inside_a_callback_keeps_the_run_going(self):
+        """A cancel from a callback that compacts must not end the drain:
+        ``run`` holds the heap list it is draining."""
+        sim = Simulator()
+        doomed = [sim.schedule(5.0, _noop) for _ in range(4 * COMPACT_MIN_DEAD)]
+        fired = []
+
+        def purge():
+            for event in doomed:
+                event.cancel()
+
+        sim.schedule(1.0, purge)
+        for i in range(3000):
+            sim.schedule(2.0 + i * 1e-3, fired.append, i)
+        sim.run()
+        assert fired == list(range(3000))
+        assert sim.pending_events == 0 and not sim._heap
 
     def test_len_counts_live_only(self):
-        queue = EventQueue()
-        events = [queue.push(float(i), _noop) for i in range(10)]
-        assert len(queue) == 10
+        sim = Simulator()
+        events = [sim.schedule(float(i), _noop) for i in range(10)]
+        assert sim.pending_events == 10
         for event in events[:4]:
             event.cancel()
-        assert len(queue) == 6
-        assert queue.dead_events == 4
+        assert sim.pending_events == 6
+        assert sim._dead == 4
         events[0].cancel()  # idempotent: no double-count
-        assert len(queue) == 6
+        assert sim.pending_events == 6
 
 
 class TestPeekReclaims:
     def test_peek_discards_and_detaches_cancelled_heads(self):
-        """Satellite fix: peek must clear ``_queue`` like pop does."""
-        for cls in (EventQueue, HeapEventQueue):
-            queue = cls()
-            dead = queue.push(1.0, _noop)
-            keep = queue.push(2.0, _noop)
-            dead.cancel()
-            assert queue.dead_events == 1
-            assert queue.peek_time() == 2.0
-            # The corpse physically left the structure and was detached,
-            # so cancelling it again cannot corrupt the dead count.
-            assert dead._queue is None
-            assert queue.dead_events == 0
-            dead.cancel()
-            assert queue.dead_events == 0
-            assert queue.pop_next(None) is keep
+        """A run that looks past a cancelled head reclaims it for good."""
+        sim = Simulator()
+        dead = sim.schedule(1.0, _noop)
+        keep = sim.schedule(2.0, _noop)
+        dead.cancel()
+        assert sim._dead == 1
+        sim.run(until=1.5)  # pops the corpse, refiles the 2.0 s event
+        assert [entry[2] for entry in sim._heap] == [keep]
+        assert sim._dead == 0
+        dead.cancel()
+        assert sim._dead == 0
+        assert sim.pending_events == 1
+        sim.run()
+        assert sim.now == 2.0 and sim.pending_events == 0
+
+    def test_cancel_after_dispatch_changes_no_count(self):
+        sim = Simulator()
+        first = sim.schedule(1.0, _noop)
+        sim.schedule(2.0, _noop)
+        sim.run(until=1.0)
+        first.cancel()
+        assert first.cancelled
+        assert sim._dead == 0 and sim.pending_events == 1

@@ -10,8 +10,8 @@ down.
 import pytest
 
 from repro.net.packet import Packet, PacketType
-from repro.sim.events import Event, EventQueue
-from repro.sim.wheel import TimerWheel
+from repro.sim.events import Event
+from repro.sim.kernel import Simulator
 from repro.transport.cc.base import AckSample
 from repro.net.monitor import ChannelSample
 from repro.obs.probes import TransportSample
@@ -21,8 +21,7 @@ from repro.transport.datagram import DatagramMessage
 #: Hand-written ``__slots__``.
 ALWAYS_SLOTTED = [
     (Event, lambda: Event(0.0, 0, lambda: None)),
-    (EventQueue, EventQueue),
-    (TimerWheel, TimerWheel),
+    (Simulator, Simulator),
     # Hand-written since the byte fields became read-only properties
     # (PR 7): a slotted dataclass cannot shadow same-name fields.
     (Packet, lambda: Packet(flow_id=0, ptype=PacketType.DATA)),

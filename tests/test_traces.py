@@ -1,8 +1,14 @@
 """Unit tests for the trace substrate."""
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import TraceError
+from repro.net.link import Link, LinkSpec
+from repro.net.packet import Packet, PacketType
+from repro.sim.kernel import Simulator
 from repro.traces.mahimahi import read_mahimahi, write_mahimahi
 from repro.traces.model import NetworkTrace, constant_trace
 from repro.traces.catalog import get_trace, list_traces
@@ -16,6 +22,7 @@ from repro.traces.synthetic import (
     wifi_5g_handoff,
 )
 from repro.units import mbps, ms, to_ms
+from tests.oracles import trace_lookup
 
 
 class TestNetworkTrace:
@@ -72,6 +79,114 @@ class TestNetworkTrace:
         trace = constant_trace(1e6, 0.01)
         with pytest.raises(TraceError):
             trace.rate_at(-1)
+
+
+_traces = st.integers(min_value=1, max_value=8).flatmap(
+    lambda n: st.tuples(
+        st.lists(
+            st.floats(min_value=1e-3, max_value=0.5), min_size=n - 1, max_size=n - 1
+        ),
+        st.lists(st.floats(min_value=1e5, max_value=1e8), min_size=n, max_size=n),
+        st.lists(st.floats(min_value=0.0, max_value=0.2), min_size=n, max_size=n),
+    )
+)
+
+
+def _trace(parts):
+    steps, rates, delays = parts
+    times = [0.0]
+    for step in steps:
+        times.append(times[-1] + step)
+    return NetworkTrace(times, rates, delays)
+
+
+class TestLinkTraceWindow:
+    """A traced link's cached sample window reads what a bisect per read
+    (``tests/oracles/trace_lookup.py``) reads, whatever order the clock
+    visits the probes in."""
+
+    @staticmethod
+    def _probes(trace):
+        probes = []
+        for loop in (0, 1, 7):
+            base = loop * trace.duration
+            for t in trace.times + [trace.duration]:
+                exact = base + t
+                probes += [exact, math.nextafter(exact, -math.inf)]
+        return [t for t in probes if t >= 0.0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(_traces, st.randoms(use_true_random=False))
+    def test_reads_match_bisect(self, parts, rng):
+        trace = _trace(parts)
+        sim = Simulator()
+        link = Link(sim, LinkSpec(trace=trace))
+        probes = self._probes(trace)
+        # Ascending (window hits, then a step at a time) and shuffled
+        # (jumps in both directions, across the loop wrap).
+        shuffled = list(probes)
+        rng.shuffle(shuffled)
+        for t in sorted(probes) + shuffled:
+            sim.now = t
+            assert link.current_rate() == trace_lookup.rate_at(trace, t)
+            assert link.capacity_bps() == trace_lookup.rate_at(trace, t)
+            assert link.current_delay() == trace_lookup.delay_at(trace, t)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_traces, st.floats(min_value=1e-12, max_value=1e3))
+    def test_negative_time_raises(self, parts, t):
+        trace = _trace(parts)
+        sim = Simulator()
+        link = Link(sim, LinkSpec(trace=trace))
+        sim.now = 0.0
+        link.current_rate()  # a warm window must not hide the error
+        sim.now = -t
+        with pytest.raises(TraceError):
+            trace_lookup.rate_at(trace, -t)
+        with pytest.raises(TraceError):
+            link.current_rate()
+        with pytest.raises(TraceError):
+            link.current_delay()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        _traces,
+        st.lists(st.floats(min_value=0.0, max_value=3.0), min_size=1, max_size=40),
+        st.integers(min_value=100, max_value=1500),
+    )
+    def test_serialization_and_delivery_follow_bisect(self, parts, offers, size):
+        """The per-packet paths (service start, departure) read the trace
+        through the window too: each packet's departure and arrival equal
+        what the bisect reads give, packet after packet."""
+        trace = _trace(parts)
+        sim = Simulator()
+        link = Link(sim, LinkSpec(trace=trace, queue_bytes=10**9))
+        departed, arrived = [], []
+        link.on_depart = lambda packet, _link: departed.append(sim.now)
+        link.connect(lambda packet: arrived.append(sim.now))
+        # Packets offered to an idle link exactly at sample steps, in the
+        # first loop and the next, start service on the step boundary.
+        offers = sorted(offers + [loop * trace.duration + t for loop in (0, 1)
+                                  for t in trace.times])
+        for t in offers:
+            sim.schedule_at(
+                t, link.send, Packet(flow_id=0, ptype=PacketType.DATA, payload_bytes=size)
+            )
+        sim.run()
+        wire = Packet(flow_id=0, ptype=PacketType.DATA, payload_bytes=size).size_bytes
+        free = last_arrival = -1.0
+        expected_departures, expected_arrivals = [], []
+        for t in offers:
+            begin = max(t, free)
+            free = begin + wire * 8 / trace_lookup.rate_at(trace, begin)
+            expected_departures.append(free)
+            arrival = free + trace_lookup.delay_at(trace, free)
+            if arrival <= last_arrival:
+                arrival = last_arrival + 1e-9
+            last_arrival = arrival
+            expected_arrivals.append(arrival)
+        assert departed == expected_departures
+        assert arrived == expected_arrivals
 
 
 class TestSyntheticCalibration:

@@ -483,3 +483,157 @@ def test_sack_marking_work_is_bounded_by_what_each_ack_newly_reports():
         acks += 1
     assert not board.segments and board.flight == [0]
     assert board.segments.reads <= 3 * window + acks * (math.log2(window) + 6)
+
+
+# ----------------------------------------------------------------------
+# The wake-ordered remark heap against the list it replaced
+# ----------------------------------------------------------------------
+class RecordingScoreboard(Scoreboard):
+    """The production board, logging every call an endpoint makes on it as
+    plain values (segments by ``seq``), so the run can be replayed."""
+
+    script = None  # the list the current test records into
+
+    def __init__(self, mss, keys=1):
+        super().__init__(mss, keys)
+        self.log = RecordingScoreboard.script
+        self.log.append(("new", mss, keys))
+        self._detecting = False
+
+    def append(self, segment, key=0):
+        self.log.append(("append", segment.seq, segment.end_seq, segment.sent_at, key))
+        super().append(segment, key)
+
+    def ack(self, ack_seq, sack):
+        self.log.append(("ack", ack_seq, tuple(sack)))
+        return super().ack(ack_seq, sack)
+
+    def retransmit(self, segment, now, holdoff, key=0):
+        self.log.append(("retx", segment.seq, now, holdoff, key))
+        super().retransmit(segment, now, holdoff, key)
+
+    def mark_lost(self, segment):
+        if not self._detecting:
+            self.log.append(("lost", segment.seq))
+        super().mark_lost(segment)
+
+    def detect_losses(self, now, snd_una):
+        self._detecting = True
+        lost = super().detect_losses(now, snd_una)
+        self._detecting = False
+        self.log.append(("detect", now, snd_una, [s.seq for s in lost]))
+        return lost
+
+
+def record_script(monkeypatch, build, until):
+    """Run the network ``build()`` returns with every endpoint's scoreboard
+    recording; return the log."""
+    import repro.transport.endpoint as endpoint_module
+
+    script = []
+    monkeypatch.setattr(RecordingScoreboard, "script", script)
+    monkeypatch.setattr(endpoint_module, "Scoreboard", RecordingScoreboard)
+    build().run(until=until)
+    return script
+
+
+def replay(script, board_cls):
+    """Feed a recorded script to fresh boards of ``board_cls``; return every
+    ``detect_losses`` verdict and the count of re-losses among them."""
+    verdicts, relosses = [], 0
+    boards, board, by_seq = [], None, None
+    for op in script:
+        kind = op[0]
+        if kind == "new":
+            board, by_seq = board_cls(op[1], op[2]), {}
+            boards.append(board)
+        elif kind == "append":
+            by_seq[op[1]] = segment = Segment(op[1], op[2], op[3], 0)
+            board.append(segment, op[4])
+        elif kind == "ack":
+            board.ack(op[1], op[2])
+        elif kind == "retx":
+            board.retransmit(by_seq[op[1]], op[2], op[3], op[4])
+        elif kind == "lost":
+            board.mark_lost(by_seq[op[1]])
+        elif kind == "detect":
+            lost = board.detect_losses(op[1], op[2])
+            relosses += sum(s.retransmitted for s in lost)
+            verdicts.append([s.seq for s in lost])
+    return verdicts, relosses
+
+
+def _cubic_over_dchannel():
+    from repro.apps.bulk import BulkTransfer
+    from repro.core.api import HvcNetwork
+    from repro.net.hvc import fixed_embb_spec, urllc_spec
+
+    net = HvcNetwork([fixed_embb_spec(), urllc_spec()], steering="dchannel", seed=0)
+    BulkTransfer(net, cc="cubic")
+    return net
+
+
+def _reno_through_an_outage():
+    from repro.apps.bulk import BulkTransfer
+    from repro.core.api import HvcNetwork
+    from repro.faults.injector import FaultInjector
+    from repro.faults.schedule import FaultSchedule
+    from repro.net.hvc import fixed_embb_spec, urllc_spec
+
+    net = HvcNetwork([fixed_embb_spec(), urllc_spec()], steering="round-robin", seed=1)
+    schedule = (
+        FaultSchedule()
+        .outage(net.channels[0].name, start=0.3, duration=0.4)
+        .loss_burst(net.channels[1].name, start=0.1, duration=0.6, loss=0.2)
+    )
+    FaultInjector(net, schedule).arm()
+    BulkTransfer(net, cc="reno")
+    return net
+
+
+def _multipath_bulk():
+    from tests.test_transport_multipath import dual_net, make_mp_pair
+
+    net = dual_net(seed=0)
+    make_mp_pair(net, "hvc")[0].send_message(10**9, message_id=1)
+    return net
+
+
+@pytest.mark.parametrize(
+    "build, until, relost",
+    [
+        (_cubic_over_dchannel, 2.0, True),
+        (_reno_through_an_outage, 1.5, True),
+        # Reinjection onto the other subflow's key; nothing is lost twice.
+        (_multipath_bulk, 1.5, False),
+    ],
+    ids=["cubic-dchannel", "reno-outage", "multipath-hvc"],
+)
+def test_remark_heap_matches_list_on_recorded_runs(monkeypatch, build, until, relost):
+    """Each ``detect_losses`` verdict of a recorded run is what the list
+    re-scan (``tests/oracles/remark_list.py``) returns on the same calls."""
+    from tests.oracles.remark_list import ListRemarkScoreboard
+
+    script = record_script(monkeypatch, build, until)
+    recorded = [op[3] for op in script if op[0] == "detect"]
+    heap, relosses = replay(script, Scoreboard)
+    listed, _ = replay(script, ListRemarkScoreboard)
+    assert heap == recorded
+    assert listed == recorded
+    assert sum(op[0] == "retx" for op in script) > 20
+    # The single-path scripts reach the holdoff's expiry: retransmissions
+    # are declared lost again.
+    assert (relosses > 0) == relost
+
+
+@pytest.mark.parametrize("keys", [1, 3])
+def test_remark_list_oracle_matches_full_walk(keys):
+    """The oracle itself agrees with the full-walk board."""
+    from tests.oracles.remark_list import ListRemarkScoreboard
+
+    @settings(max_examples=100, deadline=None)
+    @given(_seeds)
+    def run(seed):
+        drive(random_ops(seed), keys, fast_cls=ListRemarkScoreboard)
+
+    run()
