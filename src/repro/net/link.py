@@ -6,8 +6,11 @@ rate, may be lost by a stochastic process on departure, and arrive at the
 receiver one propagation delay later. Delivery order is FIFO even when the
 propagation delay shrinks mid-flight (as in trace-driven 5G links).
 
-One serializer: every packet takes ``_start_next -> _begin_serialization
--> _finish_serialization -> _transmit``, one kernel event per departure.
+One serializer: every packet takes ``send -> _begin_serialization ->
+_finish_serialization``, one kernel event per departure. The departure
+callback transmits the packet and begins serving the next one; ``send``
+begins service itself only on an idle link (``_serving is None``, which
+implies an empty queue).
 ``tx_time`` is fixed when a packet begins service, so a rate change
 (fault scaling, background load, a trace step) applies from the next
 packet on; the loss draw happens at departure and the delivery is
@@ -189,12 +192,13 @@ class Link:
 
         The window test is ``bisect_right(times, now % duration) - 1``
         without the search; ``fmod`` equals ``%`` for the clock's
-        non-negative values and leaves a negative one outside every
-        window, so the trace raises for it as it always did.
+        non-negative values. A negative clock always seeks, so the trace
+        raises for it as it always did: ``fmod`` of a negative multiple of
+        the period is ``-0.0``, which the first window would take in.
         """
         now = self.sim.now
         t = fmod(now, self._trace_period)
-        if t < self._trace_lo or t >= self._trace_hi:
+        if t < self._trace_lo or t >= self._trace_hi or now < 0.0:
             self._seek_trace(now)
 
     def _seek_trace(self, now: float) -> None:
@@ -242,7 +246,10 @@ class Link:
         if obs is not None:
             obs.on_enqueue(packet, self.sim.now)
         if self._serving is None:
-            self._start_next()
+            # Idle means the queue was empty: the head is this packet.
+            packet = self.queue.dequeue()
+            self._serving = packet
+            self._begin_serialization(packet)
         return True
 
     def flush(self) -> int:
@@ -267,14 +274,6 @@ class Link:
     # ------------------------------------------------------------------
     # Internal pipeline
     # ------------------------------------------------------------------
-    def _start_next(self) -> None:
-        packet = self.queue.dequeue()
-        if packet is None:
-            self._serving = None
-            return
-        self._serving = packet
-        self._begin_serialization(packet)
-
     def _begin_serialization(self, packet: Packet) -> None:
         if self._trace is not None:
             now = self.sim.now
@@ -292,22 +291,19 @@ class Link:
         self.sim.schedule(tx_time, self._finish_serialization, packet)
 
     def _finish_serialization(self, packet: Packet) -> None:
-        self._transmit(packet)
-        self._start_next()
-
-    def _transmit(self, packet: Packet) -> None:
-        """Departure instant: obs taps, loss draw, delivery scheduling."""
+        """Departure instant: obs taps, loss draw, delivery scheduling; then
+        the next queued packet, if any, begins service."""
         obs = self.obs
+        now = self.sim.now
         if obs is not None:
-            obs.on_transmit(packet, self.sim.now)
+            obs.on_transmit(packet, now)
         if self.on_depart is not None:
             self.on_depart(packet, self)
-        if self.loss.should_drop(self.rng, self.sim.now):
+        if self.loss.should_drop(self.rng, now):
             self.stats.lost += 1
             if obs is not None:
-                obs.on_loss(packet, self.sim.now)
+                obs.on_loss(packet, now)
         else:
-            now = self.sim.now
             if self._trace is not None:
                 t = fmod(now, self._trace_period)
                 if t < self._trace_lo or t >= self._trace_hi:
@@ -318,6 +314,10 @@ class Link:
                 arrival = self._last_delivery_time + 1e-9
             self._last_delivery_time = arrival
             self.sim.schedule_at(arrival, self._deliver, packet)
+        packet = self.queue.dequeue()
+        self._serving = packet
+        if packet is not None:
+            self._begin_serialization(packet)
 
     def _deliver(self, packet: Packet) -> None:
         self.stats.delivered += 1

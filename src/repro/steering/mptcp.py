@@ -11,15 +11,19 @@ These are the strongest *application-agnostic* prior art the paper cites:
 
 Both are approximated at packet granularity using the local-queue delay
 estimates the views expose (the sender-side information a scheduler has).
+Each verdict is one pass over the views: a view that is down is skipped,
+every live one is estimated once, and ties go to the first view, as
+``min()`` would break them.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+from repro.errors import SteeringError
 from repro.net.node import ChannelView
 from repro.net.packet import Packet
-from repro.steering.base import Steerer, up_views
+from repro.steering.base import Steerer
 
 
 class MinRttSteerer(Steerer):
@@ -33,8 +37,15 @@ class MinRttSteerer(Steerer):
     name = "min-rtt"
 
     def choose(self, packet: Packet, views: Sequence[ChannelView], now: float) -> Sequence[int]:
-        alive = up_views(views)
-        best = min(alive, key=lambda v: v.estimated_delivery_delay(packet.size_bytes))
+        size = packet.size_bytes
+        best, best_delay = None, 0.0
+        for view in views:
+            if view.up:
+                delay = view.estimated_delivery_delay(size)
+                if best is None or delay < best_delay:
+                    best, best_delay = view, delay
+        if best is None:
+            raise SteeringError("no channel is up")
         return (best.index,)
 
 
@@ -57,16 +68,23 @@ class EcfSteerer(Steerer):
         self.beta = beta
 
     def choose(self, packet: Packet, views: Sequence[ChannelView], now: float) -> Sequence[int]:
-        alive = up_views(views)
-        fastest = min(alive, key=lambda v: v.base_delay)
-        others = [v for v in alive if v.index != fastest.index]
-        if not others:
-            return (fastest.index,)
-        best_other = min(
-            others, key=lambda v: v.estimated_delivery_delay(packet.size_bytes)
-        )
-        wait_for_fast = fastest.estimated_delivery_delay(packet.size_bytes)
-        alternative = best_other.estimated_delivery_delay(packet.size_bytes)
-        if alternative * self.beta < wait_for_fast:
-            return (best_other.index,)
+        size = packet.size_bytes
+        fastest = best = None
+        fastest_base = wait_for_fast = best_delay = 0.0
+        for view in views:
+            if not view.up:
+                continue
+            base = view.base_delay
+            delay = view.estimated_delivery_delay(size)
+            if fastest is None or base < fastest_base:
+                fastest, fastest_base, wait_for_fast = view, base, delay
+            if best is None or delay < best_delay:
+                best, best_delay = view, delay
+        if fastest is None:
+            raise SteeringError("no channel is up")
+        # ``best`` (first minimum of the estimate) is the best view other
+        # than ``fastest``, or ``fastest`` itself, which cannot beat its own
+        # estimate by ``beta >= 1``; then no other view can either.
+        if best_delay * self.beta < wait_for_fast:
+            return (best.index,)
         return (fastest.index,)

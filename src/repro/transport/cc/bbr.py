@@ -94,7 +94,7 @@ class Bbr(CongestionControl):
         if sample.delivery_rate is None:
             return
         rate_bytes = sample.delivery_rate / 8.0
-        if sample.app_limited and rate_bytes <= self.btlbw_bytes_per_s:
+        if sample.app_limited and rate_bytes <= self._bw_samples.value:
             return  # app-limited samples may only raise the estimate
         # Advance the round counter roughly once per window of delivered data.
         if sample.total_delivered >= self._round_delivered_target:
@@ -102,8 +102,7 @@ class Bbr(CongestionControl):
             self._round_delivered_target = sample.total_delivered + max(
                 self._in_flight, self.mss
             )
-        self._bw_samples.push(self._round, rate_bytes)
-        self._bw_samples.evict(self._round - BTLBW_WINDOW_ROUNDS)
+        self._bw_samples.push(self._round, rate_bytes, self._round - BTLBW_WINDOW_ROUNDS)
 
     def _update_min_rtt(self, sample: AckSample) -> None:
         if sample.rtt is None:
@@ -131,7 +130,7 @@ class Bbr(CongestionControl):
             self._probe_rtt_done_at = now + PROBE_RTT_DURATION
 
     def _check_startup_done(self) -> None:
-        bw = self.btlbw_bytes_per_s
+        bw = self._bw_samples.value
         if bw >= self._full_bw * STARTUP_GROWTH_TARGET:
             self._full_bw = bw
             self._full_bw_count = 0
@@ -149,14 +148,13 @@ class Bbr(CongestionControl):
     def _update_extra_acked(self, sample: AckSample) -> None:
         elapsed = sample.now - self._extra_acked_start
         self._extra_acked_delivered += sample.newly_acked
-        expected = self.btlbw_bytes_per_s * elapsed
+        expected = self._bw_samples.value * elapsed
         extra = self._extra_acked_delivered - expected
         if extra <= 0 or elapsed > 1.0:
             self._extra_acked_start = sample.now
             self._extra_acked_delivered = sample.newly_acked
             extra = max(0.0, float(sample.newly_acked))
-        self._extra_acked_samples.push(self._round, extra)
-        self._extra_acked_samples.evict(self._round - BTLBW_WINDOW_ROUNDS)
+        self._extra_acked_samples.push(self._round, extra, self._round - BTLBW_WINDOW_ROUNDS)
 
     @property
     def extra_acked_bytes(self) -> float:
@@ -200,7 +198,7 @@ class Bbr(CongestionControl):
     # Outputs
     # ------------------------------------------------------------------
     def _bdp_bytes(self) -> float:
-        bw = self.btlbw_bytes_per_s
+        bw = self._bw_samples.value
         rtt = self._min_rtt
         if bw <= 0 or rtt is None:
             return float(INITIAL_WINDOW_SEGMENTS * self.mss)
@@ -220,12 +218,12 @@ class Bbr(CongestionControl):
     def cwnd_bytes(self) -> float:
         if self.state == self.PROBE_RTT:
             return float(MIN_CWND_SEGMENTS * self.mss)
-        cwnd = CWND_GAIN * self._bdp_bytes() + self.extra_acked_bytes
+        cwnd = CWND_GAIN * self._bdp_bytes() + self._extra_acked_samples.value
         return max(cwnd, MIN_CWND_SEGMENTS * self.mss)
 
     @property
     def pacing_rate_bps(self) -> Optional[float]:
-        bw = self.btlbw_bytes_per_s
+        bw = self._bw_samples.value
         if bw <= 0:
             return None  # pre-estimate: window-limited startup
         return self.pacing_gain * bw * 8.0

@@ -134,15 +134,14 @@ class Bbr2(Bbr):
         if sample.delivery_rate is None:
             return
         rate_bytes = sample.delivery_rate / 8.0
-        if sample.app_limited and rate_bytes <= self.btlbw_bytes_per_s:
+        if sample.app_limited and rate_bytes <= self._bw_samples.value:
             return  # app-limited samples may only raise the estimate
-        if self.state == self.PROBE_DOWN and rate_bytes <= self.btlbw_bytes_per_s:
+        if self.state == self.PROBE_DOWN and rate_bytes <= self._bw_samples.value:
             # BBRv2+ bandwidth compensation: samples taken while we are
             # deliberately draining under-report the path; let them raise
             # the filter, never drag it down mid-drain.
             return
-        self._bw_samples.push(self._round, rate_bytes)
-        self._bw_samples.evict(self._round - BTLBW_WINDOW_ROUNDS)
+        self._bw_samples.push(self._round, rate_bytes, self._round - BTLBW_WINDOW_ROUNDS)
 
     # ------------------------------------------------------------------
     # Round + loss model
@@ -168,7 +167,7 @@ class Bbr2(Bbr):
         # Short-term conservative bounds for the rest of the episode.
         base = measured if measured > 0 else self._bdp_bytes()
         self.inflight_lo = max(float(floor), BETA * base)
-        bw = self.btlbw_bytes_per_s
+        bw = self._bw_samples.value
         if bw > 0:
             self.bw_lo = max(bw * BETA, float(self.mss))
         if self.state == self.PROBE_UP:
@@ -321,7 +320,7 @@ class Bbr2(Bbr):
     # Outputs
     # ------------------------------------------------------------------
     def _bdp_bytes(self) -> float:
-        bw = min(self.btlbw_bytes_per_s, self.bw_lo)
+        bw = min(self._bw_samples.value, self.bw_lo)
         rtt = self._min_rtt
         if bw <= 0 or bw == float("inf") or rtt is None:
             return float(INITIAL_WINDOW_SEGMENTS * self.mss)
@@ -354,7 +353,7 @@ class Bbr2(Bbr):
         if self.state == self.PROBE_RTT:
             cwnd = floor
         else:
-            cwnd = CWND_GAIN * self._bdp_bytes() + self.extra_acked_bytes
+            cwnd = CWND_GAIN * self._bdp_bytes() + self._extra_acked_samples.value
             if self.state == self.CRUISE:
                 cwnd = min(cwnd, max(self._cruise_target() * CWND_GAIN, floor))
             if self._loss_round and self.inflight_lo != float("inf"):
@@ -365,7 +364,7 @@ class Bbr2(Bbr):
 
     @property
     def pacing_rate_bps(self) -> Optional[float]:
-        bw = min(self.btlbw_bytes_per_s, self.bw_lo)
+        bw = min(self._bw_samples.value, self.bw_lo)
         if bw <= 0 or bw == float("inf"):
             return None  # pre-estimate: window-limited startup
         return self.pacing_gain * bw * 8.0

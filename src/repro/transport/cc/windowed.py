@@ -21,32 +21,30 @@ class WindowedMax:
     """Maximum of ``(tick, value)`` samples with ``tick >= horizon``.
 
     ``tick`` must be non-decreasing across pushes (BBR uses the round
-    count). ``evict(horizon)`` drops samples older than the window;
-    ``value`` reads the current maximum (0.0 when empty).
+    count). ``push(tick, value, horizon)`` adds a sample and drops those
+    older than the window in one call. ``value`` is the current maximum
+    (0.0 when empty): a plain attribute, written only where the window
+    changes (``push`` and ``clear``), so a read costs nothing.
     """
 
-    __slots__ = ("_samples",)
+    __slots__ = ("_samples", "value")
 
     def __init__(self) -> None:
         self._samples: Deque[Tuple[int, float]] = deque()
+        self.value = 0.0
 
-    def push(self, tick: int, value: float) -> None:
+    def push(self, tick: int, value: float, horizon: int) -> None:
         samples = self._samples
         while samples and samples[-1][1] <= value:
             samples.pop()
         samples.append((tick, value))
-
-    def evict(self, horizon: int) -> None:
-        samples = self._samples
         while samples and samples[0][0] < horizon:
             samples.popleft()
-
-    @property
-    def value(self) -> float:
-        return self._samples[0][1] if self._samples else 0.0
+        self.value = samples[0][1] if samples else 0.0
 
     def clear(self) -> None:
         self._samples.clear()
+        self.value = 0.0
 
     def __bool__(self) -> bool:
         return bool(self._samples)

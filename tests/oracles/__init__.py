@@ -12,5 +12,12 @@ it:
   sample window;
 - :mod:`tests.oracles.remark_list`: the scoreboard whose remark holdoff
   re-scans one list of pending retransmissions — the reference for the
-  wake-ordered heap in :class:`repro.transport.scoreboard.Scoreboard`.
+  wake-ordered heap in :class:`repro.transport.scoreboard.Scoreboard`;
+- :mod:`tests.oracles.steering`: min-rtt and ECF as ``min()`` over the
+  list of up views, and DChannel reading every quantity through its own
+  accessor — the references for the single-pass verdicts in
+  :mod:`repro.steering`;
+- :mod:`tests.oracles.resequencer`: five parallel per-flow dicts and a
+  ``min()`` over every held deadline — the reference for
+  :class:`repro.net.resequencer.Resequencer`'s per-flow record.
 """

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import NetworkError
 from repro.net.link import Link, LinkSpec
@@ -229,3 +230,66 @@ class TestSerializerPins:
         survivors = [i for i in range(BURST) if not rng.random() < 0.2]
         assert [seq for _, seq in record] == survivors
         assert link.stats.lost == BURST - len(survivors) > 0
+
+
+#: One operation on a link under test: offer a packet (data or control),
+#: flush the queue, scale the rate, load the link with fluid background,
+#: or let the clock run.
+link_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("send"), st.integers(0, 1460), st.booleans()),
+        st.tuples(st.just("flush")),
+        st.tuples(st.just("rate"), st.sampled_from([0.0, 0.25, 1.0, 2.0])),
+        st.tuples(st.just("load"), st.sampled_from([0.0, mbps(6), mbps(30)])),
+        st.tuples(st.just("run"), st.sampled_from([0.0, 0.0004, 0.003, 0.02, 0.07])),
+    ),
+    max_size=80,
+)
+
+
+class TestIdleMeansEmpty:
+    """``send`` begins service itself only when the link is idle, and a
+    departure begins the next packet's; so ``_serving is None`` must imply
+    an empty queue at every instant, under every mutation a link takes, and
+    the packet that departs is always the one in service."""
+
+    @given(ops=link_ops, priority=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_never_idle_with_packets_waiting(self, ops, priority):
+        sim = Simulator()
+        # A 20 ms outage inside every 100 ms loop of the trace.
+        trace = NetworkTrace(
+            [0.0, 0.03, 0.05], [mbps(12), 0.0, mbps(24)], [ms(5), ms(5), ms(2)]
+        )
+        spec = LinkSpec(trace=trace, queue_bytes=8_000, priority_queue=priority)
+        link = Link(sim, spec, name="dut")
+        delivered = []
+        link.connect(delivered.append)
+
+        def idle_means_empty(*_):
+            assert link._serving is not None or len(link.queue) == 0
+
+        def one_in_service(packet, link):
+            assert packet is link._serving
+
+        sim.attach_invariant_hook(idle_means_empty)
+        link.on_depart = one_in_service
+        accepted = 0
+        for op in ops:
+            if op[0] == "send":
+                ptype = PacketType.ACK if op[2] else PacketType.DATA
+                accepted += link.send(Packet(1, ptype, payload_bytes=op[1]))
+            elif op[0] == "flush":
+                link.flush()
+            elif op[0] == "rate":
+                link.rate_factor = op[1]
+            elif op[0] == "load":
+                link.set_background_load(op[1])
+            else:
+                sim.run(until=sim.now + op[1])
+            idle_means_empty()
+        link.rate_factor = 1.0
+        link.set_background_load(0.0)
+        sim.run(until=sim.now + 1.0)
+        assert link.pending_packets == 0 and link._serving is None
+        assert len(delivered) + link.stats.flushed == accepted

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import TraceError
 from repro.net.link import Link, LinkSpec
@@ -134,6 +134,8 @@ class TestLinkTraceWindow:
 
     @settings(max_examples=30, deadline=None)
     @given(_traces, st.floats(min_value=1e-12, max_value=1e3))
+    # A negative whole number of loops: fmod gives -0.0, inside the first step.
+    @example(parts=([], [1e5], [0.0]), t=1.0)
     def test_negative_time_raises(self, parts, t):
         trace = _trace(parts)
         sim = Simulator()

@@ -12,6 +12,7 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from repro.transport.cc.base import AckSample
+from repro.transport.cc.bbr import Bbr
 from repro.transport.cc.bbr2 import (
     BETA,
     Bbr2,
@@ -287,17 +288,87 @@ class TestWindowedMax:
         filt = WindowedMax()
         history = []
         for tick, (value,) in enumerate(samples):
-            filt.push(tick, value)
-            filt.evict(tick - window)
+            filt.push(tick, value, tick - window)
             history.append((tick, value))
             live = [v for t, v in history if t >= tick - window]
             assert filt.value == max(live)
+
+    @given(
+        steps=st.lists(
+            st.one_of(
+                st.tuples(
+                    st.integers(0, 3),  # tick advance
+                    st.integers(-1, 12),  # window behind the tick (< 0: ahead)
+                    st.floats(min_value=0, max_value=1e9),
+                ),
+                st.just("clear"),
+            ),
+            max_size=200,
+        )
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_value_is_the_naive_max_after_every_change(self, steps):
+        """Ticks never fall and neither does the horizon (a sample once
+        evicted stays gone); ties, repeated ticks, a horizon past the new
+        sample and ``clear`` all occur. ``value`` is a stored attribute, so
+        it must be right after each write, not recomputed on read."""
+        filt = WindowedMax()
+        history = []
+        tick = horizon = 0
+        for step in steps:
+            if step == "clear":
+                filt.clear()
+                history.clear()
+            else:
+                advance, behind, value = step
+                tick += advance
+                horizon = max(horizon, tick - behind)
+                filt.push(tick, value, horizon)
+                history.append((tick, value))
+            live = [v for t, v in history if t >= horizon]
+            assert filt.value == max(live, default=0.0)
+            assert bool(filt) == bool(live)
 
     def test_empty_reads_zero(self):
         filt = WindowedMax()
         assert filt.value == 0.0
         assert not filt
-        filt.push(0, 5.0)
+        filt.push(0, 5.0, 0)
         assert filt.value == 5.0
         filt.clear()
-        assert len(filt) == 0
+        assert len(filt) == 0 and filt.value == 0.0
+
+
+class TestTimeoutForgetsTheBandwidth:
+    """``on_timeout`` clears the bandwidth filter; with ``value`` stored on
+    the filter, the clear must also zero it, or pacing would resume at the
+    pre-RTO rate instead of the window-limited restart."""
+
+    @given(
+        acks=st.lists(
+            st.tuples(
+                st.floats(min_value=0.001, max_value=0.5),  # rtt
+                st.integers(min_value=0, max_value=20 * MSS),  # newly acked
+                st.floats(min_value=1e3, max_value=1e9),  # delivery rate
+                st.booleans(),  # app-limited
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        generation=st.sampled_from(["bbr", "bbr2", "bbr2+"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bandwidth_is_zero_and_pacing_off_after_timeout(self, acks, generation):
+        cc = Bbr(mss=MSS) if generation == "bbr" else Bbr2(
+            mss=MSS, delay_aware=generation == "bbr2+"
+        )
+        now = 0.0
+        total = 0
+        for rtt, newly_acked, rate, app_limited in acks:
+            now += 0.01
+            total += newly_acked
+            ack(cc, now=now, rtt=rtt, newly_acked=newly_acked, rate_bps=rate,
+                total_delivered=total, app_limited=app_limited)
+        cc.on_timeout(now)
+        assert cc.btlbw_bytes_per_s == 0.0
+        assert cc.pacing_rate_bps is None
