@@ -105,6 +105,8 @@ class Channel:
         #: Observers called as ``fn(channel, up, now)`` on every up/down
         #: *transition* (redundant holds do not re-fire).
         self.on_transition: List[Callable[["Channel", bool, float], None]] = []
+        #: Host views whose ``up`` slot :meth:`_apply_state` writes.
+        self._views: list = []
         #: Down/up bookkeeping for resilience metrics.
         self.outage_count = 0
         self.downtime_total = 0.0
@@ -173,6 +175,8 @@ class Channel:
         now_up = self.up
         self.uplink.up = now_up
         self.downlink.up = now_up
+        for view in self._views:
+            view.up = now_up
         if now_up == was_up:
             return
         now = self.sim.now

@@ -34,18 +34,15 @@ class ChannelView:
     Steering consults views on every packet, so the hot accessors are
     flattened: the outbound link is resolved once at construction, the
     immutable spec fields (``index``/``name``/``cost_per_byte``/
-    ``reliable``) are plain attributes, and trace-free links take a
-    precomputed static path for rate/delay instead of re-branching through
-    ``Link.current_rate``/``current_delay`` per read.
+    ``reliable``) are plain attributes, ``up`` is a slot the channel writes
+    before its transition hooks run, and rate/delay are the link's cached
+    sample (a traced link first follows its trace) under the overlays.
     """
 
     __slots__ = (
         "_channel",
-        "_end",
         "_out",
-        "_static",
-        "_rate0",
-        "_delay0",
+        "up",
         "index",
         "name",
         "cost_per_byte",
@@ -54,41 +51,30 @@ class ChannelView:
 
     def __init__(self, channel: Channel, end: int) -> None:
         self._channel = channel
-        self._end = end
-        out = channel.out_link(end)
-        self._out = out
-        #: Trace-driven links re-sample rate/delay from the trace at every
-        #: read; fixed links only scale spec constants by the (mutable)
-        #: fault factor/offset — precompute the constants for those.
-        self._static = out.spec.trace is None
-        self._rate0 = out.spec.rate_bps
-        self._delay0 = out.spec.delay
+        self._out = channel.out_link(end)
+        channel._views.append(self)
+        self.up = channel.up
         self.index = channel.index
         self.name = channel.spec.name
         self.cost_per_byte = channel.spec.cost_per_byte
         self.reliable = channel.spec.reliable
 
     @property
-    def up(self) -> bool:
-        channel = self._channel
-        return channel._admin_up and channel._down_refs == 0
-
-    @property
     def rate_bps(self) -> float:
         """Current outbound serialization rate (after background load)."""
         out = self._out
-        if self._static:
-            rate = self._rate0 * out.rate_factor - out._background_bps
-            return rate if rate > 0.0 else 0.0
-        return out.current_rate()
+        if out._trace is not None:
+            out._follow_trace()
+        rate = out._rate * out.rate_factor - out._background_bps
+        return rate if rate > 0.0 else 0.0
 
     @property
     def base_delay(self) -> float:
         """Current outbound propagation delay."""
         out = self._out
-        if self._static:
-            return self._delay0 + out.delay_offset
-        return out.current_delay()
+        if out._trace is not None:
+            out._follow_trace()
+        return out._delay + out.delay_offset
 
     @property
     def base_rtt(self) -> float:
@@ -116,10 +102,9 @@ class ChannelView:
     def queueing_delay(self, extra_bytes: int = 0) -> float:
         """Estimated wait before ``extra_bytes`` would finish serializing."""
         out = self._out
-        if self._static:
-            rate = self._rate0 * out.rate_factor - out._background_bps
-        else:
-            rate = out.current_rate()
+        if out._trace is not None:
+            out._follow_trace()
+        rate = out._rate * out.rate_factor - out._background_bps
         if rate <= 0:
             return float("inf")
         serving = out._serving
@@ -133,15 +118,17 @@ class ChannelView:
 
         This is the quantity DChannel's reward heuristic compares across
         channels: local queueing + serialization + propagation. One fused
-        read of the link (rate, delay, backlog) per estimate.
+        read of the link (rate, delay, backlog) per estimate. A fixed link
+        divides by the rate *before* background load, a traced one by the
+        rate after it: a known quirk, kept so that no result moves.
         """
         out = self._out
-        if self._static:
-            rate = self._rate0 * out.rate_factor
-            delay = self._delay0 + out.delay_offset
+        if out._trace is not None:
+            out._follow_trace()
+            rate = out._rate * out.rate_factor - out._background_bps
         else:
-            rate = out.current_rate()
-            delay = out.current_delay()
+            rate = out._rate * out.rate_factor
+        delay = out._delay + out.delay_offset
         if rate <= 0:
             return float("inf")
         serving = out._serving
@@ -156,18 +143,18 @@ class ChannelView:
 
         What a per-packet verdict compares across channels. Each element is
         bit-identical to the accessor it fuses (``risk_adjusted_delay`` of
-        :mod:`repro.steering.base` for the third) — including the static
-        path's delivery estimate dividing by the rate *before* background
+        :mod:`repro.steering.base` for the third) — including a fixed
+        link's delivery estimate dividing by the rate *before* background
         load while ``rate_bps``/``queueing_delay`` subtract it.
         """
         out = self._out
-        if self._static:
-            delay = self._delay0 + out.delay_offset
-            gross = self._rate0 * out.rate_factor
-            rate = gross - out._background_bps
+        if out._trace is not None:
+            out._follow_trace()
+            gross = rate = out._rate * out.rate_factor - out._background_bps
         else:
-            delay = out.current_delay()
-            gross = rate = out.current_rate()
+            gross = out._rate * out.rate_factor
+            rate = gross - out._background_bps
+        delay = out._delay + out.delay_offset
         serving = out._serving
         bits = (
             out.queue.backlog_bytes
@@ -294,7 +281,8 @@ class Device:
 
     def send(self, packet: Packet) -> None:
         """Steer and transmit one packet (possibly onto several channels)."""
-        if not self.channels:
+        channels = self.channels
+        if not channels:
             raise NetworkError(f"device {self.name} has no channels attached")
         now = self.sim.now
         obs = self.obs
@@ -338,25 +326,22 @@ class Device:
             shim[0] = seq + 1
             used.update(choices)
             packet.shim_channel_count = len(used)
+        stats = self.stats
         for copy_index, channel_index in enumerate(choices):
-            self._transmit(packet, channel_index, copy_index)
-
-    def _transmit(self, packet: Packet, channel_index: int, copy_index: int) -> None:
-        if not 0 <= channel_index < len(self.channels):
-            raise SteeringError(
-                f"steering chose channel {channel_index}, device has {len(self.channels)}"
-            )
-        outgoing = packet if copy_index == 0 else packet.copy_for_redundancy(copy_index)
-        outgoing.channel_index = channel_index
-        self.channels[channel_index].cost_bytes += outgoing.size_bytes
-        if self._out_links[channel_index].send(outgoing):
-            stats = self.stats
-            stats.packets_sent += 1
-            stats.bytes_sent += outgoing.size_bytes
-            for hook in self.on_send_hooks:
-                hook(outgoing, channel_index)
-        else:
-            self.stats.send_drops += 1
+            if not 0 <= channel_index < len(channels):
+                raise SteeringError(
+                    f"steering chose channel {channel_index}, device has {len(channels)}"
+                )
+            outgoing = packet if copy_index == 0 else packet.copy_for_redundancy(copy_index)
+            outgoing.channel_index = channel_index
+            channels[channel_index].cost_bytes += outgoing.size_bytes
+            if self._out_links[channel_index].send(outgoing):
+                stats.packets_sent += 1
+                stats.bytes_sent += outgoing.size_bytes
+                for hook in self.on_send_hooks:
+                    hook(outgoing, channel_index)
+            else:
+                stats.send_drops += 1
 
     def _on_link_deliver(self, packet: Packet) -> None:
         stats = self.stats

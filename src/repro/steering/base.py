@@ -114,24 +114,14 @@ def up_views(views: Sequence[ChannelView]) -> List[ChannelView]:
     return alive
 
 
-#: ``min`` key for the latency role, for callers that already hold the up
-#: views and need not filter them again.
-base_delay_of = attrgetter("base_delay")
-
-
 def lowest_latency(views: Sequence[ChannelView]) -> ChannelView:
     """The channel with the smallest base (propagation) delay."""
-    return min(up_views(views), key=base_delay_of)
+    return min(up_views(views), key=attrgetter("base_delay"))
 
 
 def highest_bandwidth(views: Sequence[ChannelView]) -> ChannelView:
     """The channel with the highest current rate."""
     return max(up_views(views), key=lambda v: v.rate_bps)
-
-
-def most_reliable(views: Sequence[ChannelView]) -> ChannelView:
-    """Prefer channels flagged reliable, then lowest loss rate."""
-    return min(up_views(views), key=lambda v: (not v.reliable, v.loss_rate))
 
 
 def best_delivery(views: Sequence[ChannelView], size_bytes: int) -> ChannelView:

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.errors import SteeringError
 from repro.net.node import ChannelView
 from repro.net.packet import Packet
-from repro.steering.base import Steerer, base_delay_of, up_views
+from repro.steering.base import Steerer
 
 
 class FlowPriorityFilter(Steerer):
@@ -29,16 +30,33 @@ class FlowPriorityFilter(Steerer):
         self.name = f"{inner.name}+flowprio"
 
     def choose(self, packet: Packet, views: Sequence[ChannelView], now: float) -> Sequence[int]:
-        alive = up_views(views)
-        if len(alive) == 1:
-            return (alive[0].index,)
-        if packet.flow_priority is not None and packet.flow_priority > self.cutoff:
-            ll_index = min(alive, key=base_delay_of).index
-            allowed = [v for v in alive if v.index != ll_index]
-            if allowed:
-                best = min(
-                    allowed,
-                    key=lambda v: v.estimated_delivery_delay(packet.size_bytes),
-                )
-                return (best.index,)
+        priority = packet.flow_priority
+        background = priority is not None and priority > self.cutoff
+        size = packet.size_bytes
+        # One pass: for a background flow, the low-latency view (the first
+        # minimum of ``base_delay``) and the best and next best estimate.
+        live = 0
+        ll = best = runner = None
+        ll_delay = best_delay = runner_delay = 0.0
+        for view in views:
+            if not view.up:
+                continue
+            live += 1
+            if not background:
+                ll = view
+                continue
+            delay = view.base_delay
+            if ll is None or delay < ll_delay:
+                ll, ll_delay = view, delay
+            estimate = view.estimated_delivery_delay(size)
+            if best is None or estimate < best_delay:
+                best, best_delay, runner, runner_delay = view, estimate, best, best_delay
+            elif runner is None or estimate < runner_delay:
+                runner, runner_delay = view, estimate
+        if live == 1:
+            return (ll.index,)
+        if not live:
+            raise SteeringError("no channel is up")
+        if background:
+            return ((runner if best is ll else best).index,)
         return self.inner.choose(packet, views, now)

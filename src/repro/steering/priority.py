@@ -19,9 +19,10 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from repro.errors import SteeringError
 from repro.net.node import ChannelView
 from repro.net.packet import Packet
-from repro.steering.base import Steerer, base_delay_of, highest_bandwidth, up_views
+from repro.steering.base import Steerer
 from repro.steering.dchannel import DChannelSteerer
 
 
@@ -35,18 +36,35 @@ class MessagePrioritySteerer(Steerer):
         self.fallback = fallback if fallback is not None else DChannelSteerer()
 
     def choose(self, packet: Packet, views: Sequence[ChannelView], now: float) -> Sequence[int]:
-        alive = up_views(views)
-        if len(alive) == 1:
-            return (alive[0].index,)
-        if packet.message_priority is not None:
-            ll = min(alive, key=base_delay_of)
-            if packet.message_priority <= self.cutoff:
-                return (ll.index,)
-            # Low-priority messages must never displace priority traffic
-            # from the scarce low-latency channel — they take the bulk
-            # channel *by identity*, even while it is degraded (the whole
-            # point: late high layers are dropped, the base layer stays
-            # timely).
-            others = [v for v in alive if v.index != ll.index]
-            return (highest_bandwidth(others).index,)
-        return self.fallback.choose(packet, views, now)
+        priority = packet.message_priority
+        bulk = priority is not None and priority > self.cutoff
+        # One pass: the low-latency view (the first minimum of ``base_delay``,
+        # as ``min()`` picks) and, for bulk, the fastest and the next fastest.
+        live = 0
+        ll = hb = runner = None
+        ll_delay, hb_rate, runner_rate = 0.0, -1.0, -1.0
+        for view in views:
+            if not view.up:
+                continue
+            live += 1
+            if priority is None:
+                ll = view
+                continue
+            delay = view.base_delay
+            if ll is None or delay < ll_delay:
+                ll, ll_delay = view, delay
+            if bulk:
+                rate = view.rate_bps
+                if rate > hb_rate:
+                    hb, hb_rate, runner, runner_rate = view, rate, hb, hb_rate
+                elif rate > runner_rate:
+                    runner, runner_rate = view, rate
+        if live == 1:
+            return (ll.index,)
+        if not live:
+            raise SteeringError("no channel is up")
+        if priority is None:
+            return self.fallback.choose(packet, views, now)
+        # Bulk takes the fastest other channel *by identity*, even degraded:
+        # late high layers are dropped, the base layer stays timely.
+        return ((runner if hb is ll else hb).index,) if bulk else (ll.index,)

@@ -13,11 +13,20 @@ it:
 - :mod:`tests.oracles.remark_list`: the scoreboard whose remark holdoff
   re-scans one list of pending retransmissions — the reference for the
   wake-ordered heap in :class:`repro.transport.scoreboard.Scoreboard`;
-- :mod:`tests.oracles.steering`: min-rtt and ECF as ``min()`` over the
-  list of up views, and DChannel reading every quantity through its own
-  accessor — the references for the single-pass verdicts in
-  :mod:`repro.steering`;
+- :mod:`tests.oracles.steering`: min-rtt, ECF, message priority and flow
+  priority as ``min()``/``max()`` over lists of up views, and DChannel
+  reading every quantity through its own accessor — the references for
+  the single-pass verdicts in :mod:`repro.steering`;
+- :mod:`tests.oracles.view`: the channel view with liveness derived on
+  every read and a separate static path for fixed links — the reference
+  for :class:`repro.net.node.ChannelView`;
 - :mod:`tests.oracles.resequencer`: five parallel per-flow dicts and a
   ``min()`` over every held deadline — the reference for
-  :class:`repro.net.resequencer.Resequencer`'s per-flow record.
+  :class:`repro.net.resequencer.Resequencer`'s per-flow record;
+- :mod:`tests.oracles.scoreboard`, :mod:`tests.oracles.reassembly` and
+  :mod:`tests.oracles.scheduler`: the full-walk sender scoreboard, the
+  re-sort-everything receiver and the probe-carving multipath send path —
+  the references for the transport's incremental bodies;
+- :mod:`tests.oracles.fluid`: the fluid tick one tenant at a time — the
+  reference for the vectorized :mod:`repro.fleet.fluid` tick.
 """

@@ -7,16 +7,30 @@
 - :class:`NaiveDChannel` on :class:`NaiveHealth`: every quantity through
   its own view accessor, on a health tracker that builds its alive and
   trusted lists on every call — the reference for
-  :class:`repro.steering.dchannel.DChannelSteerer`'s fused read.
+  :class:`repro.steering.dchannel.DChannelSteerer`'s fused read;
+- :class:`NaivePriority` and :class:`NaiveFlowPriority`: the list of up
+  views, ``min()`` of ``base_delay`` over it, then ``highest_bandwidth``
+  or ``min()`` of the delivery estimate over a second list without the
+  low-latency view — the references for the single-pass
+  :class:`repro.steering.priority.MessagePrioritySteerer` and
+  :class:`repro.steering.flow_priority.FlowPriorityFilter`.
 """
 
 from __future__ import annotations
 
 from repro.errors import SteeringError
 from repro.net.packet import PacketType
-from repro.steering.base import ChannelHealth, Steerer, risk_adjusted_delay, up_views
+from repro.steering.base import (
+    ChannelHealth,
+    Steerer,
+    highest_bandwidth,
+    risk_adjusted_delay,
+    up_views,
+)
 from repro.steering.dchannel import DChannelSteerer
+from repro.steering.flow_priority import FlowPriorityFilter
 from repro.steering.mptcp import EcfSteerer
+from repro.steering.priority import MessagePrioritySteerer
 
 
 class NaiveMinRtt(Steerer):
@@ -129,3 +143,39 @@ class NaiveDChannel(DChannelSteerer):
             previous = self._hb_arrival.get(packet.flow_id, 0.0)
             self._hb_arrival[packet.flow_id] = max(previous, now + d_hb)
         return (hb.index,)
+
+
+class NaivePriority(MessagePrioritySteerer):
+    """Reference: up views, ``min()`` by base delay, ``highest_bandwidth``."""
+
+    def choose(self, packet, views, now):
+        alive = up_views(views)
+        if len(alive) == 1:
+            return (alive[0].index,)
+        if packet.message_priority is not None:
+            ll = min(alive, key=lambda v: v.base_delay)
+            if packet.message_priority <= self.cutoff:
+                return (ll.index,)
+            others = [v for v in alive if v.index != ll.index]
+            return (highest_bandwidth(others).index,)
+        return self.fallback.choose(packet, views, now)
+
+
+class NaiveFlowPriority(FlowPriorityFilter):
+    """Reference: up views, ``min()`` by base delay, ``min()`` by estimate
+    over the rest."""
+
+    def choose(self, packet, views, now):
+        alive = up_views(views)
+        if len(alive) == 1:
+            return (alive[0].index,)
+        if packet.flow_priority is not None and packet.flow_priority > self.cutoff:
+            ll_index = min(alive, key=lambda v: v.base_delay).index
+            allowed = [v for v in alive if v.index != ll_index]
+            if allowed:
+                best = min(
+                    allowed,
+                    key=lambda v: v.estimated_delivery_delay(packet.size_bytes),
+                )
+                return (best.index,)
+        return self.inner.choose(packet, views, now)

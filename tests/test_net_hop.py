@@ -4,14 +4,20 @@ Every packet crosses ``Device.send -> Steerer.choose -> ChannelView ->
 Link.send`` and ``Link._deliver -> Device._on_link_deliver ->
 Resequencer.push -> dispatch``. The hop now does one fused channel read
 per view, keeps one record per flow, and answers ``any_channel_up()`` from
-a count; min-rtt and ECF make one pass over the views. The bodies it
-replaced live in :mod:`tests.oracles` as references:
+a count; min-rtt, ECF, message priority and flow priority make one pass
+over the views; a view's ``up`` is a slot its channel writes, and fixed
+and traced links share one read path. The bodies it replaced live in
+:mod:`tests.oracles` as references:
 
 * ``NaiveDChannel`` — the old ``DChannelSteerer.choose`` (separate
   ``base_delay``/``rate_bps``/``risk_adjusted_delay``/``queueing_delay``
   reads) on top of the old list-building ``ChannelHealth.usable``;
-* ``NaiveMinRtt`` and ``NaiveEcf`` — ``min()`` with a key lambda over the
-  list of up views;
+* ``NaiveMinRtt``, ``NaiveEcf``, ``NaivePriority`` and
+  ``NaiveFlowPriority`` — ``min()``/``max()`` with a key over lists of up
+  views;
+* ``NaiveView`` — the old ``ChannelView``: ``up`` derived from the channel
+  on every read, a precomputed static path for fixed links and
+  ``Link.current_rate()``/``current_delay()`` for traced ones;
 * ``NaiveResequencer`` — the old five-parallel-dict resequencer with
   ``min()`` over every held deadline.
 
@@ -44,12 +50,20 @@ from repro.net.resequencer import Resequencer
 from repro.sim.kernel import Simulator
 from repro.steering.base import ChannelHealth, risk_adjusted_delay
 from repro.steering.dchannel import DChannelSteerer
+from repro.steering.flow_priority import FlowPriorityFilter
 from repro.steering.mptcp import EcfSteerer, MinRttSteerer
+from repro.steering.priority import MessagePrioritySteerer
 from repro.traces.model import NetworkTrace
 from repro.units import mbps, ms
-from tests.conftest import make_pair
 from tests.oracles.resequencer import NaiveResequencer
-from tests.oracles.steering import NaiveDChannel, NaiveEcf, NaiveMinRtt
+from tests.oracles.steering import (
+    NaiveDChannel,
+    NaiveEcf,
+    NaiveFlowPriority,
+    NaiveMinRtt,
+    NaivePriority,
+)
+from tests.oracles.view import NaiveView
 from tests.test_steering import FakeView
 from tests.test_transport_multipath import dual_net, make_mp_pair
 
@@ -139,6 +153,51 @@ def test_fused_read_equals_separate_accessors(traced):
             infinite += fused[2:].count(float("inf"))
             finite += sum(1 for value in fused[2:] if value != float("inf"))
     assert infinite > 100 and finite > 100
+
+
+def view_reads(view, size):
+    """Everything a steering policy may read off one view, as bit patterns."""
+    return [view.up, view.backlog_bytes] + bits(
+        [
+            view.rate_bps,
+            view.base_delay,
+            view.base_rtt,
+            view.capacity_bps,
+            view.loss_rate,
+            view.queueing_delay(size),
+            view.estimated_delivery_delay(size),
+            *view.steering_read(size),
+        ]
+    )
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["static", "traced"])
+def test_view_reads_equal_the_naive_view(traced):
+    """One read path for fixed and traced links == the two it replaced,
+    under fault overlays, background load up to 2.5x capacity and a trace
+    outage, read first and read after the other view, and (traced) again
+    as the clock crosses trace steps."""
+    rng = random.Random(11)
+    grid = itertools.product(
+        [1.0, 0.3, 0.0],  # rate_factor
+        [0.0, ms(13)],  # delay_offset
+        [0.0, 0.4, 1.0, 2.5],  # background load / capacity
+        [0, 1, 6],  # packets in service + queued
+    )
+    zero_rate = 0
+    for rate_factor, delay_offset, load_frac, backlog in grid:
+        view = view_in_state(rng, traced, rate_factor, delay_offset, load_frac, 0.3, backlog)
+        naive = NaiveView(view._channel, END_A)
+        sim = view._out.sim
+        view._out.connect(lambda packet: None)  # the queue drains as the clock moves
+        for step in (0.0, 0.35, 0.9, 1.3) if traced else (0.0,):
+            sim.run(until=sim.now + step)
+            for size in (40, rng.randint(41, 1499), 1500):
+                first = view_reads(view, size)
+                assert view_reads(naive, size) == first
+                assert view_reads(view, size) == first
+                zero_rate += view.rate_bps == 0.0
+    assert zero_rate > 20
 
 
 def test_static_delivery_estimate_ignores_background_load():
@@ -275,8 +334,62 @@ def test_network_run_is_identical_under_the_naive_ecf():
     assert run(EcfSteerer()) == run(NaiveEcf())
 
 
+def naive_twin(net):
+    """Put each device of ``net`` on the old views and the old bodies of
+    its priority steerer (with an old DChannel inside)."""
+    for device in (net.client, net.server):
+        device.views = [NaiveView(channel, device.end) for channel in device.channels]
+        steerer = device.steerer
+        if isinstance(steerer, MessagePrioritySteerer):
+            twin = NaivePriority(steerer.cutoff, NaiveDChannel())
+        else:
+            assert isinstance(steerer, FlowPriorityFilter)
+            twin = NaiveFlowPriority(NaiveDChannel(), steerer.cutoff)
+        device.set_steerer(twin)
+    return net
+
+
+def test_fig2_priority_cell_is_identical_under_the_naive_view_and_steerer():
+    from repro.apps.video.session import run_video_session
+    from repro.experiments.fig2 import video_network
+
+    def run(naive):
+        net = video_network("5g-lowband-driving", "priority", seed=0)
+        if naive:
+            naive_twin(net)
+        result = run_video_session(net, duration=3.0)
+        lowlat = net.channels[1].uplink.stats.bytes_delivered
+        return net.sim.events_processed, result, lowlat
+
+    shipped = run(False)
+    assert shipped[0] > 5_000
+    assert run(True) == shipped
+
+
+def test_table1_flow_priority_page_is_identical_under_the_naive_view_and_steerer():
+    from repro.apps.web.corpus import generate_corpus
+    from repro.experiments.table1 import TRACES, corpus_plts, web_network
+
+    page = generate_corpus(count=1, seed=0)
+
+    def run(naive):
+        nets = []
+
+        def build(index):
+            net = web_network(TRACES["stationary"], "dchannel+flowprio", seed=index)
+            nets.append(naive_twin(net) if naive else net)
+            return net
+
+        plts, events = corpus_plts(page, build)
+        lowlat = nets[0].channels[1].uplink.stats.bytes_delivered
+        return plts, events, lowlat
+
+    assert run(True) == run(False)
+
+
 # ----------------------------------------------------------------------
-# (b2) min-rtt and ECF verdicts over generated view sets
+# (b2) min-rtt, ECF, priority and flow-priority verdicts over generated
+# view sets
 # ----------------------------------------------------------------------
 #: Short menus, so equal base delays and equal estimates are common; a
 #: zero rate makes a view's estimate ``inf``.
@@ -311,6 +424,80 @@ def test_min_rtt_and_ecf_match_naive(spec, payload, beta):
     pairs = ((MinRttSteerer(), NaiveMinRtt()), (EcfSteerer(beta), NaiveEcf(beta)))
     for new, naive in pairs:
         assert verdict(new, packet, views, 0.0) == verdict(naive, packet, views, 0.0)
+
+
+class Inner:
+    """A wrapped policy that reports the views it was handed."""
+
+    name = "inner"
+
+    def choose(self, packet, views, now):
+        return ("inner",) + tuple(view.index for view in views)
+
+
+@given(
+    spec=view_sets,
+    payload=st.sampled_from([0, 40, 1460]),
+    priority=st.sampled_from([None, 0, 1, 2]),
+    cutoff=st.sampled_from([0, 1]),
+)
+@settings(max_examples=400, deadline=None)
+def test_priority_and_flow_priority_match_naive(spec, payload, priority, cutoff):
+    views = fake_views(spec)
+    by_message = Packet(1, PacketType.DATA, payload_bytes=payload, message_priority=priority)
+    by_flow = Packet(1, PacketType.DATA, payload_bytes=payload, flow_priority=priority)
+    pairs = (
+        (MessagePrioritySteerer(cutoff, Inner()), NaivePriority(cutoff, Inner()), by_message),
+        (FlowPriorityFilter(Inner(), cutoff), NaiveFlowPriority(Inner(), cutoff), by_flow),
+    )
+    for new, naive, packet in pairs:
+        assert verdict(new, packet, views, 0.0) == verdict(naive, packet, views, 0.0)
+
+
+@pytest.mark.parametrize("naive", [False, True], ids=["shipped", "naive"])
+def test_priority_edge_cases(naive):
+    """The cases the generated sets must not leave to chance, for both
+    priority steerers: the bulk / background role must skip the
+    low-latency view wherever it sits, and ties go to the first view."""
+    message, flow = (NaivePriority, NaiveFlowPriority) if naive else (
+        MessagePrioritySteerer, FlowPriorityFilter,
+    )
+    by_message, by_flow = message(0, Inner()), flow(Inner(), 0)
+
+    def tagged(priority):
+        return (
+            Packet(1, PacketType.DATA, payload_bytes=1000, message_priority=priority),
+            Packet(1, PacketType.DATA, payload_bytes=1000, flow_priority=priority),
+        )
+
+    def both(views, priority):
+        low, background = tagged(priority)
+        return by_message.choose(low, views, 0.0), by_flow.choose(background, views, 0.0)
+
+    # The low-latency view is also the fastest and the emptiest.
+    views = [
+        FakeView(0, rate_bps=mbps(10), base_delay=ms(25)),
+        FakeView(1, rate_bps=mbps(90), base_delay=ms(2)),
+        FakeView(2, rate_bps=mbps(60), base_delay=ms(25), backlog_bytes=9000),
+    ]
+    assert both(views, 0) == ((1,), ("inner", 0, 1, 2))
+    assert both(views, 1) == ((2,), (0,))
+    # Equal delays: the first is low-latency; equal rates / estimates: the
+    # first of the rest wins.
+    same = [FakeView(0), FakeView(1), FakeView(2)]
+    assert both(same, 0) == ((0,), ("inner", 0, 1, 2))
+    assert both(same, 1) == ((1,), (1,))
+    same[1].rate_bps = 0.0  # an infinite estimate loses, a zero rate too
+    assert both(same, 1) == ((2,), (2,))
+    # One live view: its index, whatever the tags; untagged goes inside.
+    same[0].up = same[2].up = False
+    assert both(same, 1) == ((1,), (1,))
+    assert both(same, None) == ((1,), (1,))
+    same[1].up = False
+    for packet in tagged(None) + tagged(0) + tagged(1):
+        for steerer in (by_message, by_flow):
+            with pytest.raises(SteeringError, match="no channel is up"):
+                steerer.choose(packet, same, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -452,13 +639,28 @@ def test_max_held_valve_opens(monkeypatch):
 def test_any_channel_up_tracks_every_transition(seed, sim):
     rng = random.Random(seed)
     specs = [ChannelSpec.symmetric(f"ch{i}", mbps(10), ms(5)) for i in range(rng.randint(1, 3))]
-    client, server, channels = make_pair(sim, specs)
+    channels = [Channel(sim, spec, index=i) for i, spec in enumerate(specs)]
+    # A channel observer registered before any device attached (a fault
+    # injector's, a monitor's) must already see the new state on every
+    # view: the channel writes its views before it calls its hooks.
+    seen_by_early_hooks = []
+    for channel in channels:
+        channel.on_transition.append(
+            lambda channel, up, now: seen_by_early_hooks.append(
+                client.views[channel.index].up == up == server.views[channel.index].up
+            )
+        )
+    client, server = Device(sim, "client"), Device(sim, "server")
+    client.attach(channels, end=0)
+    server.attach(channels, end=1)
     seen_in_hooks = []
 
     def check():
         truth = any(channel.up for channel in channels)
         assert client.any_channel_up() == truth
         assert server.any_channel_up() == truth
+        for device in (client, server):
+            assert [view.up for view in device.views] == [ch.up for ch in channels]
         return truth
 
     # Transports send from inside their own device's hook, so its count
@@ -486,6 +688,8 @@ def test_any_channel_up_tracks_every_transition(seed, sim):
             channels[index].set_up(rng.random() < 0.6)
         check()
     assert len(seen_in_hooks) >= 20 and all(seen_in_hooks)
+    assert len(seen_by_early_hooks) == len(seen_in_hooks) // 2
+    assert all(seen_by_early_hooks)
     assert overlapped
 
 
@@ -496,12 +700,16 @@ def test_device_attached_to_a_down_channel_counts_it_down(sim):
     device = Device(sim, "late")
     device.attach(channels, end=0)
     assert device.any_channel_up()
+    assert [view.up for view in device.views] == [False, True]
+    assert ChannelView(channels[0], END_A).up is False
     channels[1].fail()
     assert not device.any_channel_up()
+    assert not any(view.up for view in device.views)
     device.send(Packet(1, PacketType.DATAGRAM, payload_bytes=10))
     assert device.stats.blackout_drops == 1
     channels[0].restore()
     assert device.any_channel_up()
+    assert [view.up for view in device.views] == [True, False]
 
 
 def test_dedup_window_discards_late_copies_then_forgets(sim):
@@ -567,10 +775,43 @@ def test_hop_python_calls_per_event_bound():
     """``net/`` and ``steering/`` on 1 s of cubic over dchannel steering.
     The hop this file's oracles describe made 23.6; the fused one made
     13.07 while the link still called ``_start_next`` and ``_transmit``,
-    and makes 11.85 without them."""
+    11.85 without them, and makes 10.13 with ``up`` a slot and the
+    device's ``_transmit`` folded into its send loop."""
     net = HvcNetwork([fixed_embb_spec(), urllc_spec()], steering="dchannel", seed=0)
     BulkTransfer(net, cc="cubic")
-    assert python_calls_per_event(net, 1.0, "net", "steering") <= 13.0
+    assert python_calls_per_event(net, 1.0, "net", "steering") <= 11.0
+
+
+def test_cross_layer_cells_python_calls_per_event_bound():
+    """``net/`` and ``steering/`` in the cells where cross-layer hints
+    steer: the Fig. 2 priority video over the lowband driving trace (6 s)
+    and a Table 1 ``dchannel+flowprio`` corpus of six stationary pages.
+    With ``up_views``, ``min()``/``highest_bandwidth`` and the traced
+    link's ``current_rate`` -> ``capacity_bps`` -> ``_follow_trace`` chain
+    they made 15.41 and 15.49; one pass over the views, ``up`` a slot and
+    one read path make 9.25 and 10.10."""
+    from repro.apps.video.session import run_video_session
+    from repro.apps.web.corpus import generate_corpus
+    from repro.experiments.fig2 import video_network
+    from repro.experiments.table1 import TRACES, corpus_plts, web_network
+
+    video = video_network("5g-lowband-driving", "priority", seed=0)
+    calls = python_calls(lambda: run_video_session(video, duration=6.0), "net", "steering")
+    assert video.sim.events_processed > 10_000
+    assert sum(calls.values()) / video.sim.events_processed <= 10.0
+
+    pages = generate_corpus(count=6, seed=0)
+    web = {}
+
+    def load():
+        web["plts"], web["events"] = corpus_plts(
+            pages,
+            lambda index: web_network(TRACES["stationary"], "dchannel+flowprio", seed=index),
+        )
+
+    calls = python_calls(load, "net", "steering")
+    assert web["events"] > 10_000
+    assert sum(calls.values()) / web["events"] <= 11.5
 
 
 def transport_cubic_over_dchannel():
@@ -596,9 +837,10 @@ def transport_multipath_bulk(scheduler):
 def test_wan_hop_python_calls_per_event_bound():
     """``net/`` and ``steering/`` in the ``cc-matrix`` WAN cell under
     min-rtt: 11.40 with ``min()`` over a list of up views and the link's
-    two extra calls per packet, 8.47 with one pass and without them."""
+    two extra calls per packet, 8.47 with one pass and without them, 7.06
+    with ``up`` a slot and one device send loop."""
     net, until = transport_wan_coexistence()
-    assert python_calls_per_event(net, until, "net", "steering") <= 9.5
+    assert python_calls_per_event(net, until, "net", "steering") <= 8.0
 
 
 @pytest.mark.parametrize(

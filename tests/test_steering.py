@@ -9,7 +9,6 @@ from repro.steering.base import (
     best_delivery,
     highest_bandwidth,
     lowest_latency,
-    most_reliable,
     risk_adjusted_delay,
     up_views,
 )
@@ -102,10 +101,6 @@ class TestHelpers:
     def test_up_views_raises_when_all_down(self):
         with pytest.raises(SteeringError):
             up_views([embb(up=False)])
-
-    def test_most_reliable_prefers_flag(self):
-        views = [embb(loss_rate=0.0), urllc()]
-        assert most_reliable(views).name == "urllc"
 
     def test_best_delivery_accounts_for_backlog(self):
         # 60 kB backlog on eMBB = 8 ms queueing; URLLC empty wins for small pkts.

@@ -4,7 +4,7 @@ replaced.
 The scheduler now answers from ``(size, urgent)`` read off the head of the
 queue and from channel roles computed once per send opportunity; a
 ``Segment`` is built only for a send that happens. The bodies this replaced
-survive only here, as ``NaiveScheduler``: a probe segment carved for every
+survive only as ``NaiveScheduler`` (:mod:`tests.oracles.scheduler`): a probe segment carved for every
 question (through a list-slicing ``_message_for_offset``), and the live /
 lowest-delay / highest-rate subflows rebuilt by three list and lambda passes
 per pick. The real ``_try_send`` loop is driven step for step against it.
@@ -34,6 +34,7 @@ from repro.transport.multipath import (
 from repro.transport.scoreboard import Scoreboard
 from repro.units import DEFAULT_MSS, mbps, ms
 from tests.conftest import make_pair
+from tests.oracles.scheduler import NaiveScheduler
 from tests.test_transport_multipath import dual_net, make_mp_pair
 
 
@@ -125,84 +126,6 @@ class TestMinRttScheduler:
         for subflow in conn.subflows:
             conn._sb.flight[subflow.key] = int(subflow.cc.cwnd_bytes)
         assert pick(conn, segment()) is None
-
-
-# ----------------------------------------------------------------------
-# The replaced send path, as an oracle
-# ----------------------------------------------------------------------
-class NaiveScheduler:
-    """Reference: the bodies ``MultipathConnection`` and ``Endpoint`` had
-    before the scheduler decided first and carved second."""
-
-    def __init__(self, conn):
-        self.conn = conn
-
-    def _live_subflows(self):
-        conn = self.conn
-        live = [s for s in conn.subflows if conn.device.views[s.key].up]
-        return live if live else list(conn.subflows)
-
-    def _ll_subflow(self, live):
-        return min(
-            live, key=lambda s: self.conn.device.views[s.key].base_delay
-        )
-
-    def _hb_subflow(self, live):
-        return max(
-            live, key=lambda s: self.conn.device.views[s.key].rate_bps
-        )
-
-    @staticmethod
-    def has_window(subflow, size):
-        return subflow.in_flight + size <= subflow.cc.cwnd_bytes
-
-    def _pick_subflow(self, segment):
-        if self.conn.scheduler == "minrtt":
-            candidates = [
-                s for s in self._live_subflows() if self.has_window(s, segment.size)
-            ]
-            if not candidates:
-                return None
-            return min(candidates, key=lambda s: s.rtt.srtt or 0.05)
-        return self._pick_hvc(segment)
-
-    def _pick_hvc(self, segment):
-        live = self._live_subflows()
-        ll = self._ll_subflow(live)
-        hb = self._hb_subflow(live)
-        urgent = segment.retransmitted or segment.message_last or (
-            segment.message_size is not None
-            and segment.message_size <= SMALL_MESSAGE_BYTES
-        )
-        if urgent and ll is not hb and self.has_window(ll, segment.size):
-            return ll
-        if self.has_window(hb, segment.size):
-            return hb
-        return None
-
-    def _message_for_offset(self, offset):
-        conn = self.conn
-        for message in conn._messages[conn._next_message_index:]:
-            if message.start <= offset < message.end:
-                return message
-        raise TransportError(f"flow {conn.flow_id}: no message covers offset {offset}")
-
-    def _carve_segment(self):
-        """The probe: built to ask the scheduler, committed only if it sends."""
-        conn = self.conn
-        message = self._message_for_offset(conn._snd_nxt)
-        size = min(conn.mss, message.end - conn._snd_nxt)
-        return Segment(
-            seq=conn._snd_nxt,
-            end_seq=conn._snd_nxt + size,
-            sent_at=conn.sim.now,
-            delivered_at_send=conn._total_delivered,
-            message_id=message.message_id,
-            message_priority=message.priority,
-            message_last=(conn._snd_nxt + size == message.end),
-            message_start=message.start,
-            message_size=message.size,
-        )
 
 
 class SettableCc(CongestionControl):
