@@ -31,10 +31,18 @@ def _nop() -> None:
     return None
 
 
+def _nop_arg(_) -> None:
+    return None
+
+
 def _filled_sim() -> Simulator:
+    """Both entry shapes: every other event is a handle-free ``post_at``."""
     sim = Simulator()
     for index in range(EVENT_COUNT):
-        sim.schedule(float(index % 977), _nop)
+        if index % 2:
+            sim.post_at(float(index % 977), _nop_arg, None)
+        else:
+            sim.schedule(float(index % 977), _nop)
     return sim
 
 
@@ -44,9 +52,9 @@ def _drain_current(sim: Simulator) -> None:
 
 def _drain_prehook(sim: Simulator) -> None:
     # The pre-hook dispatch loop: a faithful replica of ``Simulator.run``
-    # (stop flag, inline heap drain with cancelled-head reclaim and the
-    # ``until`` refile, run counter, max_events test, try/finally) minus
-    # *only* the invariant branch.
+    # (stop flag, inline heap drain with the ``until`` refile, handle-free
+    # and handled entries, cancelled-head reclaim, run counter, max_events
+    # test, try/finally) minus *only* the invariant branches.
     until = None
     max_events = None
     sim._running = True
@@ -60,17 +68,21 @@ def _drain_prehook(sim: Simulator) -> None:
             if not heap:
                 break
             entry = pop(heap)
-            event = entry[2]
-            if event.cancelled:
-                sim._dead -= 1
-                continue
             time_ = entry[0]
             if time_ > limit:
                 heappush(heap, entry)
                 break
-            event._sim = None
+            if len(entry) == 4:
+                callback, args = entry[2], entry[3]
+            else:
+                event = entry[2]
+                if event.cancelled:
+                    sim._dead -= 1
+                    continue
+                event._sim = None
+                callback, args = event.callback, event.args
             sim.now = time_
-            event.callback(*event.args)
+            callback(*args)
             processed += 1
             if max_events is not None and processed >= max_events:
                 break

@@ -31,6 +31,10 @@ def _noop() -> None:
     return None
 
 
+def _noop_arg(_) -> None:
+    return None
+
+
 def _churn_events_per_second() -> float:
     """Steady-state kernel churn: dispatch one, schedule one, sprinkle cancels."""
     sim = Simulator()
@@ -69,21 +73,24 @@ def _drain_events_per_second() -> float:
 
 
 def _cancel_churn():
-    """The transport pacing pattern: arm two timers, cancel, re-arm."""
+    """The transport pacing pattern: arm two timers, cancel, re-arm; the
+    chain itself, and a delivery per step, are handle-free entries (a
+    link's departures and deliveries), so compaction runs on a mixed heap."""
     sim = Simulator()
     state = {"pacing": None, "rto": None, "retained": 0}
 
-    def fire():
+    def fire(_):
         if state["pacing"] is not None:
             state["pacing"].cancel()
         if state["rto"] is not None:
             state["rto"].cancel()
         state["pacing"] = sim.schedule(0.002, _noop)
         state["rto"] = sim.schedule(0.25, _noop)
-        sim.schedule(0.0001, fire)
+        sim.post_at(sim.now + 0.0001, fire, None)
+        sim.post_at(sim.now + 0.003, _noop_arg, None)
         state["retained"] = max(state["retained"], len(sim._heap))
 
-    sim.schedule(0.0001, fire)
+    sim.post_at(0.0001, fire, None)
     start = time.perf_counter()
     sim.run(max_events=100_000)
     elapsed = time.perf_counter() - start

@@ -39,18 +39,23 @@ class FaultLossOverlay(LossModel):
     def __init__(self, base: LossModel) -> None:
         self.base = base
         self.active: List[float] = []
+        self._store_rate()
 
     def push(self, probability: float) -> None:
         self.active.append(probability)
+        self._store_rate()
 
     def pop(self, probability: float) -> None:
         self.active.remove(probability)
+        self._store_rate()
 
-    def _extra_rate(self) -> float:
+    def _store_rate(self) -> None:
+        """Base + active burst loss — steering cost estimates see the burst."""
         survive = 1.0
         for p in self.active:
             survive *= 1.0 - p
-        return 1.0 - survive
+        extra = 1.0 - survive
+        self.long_run_rate = 1.0 - (1.0 - self.base.long_run_rate) * (1.0 - extra)
 
     def should_drop(self, rng: random.Random, now: float) -> bool:
         if self.base.should_drop(rng, now):
@@ -59,13 +64,6 @@ class FaultLossOverlay(LossModel):
             if rng.random() < p:
                 return True
         return False
-
-    @property
-    def long_run_rate(self) -> float:
-        """Base + active burst loss — steering cost estimates see the burst."""
-        base = self.base.long_run_rate
-        extra = self._extra_rate()
-        return 1.0 - (1.0 - base) * (1.0 - extra)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FaultLossOverlay({self.base!r}, active={self.active})"

@@ -7,7 +7,8 @@ receiver one propagation delay later. Delivery order is FIFO even when the
 propagation delay shrinks mid-flight (as in trace-driven 5G links).
 
 One serializer: every packet takes ``send -> _begin_serialization ->
-_finish_serialization``, one kernel event per departure. The departure
+_finish_serialization``, one kernel event per departure, handle-free
+(:meth:`~repro.sim.kernel.Simulator.post_at`: a link cancels none). The departure
 callback transmits the packet and begins serving the next one; ``send``
 begins service itself only on an idle link (``_serving is None``, which
 implies an empty queue).
@@ -275,8 +276,9 @@ class Link:
     # Internal pipeline
     # ------------------------------------------------------------------
     def _begin_serialization(self, packet: Packet) -> None:
+        sim = self.sim
         if self._trace is not None:
-            now = self.sim.now
+            now = sim.now
             t = fmod(now, self._trace_period)
             if t < self._trace_lo or t >= self._trace_hi:
                 self._seek_trace(now)
@@ -284,11 +286,11 @@ class Link:
         rate = self._rate * self.rate_factor - self._background_bps
         if rate <= 0:
             # Trace outage: re-check shortly; the packet stays in service.
-            self.sim.schedule(OUTAGE_POLL_INTERVAL, self._begin_serialization, packet)
+            sim.post_at(sim.now + OUTAGE_POLL_INTERVAL, self._begin_serialization, packet)
             return
         tx_time = packet.size_bytes * 8 / rate
         self.stats.busy_time += tx_time
-        self.sim.schedule(tx_time, self._finish_serialization, packet)
+        sim.post_at(sim.now + tx_time, self._finish_serialization, packet)
 
     def _finish_serialization(self, packet: Packet) -> None:
         """Departure instant: obs taps, loss draw, delivery scheduling; then
@@ -313,7 +315,7 @@ class Link:
             if arrival <= self._last_delivery_time:
                 arrival = self._last_delivery_time + 1e-9
             self._last_delivery_time = arrival
-            self.sim.schedule_at(arrival, self._deliver, packet)
+            self.sim.post_at(arrival, self._deliver, packet)
         packet = self.queue.dequeue()
         self._serving = packet
         if packet is not None:

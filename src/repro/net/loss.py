@@ -10,26 +10,27 @@ import random
 
 
 class LossModel:
-    """Interface: decide whether a departing packet is lost."""
+    """Interface: decide whether a departing packet is lost.
+
+    Every model stores ``long_run_rate``, the stationary loss probability
+    steering estimators read per packet, when its parameters are set: the
+    parameters are fixed at construction (a fault overlay recomputes it
+    when its bursts change), so it is an attribute, not a computation.
+    """
+
+    long_run_rate: float
 
     def should_drop(self, rng: random.Random, now: float) -> bool:
-        raise NotImplementedError
-
-    @property
-    def long_run_rate(self) -> float:
-        """The stationary loss probability (used by steering estimators)."""
         raise NotImplementedError
 
 
 class NoLoss(LossModel):
     """A perfectly reliable link (e.g. URLLC's 99.999% is modelled as 0)."""
 
+    long_run_rate = 0.0
+
     def should_drop(self, rng: random.Random, now: float) -> bool:
         return False
-
-    @property
-    def long_run_rate(self) -> float:
-        return 0.0
 
     def __repr__(self) -> str:
         return "NoLoss()"
@@ -41,14 +42,10 @@ class BernoulliLoss(LossModel):
     def __init__(self, probability: float) -> None:
         if not 0.0 <= probability < 1.0:
             raise ValueError(f"probability must be in [0, 1), got {probability}")
-        self.probability = probability
+        self.probability = self.long_run_rate = probability
 
     def should_drop(self, rng: random.Random, now: float) -> bool:
         return rng.random() < self.probability
-
-    @property
-    def long_run_rate(self) -> float:
-        return self.probability
 
     def __repr__(self) -> str:
         return f"BernoulliLoss({self.probability})"
@@ -83,6 +80,12 @@ class GilbertElliottLoss(LossModel):
         self.good_loss = good_loss
         self.bad_loss = bad_loss
         self._in_bad_state = False
+        denom = p_good_to_bad + p_bad_to_good
+        if denom == 0:
+            self.long_run_rate = good_loss
+        else:
+            pi_bad = p_good_to_bad / denom
+            self.long_run_rate = pi_bad * bad_loss + (1 - pi_bad) * good_loss
 
     def should_drop(self, rng: random.Random, now: float) -> bool:
         if self._in_bad_state:
@@ -93,14 +96,6 @@ class GilbertElliottLoss(LossModel):
                 self._in_bad_state = True
         loss = self.bad_loss if self._in_bad_state else self.good_loss
         return rng.random() < loss
-
-    @property
-    def long_run_rate(self) -> float:
-        denom = self.p_good_to_bad + self.p_bad_to_good
-        if denom == 0:
-            return self.good_loss
-        pi_bad = self.p_good_to_bad / denom
-        return pi_bad * self.bad_loss + (1 - pi_bad) * self.good_loss
 
     def __repr__(self) -> str:
         return (

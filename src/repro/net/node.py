@@ -137,6 +137,29 @@ class ChannelView:
         )
         return (backlog + packet_bytes) * 8 / rate + delay
 
+    def delay_rate(self) -> Tuple[float, float]:
+        """``(base_delay, rate_bps)`` from one look at the link."""
+        out = self._out
+        if out._trace is not None:
+            out._follow_trace()
+        rate = out._rate * out.rate_factor - out._background_bps
+        return out._delay + out.delay_offset, rate if rate > 0.0 else 0.0
+
+    def delay_estimate(self, packet_bytes: int) -> Tuple[float, float]:
+        """``(base_delay, estimated_delivery_delay(packet_bytes))``, one look."""
+        out = self._out
+        if out._trace is not None:
+            out._follow_trace()
+            rate = out._rate * out.rate_factor - out._background_bps
+        else:
+            rate = out._rate * out.rate_factor
+        delay = out._delay + out.delay_offset
+        if rate <= 0:
+            return delay, float("inf")
+        serving = out._serving
+        bytes_ahead = out.queue.backlog_bytes + (serving.size_bytes if serving is not None else 0)
+        return delay, (bytes_ahead + packet_bytes) * 8 / rate + delay
+
     def steering_read(self, packet_bytes: int) -> Tuple[float, float, float, float]:
         """``(base_delay, rate_bps, risk-adjusted delivery delay, queueing
         delay)`` for a packet offered right now, from one look at the link.

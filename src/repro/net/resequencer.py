@@ -142,8 +142,11 @@ class Resequencer:
         state.expected = expected
         event = state.flush_event
         if event is not None:
+            # The timer stands while the earliest (first) held deadline stays.
+            if held and next(iter(held.values()))[1] == event.time:
+                return
             state.flush_event = None
-            self.sim.cancel(event)
+            event.cancel()
         self._schedule_flush(state)
 
     def _schedule_flush(self, state: _FlowState) -> None:

@@ -1,11 +1,12 @@
 """Scheduled events.
 
 The pending set lives in :class:`~repro.sim.kernel.Simulator`: one binary
-heap of ``(time, seq, event)`` tuples. ``seq`` is a monotonically
-increasing insertion counter, which gives FIFO ordering among events
-scheduled for the same instant — a requirement for deterministic replay —
-and, being unique, keeps every heap comparison inside the C tuple
-compare: the :class:`Event` itself is never compared.
+heap of ``(time, seq, event)`` tuples and handle-free ``(time, seq,
+callback, args)`` ones. ``seq`` is a monotonically increasing insertion
+counter, which gives FIFO ordering among events scheduled for the same
+instant — a requirement for deterministic replay — and, being unique,
+keeps every heap comparison inside the C tuple compare: the
+:class:`Event` itself is never compared.
 
 Cancellation is lazy — a cancelled event stays filed until it reaches the
 top of the heap — but bounded: when dead entries outnumber live ones the

@@ -9,18 +9,19 @@ Typical use::
 Components receive the simulator at construction time and schedule their own
 callbacks; nothing in the library spawns threads or sleeps on wall-clock time.
 
-Pending events are one ``heapq`` list of ``(time, seq, event)`` tuples,
-which the schedule methods push onto and :meth:`Simulator.run` drains
-inline: every ordering comparison is a C tuple compare, and dispatching an
-event costs no Python call besides its callback. ``tests/oracles`` holds
-the naive queue the dispatch order is checked against.
+Pending events are one ``heapq`` list of ``(time, seq, event)`` tuples from
+the schedule methods and handle-free ``(time, seq, callback, args)`` ones
+from :meth:`Simulator.post_at`, which :meth:`Simulator.run` drains inline:
+every ordering comparison is a C tuple compare, and dispatching an event
+costs no Python call besides its callback. ``tests/oracles`` holds the
+naive queue the dispatch order is checked against.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from itertools import count
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 from repro.errors import SimulationError
 from repro.sim.events import Event
@@ -60,8 +61,9 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        #: Filed events, live and cancelled, as ``(time, seq, event)``.
-        self._heap: List[Tuple[float, int, Event]] = []
+        #: Filed entries: ``(time, seq, event)``, live or cancelled, and
+        #: handle-free ``(time, seq, callback, args)``, always live.
+        self._heap: List[tuple] = []
         self._seq = count()
         #: Cancelled entries still filed in ``_heap`` (see
         #: :meth:`Event.cancel`, which counts them and triggers compaction).
@@ -159,6 +161,15 @@ class Simulator:
         heappush(self._heap, (time, seq, event))
         return event
 
+    def post_at(self, time: float, callback: Callable[..., Any], *args: Any) -> None:
+        """:meth:`schedule_at` for a callback nobody will cancel: a plain
+        heap entry, no :class:`Event` and no handle."""
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule at {time:.6f}, current time is {self.now:.6f}"
+            )
+        heappush(self._heap, (time, next(self._seq), callback, args))
+
     def cancel(self, event: Event) -> None:
         """Cancel a pending event. Safe to call more than once."""
         event.cancel()
@@ -199,11 +210,6 @@ class Simulator:
                     drained = True
                     break
                 entry = pop(heap)
-                event = entry[2]
-                if event.cancelled:
-                    # A cancelled head leaves the heap for good.
-                    self._dead -= 1
-                    continue
                 time = entry[0]
                 if time > limit:
                     # Beyond this run: refile it untouched (same seq, so
@@ -211,11 +217,21 @@ class Simulator:
                     heappush(heap, entry)
                     drained = True
                     break
-                event._sim = None
+                if len(entry) == 4:
+                    # Handle-free: nobody could have cancelled it.
+                    callback, args = entry[2], entry[3]
+                else:
+                    event = entry[2]
+                    if event.cancelled:
+                        # A cancelled head leaves the heap for good.
+                        self._dead -= 1
+                        continue
+                    event._sim = None
+                    callback, args = event.callback, event.args
                 if check is not None:
                     check(self.now, time)
                 self.now = time
-                event.callback(*event.args)
+                callback(*args)
                 processed += 1
                 if max_events is not None and processed >= max_events:
                     break
@@ -239,7 +255,7 @@ class Simulator:
         reference to it while a callback's cancel may land here.
         """
         heap = self._heap
-        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heap[:] = [entry for entry in heap if len(entry) == 4 or not entry[2].cancelled]
         heapify(heap)
         self._dead = 0
 

@@ -114,7 +114,7 @@ class DChannelSteerer(Steerer):
         ll_delay, _, d_ll, ll_queueing = ll_read
         hb_delay, _, d_hb, _ = hb_read
 
-        base_gap = max(0.0, hb_delay - ll_delay)
+        base_gap = hb_delay - ll_delay if hb_delay > ll_delay else 0.0
         is_control = packet.is_control and self.accelerate_control
         cap = base_gap * (
             self.control_cap_factor if is_control else self.queue_cap_factor
@@ -128,11 +128,12 @@ class DChannelSteerer(Steerer):
         if packet.ptype == PacketType.DATA:
             # In-order stream: effective LL delivery waits for predecessors.
             hold_until = self._hb_arrival.get(packet.flow_id)
-            if hold_until is not None:
-                effective_ll = max(d_ll, hold_until - now)
+            if hold_until is not None and hold_until - now > d_ll:
+                effective_ll = hold_until - now
         if effective_ll + self.savings_threshold < d_hb and ll_affordable:
             return (ll.index,)
         if packet.ptype == PacketType.DATA:
             previous = self._hb_arrival.get(packet.flow_id, 0.0)
-            self._hb_arrival[packet.flow_id] = max(previous, now + d_hb)
+            arrival = now + d_hb  # ``max()`` as a conditional: no call per packet
+            self._hb_arrival[packet.flow_id] = arrival if arrival > previous else previous
         return (hb.index,)

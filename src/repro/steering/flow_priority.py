@@ -34,7 +34,8 @@ class FlowPriorityFilter(Steerer):
         background = priority is not None and priority > self.cutoff
         size = packet.size_bytes
         # One pass: for a background flow, the low-latency view (the first
-        # minimum of ``base_delay``) and the best and next best estimate.
+        # minimum of ``base_delay``) and the best and next best estimate,
+        # each view read once (its delay and estimate together).
         live = 0
         ll = best = runner = None
         ll_delay = best_delay = runner_delay = 0.0
@@ -45,10 +46,9 @@ class FlowPriorityFilter(Steerer):
             if not background:
                 ll = view
                 continue
-            delay = view.base_delay
+            delay, estimate = view.delay_estimate(size)
             if ll is None or delay < ll_delay:
                 ll, ll_delay = view, delay
-            estimate = view.estimated_delivery_delay(size)
             if best is None or estimate < best_delay:
                 best, best_delay, runner, runner_delay = view, estimate, best, best_delay
             elif runner is None or estimate < runner_delay:

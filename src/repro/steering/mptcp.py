@@ -74,8 +74,7 @@ class EcfSteerer(Steerer):
         for view in views:
             if not view.up:
                 continue
-            base = view.base_delay
-            delay = view.estimated_delivery_delay(size)
+            base, delay = view.delay_estimate(size)
             if fastest is None or base < fastest_base:
                 fastest, fastest_base, wait_for_fast = view, base, delay
             if best is None or delay < best_delay:

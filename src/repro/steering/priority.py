@@ -38,8 +38,8 @@ class MessagePrioritySteerer(Steerer):
     def choose(self, packet: Packet, views: Sequence[ChannelView], now: float) -> Sequence[int]:
         priority = packet.message_priority
         bulk = priority is not None and priority > self.cutoff
-        # One pass: the low-latency view (the first minimum of ``base_delay``,
-        # as ``min()`` picks) and, for bulk, the fastest and the next fastest.
+        # One pass, one read per view: the low-latency view (the first minimum
+        # of ``base_delay``) and, for bulk, the fastest and the next fastest.
         live = 0
         ll = hb = runner = None
         ll_delay, hb_rate, runner_rate = 0.0, -1.0, -1.0
@@ -50,15 +50,16 @@ class MessagePrioritySteerer(Steerer):
             if priority is None:
                 ll = view
                 continue
-            delay = view.base_delay
-            if ll is None or delay < ll_delay:
-                ll, ll_delay = view, delay
             if bulk:
-                rate = view.rate_bps
+                delay, rate = view.delay_rate()
                 if rate > hb_rate:
                     hb, hb_rate, runner, runner_rate = view, rate, hb, hb_rate
                 elif rate > runner_rate:
                     runner, runner_rate = view, rate
+            else:
+                delay = view.base_delay
+            if ll is None or delay < ll_delay:
+                ll, ll_delay = view, delay
         if live == 1:
             return (ll.index,)
         if not live:

@@ -28,5 +28,8 @@ it:
   re-sort-everything receiver and the probe-carving multipath send path —
   the references for the transport's incremental bodies;
 - :mod:`tests.oracles.fluid`: the fluid tick one tenant at a time — the
-  reference for the vectorized :mod:`repro.fleet.fluid` tick.
+  reference for the vectorized :mod:`repro.fleet.fluid` tick;
+- :mod:`tests.oracles.loss`: each loss model's stationary rate computed
+  from its parameters on every read — the reference for the
+  ``long_run_rate`` every model stores.
 """

@@ -3,8 +3,10 @@
 :class:`NaiveEventQueue` is a binary heap of :class:`OracleEvent` objects
 ordered through ``__lt__`` on ``(time, seq)``, with lazy cancellation and
 no compaction. :class:`NaiveSimulator` puts the kernel's public surface
-(``schedule``/``schedule_at``/``reschedule``/``cancel``/``run``/``stop``/
-``pending_events``) on top of it with one ``pop_next`` call per event.
+(``schedule``/``schedule_at``/``reschedule``/``cancel``/``post_at``/
+``run``/``stop``/``pending_events``) on top of it with one ``pop_next``
+call per event; a handle-free ``post_at`` is an ordinary event whose
+handle is dropped.
 Neither shares code with :mod:`repro.sim`, so a dispatch record that
 matches between the two is evidence, not a tautology.
 """
@@ -113,6 +115,9 @@ class NaiveSimulator:
         if event is not None:
             event.cancel()
         return self._queue.push(self.now + delay, callback, args)
+
+    def post_at(self, time: float, callback: Callable[..., Any], *args: Any) -> None:
+        self.schedule_at(time, callback, *args)
 
     def cancel(self, event: OracleEvent) -> None:
         event.cancel()

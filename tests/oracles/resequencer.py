@@ -1,8 +1,9 @@
 """The resequencer before it kept one record per flow.
 
 :class:`NaiveResequencer` holds its state in five parallel per-flow dicts
-and finds the next flush deadline with ``min()`` over every held packet —
-the reference for :class:`repro.net.resequencer.Resequencer`.
+and finds the next flush deadline with ``min()`` over every held packet,
+cancelling and re-filing its flush timer whenever it drains — the
+reference for :class:`repro.net.resequencer.Resequencer`.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ class NaiveResequencer:
         self.packets_held = 0
         self.timeout_flushes = 0
         self.timer_instants = []
+        #: Re-files of a pending flush timer whose deadline changed (or
+        #: that found nothing left to hold).
+        self.deadline_moves = 0
 
     def push(self, packet):
         if packet.shim_seq is None:
@@ -94,6 +98,8 @@ class NaiveResequencer:
         event = self._flush_events.pop(flow, None)
         if event is not None:
             self.sim.cancel(event)
+            if event.time != self._earliest_deadline(flow):
+                self.deadline_moves += 1
         self._schedule_flush(flow)
 
     def _earliest_deadline(self, flow):

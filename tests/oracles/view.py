@@ -86,6 +86,12 @@ class NaiveView:
             return float("inf")
         return (out.backlog_bytes + packet_bytes) * 8 / rate + delay
 
+    def delay_rate(self):
+        return self.base_delay, self.rate_bps
+
+    def delay_estimate(self, packet_bytes):
+        return self.base_delay, self.estimated_delivery_delay(packet_bytes)
+
     def steering_read(self, packet_bytes):
         out = self._out
         if self._static:

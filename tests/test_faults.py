@@ -1,6 +1,7 @@
 """Unit tests for repro.faults: schedules, the injector, recovery metrics."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.api import HvcNetwork
 from repro.errors import ScenarioError
@@ -12,8 +13,9 @@ from repro.faults import (
 )
 from repro.faults.schedule import Fault
 from repro.net.hvc import fixed_embb_spec, urllc_spec
-from repro.net.loss import BernoulliLoss
+from repro.net.loss import BernoulliLoss, GilbertElliottLoss, NoLoss
 from repro.units import kb
+from tests.oracles.loss import long_run_rate as reference_rate
 
 
 def make_net(steering="dchannel", seed=0, **kwargs):
@@ -89,6 +91,31 @@ class TestFaultSchedule:
 
 
 class TestFaultLossOverlay:
+    @given(
+        base=st.sampled_from(
+            [NoLoss(), BernoulliLoss(0.1), BernoulliLoss(0.0),
+             GilbertElliottLoss(0.05, 0.2, good_loss=0.01, bad_loss=0.5),
+             GilbertElliottLoss(0.0, 0.0, good_loss=0.3, bad_loss=0.9)]
+        ),
+        bursts=st.lists(
+            st.tuples(st.booleans(), st.sampled_from([0.0, 0.05, 0.4, 0.4, 0.999])),
+            max_size=12,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_stored_rate_equals_the_reference_across_push_and_pop(self, base, bursts):
+        """The stored rate is bit-identical to the old property body (the
+        base's rate included) after construction and every push/pop."""
+        overlay = FaultLossOverlay(base)
+        assert base.long_run_rate == reference_rate(base)
+        assert overlay.long_run_rate == reference_rate(overlay)
+        for push, probability in bursts:
+            if push:
+                overlay.push(probability)
+            elif probability in overlay.active:
+                overlay.pop(probability)
+            assert overlay.long_run_rate == reference_rate(overlay)
+
     def test_long_run_rate_combines(self):
         overlay = FaultLossOverlay(BernoulliLoss(0.1))
         overlay.push(0.5)

@@ -9,10 +9,19 @@ fields are now read-only properties — these tests fail on the old code
 (where the assignments succeeded and left the cache stale).
 """
 
+from dataclasses import astuple
+
 import pytest
 
+from repro.core.api import HvcNetwork
+from repro.net.hvc import fixed_embb_spec, urllc_spec
+from repro.net.loss import BernoulliLoss
 from repro.net.packet import Packet, PacketType
-from repro.units import DEFAULT_HEADER_BYTES
+from repro.transport.connection import Connection
+from repro.transport.endpoint import MAX_SACK_RANGES
+from repro.transport.multipath import MultipathConnection
+from repro.transport.scoreboard import Segment
+from repro.units import DEFAULT_HEADER_BYTES, kb
 
 
 class TestPacketConstructionContract:
@@ -90,3 +99,100 @@ class TestPacketConstructionContract:
             else:
                 expected = getattr(original, slot)
             assert getattr(clone, slot) == expected, slot
+
+
+# ----------------------------------------------------------------------
+# The transport's per-packet records are built positionally; each must
+# carry what the keyword construction it replaced carried.
+# ----------------------------------------------------------------------
+class KeywordRecords:
+    """The keyword bodies of ``_carve_segment``, ``_data_packet`` and the
+    ACK built in ``_on_data``."""
+
+    def _carve_segment(self, message, size, key):
+        seq = self._snd_nxt
+        end_seq = self._snd_nxt = seq + size
+        segment = Segment(
+            seq, end_seq, self.sim.now, self._total_delivered,
+            message_id=message.message_id, message_priority=message.priority,
+            message_last=end_seq == message.end, message_start=message.start,
+            message_size=message.end - message.start,
+        )
+        self._sb.append(segment, key)
+        return segment
+
+    def _data_packet(self, segment, retransmission, channel_hint=None):
+        return Packet(
+            self.flow_id, PacketType.DATA, segment.end_seq - segment.seq,
+            seq=segment.seq, end_seq=segment.end_seq,
+            is_retransmission=retransmission, segment=segment,
+            message_id=segment.message_id, message_priority=segment.message_priority,
+            message_last=segment.message_last, message_start=segment.message_start,
+            flow_priority=self.flow_priority, channel_hint=channel_hint,
+            created_at=self.sim.now,
+        )
+
+    def _on_data(self, packet):
+        self._established = True
+        self.stats.bytes_received += packet.payload_bytes
+        self._receive(packet)
+        ranges = self._ooo_ranges if self.sack_enabled else ()
+        self.device.send(
+            Packet(
+                self.flow_id, PacketType.ACK, self.ack_bytes,
+                ack_seq=self._rcv_nxt, sack=tuple(ranges[-MAX_SACK_RANGES:]) if ranges else (),
+                seq=packet.seq, message_id=packet.message_id,
+                message_priority=packet.message_priority,
+                flow_priority=self.flow_priority, channel_hint=self._ack_channel(packet),
+                created_at=self.sim.now,
+            )
+        )
+
+
+class KeywordConnection(KeywordRecords, Connection):
+    pass
+
+
+class KeywordMultipath(KeywordRecords, MultipathConnection):
+    pass
+
+
+def sent_records(cls, extra):
+    """Every packet both devices send while ``cls`` moves three tagged
+    messages over a lossy two-channel network: each slot but ``packet_id``,
+    and the segment's fields as they were at send time."""
+    net = HvcNetwork([fixed_embb_spec(), urllc_spec()], steering="dchannel", seed=4)
+    net.channels[0].uplink.loss = BernoulliLoss(0.02)  # retransmissions, SACK ranges
+    record = []
+    for device in (net.client, net.server):
+        def send(packet, device_send=device.send):
+            segment = packet.segment
+            record.append((
+                tuple(getattr(packet, name) for name in SLOTS),
+                None if segment is None else astuple(segment),
+            ))
+            return device_send(packet)
+        device.send = send
+    sender = cls(net.sim, net.client, 1, flow_priority=1, **extra)
+    cls(net.sim, net.server, 1, flow_priority=1, **extra)
+    for message_id, priority in ((1, 0), (2, 2), (3, None)):
+        sender.send_message(kb(150), message_id=message_id, priority=priority)
+    net.run(until=1.0)
+    return record
+
+
+SLOTS = [name for name in Packet.__slots__ if name not in ("packet_id", "segment")]
+
+
+@pytest.mark.parametrize(
+    "cls, twin, extra",
+    [(Connection, KeywordConnection, {"ack_bytes": 12}),
+     (MultipathConnection, KeywordMultipath, {})],
+    ids=["connection", "multipath"],
+)
+def test_positional_records_equal_the_keyword_ones(cls, twin, extra):
+    shipped = sent_records(cls, extra)
+    assert len(shipped) > 500
+    assert any(slots[SLOTS.index("is_retransmission")] for slots, _ in shipped)
+    assert any(slots[SLOTS.index("sack")] for slots, _ in shipped)
+    assert sent_records(twin, extra) == shipped

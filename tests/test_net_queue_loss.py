@@ -3,10 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.net.loss import BernoulliLoss, GilbertElliottLoss, NoLoss
 from repro.net.packet import Packet, PacketType
 from repro.net.queue import DropTailQueue, PriorityDropTailQueue
+from tests.oracles.loss import long_run_rate as reference_rate
 
 
 def pkt(payload=960, ptype=PacketType.DATA):
@@ -109,6 +111,23 @@ class TestLossModels:
         expected = model.long_run_rate
         assert expected == pytest.approx(0.05 / 0.25 * 0.5)
         assert abs(drops / n - expected) < 0.02
+
+    @given(
+        g2b=st.sampled_from([0.0, 0.01, 0.05, 0.3, 1.0]),
+        b2g=st.sampled_from([0.0, 0.1, 0.2, 1.0]),
+        good=st.sampled_from([0.0, 0.01, 0.3]),
+        bad=st.sampled_from([0.0, 0.5, 0.8, 1.0]),
+        probability=st.sampled_from([0.0, 0.1, 0.2, 0.999]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_stored_rate_equals_the_reference(self, g2b, b2g, good, bad, probability):
+        """``long_run_rate`` is stored at construction, bit-identical to
+        the property body that computed it on every read."""
+        models = [NoLoss(), BernoulliLoss(probability)]
+        if not (b2g == 0.0 and g2b > 0.0):  # else: absorbing, rejected
+            models.append(GilbertElliottLoss(g2b, b2g, good_loss=good, bad_loss=bad))
+        for model in models:
+            assert model.long_run_rate == reference_rate(model)
 
     def test_gilbert_elliott_is_bursty(self):
         """Losses cluster: consecutive-loss probability beats independence."""

@@ -16,14 +16,20 @@ against; it keeps its name (and its test ids) now that the wheel is gone.
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import SimulationError
 from repro.sim.events import COMPACT_MIN_DEAD
 from repro.sim.kernel import Simulator
 from tests.oracles.event_queue import NaiveSimulator
 
 
 def _noop():
+    return None
+
+
+def _noop_arg(_):
     return None
 
 
@@ -253,6 +259,136 @@ class TestSimulatorLoopEquivalence:
         whole = _dispatch_record(actions, Simulator, _drain)
         fired = [entry for entry in chunked if isinstance(entry[1], int)]
         assert fired == [entry for entry in whole if isinstance(entry[1], int)]
+
+
+# Handle-free filings beside handled ones: each op files at the top level
+# or runs the kernel; a "link" filing is a chain of handle-free events (as a
+# link's departure files its successor and a delivery) that cancels a
+# handled event mid-run.
+_mixed_delays = st.one_of(
+    st.just(0.0),
+    st.sampled_from([1e-3, 2e-3]),
+    st.floats(min_value=0.0, max_value=0.01),
+    st.floats(min_value=0.0, max_value=3.0),
+)
+_mixed_ops = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["schedule", "post_at", "link"]), _mixed_delays),
+        st.tuples(st.sampled_from(["cancel", "reschedule"]), st.integers(0, 10**6)),
+        st.tuples(
+            st.just("run"),
+            st.tuples(
+                st.one_of(st.none(), st.floats(min_value=0.0, max_value=2.0)),
+                st.one_of(st.none(), st.integers(min_value=1, max_value=6)),
+            ),
+        ),
+        st.tuples(st.just("stop"), _mixed_delays),
+    ),
+    min_size=1,
+    max_size=150,
+)
+
+
+def _mixed_workload(sim, ops):
+    """Apply ``ops`` to ``sim``; the dispatch record plus the clock,
+    ``events_processed`` and ``pending_events`` after every run call."""
+    handles = []
+    record = []
+    labels = iter(range(10**9))
+
+    def fire(label):
+        record.append((sim.now, label))
+
+    def hop(args):
+        label, left, victim = args
+        record.append((sim.now, label))
+        if victim is not None and handles:
+            handles[victim % len(handles)].cancel()
+        if left:
+            sim.post_at(sim.now + 1e-3 * left, hop, (next(labels), left - 1, None))
+            sim.post_at(sim.now + 2e-3, fire, next(labels))
+
+    for kind, payload in ops:
+        if kind == "schedule":
+            handles.append(sim.schedule(payload, fire, next(labels)))
+        elif kind == "post_at":
+            sim.post_at(sim.now + payload, fire, next(labels))
+        elif kind == "link":
+            sim.post_at(sim.now + payload, hop, (next(labels), 3, len(handles)))
+        elif kind == "cancel" and handles:
+            sim.cancel(handles[payload % len(handles)])
+        elif kind == "reschedule" and handles:
+            old = handles[payload % len(handles)]
+            handles.append(sim.reschedule(old, 0.5, fire, next(labels)))
+        elif kind == "stop":
+            sim.post_at(sim.now + payload, lambda _: sim.stop(), None)
+        elif kind == "run":
+            until, max_events = payload
+            sim.run(until=None if until is None else sim.now + until, max_events=max_events)
+            record.append(("run", sim.now, sim.events_processed, sim.pending_events))
+    for _ in range(50):  # bounded: a miscounted pending set fails, not hangs
+        if not sim.pending_events:
+            break
+        sim.run()
+        record.append(("end", sim.now, sim.events_processed, sim.pending_events))
+    return record
+
+
+class TestHandleFreeEntries:
+    """``post_at`` files plain heap entries; mixed with handled
+    events they dispatch exactly as the naive queue's ordinary events."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_mixed_ops)
+    def test_mixed_filings_match_the_naive_queue(self, ops):
+        assert _mixed_workload(Simulator(), ops) == _mixed_workload(NaiveSimulator(), ops)
+
+    def test_post_at_checks_the_clock(self):
+        sim = Simulator()
+        sim.run(until=1.0)
+        with pytest.raises(SimulationError):
+            sim.post_at(1.0 - 1e-9, _noop_arg, None)
+        with pytest.raises(SimulationError):
+            sim.schedule(-1e-9, _noop)
+        assert sim.pending_events == 0 and not sim._heap
+
+    def test_hook_sees_handle_free_entries_before_the_clock_moves(self):
+        sim = Simulator()
+        seen = []
+        sim.attach_invariant_hook(lambda now, time: seen.append((now, time, sim.now)))
+        sim.post_at(0.5, _noop_arg, None)
+        sim.schedule(0.25, _noop)
+        sim.post_at(1.0, _noop_arg, None)
+        sim.run()
+        assert seen == [(0.0, 0.25, 0.0), (0.25, 0.5, 0.25), (0.5, 1.0, 0.5)]
+
+    def test_until_refiles_a_handle_free_entry_with_its_seq(self):
+        sim = Simulator()
+        fired = []
+        sim.post_at(2.0, fired.append, "a")
+        sim.schedule(2.0, fired.append, "b")
+        sim.post_at(2.0, fired.append, "c")
+        sim.run(until=1.0)
+        assert sim.now == 1.0 and sim.pending_events == 3
+        sim.post_at(2.0, fired.append, "d")  # same instant, filed later
+        sim.run()
+        assert fired == ["a", "b", "c", "d"]
+
+    def test_compaction_keeps_every_handle_free_entry(self):
+        sim, naive = Simulator(), NaiveSimulator()
+        fired = {id(sim): [], id(naive): []}
+        for s in (sim, naive):
+            doomed = [s.schedule(0.5 + i * 1e-3, _noop) for i in range(3 * COMPACT_MIN_DEAD)]
+            for i in range(2 * COMPACT_MIN_DEAD):
+                s.post_at(i * 1e-3, fired[id(s)].append, i)
+            for event in doomed:
+                event.cancel()
+        assert sim._dead < COMPACT_MIN_DEAD  # compacted along the way
+        assert sim.pending_events == naive.pending_events == 2 * COMPACT_MIN_DEAD
+        sim.run()
+        naive.run()
+        assert fired[id(sim)] == fired[id(naive)] == list(range(2 * COMPACT_MIN_DEAD))
+        assert sim.events_processed == naive.events_processed
 
 
 class TestCompaction:

@@ -62,6 +62,12 @@ class FakeView:
     def estimated_delivery_delay(self, packet_bytes):
         return self.queueing_delay(packet_bytes) + self.base_delay
 
+    def delay_rate(self):
+        return self.base_delay, self.rate_bps
+
+    def delay_estimate(self, packet_bytes):
+        return self.base_delay, self.estimated_delivery_delay(packet_bytes)
+
     def steering_read(self, packet_bytes):
         """The fused read of the view duck type, from the accessors above."""
         return (
