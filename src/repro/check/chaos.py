@@ -58,7 +58,6 @@ STEERINGS = (
 #: Congestion controllers drawn for reliable flows.
 CCAS = (
     "reno", "cubic", "bbr", "bbr2", "bbr2+", "copa", "vegas", "vivace",
-    "req-latency", "req-throughput", "req-deadline", "req-background",
     "hvc-reno", "hvc-cubic", "hvc-bbr", "hvc-bbr2+",
 )
 

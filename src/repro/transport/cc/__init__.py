@@ -17,7 +17,6 @@ from repro.transport.cc.cubic import Cubic
 from repro.transport.cc.bbr import Bbr
 from repro.transport.cc.bbr2 import Bbr2
 from repro.transport.cc.copa import Copa
-from repro.transport.cc.requirement import RequirementCC, requirement_cc_kwargs
 from repro.transport.cc.vegas import Vegas
 from repro.transport.cc.vivace import Vivace
 from repro.transport.cc.hvc_aware import HvcAware
@@ -25,13 +24,6 @@ from repro.transport.cc.hvc_aware import HvcAware
 
 def _bbr2_plus(mss: int = 1460, **kwargs) -> Bbr2:
     return Bbr2(mss=mss, delay_aware=True, **kwargs)
-
-
-def _req(class_name: str) -> Callable[..., CongestionControl]:
-    def factory(mss: int = 1460, **kwargs) -> RequirementCC:
-        return RequirementCC(class_name, mss=mss, **kwargs)
-
-    return factory
 
 
 _REGISTRY: Dict[str, Callable[..., CongestionControl]] = {
@@ -43,10 +35,6 @@ _REGISTRY: Dict[str, Callable[..., CongestionControl]] = {
     "copa": Copa,
     "vegas": Vegas,
     "vivace": Vivace,
-    "req-latency": _req("latency"),
-    "req-throughput": _req("throughput"),
-    "req-deadline": _req("deadline"),
-    "req-background": _req("background"),
 }
 
 
@@ -88,8 +76,6 @@ __all__ = [
     "Copa",
     "Vegas",
     "Vivace",
-    "RequirementCC",
-    "requirement_cc_kwargs",
     "HvcAware",
     "make_cc",
     "list_ccs",

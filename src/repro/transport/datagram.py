@@ -16,7 +16,7 @@ from repro.errors import TransportError
 from repro.net.node import Device
 from repro.net.packet import Packet, PacketType
 from repro.sim.kernel import Simulator
-from repro.units import DEFAULT_MSS
+from repro.units import DEFAULT_HEADER_BYTES, DEFAULT_MSS
 
 
 @dataclass(slots=True)
@@ -127,19 +127,13 @@ class DatagramSocket:
         while offset < size_bytes:
             left = size_bytes - offset
             payload = left if left < self.mtu_payload else self.mtu_payload
+            # Positional, as in :meth:`repro.transport.endpoint.Endpoint._data_packet`.
             self.device.send(
                 Packet(
-                    self.flow_id,
-                    PacketType.DATAGRAM,
-                    payload,
-                    seq=offset,
-                    end_seq=offset + payload,
-                    message_id=message_id,
-                    message_priority=priority,
-                    message_last=payload == left,
-                    message_start=0,
-                    flow_priority=self.flow_priority,
-                    created_at=self.sim.now,
+                    self.flow_id, PacketType.DATAGRAM, payload, DEFAULT_HEADER_BYTES,
+                    offset, offset + payload, 0, (), False, None,
+                    message_id, priority, payload == left, 0,
+                    self.flow_priority, None, None, 1, None, self.sim.now, None,
                 )
             )
             self.stats.packets_sent += 1

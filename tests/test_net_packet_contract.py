@@ -18,6 +18,7 @@ from repro.net.hvc import fixed_embb_spec, urllc_spec
 from repro.net.loss import BernoulliLoss
 from repro.net.packet import Packet, PacketType
 from repro.transport.connection import Connection
+from repro.transport.datagram import DatagramSocket
 from repro.transport.endpoint import MAX_SACK_RANGES
 from repro.transport.multipath import MultipathConnection
 from repro.transport.scoreboard import Segment
@@ -103,7 +104,8 @@ class TestPacketConstructionContract:
 
 # ----------------------------------------------------------------------
 # The transport's per-packet records are built positionally; each must
-# carry what the keyword construction it replaced carried.
+# carry what the keyword construction it replaced carried. (The datagram
+# socket's are at the end of the file.)
 # ----------------------------------------------------------------------
 class KeywordRecords:
     """The keyword bodies of ``_carve_segment``, ``_data_packet`` and the
@@ -196,3 +198,58 @@ def test_positional_records_equal_the_keyword_ones(cls, twin, extra):
     assert any(slots[SLOTS.index("is_retransmission")] for slots, _ in shipped)
     assert any(slots[SLOTS.index("sack")] for slots, _ in shipped)
     assert sent_records(twin, extra) == shipped
+
+
+class KeywordDatagram(DatagramSocket):
+    """``DatagramSocket.send_message``'s keyword construction of each packet
+    (no blackout path: the network below never loses a channel)."""
+
+    def send_message(self, size_bytes, message_id, priority=None):
+        offset = 0
+        while offset < size_bytes:
+            left = size_bytes - offset
+            payload = left if left < self.mtu_payload else self.mtu_payload
+            self.device.send(
+                Packet(
+                    self.flow_id, PacketType.DATAGRAM, payload,
+                    seq=offset, end_seq=offset + payload,
+                    message_id=message_id, message_priority=priority,
+                    message_last=payload == left, message_start=0,
+                    flow_priority=self.flow_priority, created_at=self.sim.now,
+                )
+            )
+            self.stats.packets_sent += 1
+            self.stats.bytes_sent += payload
+            offset += payload
+        self.stats.messages_sent += 1
+
+
+def datagram_records(cls):
+    """Every slot but ``packet_id`` of each packet a ``cls`` sender offers,
+    plus what the receiving socket reassembled, over a Fig. 2-style
+    priority-steered channel pair."""
+    net = HvcNetwork([fixed_embb_spec(), urllc_spec()], steering="priority", seed=4)
+    record = []
+
+    def send(packet, device_send=net.client.send):
+        record.append(tuple(getattr(packet, name) for name in SLOTS))
+        return device_send(packet)
+
+    net.client.send = send
+    sender = cls(net.sim, net.client, 9, flow_priority=2)
+    received = []
+    DatagramSocket(net.sim, net.server, 9, on_message=received.append)
+    for message_id, (size, priority) in enumerate(
+        ((4_000, 0), (1_460, 2), (20_001, None), (1, 1)), start=1
+    ):
+        net.sim.schedule(0.01 * message_id, sender.send_message, size, message_id, priority)
+    net.run(until=1.0)
+    return record, [(m.message_id, m.priority, m.bytes_received) for m in received]
+
+
+def test_positional_datagrams_equal_the_keyword_ones():
+    shipped, received = datagram_records(DatagramSocket)
+    assert len(shipped) == 3 + 1 + 14 + 1
+    assert sum(slots[SLOTS.index("message_last")] for slots in shipped) == 4
+    assert len(received) == 4
+    assert datagram_records(KeywordDatagram) == (shipped, received)

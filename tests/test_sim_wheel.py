@@ -201,15 +201,34 @@ def _dispatch_record(actions, make_sim, run):
     sim = make_sim()
     script = _Script(sim, actions)
     script.seed()
-    run(sim, script.record)
+    run(sim, script)
     return script.record
 
 
-def _drain(sim, record):
-    """Run to empty, restarting after every ``stop()``."""
+#: Run calls a resume loop may make beyond one per filed event. Each call
+#: dispatches an event or honours a ``stop()``, so only a miscounted
+#: pending set (``pending_events`` non-zero with nothing left to
+#: dispatch) can pass the bound: it fails the test instead of hanging it.
+RESUME_MARGIN = 8
+
+
+def _resume_until_empty(sim, script, tag, **run_kwargs):
+    """``sim.run(**run_kwargs)`` until nothing is pending, recording each call."""
+    calls = 0
     while sim.pending_events:
-        sim.run()
-        record.append(("run", sim.now, sim.pending_events))
+        calls += 1
+        if calls > script.label + RESUME_MARGIN:
+            pytest.fail(
+                f"{calls} run calls for {script.label} filed events, "
+                f"{sim.pending_events} still pending: the pending count is off"
+            )
+        sim.run(**run_kwargs)
+        script.record.append((tag, sim.now, sim.pending_events))
+
+
+def _drain(sim, script):
+    """Run to empty, restarting after every ``stop()``."""
+    _resume_until_empty(sim, script, "run")
 
 
 class TestSimulatorLoopEquivalence:
@@ -231,10 +250,8 @@ class TestSimulatorLoopEquivalence:
     def test_batch_equivalence_tiny_horizon(self, actions, budget):
         """``run(max_events=N)`` slices, resumed until empty."""
 
-        def sliced(sim, record):
-            while sim.pending_events:
-                sim.run(max_events=budget)
-                record.append(("slice", sim.now, sim.pending_events))
+        def sliced(sim, script):
+            _resume_until_empty(sim, script, "slice", max_events=budget)
 
         fast = _dispatch_record(actions, Simulator, sliced)
         naive = _dispatch_record(actions, NaiveSimulator, sliced)
@@ -246,13 +263,13 @@ class TestSimulatorLoopEquivalence:
         """Repeated run(until=...) epochs agree with the naive loop's epochs
         and dispatch what one full drain does."""
 
-        def run_epochs(sim, record):
+        def run_epochs(sim, script):
             until = epoch
             for _ in range(30):
                 sim.run(until=until)
-                record.append(("epoch", sim.now, sim.pending_events))
+                script.record.append(("epoch", sim.now, sim.pending_events))
                 until += epoch
-            _drain(sim, record)
+            _drain(sim, script)
 
         chunked = _dispatch_record(actions, Simulator, run_epochs)
         assert chunked == _dispatch_record(actions, NaiveSimulator, run_epochs)

@@ -1,11 +1,10 @@
-"""Requirement-class steering: operator pins and the requirement CCs.
+"""Requirement-class steering: operator pins.
 
 The empty-preferred-set guard exists because an empty pin used to fall
 through ranking and silently land the class on channel 0 — the exact
 URLLC-squatting misconfiguration §3.3 measures. These tests pin the
 validated error (with the class name in the message) at every entry
-point that accepts pins, plus the requirement-class congestion
-controllers' registry wiring and per-class manners.
+point that accepts pins.
 """
 
 import pytest
@@ -13,16 +12,11 @@ import pytest
 from repro.errors import SteeringError
 from repro.steering.requirements import (
     ChannelTraits,
-    REQUIREMENT_CLASSES,
     RequirementPinnedSteerer,
     assignment_table,
     requirement_class,
     validate_preferred_channels,
 )
-from repro.transport.cc import make_cc, list_ccs
-from repro.transport.cc.base import AckSample
-from repro.transport.cc.requirement import RequirementCC, requirement_cc_kwargs
-from repro.transport.intents import FLOW_PRIORITIES
 from repro.units import mbps, ms
 
 from tests.test_steering import data_pkt, embb, urllc
@@ -87,62 +81,3 @@ class TestChoiceWithPins:
             preferred_channels={"latency": (0,)},
         )
         assert steerer.choose(data_pkt(), [embb(), urllc()], 0.0) == (0,)
-
-
-class TestRequirementCcRegistry:
-    def test_all_classes_registered(self):
-        names = list_ccs()
-        for cls in REQUIREMENT_CLASSES:
-            assert f"req-{cls}" in names
-
-    def test_unknown_class_rejected(self):
-        with pytest.raises(SteeringError):
-            RequirementCC("best-effort")
-
-    def test_kwargs_map_intent_priority(self):
-        for cls, rclass in REQUIREMENT_CLASSES.items():
-            kwargs = requirement_cc_kwargs(cls)
-            assert kwargs["flow_priority"] == FLOW_PRIORITIES[rclass.intent_category]
-            assert kwargs["cc"].class_name == cls
-
-    def test_factory_builds_requirement_cc(self):
-        cc = make_cc("req-background")
-        assert isinstance(cc, RequirementCC)
-        assert cc.class_name == "background"
-
-
-class TestRequirementCcManners:
-    def _prime(self, cc, rtt=0.05, rate_bps=8_000_000.0, acks=20):
-        now, total = 0.0, 0
-        for _ in range(acks):
-            now += rtt
-            total += cc.mss
-            cc.on_ack(AckSample(
-                now=now, rtt=rtt, newly_acked=cc.mss, in_flight=10 * cc.mss,
-                delivery_rate=rate_bps, total_delivered=total,
-            ))
-        return now
-
-    def test_latency_class_holds_cwnd_near_budgeted_bdp(self):
-        cc = RequirementCC("latency")
-        self._prime(cc)
-        bw = 8_000_000.0 / 8.0
-        assert cc.cwnd_bytes <= bw * (0.05 + 0.005) + 2 * cc.mss
-
-    def test_background_backs_off_harder_than_deadline(self):
-        outcomes = {}
-        for cls in ("deadline", "background"):
-            cc = RequirementCC(cls)
-            now = self._prime(cc)
-            before = cc.cwnd_bytes
-            cc.on_loss(now, in_flight=int(before))
-            outcomes[cls] = cc.cwnd_bytes / before
-        assert outcomes["background"] < outcomes["deadline"]
-
-    def test_cwnd_never_collapses_below_floor(self):
-        cc = RequirementCC("background")
-        now = self._prime(cc)
-        for i in range(10):
-            cc.on_loss(now + i, in_flight=int(cc.cwnd_bytes))
-            cc.on_timeout(now + i + 0.5)
-        assert cc.cwnd_bytes >= 2 * cc.mss
