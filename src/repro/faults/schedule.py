@@ -29,6 +29,8 @@ experiments.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
@@ -40,6 +42,16 @@ from repro.errors import ScenarioError
 
 #: Valid fault kinds.
 KINDS = ("outage", "blackout", "loss_burst", "rtt_spike", "capacity")
+
+
+def _finite_number(value) -> bool:
+    """A finite real that is not a ``bool`` (``True`` would run as 1)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 @dataclass(frozen=True, order=True)
@@ -57,6 +69,12 @@ class Fault:
             raise ScenarioError(
                 f"unknown fault kind {self.kind!r}; known: {', '.join(KINDS)}"
             )
+        if not isinstance(self.channel, str):
+            raise ScenarioError(f"fault channel must be a name, got {self.channel!r}")
+        for name in ("start", "duration", "severity"):
+            value = getattr(self, name)
+            if not _finite_number(value):
+                raise ScenarioError(f"fault {name} must be a finite number, got {value!r}")
         if self.start < 0:
             raise ScenarioError(f"fault start must be >= 0, got {self.start}")
         if self.duration <= 0:
@@ -189,7 +207,7 @@ class FaultSchedule:
                 Fault(r["start"], r["channel"], r["kind"], r["duration"], r["severity"])
                 for r in rows
             ]
-        except (ValueError, TypeError, KeyError) as exc:
+        except (ValueError, TypeError, KeyError, RecursionError) as exc:
             raise ScenarioError(f"malformed fault-schedule JSON: {exc}") from exc
         return cls(faults)
 

@@ -358,8 +358,6 @@ class FluidBackground:
         fg_arr = np.asarray(fg)
         safe_caps = np.where(caps_arr > 0, caps_arr, 1.0)
         load = np.where(caps_arr > 0, (sums + fg_arr) / safe_caps, np.inf)
-        counts = np.bincount(c, minlength=nch).astype(np.float64)
-        counts = np.maximum(counts, 1.0)
         # 4. The ODE update. Every coefficient depends only on the
         # tenant's (channel, kind), so it is computed once per combo
         # (same operations, same order) and gathered per live tenant. A
@@ -372,9 +370,6 @@ class FluidBackground:
         dec = overload > 0
         decay = np.exp(-self._kind_beta * np.minimum(overload, MAX_OVERLOAD) * dt / rtt)
         mult = np.where(dec, decay, 1.0).ravel()
-        share = (caps_arr[:, None] * target / counts[:, None]).ravel()
-        ss_below = np.where(dec.ravel(), -np.inf, 0.5 * share)
-        add = np.where(dec, 0.0, self._kind_gain * MSS_BITS * dt / (rtt * rtt)).ravel()
         # ``rate`` and ``remaining`` are updated in place (in the slots
         # while all are live) with ``tmp`` holding each operand: fresh
         # temporaries would be page-faulted in again every tick. (``take``
@@ -382,10 +377,17 @@ class FluidBackground:
         combo = self._slot_combo[sel]
         tmp = mult.take(combo)
         rate *= tmp
-        ss = np.flatnonzero(rate < ss_below.take(combo, out=tmp, mode="clip"))
-        ss_rate = np.minimum(rate[ss] * (2.0 ** (dt / rtt_arr))[c[ss]], share[combo[ss]])
-        rate += add.take(combo, out=tmp, mode="clip")
-        rate[ss] = ss_rate
+        if not dec.all():
+            # Some combo grows. When every one decays, the slow-start
+            # compare against -inf and the add of 0.0 change nothing.
+            counts = np.maximum(np.bincount(c, minlength=nch), 1.0)
+            share = (caps_arr[:, None] * target / counts[:, None]).ravel()
+            ss_below = np.where(dec.ravel(), -np.inf, 0.5 * share)
+            add = np.where(dec, 0.0, self._kind_gain * MSS_BITS * dt / (rtt * rtt)).ravel()
+            ss = np.flatnonzero(rate < ss_below.take(combo, out=tmp, mode="clip"))
+            ss_rate = np.minimum(rate[ss] * (2.0 ** (dt / rtt_arr))[c[ss]], share[combo[ss]])
+            rate += add.take(combo, out=tmp, mode="clip")
+            rate[ss] = ss_rate
         remaining = self._slot_remaining[sel]
         # At most what is left to send this tick, but never below
         # MIN_RATE_BPS (the floor wins), and at most the channel capacity.

@@ -8,16 +8,28 @@ fluid stepper it becomes rate ODEs; handed to the packet-level world it
 becomes real connections — which is what makes the hybrid-vs-packet
 validation an apples-to-apples comparison.
 
-Generation is pure ``random.Random`` (not numpy), so a population is a
-function of its spec alone: identical across numpy versions and across
-shard processes.
+A population is a function of its spec alone: it holds exactly what a
+loop over tenants would draw from ``random.Random(seed)`` — per tenant
+an arrival, a lognormal size (``normalvariate``), a class and a CCA, in
+that order, then a stable sort by arrival — drawn in bulk with numpy.
+Three things keep it identical across Python and numpy versions and
+across shard processes:
+
+* the uniforms are that ``Random``'s own MT19937 outputs (one
+  ``getrandbits`` call per block), joined into doubles by the 53-bit rule
+  of ``random.random()``; no numpy generator is involved;
+* ``normalvariate``'s Kinderman–Monahan acceptance test is evaluated with
+  the same IEEE operations, a draw whose two sides are within 1e-12
+  relative is re-decided with ``math.log``, and sizes go through
+  ``math.exp``, so numpy's ``log``/``exp`` rounding never decides a value;
+* ``tests/test_fleet.py`` holds the result to that per-tenant loop
+  (``tests/oracles/population.py``) list for list, on both CI Pythons.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -39,6 +51,11 @@ DEFAULT_CCA_MIX: Dict[str, float] = {
     "bbr": 0.25,
     "vegas": 0.25,
 }
+
+#: Uniform draws read from the stream at a time: enough that numpy's
+#: per-call cost vanishes, few enough that a block's temporaries stay far
+#: below the fluid tick's high-water mark.
+_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -101,31 +118,91 @@ class TenantPopulation:
 
     @classmethod
     def generate(cls, spec: PopulationSpec) -> "TenantPopulation":
+        # numpy is imported here, not at module level: importing the
+        # package must reach fluid.py, whose import error names the fix.
+        import numpy as np
+
         spec.validate()
+        n = spec.tenants
         rng = random.Random(spec.seed)
-        rand, normal = rng.random, rng.normalvariate
         # Lognormal with the requested mean: mu = ln(mean) - sigma^2/2;
         # exp(normalvariate) is exactly what Random.lognormvariate returns.
         mu = math.log(spec.mean_size) - spec.sigma * spec.sigma / 2.0
-        sigma, lo, hi = spec.sigma, spec.min_size, spec.max_size
         class_bounds, class_names = _cumulative(spec.class_mix)
         cca_bounds, cca_names = _cumulative(spec.cca_mix)
+        class_bounds, cca_bounds = np.asarray(class_bounds), np.asarray(cca_bounds)
         class_total, cca_total = class_bounds[-2], cca_bounds[-2]  # last finite bounds
-        window = spec.duration * spec.arrival_span
-        arrivals, sizes, classes, ccas = [], [], [], []
-        # Four draws per tenant, in this order: arrival, size, class, CCA.
-        for _ in range(spec.tenants):
-            arrivals.append(rand() * window)
-            sizes.append(max(lo, min(hi, int(math.exp(normal(mu, sigma))))))
-            classes.append(class_names[bisect_right(class_bounds, rand() * class_total)])
-            ccas.append(cca_names[bisect_right(cca_bounds, rand() * cca_total)])
-        order = sorted(range(spec.tenants), key=arrivals.__getitem__)
+        arrivals = np.empty(n)
+        sizes = np.empty(n)
+        classes = np.empty(n, dtype=np.intp)
+        ccas = np.empty(n, dtype=np.intp)
+        # A tenant starting at stream position s draws its arrival at s,
+        # then normalvariate attempts (u1, 1 - u2) at s+1, s+3, ... until
+        # one at position a is accepted, then its class at a+2 and its CCA
+        # at a+3; the next tenant starts at a+4.
+        done, buf = 0, np.empty(0)
+        while done < n:
+            # The next _BLOCK values of rng.random(), which joins two
+            # 32-bit MT19937 outputs into a double: one getrandbits call
+            # returns the next 2 * _BLOCK outputs, the first in its low bits.
+            bits = rng.getrandbits(64 * _BLOCK).to_bytes(8 * _BLOCK, "little")
+            words = np.frombuffer(bits, dtype="<u4")
+            fresh = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) / 2.0**53
+            buf = np.concatenate((buf, fresh))
+            size = buf.size
+            # The attempt at every position p < size - 1, as normalvariate
+            # computes it.
+            u2 = 1.0 - buf[1:]
+            z = random.NV_MAGICCONST * (buf[:-1] - 0.5) / u2
+            zz = z * z / 4.0
+            bound = -np.log(u2)
+            accept = zz <= bound
+            for p in np.flatnonzero(abs(zz - bound) <= 1e-12 * bound).tolist():
+                accept[p] = zz[p] <= -math.log(u2[p])
+            # nxt[p]: the first accepted attempt at or after p with p's
+            # parity, or ``size`` if none.
+            nxt = np.where(accept, np.arange(size - 1), size)
+            for parity in (0, 1):
+                tail = nxt[parity::2][::-1]
+                np.minimum.accumulate(tail, out=tail)
+            # hop[s]: where the tenant after one starting at s starts, or
+            # ``size + 1`` (a fixed point) if the one at s is not whole in
+            # ``buf``. ``walk`` holds the first 2**k starts from position 0
+            # and ``hop`` then maps a start to the one 2**k tenants later,
+            # so each round doubles the walk.
+            hop = np.full(size + 2, size + 1, dtype=np.intp)
+            np.minimum(nxt[1:] + 4, size + 1, out=hop[: max(size - 2, 0)])
+            walk = np.zeros(1, dtype=np.intp)
+            while walk.size <= n - done and walk[-1] <= size:
+                walk = np.concatenate((walk, hop[walk]))
+                hop = hop[hop]
+            # The last start inside ``buf`` opens a tenant not whole in it.
+            whole = min(int(np.count_nonzero(walk <= size)) - 1, n - done)
+            # The tenant starting at walk[i] ends with the attempt accepted
+            # at walk[i + 1] - 4.
+            starts, at, s = walk[:whole], walk[1 : whole + 1] - 4, int(walk[whole])
+            end = done + at.size
+            arrivals[done:end] = buf[starts]
+            normal = mu + z[at] * spec.sigma
+            sizes[done:end] = np.fromiter(map(math.exp, normal.tolist()), float, at.size)
+            classes[done:end] = np.searchsorted(
+                class_bounds, buf[at + 2] * class_total, side="right"
+            )
+            ccas[done:end] = np.searchsorted(cca_bounds, buf[at + 3] * cca_total, side="right")
+            done, buf = end, buf[s:]
+        arrivals *= spec.duration * spec.arrival_span
+        # max(lo, min(hi, int(size))) for integer bounds and a positive size.
+        np.minimum(sizes, spec.max_size, out=sizes)
+        np.floor(sizes, out=sizes)
+        np.maximum(sizes, spec.min_size, out=sizes)
+        # Stable, as ``sorted()`` is: tied tenants keep their draw order.
+        order = np.argsort(arrivals, kind="stable")
         return cls(
             spec=spec,
-            arrivals=[arrivals[i] for i in order],
-            sizes=[sizes[i] for i in order],
-            classes=[classes[i] for i in order],
-            ccas=[ccas[i] for i in order],
+            arrivals=arrivals[order].tolist(),
+            sizes=sizes.astype(np.int64)[order].tolist(),
+            classes=np.asarray(class_names, dtype=object)[classes[order]].tolist(),
+            ccas=np.asarray(cca_names, dtype=object)[ccas[order]].tolist(),
         )
 
     def class_names(self) -> List[str]:

@@ -29,7 +29,14 @@ it:
   the references for the transport's incremental bodies;
 - :mod:`tests.oracles.fluid`: the fluid tick one tenant at a time — the
   reference for the vectorized :mod:`repro.fleet.fluid` tick;
+- :mod:`tests.oracles.population`: the tenant population drawn one
+  tenant at a time from ``random.Random`` — the reference for the bulk
+  draw in :meth:`repro.fleet.tenants.TenantPopulation.generate`;
 - :mod:`tests.oracles.loss`: each loss model's stationary rate computed
   from its parameters on every read — the reference for the
   ``long_run_rate`` every model stores.
 """
+
+from tests.oracles.population import generate_population
+
+__all__ = ["generate_population"]

@@ -54,6 +54,15 @@ class ScalarFluid:
         self.bytes_by_channel = [0.0] * channel_count
         self.bytes_by_cca = {name: 0.0 for name in FLUID_CCAS}
         self.bytes_by_class = {name: 0.0 for name in self.class_names}
+        #: Ticks in which every channel's load was past every kind's
+        #: target, so every tenant of any kind decayed; and ticks in which
+        #: some tenant took the slow-start or additive step instead.
+        self.top_target = max(
+            min(cls.load_target, cc["target"])
+            for cls in REQUIREMENT_CLASSES.values()
+            for cc in FLUID_CCAS.values()
+        )
+        self.saturated_ticks = self.growing_ticks = 0
 
     def channel_down(self, idx, now):
         for i in range(self.cursor):
@@ -103,6 +112,8 @@ class ScalarFluid:
             (sums[c] + fg[c]) / caps[c] if caps[c] > 0 else math.inf
             for c in range(nch)
         ]
+        self.saturated_ticks += min(load) > self.top_target
+        grew = False
         new_sums = [0.0] * nch
         for i in live:
             c = self.channel[i]
@@ -114,6 +125,7 @@ class ScalarFluid:
                     -self.beta[i] * min(overload, MAX_OVERLOAD) * dt / rtt
                 )
             else:
+                grew = True
                 share = caps[c] * self.target[i] / max(counts[c], 1)
                 if rate < 0.5 * share:
                     rate = min(rate * 2.0 ** (dt / rtt), share)
@@ -123,6 +135,7 @@ class ScalarFluid:
             rate = min(max(rate, MIN_RATE_BPS), cap, caps[c])
             self.rate[i] = rate
             new_sums[c] += rate
+        self.growing_ticks += grew
         scale = [
             min(1.0, MAX_BG_SHARE * caps[c] / new_sums[c]) if new_sums[c] > 0 else 1.0
             for c in range(nch)

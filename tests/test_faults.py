@@ -1,5 +1,7 @@
 """Unit tests for repro.faults: schedules, the injector, recovery metrics."""
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +13,7 @@ from repro.faults import (
     FaultSchedule,
     RecoveryTracker,
 )
-from repro.faults.schedule import Fault
+from repro.faults.schedule import KINDS, Fault
 from repro.net.hvc import fixed_embb_spec, urllc_spec
 from repro.net.loss import BernoulliLoss, GilbertElliottLoss, NoLoss
 from repro.units import kb
@@ -48,8 +50,92 @@ class TestFaultValidation:
         with pytest.raises(ScenarioError, match="severity"):
             Fault(0.0, "embb", "capacity", 1.0, severity).validate()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("start", float("nan")),
+            ("duration", float("nan")),
+            ("severity", float("nan")),
+            ("duration", float("inf")),
+            ("channel", 5),
+            ("channel", None),
+            ("start", True),
+            ("start", "1.0"),
+            ("duration", [1.0]),
+            ("severity", "0.1"),
+        ],
+    )
+    def test_non_numbers_and_non_finite_values_rejected(self, field, value):
+        row = {"start": 0.0, "channel": "embb", "kind": "rtt_spike",
+               "duration": 1.0, "severity": 0.1, field: value}
+        with pytest.raises(ScenarioError, match=field):
+            Fault(**row).validate()
+        text = json.dumps({"faults": [row]})
+        with pytest.raises(ScenarioError, match=field):
+            FaultSchedule.from_json(text)
+
+
+#: Values a fault field may hold in JSON: mostly plausible numbers, often
+#: something else entirely.
+JSON_FIELD = st.one_of(
+    st.floats(min_value=0.01, max_value=0.99),
+    st.floats(min_value=-5.0, max_value=50.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(min_value=-3, max_value=10**400),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+    st.lists(st.integers(), max_size=2),
+)
+PLAUSIBLE_ROW = st.fixed_dictionaries(
+    {
+        "start": st.floats(min_value=0.0, max_value=50.0),
+        "channel": st.sampled_from(["embb", "urllc"]),
+        "kind": st.sampled_from(KINDS),
+        "duration": st.floats(min_value=0.01, max_value=10.0),
+        "severity": st.floats(min_value=0.01, max_value=0.99),
+    },
+)
+#: A plausible row, one field of it replaced, or every field drawn wild.
+JSON_ROW = st.one_of(
+    PLAUSIBLE_ROW,
+    st.builds(
+        lambda row, field, value: {**row, field: value},
+        PLAUSIBLE_ROW, st.sampled_from(["start", "channel", "kind", "duration", "severity"]),
+        JSON_FIELD,
+    ),
+    st.builds(lambda row, field: {k: v for k, v in row.items() if k != field},
+              PLAUSIBLE_ROW, st.sampled_from(["start", "kind", "severity"])),
+    st.fixed_dictionaries(
+        {field: JSON_FIELD for field in ("start", "channel", "kind", "duration", "severity")}
+    ),
+)
+JSON_DOC = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+SCHEDULE_TEXTS = st.one_of(
+    st.builds(json.dumps, st.fixed_dictionaries({"faults": st.lists(PLAUSIBLE_ROW, max_size=4)})),
+    st.builds(json.dumps, st.fixed_dictionaries({"faults": st.lists(JSON_ROW, max_size=4)})),
+    st.builds(json.dumps, st.fixed_dictionaries({"faults": JSON_DOC})),
+    st.builds(json.dumps, JSON_DOC),
+    st.text(max_size=30),
+)
+
 
 class TestFaultSchedule:
+    @given(text=SCHEDULE_TEXTS)
+    @settings(max_examples=300, deadline=None)
+    def test_from_json_round_trips_or_raises_scenario_error(self, text):
+        try:
+            schedule = FaultSchedule.from_json(text)
+        except ScenarioError:
+            return
+        again = FaultSchedule.from_json(schedule.to_json())
+        assert again.faults == schedule.faults
+        assert again.to_json() == schedule.to_json()
+
     def test_builders_sort_and_compose(self):
         sched = (
             FaultSchedule()

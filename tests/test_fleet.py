@@ -2,8 +2,11 @@
 simulation, and the sharded experiment merge."""
 
 import hashlib
+import inspect
 import json
 import math
+import random
+import textwrap
 
 import pytest
 
@@ -18,9 +21,11 @@ from repro.fleet import (
     fleet_channel_specs,
     run_equivalence_case,
 )
+from repro.fleet import tenants as tenants_module
 from repro.fleet.fluid import IW_BYTES, MAX_BG_SHARE
 from repro.core.api import HvcNetwork
 from repro.net.hvc import fixed_embb_spec, urllc_spec
+from tests.oracles import generate_population
 
 
 def small_spec(tenants=50, duration=8.0, seed=0, **kw):
@@ -58,7 +63,90 @@ POPULATION_PINS = {
 }
 
 
+def assert_generates_as_the_loop(spec):
+    """``generate(spec)`` holds what the per-tenant loop draws, list for list."""
+    pop = TenantPopulation.generate(spec)
+    assert (pop.arrivals, pop.sizes, pop.classes, pop.ccas) == generate_population(spec)
+    assert {type(size) for size in pop.sizes} == {int}
+
+
+def tenants_in_first_block(seed):
+    """How many whole tenants the loop draws from the first block of
+    uniforms ``generate`` reads from ``seed``'s stream."""
+
+    class Counting(random.Random):
+        draws = 0
+
+        def random(self):
+            self.draws += 1
+            return super().random()
+
+    rng, whole = Counting(seed), 0
+    while True:
+        rng.random(), rng.normalvariate(), rng.random(), rng.random()
+        if rng.draws > tenants_module._BLOCK:
+            return whole
+        whole += 1
+
+
+#: Specs off the default path: sizes clamped at both ends, zero-weight
+#: entries first, between and last in a mix, one-entry mixes, arrivals
+#: squeezed into part of the run, and a window so short that arrivals
+#: round to a few subnormals and tie (the sort must keep draw order).
+LOOP_SPECS = {
+    "clamped": POPULATION_SPECS["clamped"],
+    "zero-weights": small_spec(
+        tenants=3_000, seed=7, arrival_span=0.25,
+        class_mix=(("deadline", 0.0), ("latency", 1.0), ("background", 0.0), ("throughput", 2.0)),
+        cca_mix=(("bbr", 0.0), ("cubic", 2.0), ("vegas", 0.0)),
+    ),
+    "one-entry": small_spec(
+        tenants=3_000, seed=-3, arrival_span=0.5,
+        class_mix=(("throughput", 1.0),), cca_mix=(("vegas", 1.0),),
+    ),
+    "tied-arrivals": small_spec(tenants=2_000, duration=1e-320, seed=5),
+}
+
+
 class TestTenantPopulation:
+    @pytest.mark.parametrize("seed", [0, 1, 7, -3, 2**33 + 5])
+    @pytest.mark.parametrize("count", [1, 2, 3, "past-first-block", 50_000])
+    def test_generate_draws_what_the_per_tenant_loop_draws(self, seed, count):
+        if count == "past-first-block":
+            count = tenants_in_first_block(seed) + 1
+        assert_generates_as_the_loop(small_spec(tenants=count, duration=3.0, seed=seed))
+
+    @pytest.mark.parametrize("name", LOOP_SPECS)
+    def test_generate_matches_the_loop_off_the_default_path(self, name):
+        spec = LOOP_SPECS[name]
+        for seed in (spec.seed, spec.seed + 1):
+            assert_generates_as_the_loop(
+                PopulationSpec(**{**spec.__dict__, "seed": seed})
+            )
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_generate_carries_tenants_across_short_blocks(self, block, monkeypatch):
+        """Blocks shorter than one tenant's draws: most hold no whole
+        tenant, and what is left of each carries into the next."""
+        monkeypatch.setattr(tenants_module, "_BLOCK", block)
+        assert_generates_as_the_loop(small_spec(tenants=300, seed=block))
+
+    def test_class_and_cca_draws_swapped_fail_the_loop_check(self, monkeypatch):
+        """A planted defect: ``generate`` picks the class from the CCA's
+        draw and the CCA from the class's."""
+        source = textwrap.dedent(inspect.getsource(TenantPopulation.generate))
+        swapped = (
+            source.replace("buf[at + 2]", "buf[at + CCA]")
+            .replace("buf[at + 3]", "buf[at + 2]")
+            .replace("buf[at + CCA]", "buf[at + 3]")
+        )
+        assert swapped.count("buf[at + 3] * class_total") == 1
+        namespace = dict(vars(tenants_module))
+        exec(swapped.removeprefix("@classmethod\n"), namespace)
+        monkeypatch.setattr(TenantPopulation, "generate", classmethod(namespace["generate"]))
+        with pytest.raises(AssertionError):
+            assert_generates_as_the_loop(small_spec(tenants=200, seed=1))
+
     def test_deterministic_for_seed(self):
         a = TenantPopulation.generate(small_spec(seed=3))
         b = TenantPopulation.generate(small_spec(seed=3))

@@ -119,6 +119,18 @@ def test_numpy_tick_matches_scalar_reference_every_tick(case):
         assert sent == pytest.approx(ref.bytes_by_class[name], rel=REL)
 
 
+def test_cases_hold_ticks_on_both_sides_of_the_decay_skip():
+    """The tick skips its slow-start and additive passes when every
+    (channel, kind) combo decays. ``CASES`` hold ticks of both kinds, so
+    the pins below guard the skip and the passes it skips alike."""
+    saturated = growing = 0
+    for case in CASES.values():
+        _, ref = run_shadowed(*case)
+        saturated += ref.saturated_ticks
+        growing += ref.growing_ticks
+    assert saturated > 0 and growing > 0
+
+
 def test_outage_inside_one_tick_interval_re_steers_its_tenants():
     """``embb`` fails and comes back between two ticks: no tick sees it
     down, yet its tenants were stalled and must all be re-steered."""
