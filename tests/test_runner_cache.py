@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import pickle
+import re
 import threading
+from pathlib import Path
 
 import pytest
 
+from repro import __version__
 from repro.errors import RunnerError
 from repro.runner import ParallelRunner, ResultCache, RunUnit, default_cache_dir
 
@@ -60,6 +63,12 @@ class TestCacheToken:
 
     def test_changes_with_package_version(self):
         assert UNIT.cache_token(version="0.0.0") != UNIT.cache_token()
+
+    def test_package_version_matches_pyproject(self):
+        # A regex, not tomllib: 3.10 has no tomllib.
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        declared = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE).group(1)
+        assert declared == __version__
 
     def test_rejects_unhashable_params(self):
         unit = RunUnit.make("e", "m:f", steerer=object())
