@@ -157,9 +157,9 @@ class FluidBackground:
         #: ``[:m]`` views instead of gathering through an index. ``combo``
         #: is channel * kinds + kind, the row of the coefficient tables.
         self._m = 0
-        self._slots = [np.empty(n, dtype=t) for t in (np.int64, float, float) + (np.int64,) * 4]
+        self._slots = [np.empty(n, dtype=t) for t in (np.int64, float, float) + (np.int64,) * 3]
         (self._slot_id, self._slot_rate, self._slot_remaining, self._slot_channel,
-         self._slot_combo, self._slot_class, self._slot_cca) = self._slots
+         self._slot_combo, self._slot_class) = self._slots
         #: Reassign every slot next tick: a channel failed or a tenant has none.
         self._rescan = False
 
@@ -184,8 +184,6 @@ class FluidBackground:
         self._last_avail = [ch.uplink.capacity_bps() for ch in self.channels]
         self._bg_byte_accum = [0.0] * len(self.channels)  # data direction
         self._ack_byte_accum = [0.0] * len(self.channels)
-        self.bytes_by_cca = {name: 0.0 for name in ccas}
-        self.bytes_by_class = {name: 0.0 for name in classes}
         self.bytes_by_channel = [0.0] * len(self.channels)
         self._up_set: Optional[tuple] = None
         self._table: Dict[str, Optional[int]] = {}
@@ -203,10 +201,15 @@ class FluidBackground:
             self._event = self.sim.schedule(self.tick, self._on_tick)
 
     def stop(self) -> None:
+        """Stop ticking and unhook from the channels, so a finished world
+        holds no reference cycle through this engine."""
         self._stopped = True
         if self._event is not None:
             self._event.cancel()
             self._event = None
+        for ch in self.channels:
+            if self._on_channel_transition in ch.on_transition:
+                ch.on_transition.remove(self._on_channel_transition)
 
     def _on_channel_transition(self, channel, up: bool, now: float) -> None:
         """Event-time reaction to a channel up/down transition.
@@ -307,7 +310,6 @@ class FluidBackground:
 
     def _step_numpy(self, now, dt, table_idx, caps, rtts, fg) -> List[float]:
         nch = len(self.channels)
-        ncca = len(self._cca_names)
         # 1. Admit arrivals (population is arrival-sorted) into new slots.
         m0, first = self._m, self._cursor
         cur = int(np.searchsorted(self._arrival, now, side="right"))
@@ -316,7 +318,7 @@ class FluidBackground:
         self._slot_id[m0:m] = np.arange(first, cur)
         self._slot_remaining[m0:m] = self._tenant_remaining[first:cur]
         self._slot_channel[m0:m] = -2  # force assignment below
-        self._slot_class[m0:m], self._slot_cca[m0:m] = np.divmod(self._kind[first:cur], ncca)
+        np.floor_divide(self._kind[first:cur], len(self._cca_names), out=self._slot_class[m0:m])
         self._cursor, self._m = cur, m
         # 2. (Re)assign tenants with no live channel: the new slots, or all
         # after a failure, under a zero capacity or while one has none.
@@ -414,7 +416,7 @@ class FluidBackground:
         remaining -= sent
         self._slot_rate[sel] = rate
         self._slot_remaining[sel] = remaining
-        # 6. Byte accounting.
+        # 6. Byte accounting per channel (per CCA and class: read from state).
         sent_by_ch = np.bincount(c, weights=sent, minlength=nch)
         # float(): the meters end up in results() and cache blobs, which
         # carry builtin numbers only (np.float64 adds identically).
@@ -423,14 +425,6 @@ class FluidBackground:
             self._bg_byte_accum[i] += sent_i
             self._ack_byte_accum[i] += sent_i * self.ack_fraction
             self.bytes_by_channel[i] += sent_i
-        cca_sent = np.bincount(self._slot_cca[sel], weights=sent, minlength=ncca)
-        for i, name in enumerate(self._cca_names):
-            self.bytes_by_cca[name] += float(cca_sent[i])
-        class_sent = np.bincount(
-            self._slot_class[sel], weights=sent, minlength=len(self._class_names)
-        )
-        for i, name in enumerate(self._class_names):
-            self.bytes_by_class[name] += float(class_sent[i])
         # 7. Completions. A finished transfer installs no load: its eff
         # becomes +0.0, and adding +0.0 leaves a per-channel sum exact.
         finished = np.flatnonzero(remaining <= 1e-6)
@@ -478,6 +472,16 @@ class FluidBackground:
     _rate = property(lambda self: self._current(self._tenant_rate, self._slot_rate))
     _remaining = property(lambda self: self._current(self._tenant_remaining, self._slot_remaining))
     _channel = property(lambda self: self._current(self._tenant_channel, self._slot_channel))
+
+    def _bytes_by(self, names, part) -> Dict[str, float]:
+        """Bytes sent so far (size minus remaining) per name, where
+        ``part(kind, len(ccas))`` is a tenant's index into ``names``."""
+        sent = np.asarray(self.population.sizes, dtype=np.float64) - self._remaining
+        codes = part(self._kind, len(self._cca_names))
+        return dict(zip(names, np.bincount(codes, sent, len(names)).tolist()))
+
+    bytes_by_cca = property(lambda self: self._bytes_by(self._cca_names, np.remainder))
+    bytes_by_class = property(lambda self: self._bytes_by(self._class_names, np.floor_divide))
 
     def active_count(self) -> int:
         return self._m

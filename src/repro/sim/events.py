@@ -61,6 +61,9 @@ class Event:
         """
         if not self.cancelled:
             self.cancelled = True
+            # The kernel skips a cancelled entry before reading these;
+            # dropping them frees the callback's owner while it is filed.
+            self.callback = self.args = None
             sim = self._sim
             if sim is not None:
                 dead = sim._dead + 1

@@ -1,12 +1,14 @@
 """The fleet package: tenant populations, the fluid engine, the hybrid
 simulation, and the sharded experiment merge."""
 
+import gc
 import hashlib
 import inspect
 import json
 import math
 import random
 import textwrap
+import weakref
 
 import numpy as np
 import pytest
@@ -354,6 +356,21 @@ class TestFleetSimulation:
         # Thousands of tenants on the 12 Mbps pair must visibly stretch
         # foreground completion times vs a near-empty network.
         assert fg_p50(3000) > fg_p50(1) * 2.0
+
+    def test_finished_world_is_freed_without_the_cyclic_gc(self):
+        """``stop()`` unhooks the engine from its channels and the
+        cancelled horizon tick drops its callback, so dropping the world
+        frees the engine (~10 MiB of tenant arrays at 50,000 tenants) at
+        once instead of at the next cyclic collection."""
+        gc.disable()
+        try:
+            fleet = FleetSimulation(FleetConfig(tenants=300, foreground=1, duration=1.0))
+            fleet.run()
+            alive = weakref.ref(fleet.fluid)
+            del fleet
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_sharded_config_requires_decoupling(self):
         with pytest.raises(ScenarioError, match="sense_foreground"):

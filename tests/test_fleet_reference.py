@@ -116,10 +116,76 @@ def test_numpy_tick_matches_scalar_reference_every_tick(case):
     assert fluid.stall_time_total == pytest.approx(ref.stall_time, rel=REL)
     assert (fluid.stall_events > 0) == bool(CASES[case][3])
     close(fluid.bytes_by_channel, ref.bytes_by_channel)
-    for name, sent in fluid.bytes_by_cca.items():
-        assert sent == pytest.approx(ref.bytes_by_cca[name], rel=REL)
-    for name, sent in fluid.bytes_by_class.items():
-        assert sent == pytest.approx(ref.bytes_by_class[name], rel=REL)
+    assert_meters_match(fluid, ref)
+
+
+def assert_meters_match(fluid, ref):
+    """The per-CCA and per-class meters, which ``fluid`` reads from tenant
+    state, against ``ref``'s per-tick sums (tenant order within a tick,
+    the order the engine added them in before it read them from state):
+    within 1e-12 and equal at the 3 decimals ``results()`` prints."""
+    for got, want in (
+        (fluid.bytes_by_cca, ref.bytes_by_cca),
+        (fluid.bytes_by_class, ref.bytes_by_class),
+    ):
+        assert got.keys() == want.keys()
+        for name, sent in got.items():
+            assert sent == pytest.approx(want[name], rel=1e-12, abs=0)
+            assert round(sent, 3) == round(want[name], 3)
+
+
+def test_meters_read_mid_run_match_after_a_failure():
+    """Read while ``embb`` is down in ``fail-restore``, between ticks."""
+    fleet = fleet_world(*CASES["fail-restore"])
+    ref = shadow(fleet.fluid)
+    embb = fleet.net.channel_named("embb")
+    reads = []
+
+    def read():
+        assert not embb.up and fleet.fluid.stall_events > 0
+        assert_meters_match(fleet.fluid, ref)
+        reads.append(fleet.net.sim.now)
+
+    fleet.net.sim.schedule(1.305, read)
+    fleet.run()
+    assert reads == [1.305]
+
+
+class TickSums:
+    """The per-CCA and per-class meters as the engine kept them before it
+    read them from tenant state: each tick's sends (``remaining`` before
+    the tick minus after it) summed in tenant order and added to a total.
+    ``ScalarFluid`` drifts from a 10,000-tenant engine by ~1e-9, inside
+    ``REL`` but too far to hold the meters to 1e-12; this shadow reads
+    the engine's own sends."""
+
+    def __init__(self, fluid):
+        ncca = len(fluid._cca_names)
+        kinds = fluid._kind.astype(np.int64)
+        codes = [(fluid._cca_names, kinds % ncca), (fluid._class_names, kinds // ncca)]
+        self.bytes_by_cca = dict.fromkeys(fluid._cca_names, 0.0)
+        self.bytes_by_class = dict.fromkeys(fluid._class_names, 0.0)
+        engine_tick = fluid._step_numpy
+
+        def tick(*args):
+            before = fluid._remaining.copy()
+            applied = engine_tick(*args)
+            sent = before - fluid._remaining
+            for (names, code), meter in zip(codes, (self.bytes_by_cca, self.bytes_by_class)):
+                for name, x in zip(names, np.bincount(code, weights=sent, minlength=len(names))):
+                    meter[name] += float(x)
+            return applied
+
+        fluid._step_numpy = tick
+
+
+def test_meters_match_per_tick_sums_at_scale():
+    """The 10,000-tenant pinned world, read at the end."""
+    fleet = fleet_world(*PINNED_WORLDS["at-scale"])
+    sums = TickSums(fleet.fluid)
+    fleet.run()
+    assert fleet.fluid.completed_count() > 4_000
+    assert_meters_match(fleet.fluid, sums)
 
 
 def test_cases_hold_ticks_on_both_sides_of_the_decay_skip():
@@ -214,3 +280,18 @@ def test_fleet_run_is_pinned_bit_for_bit(case):
     blob = json.dumps(dict(out, background_digest=text), sort_keys=True).encode()
     got = (text, hashlib.sha256(blob).hexdigest(), out["background_digest"])
     assert got == PINNED[case]
+
+
+def test_ledger_world_is_pinned_bit_for_bit():
+    """The world the performance ledger's ``fleet-50k`` workload times at
+    seed 0 (``benchmarks/ledger/workloads.py``): its ``background_digest``
+    and the sha256 of ``json.dumps(run(), sort_keys=True)``."""
+    fleet = FleetSimulation(
+        FleetConfig(tenants=50_000, foreground=1, duration=3.0, preset="paper", seed=0)
+    )
+    out = fleet.run()
+    blob = json.dumps(out, sort_keys=True).encode()
+    assert (out["background_digest"], hashlib.sha256(blob).hexdigest()) == (
+        "4d5d49fd840775c1cb87dfe9db2d627b38c66bd372146b66f49fe9d3d1516796",
+        "bd77fbc4e20c69a03e33ad1f4c4a4401c3fc3e7a491e1c22a70933a32d832de7",
+    )

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event kernel."""
 
+import weakref
+
 import pytest
 
 from repro.errors import SimulationError
@@ -163,6 +165,24 @@ class TestSimulator:
         sim.cancel(event)
         sim.run()
         assert seen == []
+        assert sim.pending_events == 0
+
+    def test_cancelled_event_holds_no_reference_to_its_callbacks_owner(self):
+        """A cancelled event stays filed until it surfaces; it must not keep
+        the object whose bound method (or argument) it would have run."""
+
+        class Owner:
+            def fire(self, _arg):
+                raise AssertionError("a cancelled event ran")
+
+        sim = Simulator()
+        owner = Owner()
+        alive = weakref.ref(owner)
+        event = sim.schedule(1.0, owner.fire, owner)
+        event.cancel()
+        del owner
+        assert alive() is None
+        sim.run()
         assert sim.pending_events == 0
 
     def test_double_cancel_is_safe(self):
