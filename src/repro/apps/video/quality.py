@@ -29,7 +29,6 @@ class SsimModel:
     def __init__(
         self,
         layer_ssim: Sequence[float] = DEFAULT_LAYER_SSIM,
-        noise_std: float = SSIM_NOISE_STD,
         seed: int = 0,
     ) -> None:
         if not layer_ssim:
@@ -39,7 +38,6 @@ class SsimModel:
         if list(layer_ssim) != sorted(layer_ssim):
             raise ReproError("layer SSIM must be non-decreasing with layer index")
         self.layer_ssim = list(layer_ssim)
-        self.noise_std = noise_std
         self._seed = seed
 
     def ssim(self, frame_index: int, decoded_layer: int) -> float:
@@ -49,5 +47,5 @@ class SsimModel:
         layer = min(decoded_layer, len(self.layer_ssim) - 1)
         base = self.layer_ssim[layer]
         rng = random.Random(f"{self._seed}:{frame_index}")
-        noisy = base + rng.gauss(0.0, self.noise_std)
+        noisy = base + rng.gauss(0.0, SSIM_NOISE_STD)
         return max(0.0, min(1.0, noisy))

@@ -140,14 +140,3 @@ class VideoReceiver:
             # (it is independently decodable in our SVC configuration).
             return 0 if contiguous >= 0 else -1
         return min(contiguous, max(previous, 0))
-
-    # ------------------------------------------------------------------
-    @property
-    def decoded_frames(self) -> List[DecodedFrame]:
-        """Frames that produced output, in decode order."""
-        return [f for f in self.frames if f.decoded]
-
-    @property
-    def dropped_frames(self) -> int:
-        """Frames decoded with no usable layer."""
-        return sum(1 for f in self.frames if not f.decoded)

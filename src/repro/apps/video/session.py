@@ -41,16 +41,10 @@ class VideoSessionResult:
 class VideoSession:
     """A sender/receiver pair over an :class:`HvcNetwork`."""
 
-    def __init__(
-        self,
-        net: HvcNetwork,
-        encoder: Optional[SvcEncoderModel] = None,
-        ssim_model: Optional[SsimModel] = None,
-        duration: Optional[float] = None,
-    ) -> None:
+    def __init__(self, net: HvcNetwork, duration: Optional[float] = None) -> None:
         self.net = net
-        self.encoder = encoder if encoder is not None else SvcEncoderModel()
-        self.ssim_model = ssim_model if ssim_model is not None else SsimModel()
+        self.encoder = SvcEncoderModel()
+        self.ssim_model = SsimModel()
         pair = net.open_datagram()
         self.sender = VideoSender(net.sim, pair.client, self.encoder, duration=duration)
         self.receiver = VideoReceiver(net.sim, pair.server, self.encoder)
@@ -70,15 +64,12 @@ class VideoSession:
 def run_video_session(
     net: HvcNetwork,
     duration: float = 60.0,
-    encoder: Optional[SvcEncoderModel] = None,
-    ssim_model: Optional[SsimModel] = None,
-    drain: float = 2.0,
 ) -> VideoSessionResult:
     """Run one video session for ``duration`` seconds and summarize it.
 
-    ``drain`` extra seconds let in-flight frames complete decoding after
-    the sender stops.
+    Two extra seconds let in-flight frames complete decoding after the
+    sender stops.
     """
-    session = VideoSession(net, encoder=encoder, ssim_model=ssim_model, duration=duration)
-    net.run(until=duration + drain)
+    session = VideoSession(net, duration=duration)
+    net.run(until=duration + 2.0)
     return session.result()

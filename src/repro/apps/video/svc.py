@@ -75,10 +75,6 @@ class SvcEncoderModel:
     def frame_interval(self) -> float:
         return 1.0 / self.fps
 
-    @property
-    def total_bitrate_bps(self) -> float:
-        return sum(layer.bitrate_bps for layer in self.layers)
-
     def is_keyframe(self, frame_index: int) -> bool:
         return frame_index % self.keyframe_interval == 0
 

@@ -35,27 +35,27 @@ class BackgroundStats:
 class BackgroundFlows:
     """The two competing background flows."""
 
-    def __init__(self, net: HvcNetwork, cc: str = "cubic") -> None:
+    def __init__(self, net: HvcNetwork) -> None:
         self.net = net
         self.stats = BackgroundStats()
         self._stopped = False
 
         up_id = next_flow_id()
         self._up_client = Connection(
-            net.sim, net.client, up_id, cc=cc, flow_priority=BACKGROUND_PRIORITY
+            net.sim, net.client, up_id, cc="cubic", flow_priority=BACKGROUND_PRIORITY
         )
         self._up_server = Connection(
-            net.sim, net.server, up_id, cc=cc, flow_priority=BACKGROUND_PRIORITY,
+            net.sim, net.server, up_id, cc="cubic", flow_priority=BACKGROUND_PRIORITY,
             on_message=self._on_upload_received,
         )
 
         down_id = next_flow_id()
         self._down_client = Connection(
-            net.sim, net.client, down_id, cc=cc, flow_priority=BACKGROUND_PRIORITY,
+            net.sim, net.client, down_id, cc="cubic", flow_priority=BACKGROUND_PRIORITY,
             on_message=self._on_download_received,
         )
         self._down_server = Connection(
-            net.sim, net.server, down_id, cc=cc, flow_priority=BACKGROUND_PRIORITY,
+            net.sim, net.server, down_id, cc="cubic", flow_priority=BACKGROUND_PRIORITY,
             on_message=self._on_download_request,
         )
 

@@ -36,10 +36,10 @@ DNS_REPLY_BYTES = 140
 #: Resolver processing time.
 DNS_SERVER_DELAY = 0.020
 #: Server-side time to produce a response (app logic, disk, upstream).
-DEFAULT_THINK_TIME = 0.030
+THINK_TIME = 0.030
 #: Browser-side parse/execute time before an object's dependents are
 #: discovered and requested (Chromium's main-thread work).
-DEFAULT_PROCESSING_DELAY = 0.020
+PROCESSING_DELAY = 0.020
 
 
 @dataclass
@@ -66,15 +66,9 @@ class PageLoadResult:
 class WebServer:
     """Serves one page's objects over one connection."""
 
-    def __init__(
-        self,
-        connection: Connection,
-        page: WebPage,
-        think_time: float = DEFAULT_THINK_TIME,
-    ) -> None:
+    def __init__(self, connection: Connection, page: WebPage) -> None:
         self.connection = connection
         self.page = page
-        self.think_time = think_time
         connection.on_message = self._on_request
 
     def _on_request(self, receipt: MessageReceipt) -> None:
@@ -87,10 +81,7 @@ class WebServer:
                 priority=receipt.priority,
             )
             return
-        if self.think_time > 0:
-            self.connection.sim.schedule(self.think_time, self._respond, object_id, receipt.priority)
-        else:
-            self._respond(object_id, receipt.priority)
+        self.connection.sim.schedule(THINK_TIME, self._respond, object_id, receipt.priority)
 
     def _respond(self, object_id: int, priority) -> None:
         self.connection.send_message(
@@ -103,32 +94,20 @@ class WebServer:
 class Browser:
     """Loads one page over one connection, honoring the dependency DAG."""
 
-    def __init__(
-        self,
-        connection: Connection,
-        page: WebPage,
-        on_load=None,
-        processing_delay: float = DEFAULT_PROCESSING_DELAY,
-        tls: bool = True,
-    ) -> None:
+    def __init__(self, connection: Connection, page: WebPage) -> None:
         page.validate()
         self.connection = connection
         self.page = page
-        self.on_load = on_load
-        self.processing_delay = processing_delay
         self.result = PageLoadResult(page=page, started_at=connection.sim.now)
         self._requested: set = set()
         self._completed: set = set()
         self._processed: set = set()
         connection.on_message = self._on_response
-        if tls:
-            # ClientHello; the root request goes out once the ServerHello +
-            # certificates land (one extra round trip, TLS 1.3).
-            self.connection.send_message(
-                TLS_CLIENT_HELLO_BYTES, message_id=TLS_REQUEST_ID, priority=0
-            )
-        else:
-            self._request(0)
+        # ClientHello; the root request goes out once the ServerHello +
+        # certificates land (one extra round trip, TLS 1.3).
+        self.connection.send_message(
+            TLS_CLIENT_HELLO_BYTES, message_id=TLS_REQUEST_ID, priority=0
+        )
 
     def _request(self, object_id: int) -> None:
         self._requested.add(object_id)
@@ -145,17 +124,10 @@ class Browser:
         self.result.object_finish_times[object_id] = receipt.completed_at
         if len(self._completed) == self.page.object_count:
             self.result.finished_at = receipt.completed_at
-            if self.on_load is not None:
-                self.on_load(self.result)
             return
         # Dependents are discovered only after the browser parses/executes
         # the object (main-thread work).
-        if self.processing_delay > 0:
-            self.connection.sim.schedule(
-                self.processing_delay, self._mark_processed, object_id
-            )
-        else:
-            self._mark_processed(object_id)
+        self.connection.sim.schedule(PROCESSING_DELAY, self._mark_processed, object_id)
 
     def _mark_processed(self, object_id: int) -> None:
         self._processed.add(object_id)
@@ -170,30 +142,24 @@ def load_page(
     net: HvcNetwork,
     page: WebPage,
     cc: str = "cubic",
-    flow_priority: int = 0,
     timeout: float = 60.0,
-    tls: bool = True,
-    dns: bool = True,
 ) -> PageLoadResult:
     """Load ``page`` over ``net`` and return the result (runs the sim).
 
     The paper's methodology clears browser and DNS caches before each load,
-    so by default the load pays the full cold-start sequence: a DNS
-    exchange, a TCP-style handshake, and a TLS round trip before the first
-    request.
+    so the load pays the full cold-start sequence: a DNS exchange, a
+    TCP-style handshake, and a TLS round trip before the first request,
+    all on a flow of ``flow_priority`` 0 (interactive).
     """
     from repro.transport.datagram import DatagramSocket
 
     started_at = net.now
-    if dns:
-        _dns_lookup(net, timeout=timeout)
+    _dns_lookup(net, timeout=timeout)
     flow_id = next_flow_id()
-    client_conn = Connection(
-        net.sim, net.client, flow_id, cc=cc, flow_priority=flow_priority, handshake=True
-    )
-    server_conn = Connection(net.sim, net.server, flow_id, cc=cc, flow_priority=flow_priority)
+    client_conn = Connection(net.sim, net.client, flow_id, cc=cc, flow_priority=0, handshake=True)
+    server_conn = Connection(net.sim, net.server, flow_id, cc=cc, flow_priority=0)
     WebServer(server_conn, page)
-    browser = Browser(client_conn, page, tls=tls)
+    browser = Browser(client_conn, page)
     browser.result.started_at = started_at  # PLT includes DNS time
     deadline = started_at + timeout
     while not browser.result.complete and net.now < deadline and net.sim.pending_events:

@@ -20,8 +20,7 @@ from collections import deque
 from typing import Deque, List, Optional
 
 from repro.apps.web.browser import (
-    DEFAULT_PROCESSING_DELAY,
-    DEFAULT_THINK_TIME,
+    PROCESSING_DELAY,
     PageLoadResult,
     REQUEST_BYTES,
     RESPONSE_ID_OFFSET,
@@ -38,17 +37,15 @@ DEFAULT_MAX_CONNECTIONS = 6
 class _H1Connection:
     """One persistent connection serving one object at a time."""
 
-    def __init__(self, loader: "H1Loader", net: HvcNetwork, cc: str, flow_priority: int) -> None:
+    def __init__(self, loader: "H1Loader", net: HvcNetwork, cc: str) -> None:
         self.loader = loader
         flow_id = next_flow_id()
         self.client = Connection(
-            net.sim, net.client, flow_id, cc=cc, flow_priority=flow_priority,
+            net.sim, net.client, flow_id, cc=cc, flow_priority=0,
             handshake=True, on_message=self._on_response,
         )
-        server_conn = Connection(
-            net.sim, net.server, flow_id, cc=cc, flow_priority=flow_priority
-        )
-        WebServer(server_conn, loader.page, think_time=loader.think_time)
+        server_conn = Connection(net.sim, net.server, flow_id, cc=cc, flow_priority=0)
+        WebServer(server_conn, loader.page)
         self.server = server_conn
         self.busy = False
 
@@ -75,20 +72,15 @@ class H1Loader:
         page: WebPage,
         cc: str = "cubic",
         max_connections: int = DEFAULT_MAX_CONNECTIONS,
-        flow_priority: int = 0,
-        think_time: float = DEFAULT_THINK_TIME,
-        processing_delay: float = DEFAULT_PROCESSING_DELAY,
     ) -> None:
         page.validate()
         if max_connections < 1:
             raise ValueError(f"max_connections must be >= 1, got {max_connections}")
         self.net = net
         self.page = page
-        self.think_time = think_time
-        self.processing_delay = processing_delay
         self.result = PageLoadResult(page=page, started_at=net.now)
         self._connections: List[_H1Connection] = [
-            _H1Connection(self, net, cc, flow_priority) for _ in range(max_connections)
+            _H1Connection(self, net, cc) for _ in range(max_connections)
         ]
         self._ready: Deque[int] = deque()
         self._requested: set = set()
@@ -122,7 +114,7 @@ class H1Loader:
         if len(self._completed) == self.page.object_count:
             self.result.finished_at = at
             return
-        self.net.sim.schedule(self.processing_delay, self._mark_processed, object_id)
+        self.net.sim.schedule(PROCESSING_DELAY, self._mark_processed, object_id)
         self._dispatch()
 
     def _mark_processed(self, object_id: int) -> None:
@@ -140,13 +132,10 @@ def load_page_h1(
     page: WebPage,
     cc: str = "cubic",
     max_connections: int = DEFAULT_MAX_CONNECTIONS,
-    flow_priority: int = 0,
     timeout: float = 60.0,
 ) -> PageLoadResult:
     """Load ``page`` over parallel H1 connections (runs the sim)."""
-    loader = H1Loader(
-        net, page, cc=cc, max_connections=max_connections, flow_priority=flow_priority
-    )
+    loader = H1Loader(net, page, cc=cc, max_connections=max_connections)
     deadline = net.now + timeout
     while not loader.result.complete and net.now < deadline and net.sim.pending_events:
         net.run(until=min(net.now + 0.5, deadline))

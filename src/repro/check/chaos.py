@@ -45,7 +45,6 @@ WORKLOADS = ("bulk", "two-flows", "mixed", "datagram")
 STEERINGS = (
     "single",
     "round-robin",
-    "rate-weighted",
     "min-rtt",
     "ecf",
     "flow-pinned",
@@ -57,7 +56,7 @@ STEERINGS = (
 
 #: Congestion controllers drawn for reliable flows.
 CCAS = (
-    "reno", "cubic", "bbr", "bbr2", "bbr2+", "copa", "vegas", "vivace",
+    "reno", "cubic", "bbr", "bbr2", "bbr2+", "vegas", "vivace",
     "hvc-reno", "hvc-cubic", "hvc-bbr", "hvc-bbr2+",
 )
 

@@ -75,8 +75,8 @@ from repro.faults.injector import FaultLossOverlay
 
 #: Default audit period (simulated seconds).
 DEFAULT_AUDIT_PERIOD = 0.1
-#: Default size of the recent-event ring included in violation reports.
-DEFAULT_RECENT_EVENTS = 40
+#: Size of the recent-event ring included in violation reports.
+RECENT_EVENTS = 40
 #: Per-link window of remembered deliveries for the exactly-once law.
 DELIVERED_WINDOW = 4096
 #: Per-flow cap on remembered resequencer releases before compaction.
@@ -351,21 +351,14 @@ class InvariantMonitor:
         Simulated seconds between ledger audits (event-level laws are
         always immediate). The audit event reschedules itself for as long
         as the simulation keeps running.
-    recent:
-        How many recently observed events to include in a violation report.
     """
 
-    def __init__(
-        self,
-        net,
-        period: float = DEFAULT_AUDIT_PERIOD,
-        recent: int = DEFAULT_RECENT_EVENTS,
-    ) -> None:
+    def __init__(self, net, period: float = DEFAULT_AUDIT_PERIOD) -> None:
         if period <= 0:
             raise ValueError(f"audit period must be positive, got {period}")
         self.net = net
         self.period = period
-        self.recent = deque(maxlen=recent)
+        self.recent = deque(maxlen=RECENT_EVENTS)
         self.armed = False
         self.checks_run = 0
         self.audits_run = 0

@@ -1,7 +1,7 @@
 """The policy zoo: every steering baseline on the web workload.
 
 The paper's related-work argument in one table: heterogeneity-blind
-multipath (round-robin, rate-weighted), MPTCP-style schedulers (minRTT,
+multipath (round-robin), MPTCP-style schedulers (minRTT,
 ECF), IANS-style flow-level selection (flow-pinned), DChannel's per-packet
 steering, and transport-aware segment steering — all loading the same pages
 over driving-trace eMBB + URLLC.

@@ -95,7 +95,6 @@ def fig2_cell_unit(
 def run_fig2(
     duration: float = 60.0,
     traces=TRACES,
-    schemes=SCHEMES,
     seed: int = 0,
     runner: Optional[ParallelRunner] = None,
     trace_dir: Optional[str] = None,
@@ -110,7 +109,7 @@ def run_fig2(
             "+ URLLC."
         ),
     )
-    cells = [(trace_name, scheme) for trace_name in traces for scheme in schemes]
+    cells = [(trace_name, scheme) for trace_name in traces for scheme in SCHEMES]
     extra = {} if trace_dir is None else {"trace_dir": trace_dir}
     payloads = runner.run(
         [
@@ -146,7 +145,7 @@ def run_fig2(
         ssim_series = SeriesSet(
             title=f"SSIM CDF ({trace_name})", x_label="ssim", y_label="P"
         )
-        for scheme in schemes:
+        for scheme in SCHEMES:
             cell = by_cell[(trace_name, scheme)]
             result.events_processed += cell["events"]
             if "trace" in cell:
@@ -173,7 +172,7 @@ def run_fig2(
         result.series.append(ssim_series)
 
         if trace_name == "5g-mmwave-driving":
-            for scheme in schemes:
+            for scheme in SCHEMES:
                 measured = result.values[f"{trace_name}:{scheme}:p95_latency_ms"]
                 result.comparisons.append(
                     PaperComparison(
@@ -196,7 +195,7 @@ def run_fig2(
                     )
                 )
         p95 = {
-            s: result.values[f"{trace_name}:{s}:p95_latency_ms"] for s in schemes
+            s: result.values[f"{trace_name}:{s}:p95_latency_ms"] for s in SCHEMES
         }
         result.notes.append(
             f"{trace_name} shape check: expected priority < dchannel < embb-only "

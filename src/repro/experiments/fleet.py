@@ -20,7 +20,8 @@ from typing import Dict, List, Optional
 
 from repro.core.results import ExperimentResult, SeriesSet, Table
 from repro.errors import RunnerError
-from repro.fleet.hybrid import FleetConfig, FleetSimulation, percentile
+from repro.faults.recovery import recovery_percentile
+from repro.fleet.hybrid import FleetConfig, FleetSimulation
 from repro.fleet.validation import (
     ValidationTolerance,
     check_equivalence,
@@ -38,7 +39,6 @@ def fleet_unit(
     foreground: int = DEFAULT_FOREGROUND,
     duration: float = DEFAULT_DURATION,
     preset: str = "paper",
-    tick: float = 0.01,
     shard: int = 0,
     shards: int = 1,
     seed: int = 0,
@@ -50,7 +50,6 @@ def fleet_unit(
         duration=duration,
         seed=seed,
         preset=preset,
-        tick=tick,
         shard=shard,
         shards=shards,
         # One-way coupling always: the experiment's output must be
@@ -99,7 +98,6 @@ def run_fleet(
     foreground: int = DEFAULT_FOREGROUND,
     duration: float = DEFAULT_DURATION,
     preset: str = "paper",
-    tick: float = 0.01,
     seed: int = 0,
     shards: int = 1,
     validate: bool = True,
@@ -127,7 +125,6 @@ def run_fleet(
                 foreground=foreground,
                 duration=duration,
                 preset=preset,
-                tick=tick,
                 shard=shard,
                 shards=shards,
             )
@@ -151,10 +148,10 @@ def run_fleet(
 
     result.values["tenants"] = float(tenants)
     result.values["bg_completed"] = float(bg["completed"])
-    result.values["bg_fct_p50_ms"] = percentile(bg_fct, 50) * 1000.0
-    result.values["bg_fct_p99_ms"] = percentile(bg_fct, 99) * 1000.0
-    result.values["fg_fct_p50_ms"] = percentile(fg_fct, 50) * 1000.0
-    result.values["fg_fct_p99_ms"] = percentile(fg_fct, 99) * 1000.0
+    result.values["bg_fct_p50_ms"] = recovery_percentile(bg_fct, 50) * 1000.0
+    result.values["bg_fct_p99_ms"] = recovery_percentile(bg_fct, 99) * 1000.0
+    result.values["fg_fct_p50_ms"] = recovery_percentile(fg_fct, 50) * 1000.0
+    result.values["fg_fct_p99_ms"] = recovery_percentile(fg_fct, 99) * 1000.0
     result.values["fg_requests"] = float(len(fg_fct))
 
     fct_table = Table(

@@ -22,8 +22,9 @@ from repro.runner import ParallelRunner, RunUnit
 from repro.units import mbps, ms, to_ms
 
 DEFAULT_URLLC_RATES_MBPS = (0.5, 1.0, 2.0, 4.0, 8.0)
-DEFAULT_THRESHOLDS_MS = (0.0, 5.0, 15.0, 30.0)
+THRESHOLDS_MS = (0.0, 5.0, 15.0, 30.0)
 DEFAULT_URLLC_RTTS_MS = (2.0, 5.0, 15.0, 30.0)
+DECODE_WAITS_MS = (0.0, 20.0, 60.0, 200.0, 500.0)
 
 
 def plt_sweep_unit(
@@ -183,13 +184,12 @@ run_urllc_bandwidth_sweep.quick = {"page_count": 3}
 
 
 def run_threshold_sweep(
-    thresholds_ms: Sequence[float] = DEFAULT_THRESHOLDS_MS,
     page_count: int = 8,
     seed: int = 0,
     runner: Optional[ParallelRunner] = None,
 ) -> ExperimentResult:
     """Web PLT vs DChannel's savings threshold (reward hysteresis)."""
-    return _run_plt_sweep("sweep-threshold", thresholds_ms, page_count, seed, runner)
+    return _run_plt_sweep("sweep-threshold", THRESHOLDS_MS, page_count, seed, runner)
 
 
 run_threshold_sweep.quick = {"page_count": 3}
@@ -209,7 +209,6 @@ run_urllc_rtt_sweep.quick = {"page_count": 3}
 
 
 def run_decode_wait_sweep(
-    waits_ms: Sequence[float] = (0.0, 20.0, 60.0, 200.0, 500.0),
     duration: float = 30.0,
     seed: int = 0,
     runner: Optional[ParallelRunner] = None,
@@ -243,10 +242,10 @@ def run_decode_wait_sweep(
                 wait_ms=wait_ms,
                 duration=duration,
             )
-            for wait_ms in waits_ms
+            for wait_ms in DECODE_WAITS_MS
         ]
     )
-    for wait_ms, payload in zip(waits_ms, payloads):
+    for wait_ms, payload in zip(DECODE_WAITS_MS, payloads):
         result.values[f"{wait_ms}:p95_ms"] = payload["p95_ms"]
         result.values[f"{wait_ms}:ssim"] = payload["ssim"]
         result.events_processed += payload["events"]

@@ -115,18 +115,15 @@ def run_table1_cell(
     condition: str,
     policy: str,
     pages: Optional[Sequence] = None,
-    loads_per_page: int = 1,
     seed: int = 0,
-    page_timeout: float = 45.0,
 ) -> List[float]:
-    """Mean-PLT samples (seconds) for one (condition, policy) cell."""
+    """Mean-PLT samples (seconds) for one (condition, policy) cell: one load
+    per page, a stalled load counted at 45 s."""
     if pages is None:
         from repro.apps.web.corpus import generate_corpus
 
         pages = generate_corpus(count=30, seed=seed)
-    return _cell_samples(
-        condition, pages, policy, loads_per_page, seed, page_timeout
-    )[0]
+    return _cell_samples(condition, pages, policy, 1, seed, 45.0)[0]
 
 
 def _cell_samples(

@@ -81,7 +81,7 @@ class AppliedFault:
 class FaultInjector:
     """Arms a schedule against an :class:`~repro.core.api.HvcNetwork`."""
 
-    def __init__(self, net, schedule: FaultSchedule, registry=None) -> None:
+    def __init__(self, net, schedule: FaultSchedule) -> None:
         self.net = net
         self.schedule = schedule
         self.log: List[AppliedFault] = []
@@ -90,9 +90,8 @@ class FaultInjector:
         #: links' delay/rate/loss overlays (apply/revert balance law).
         self.active: List[Fault] = []
         self._armed = False
-        if registry is None and getattr(net, "obs", None) is not None:
-            registry = net.obs.registry
-        self.registry = registry
+        obs = getattr(net, "obs", None)
+        self.registry = obs.registry if obs is not None else None
 
     # ------------------------------------------------------------------
     def arm(self) -> "FaultInjector":

@@ -32,7 +32,7 @@ from repro.net.packet import PacketType
 
 
 def recovery_percentile(samples: Sequence[float], q: float) -> float:
-    """:func:`repro.core.metrics.percentile` of recovery samples, the
+    """:func:`repro.core.metrics.percentile` of recovery times or FCTs, the
     convention trace statistics use too, but 0.0 if empty."""
     if not 0 <= q <= 100:
         raise ScenarioError(f"percentile must be in [0, 100], got {q}")
@@ -53,19 +53,16 @@ class RecoveryTracker:
     #: A flow counts as stalled at outage end if it made no forward progress
     #: for this long. The grace absorbs residual in-flight deliveries that
     #: straggle in just after the outage begins (one propagation delay).
-    DEFAULT_STALL_AFTER = 0.25
+    STALL_AFTER = 0.25
 
-    def __init__(self, net, registry=None, stall_after: float = DEFAULT_STALL_AFTER) -> None:
+    def __init__(self, net) -> None:
         self.net = net
-        self.stall_after = stall_after
-        if registry is None:
-            if getattr(net, "obs", None) is not None:
-                registry = net.obs.registry
-            else:
-                from repro.obs import MetricsRegistry
+        if getattr(net, "obs", None) is not None:
+            self.registry = net.obs.registry
+        else:
+            from repro.obs import MetricsRegistry
 
-                registry = MetricsRegistry()
-        self.registry = registry
+            self.registry = MetricsRegistry()
 
         #: (host, flow) -> highest cumulative ack seen at that host.
         self._best_ack: Dict[tuple, int] = {}
@@ -111,7 +108,7 @@ class RecoveryTracker:
         # their next progress event closes a recovery interval. Flows that
         # kept progressing (failover worked) contribute no sample.
         for flow, last in self.last_progress.items():
-            if now - last >= self.stall_after and flow not in self._pending_recovery:
+            if now - last >= self.STALL_AFTER and flow not in self._pending_recovery:
                 self._pending_recovery[flow] = now
 
     # ------------------------------------------------------------------

@@ -228,32 +228,20 @@ class FaultSchedule:
         cls,
         trace: "NetworkTrace",
         channel: Optional[str] = None,
-        dead_rate_bps: float = 0.0,
-        collapse_frac: float = 0.25,
-        delay_spike_factor: float = 3.0,
-        min_spike_s: float = 0.02,
     ) -> "FaultSchedule":
         """Derive a fault schedule from a trace's discontinuities.
 
-        Dead intervals (rate <= ``dead_rate_bps``) become ``outage`` faults
-        aligned exactly to the trace's sample grid; sustained rate collapses
-        below ``collapse_frac`` of the healthy median become ``capacity``
-        faults; delay excursions above ``delay_spike_factor`` times the
-        median one-way delay become ``rtt_spike`` faults. The schedule
-        targets ``channel`` (default: the trace's own name), so any catalog
-        trace doubles as a fault campaign against a same-named channel.
+        Dead intervals (rate 0) become ``outage`` faults aligned exactly to
+        the trace's sample grid; sustained rate collapses below a quarter
+        of the healthy median become ``capacity`` faults; delay excursions
+        above 3x the median one-way delay (and 20 ms) become ``rtt_spike``
+        faults. The schedule targets ``channel`` (default: the trace's own
+        name), so any catalog trace doubles as a fault campaign against a
+        same-named channel.
         """
         from repro.resilience.derive import schedule_from_trace
 
-        return schedule_from_trace(
-            trace,
-            channel=channel,
-            dead_rate_bps=dead_rate_bps,
-            collapse_frac=collapse_frac,
-            delay_spike_factor=delay_spike_factor,
-            min_spike_s=min_spike_s,
-            schedule_cls=cls,
-        )
+        return schedule_from_trace(trace, channel=channel, schedule_cls=cls)
 
     # -- random generation ----------------------------------------------
     @classmethod

@@ -69,6 +69,8 @@ MIN_RATE_BPS = 1_000.0
 MAX_BG_SHARE = 0.95
 #: Feedback clamp: one tick's multiplicative decay saturates here.
 MAX_OVERLOAD = 1.0
+#: ACK load a channel's downlink carries per byte of uplink data.
+ACK_FRACTION = 0.05
 
 
 class FluidBackground:
@@ -76,7 +78,7 @@ class FluidBackground:
 
     ``channels`` is the network's channel list (data direction = uplink,
     matching foreground client->server transfers; ACK load rides the
-    downlink at ``ack_fraction``).
+    downlink at :data:`ACK_FRACTION`).
     """
 
     def __init__(
@@ -86,7 +88,6 @@ class FluidBackground:
         population: TenantPopulation,
         tick: float = 0.01,
         horizon: Optional[float] = None,
-        ack_fraction: float = 0.05,
         obs=None,
         sense_foreground: bool = True,
     ) -> None:
@@ -99,7 +100,6 @@ class FluidBackground:
         self.population = population
         self.tick = tick
         self.horizon = horizon
-        self.ack_fraction = ack_fraction
         self.obs = obs
         #: When False the ODEs ignore measured packet-level traffic —
         #: coupling becomes one-way (background shapes foreground, not
@@ -295,7 +295,7 @@ class FluidBackground:
         for i, ch in enumerate(self.channels):
             load = applied[i]
             ch.uplink.set_background_load(load)
-            ch.downlink.set_background_load(load * self.ack_fraction)
+            ch.downlink.set_background_load(load * ACK_FRACTION)
             self._last_avail[i] = max(caps[i] - load, 0.0)
             whole = int(self._bg_byte_accum[i])
             if whole:
@@ -423,7 +423,7 @@ class FluidBackground:
         for i in range(nch):
             sent_i = float(sent_by_ch[i])
             self._bg_byte_accum[i] += sent_i
-            self._ack_byte_accum[i] += sent_i * self.ack_fraction
+            self._ack_byte_accum[i] += sent_i * ACK_FRACTION
             self.bytes_by_channel[i] += sent_i
         # 7. Completions. A finished transfer installs no load: its eff
         # becomes +0.0, and adding +0.0 leaves a per-channel sum exact.

@@ -14,9 +14,8 @@ end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.core import metrics
 from repro.core.api import HvcNetwork
 from repro.errors import ScenarioError
 from repro.fleet.fluid import FluidBackground
@@ -39,6 +38,20 @@ from repro.steering.requirements import (
 #: Wi-Fi 7 multi-link pair; "small" a scaled-down eMBB+URLLC pair for
 #: fast validation cases.
 FLEET_PRESETS = ("paper", "wan", "mlo", "small")
+
+#: Fluid step (s) of every fleet run and equivalence case.
+TICK = 0.01
+#: Sampling period (s) of the per-channel utilization monitor.
+MONITOR_PERIOD = 0.25
+#: Foreground closed loop: repeated messages of this size per flow, a
+#: think time between a response completing and the next request, and
+#: flow i's first send at ``FG_STAGGER * (i + 1)``.
+FG_MESSAGE_BYTES = 60_000
+FG_THINK = 0.05
+FG_STAGGER = 0.1
+#: Requirement classes / CCAs cycled across foreground flows.
+FG_CLASSES = ("latency", "throughput", "background", "deadline")
+FG_CCAS = ("cubic", "bbr", "vegas")
 
 
 def fleet_channel_specs(preset: str):
@@ -65,16 +78,6 @@ class FleetConfig:
     duration: float = 20.0
     seed: int = 0
     preset: str = "paper"
-    tick: float = 0.01
-    monitor_period: float = 0.25
-    #: Foreground closed loop: repeated messages of this size per flow.
-    fg_message_bytes: int = 60_000
-    #: Think time between a response completing and the next request.
-    fg_think: float = 0.05
-    fg_stagger: float = 0.1
-    #: Requirement classes / CCAs cycled across foreground flows.
-    fg_classes: Tuple[str, ...] = ("latency", "throughput", "background", "deadline")
-    fg_ccas: Tuple[str, ...] = ("cubic", "bbr", "vegas")
     #: Mean background transfer size (bytes).
     mean_size: float = 6000.0
     #: Shard split of the foreground set (background replays identically
@@ -107,19 +110,15 @@ class FleetConfig:
                 "foreground->background feedback on, each shard's background "
                 "would see a different foreground subset and diverge"
             )
-        for name in self.fg_classes:
-            requirement_class(name)
 
 
 class _ForegroundFlow:
     """One closed-loop request stream: send, await ack, think, repeat."""
 
-    def __init__(self, sim, pair, index: int, config: FleetConfig, until: float):
+    def __init__(self, sim, pair, index: int, until: float):
         self.sim = sim
         self.pair = pair
         self.index = index
-        self.size = config.fg_message_bytes
-        self.think = config.fg_think
         self.until = until
         self.fcts: List[float] = []
         self.bytes_acked = 0
@@ -132,13 +131,13 @@ class _ForegroundFlow:
         if self.sim.now >= self.until:
             return
         self._sent_at = self.sim.now
-        self.pair.client.send_message(self.size, on_acked=self._on_acked)
+        self.pair.client.send_message(FG_MESSAGE_BYTES, on_acked=self._on_acked)
 
     def _on_acked(self, message, when: float) -> None:
         self.fcts.append(when - self._sent_at)
         self.bytes_acked += message.size
-        if when + self.think < self.until:
-            self.sim.schedule(self.think, self._send)
+        if when + FG_THINK < self.until:
+            self.sim.schedule(FG_THINK, self._send)
 
 
 class FleetSimulation:
@@ -155,14 +154,14 @@ class FleetSimulation:
             self.monitor = self.net.obs_monitor
         else:
             self.monitor = ChannelMonitor(
-                self.net.sim, self.net.channels, period=config.monitor_period
+                self.net.sim, self.net.channels, period=MONITOR_PERIOD
             )
         self.population = TenantPopulation.generate(config.population_spec())
         self.fluid = FluidBackground(
             self.net.sim,
             self.net.channels,
             self.population,
-            tick=config.tick,
+            tick=TICK,
             horizon=config.duration,
             obs=obs,
             sense_foreground=config.sense_foreground,
@@ -170,8 +169,8 @@ class FleetSimulation:
         self.flows: List[_ForegroundFlow] = []
         self._fg_meta: List[Dict] = []
         for i in range(config.foreground):
-            rclass = config.fg_classes[i % len(config.fg_classes)]
-            cca = config.fg_ccas[i % len(config.fg_ccas)]
+            rclass = FG_CLASSES[i % len(FG_CLASSES)]
+            cca = FG_CCAS[i % len(FG_CCAS)]
             meta = {"index": i, "rclass": rclass, "cca": cca}
             self._fg_meta.append(meta)
             if i % config.shards != config.shard:
@@ -183,10 +182,8 @@ class FleetSimulation:
                 tenant_id=i,
             )
             self.steerer.assign(pair.client.flow_id, rclass)
-            flow = _ForegroundFlow(
-                self.net.sim, pair, i, config, until=config.duration
-            )
-            flow.start(config.fg_stagger * (i + 1))
+            flow = _ForegroundFlow(self.net.sim, pair, i, until=config.duration)
+            flow.start(FG_STAGGER * (i + 1))
             self.flows.append(flow)
 
     def run(self) -> Dict:
@@ -255,9 +252,3 @@ def goodput_shares(
     if grand <= 0:
         return {cca: 0.0 for cca in totals}
     return {cca: round(value / grand, 4) for cca, value in sorted(totals.items())}
-
-
-def percentile(samples: List[float], q: float) -> float:
-    """:func:`repro.core.metrics.percentile` (linear interpolation, q in
-    [0, 100]), but 0.0 on empty input."""
-    return metrics.percentile(samples, q) if samples else 0.0

@@ -28,9 +28,10 @@ from typing import Dict, List, Optional
 
 from repro.core.api import HvcNetwork
 from repro.faults.injector import FaultInjector
+from repro.faults.recovery import recovery_percentile
 from repro.faults.schedule import FaultSchedule
 from repro.fleet.fluid import FluidBackground
-from repro.fleet.hybrid import fleet_channel_specs, percentile
+from repro.fleet.hybrid import MONITOR_PERIOD, TICK, fleet_channel_specs
 from repro.fleet.tenants import PopulationSpec, TenantPopulation
 from repro.net.monitor import ChannelMonitor
 from repro.steering.requirements import RequirementPinnedSteerer, requirement_class
@@ -53,8 +54,10 @@ class ValidationTolerance:
     fct_abs_grace: float = 0.05
     #: Absolute error allowed on per-channel (uplink) utilization.
     util_abs: float = 0.12
-    #: Both engines must finish at least this fraction of tenants.
-    min_completion: float = 0.9
+
+
+#: Both engines must finish at least this fraction of tenants.
+MIN_COMPLETION = 0.9
 
 
 def _arm_faults(net: HvcNetwork, fault_rows) -> int:
@@ -71,7 +74,6 @@ def _run_full(
     preset: str,
     duration: float,
     seed: int,
-    monitor_period: float,
     fault_rows=None,
 ) -> Dict:
     """Every tenant as a real packet-level connection."""
@@ -79,7 +81,7 @@ def _run_full(
     steerer = RequirementPinnedSteerer()
     net = HvcNetwork(specs, steering=steerer, seed=seed)
     _arm_faults(net, fault_rows)
-    monitor = ChannelMonitor(net.sim, net.channels, period=monitor_period)
+    monitor = ChannelMonitor(net.sim, net.channels, period=MONITOR_PERIOD)
     fcts: List[Optional[float]] = [None] * len(population)
 
     def open_and_send(i: int) -> None:
@@ -121,20 +123,18 @@ def _run_hybrid(
     preset: str,
     duration: float,
     seed: int,
-    monitor_period: float,
-    tick: float,
     fault_rows=None,
 ) -> Dict:
     """Every tenant as a fluid flow (pure background, no foreground)."""
     specs = fleet_channel_specs(preset)
     net = HvcNetwork(specs, seed=seed)
     _arm_faults(net, fault_rows)
-    monitor = ChannelMonitor(net.sim, net.channels, period=monitor_period)
+    monitor = ChannelMonitor(net.sim, net.channels, period=MONITOR_PERIOD)
     fluid = FluidBackground(
         net.sim,
         net.channels,
         population,
-        tick=tick,
+        tick=TICK,
         horizon=duration,
     )
     fluid.start()
@@ -161,9 +161,7 @@ def run_equivalence_case(
     duration: float = 12.0,
     seed: int = 0,
     preset: str = "small",
-    tick: float = 0.01,
     mean_size: float = 6000.0,
-    monitor_period: float = 0.25,
     fault_rows=None,
 ) -> Dict:
     """Run one population through both engines and report the deltas.
@@ -183,22 +181,20 @@ def run_equivalence_case(
         tenants=flows, duration=duration, seed=seed, mean_size=mean_size
     )
     population = TenantPopulation.generate(spec)
-    full = _run_full(population, preset, duration, seed, monitor_period, fault_rows)
-    hybrid = _run_hybrid(
-        population, preset, duration, seed, monitor_period, tick, fault_rows
-    )
+    full = _run_full(population, preset, duration, seed, fault_rows)
+    hybrid = _run_hybrid(population, preset, duration, seed, fault_rows)
     deltas = {
         "fct_p50_rel": _relative(
-            percentile(hybrid["fct"], 50), percentile(full["fct"], 50)
+            recovery_percentile(hybrid["fct"], 50), recovery_percentile(full["fct"], 50)
         ),
         "fct_p90_rel": _relative(
-            percentile(hybrid["fct"], 90), percentile(full["fct"], 90)
+            recovery_percentile(hybrid["fct"], 90), recovery_percentile(full["fct"], 90)
         ),
         "fct_p50_abs": abs(
-            percentile(hybrid["fct"], 50) - percentile(full["fct"], 50)
+            recovery_percentile(hybrid["fct"], 50) - recovery_percentile(full["fct"], 50)
         ),
         "fct_p90_abs": abs(
-            percentile(hybrid["fct"], 90) - percentile(full["fct"], 90)
+            recovery_percentile(hybrid["fct"], 90) - recovery_percentile(full["fct"], 90)
         ),
         "util_abs": {
             name: abs(hybrid["utilization"][name] - full["utilization"][name])
@@ -238,8 +234,6 @@ def check_equivalence(
                 f"(tolerance {tolerance.util_abs})"
             )
     for key in ("completion_full", "completion_hybrid"):
-        if deltas[key] < tolerance.min_completion:
-            violations.append(
-                f"{key} = {deltas[key]:.2%} < {tolerance.min_completion:.0%}"
-            )
+        if deltas[key] < MIN_COMPLETION:
+            violations.append(f"{key} = {deltas[key]:.2%} < {MIN_COMPLETION:.0%}")
     return violations

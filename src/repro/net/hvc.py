@@ -30,15 +30,11 @@ EMBB_QUEUE_BYTES = kib(2440)
 URLLC_QUEUE_BYTES = kib(64)
 
 
-def urllc_spec(
-    rate_bps: float = mbps(2),
-    rtt: float = ms(5),
-    queue_bytes: int = URLLC_QUEUE_BYTES,
-) -> ChannelSpec:
+def urllc_spec(rate_bps: float = mbps(2), rtt: float = ms(5)) -> ChannelSpec:
     """URLLC per the paper's emulation: 2 Mbps, 5 ms RTT, reliable."""
     one_way = rtt / 2.0
-    up = DirectionSpec(rate_bps=rate_bps, delay=one_way, queue_bytes=queue_bytes)
-    down = DirectionSpec(rate_bps=rate_bps, delay=one_way, queue_bytes=queue_bytes)
+    up = DirectionSpec(rate_bps=rate_bps, delay=one_way, queue_bytes=URLLC_QUEUE_BYTES)
+    down = DirectionSpec(rate_bps=rate_bps, delay=one_way, queue_bytes=URLLC_QUEUE_BYTES)
     return ChannelSpec(name="urllc", up=up, down=down, reliable=True)
 
 
@@ -74,43 +70,33 @@ def traced_embb_spec(
     return ChannelSpec(name=f"embb[{trace.name}]", up=up, down=down)
 
 
-def wifi_mlo_specs(
-    rate_bps: float = mbps(120),
-    rtt: float = ms(12),
-    loss_burstiness: Tuple[float, float] = (0.02, 0.25),
-    bad_loss: float = 0.35,
-    queue_bytes: int = kib(512),
-) -> Tuple[ChannelSpec, ChannelSpec]:
-    """Two Wi-Fi MLO links on different bands, each with bursty loss.
+def wifi_mlo_specs(bad_loss: float = 0.35) -> Tuple[ChannelSpec, ChannelSpec]:
+    """Two Wi-Fi MLO links on different bands, each with bursty loss:
+    120 Mbps, 12 ms RTT, good->bad 0.02 and bad->good 0.25 per packet.
 
     Used for the bandwidth-vs-reliability trade-off: replicating packets
     across both links (redundant steering) halves usable bandwidth but
     survives either link fading.
     """
-    p_g2b, p_b2g = loss_burstiness
     specs = []
     for band in ("5GHz", "6GHz"):
         up = DirectionSpec(
-            rate_bps=rate_bps,
-            delay=rtt / 2.0,
-            queue_bytes=queue_bytes,
-            loss=GilbertElliottLoss(p_g2b, p_b2g, good_loss=0.001, bad_loss=bad_loss),
+            rate_bps=mbps(120),
+            delay=ms(12) / 2.0,
+            queue_bytes=kib(512),
+            loss=GilbertElliottLoss(0.02, 0.25, good_loss=0.001, bad_loss=bad_loss),
         )
         down = DirectionSpec(
-            rate_bps=rate_bps,
-            delay=rtt / 2.0,
-            queue_bytes=queue_bytes,
-            loss=GilbertElliottLoss(p_g2b, p_b2g, good_loss=0.001, bad_loss=bad_loss),
+            rate_bps=mbps(120),
+            delay=ms(12) / 2.0,
+            queue_bytes=kib(512),
+            loss=GilbertElliottLoss(0.02, 0.25, good_loss=0.001, bad_loss=bad_loss),
         )
         specs.append(ChannelSpec(name=f"wifi-mlo-{band}", up=up, down=down))
     return specs[0], specs[1]
 
 
-def wifi_tsn_spec(
-    rate_bps: float = mbps(40),
-    rtt: float = ms(6),
-    queue_bytes: int = kib(256),
-) -> ChannelSpec:
+def wifi_tsn_spec(rate_bps: float = mbps(40), rtt: float = ms(6)) -> ChannelSpec:
     """A Wi-Fi TSN channel: 802.1Qbv-style time-aware scheduling (§2.2).
 
     Modelled as a contention-free link whose queue gives control traffic an
@@ -119,57 +105,45 @@ def wifi_tsn_spec(
     latency for the express band, ordinary queueing for the rest.
     """
     up = DirectionSpec(
-        rate_bps=rate_bps, delay=rtt / 2.0, queue_bytes=queue_bytes, priority_queue=True
+        rate_bps=rate_bps, delay=rtt / 2.0, queue_bytes=kib(256), priority_queue=True
     )
     down = DirectionSpec(
-        rate_bps=rate_bps, delay=rtt / 2.0, queue_bytes=queue_bytes, priority_queue=True
+        rate_bps=rate_bps, delay=rtt / 2.0, queue_bytes=kib(256), priority_queue=True
     )
     return ChannelSpec(name="wifi-tsn", up=up, down=down, reliable=True)
 
 
-def cisp_spec(
-    rate_bps: float = mbps(10),
-    rtt: float = ms(8),
-    cost_per_byte: float = 1e-6,
-    loss_rate: float = 0.005,
-    queue_bytes: int = kib(128),
-) -> ChannelSpec:
-    """A cISP-style speed-of-light WAN channel: fast, narrow, and billed.
+def cisp_spec() -> ChannelSpec:
+    """A cISP-style speed-of-light WAN channel: fast, narrow, and billed
+    (10 Mbps, 8 ms RTT).
 
     Microwave links are less reliable than fiber, hence the small Bernoulli
     loss. ``cost_per_byte`` feeds the latency-vs-cost steering policy.
     """
     up = DirectionSpec(
-        rate_bps=rate_bps, delay=rtt / 2.0, queue_bytes=queue_bytes, loss=BernoulliLoss(loss_rate)
+        rate_bps=mbps(10), delay=ms(8) / 2.0, queue_bytes=kib(128), loss=BernoulliLoss(0.005)
     )
     down = DirectionSpec(
-        rate_bps=rate_bps, delay=rtt / 2.0, queue_bytes=queue_bytes, loss=BernoulliLoss(loss_rate)
+        rate_bps=mbps(10), delay=ms(8) / 2.0, queue_bytes=kib(128), loss=BernoulliLoss(0.005)
     )
-    return ChannelSpec(name="cisp", up=up, down=down, cost_per_byte=cost_per_byte)
+    return ChannelSpec(name="cisp", up=up, down=down, cost_per_byte=1e-6)
 
 
-def fiber_wan_spec(
-    rate_bps: float = mbps(200),
-    rtt: float = ms(40),
-    queue_bytes: int = kib(4096),
-) -> ChannelSpec:
-    """A conventional terrestrial WAN path (the cISP companion channel)."""
-    up = DirectionSpec(rate_bps=rate_bps, delay=rtt / 2.0, queue_bytes=queue_bytes)
-    down = DirectionSpec(rate_bps=rate_bps, delay=rtt / 2.0, queue_bytes=queue_bytes)
+def fiber_wan_spec() -> ChannelSpec:
+    """A conventional terrestrial WAN path (the cISP companion channel):
+    200 Mbps, 40 ms RTT."""
+    up = DirectionSpec(rate_bps=mbps(200), delay=ms(40) / 2.0, queue_bytes=kib(4096))
+    down = DirectionSpec(rate_bps=mbps(200), delay=ms(40) / 2.0, queue_bytes=kib(4096))
     return ChannelSpec(name="fiber-wan", up=up, down=down)
 
 
-def leo_spec(
-    rate_bps: float = mbps(50),
-    rtt: float = ms(25),
-    loss_rate: float = 0.01,
-    queue_bytes: int = kib(1024),
-) -> ChannelSpec:
-    """A LEO satellite path: lower latency than long fiber, radio-limited."""
+def leo_spec(loss_rate: float = 0.01) -> ChannelSpec:
+    """A LEO satellite path: lower latency than long fiber, radio-limited
+    (50 Mbps, 25 ms RTT)."""
     up = DirectionSpec(
-        rate_bps=rate_bps, delay=rtt / 2.0, queue_bytes=queue_bytes, loss=BernoulliLoss(loss_rate)
+        rate_bps=mbps(50), delay=ms(25) / 2.0, queue_bytes=kib(1024), loss=BernoulliLoss(loss_rate)
     )
     down = DirectionSpec(
-        rate_bps=rate_bps, delay=rtt / 2.0, queue_bytes=queue_bytes, loss=BernoulliLoss(loss_rate)
+        rate_bps=mbps(50), delay=ms(25) / 2.0, queue_bytes=kib(1024), loss=BernoulliLoss(loss_rate)
     )
     return ChannelSpec(name="leo", up=up, down=down)

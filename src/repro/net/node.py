@@ -17,7 +17,7 @@ from repro.errors import NetworkError, SteeringError
 from repro.net.channel import Channel
 from repro.net.link import Link
 from repro.net.packet import Packet, PacketType
-from repro.net.resequencer import DEFAULT_HOLD_TIMEOUT, Resequencer
+from repro.net.resequencer import Resequencer
 from repro.sim.kernel import Simulator
 
 #: Per-flow window of remembered packet ids for redundancy de-duplication.
@@ -222,7 +222,6 @@ class Device:
         sim: Simulator,
         name: str = "host",
         resequence: bool = True,
-        resequence_timeout: float = DEFAULT_HOLD_TIMEOUT,
     ) -> None:
         self.sim = sim
         self.name = name
@@ -242,9 +241,7 @@ class Device:
         #: Shim resequencing (see :mod:`repro.net.resequencer`): restores
         #: per-flow order for reliable DATA packets split across channels.
         self.resequencer: Optional[Resequencer] = (
-            Resequencer(sim, self._dispatch, timeout=resequence_timeout)
-            if resequence
-            else None
+            Resequencer(sim, self._dispatch) if resequence else None
         )
         #: flow → [next shim_seq, channels its data has used so far].
         self._shim_flows: Dict[int, list] = {}

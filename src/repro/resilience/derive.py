@@ -99,19 +99,18 @@ def _healthy_median(values: Sequence[float], excluded: Sequence[bool]) -> float:
 def collapse_intervals(
     trace: "NetworkTrace",
     collapse_frac: float = 0.25,
-    dead_rate_bps: float = 0.0,
 ) -> List[Tuple[DeadInterval, float]]:
     """Sustained rate collapses: (interval, severity) pairs.
 
     A sample collapses when its rate is below ``collapse_frac`` times the
-    median of the *healthy* (non-dead) samples; dead samples never count
-    (they are outages, not collapses). Severity is the run's mean rate over
-    the reference, clamped into the open interval a ``capacity`` fault
-    accepts.
+    median of the *healthy* (non-zero-rate) samples; dead samples never
+    count (they are outages, not collapses). Severity is the run's mean
+    rate over the reference, clamped into the open interval a ``capacity``
+    fault accepts.
     """
     if not 0.0 < collapse_frac < 1.0:
         raise ScenarioError(f"collapse_frac must be in (0,1), got {collapse_frac}")
-    dead = [rate <= dead_rate_bps for rate in trace.rates_bps]
+    dead = [rate <= 0.0 for rate in trace.rates_bps]
     reference = _healthy_median(trace.rates_bps, dead)
     if reference <= 0.0:
         return []
@@ -131,15 +130,14 @@ def collapse_intervals(
 def delay_spike_intervals(
     trace: "NetworkTrace",
     delay_spike_factor: float = 3.0,
-    dead_rate_bps: float = 0.0,
     min_spike_s: float = 0.02,
 ) -> List[Tuple[DeadInterval, float]]:
     """Sustained delay excursions: (interval, mean excess delay) pairs.
 
     A sample spikes when its one-way delay exceeds ``delay_spike_factor``
     times the healthy median *and* the excess clears ``min_spike_s`` (so a
-    3x excursion on a 2 ms baseline is noise, not a fault). Dead samples
-    are excluded — their delay is unobservable in a real trace.
+    3x excursion on a 2 ms baseline is noise, not a fault). Dead (zero-rate)
+    samples are excluded — their delay is unobservable in a real trace.
     """
     if delay_spike_factor <= 1.0:
         raise ScenarioError(
@@ -147,7 +145,7 @@ def delay_spike_intervals(
         )
     if min_spike_s <= 0:
         raise ScenarioError(f"min_spike_s must be positive, got {min_spike_s}")
-    dead = [rate <= dead_rate_bps for rate in trace.rates_bps]
+    dead = [rate <= 0.0 for rate in trace.rates_bps]
     reference = _healthy_median(trace.delays, dead)
     if reference <= 0.0:
         return []
@@ -166,10 +164,6 @@ def delay_spike_intervals(
 def schedule_from_trace(
     trace: "NetworkTrace",
     channel: Optional[str] = None,
-    dead_rate_bps: float = 0.0,
-    collapse_frac: float = 0.25,
-    delay_spike_factor: float = 3.0,
-    min_spike_s: float = 0.02,
     schedule_cls: Optional[Type["FaultSchedule"]] = None,
 ) -> "FaultSchedule":
     """Build the full derived schedule (outages + collapses + spikes).
@@ -183,12 +177,10 @@ def schedule_from_trace(
 
     target = channel if channel is not None else trace.name
     schedule = schedule_cls()
-    for interval in dead_intervals(trace, dead_rate_bps):
+    for interval in dead_intervals(trace):
         schedule.outage(target, interval.start, interval.duration)
-    for interval, severity in collapse_intervals(trace, collapse_frac, dead_rate_bps):
+    for interval, severity in collapse_intervals(trace):
         schedule.capacity_collapse(target, interval.start, interval.duration, severity)
-    for interval, excess in delay_spike_intervals(
-        trace, delay_spike_factor, dead_rate_bps, min_spike_s
-    ):
+    for interval, excess in delay_spike_intervals(trace):
         schedule.rtt_spike(target, interval.start, interval.duration, excess)
     return schedule

@@ -4,8 +4,8 @@ Policies are the paper's design space, one module per layer/idea:
 
 * :mod:`repro.steering.single` — use one channel (the eMBB-only baseline).
 * :mod:`repro.steering.roundrobin` — heterogeneity-blind multipath
-  (per-packet round robin, rate-weighted spraying) — the "MPTCP ignores
-  channel properties" strawman.
+  (per-packet round robin) — the "MPTCP ignores channel properties"
+  strawman.
 * :mod:`repro.steering.mptcp` — minRTT and ECF schedulers, the flow-level
   state of the art the paper contrasts with.
 * :mod:`repro.steering.dchannel` — DChannel's network-layer per-packet
@@ -34,7 +34,7 @@ from typing import Callable, Dict, List
 from repro.errors import SteeringError
 from repro.steering.base import Steerer
 from repro.steering.single import SingleChannelSteerer
-from repro.steering.roundrobin import RoundRobinSteerer, RateWeightedSteerer
+from repro.steering.roundrobin import RoundRobinSteerer
 from repro.steering.mptcp import MinRttSteerer, EcfSteerer
 from repro.steering.dchannel import DChannelSteerer
 from repro.steering.flow_pinned import FlowPinnedSteerer
@@ -56,7 +56,6 @@ from repro.steering.requirements import (
 _REGISTRY: Dict[str, Callable[..., Steerer]] = {
     "single": SingleChannelSteerer,
     "round-robin": RoundRobinSteerer,
-    "rate-weighted": RateWeightedSteerer,
     "min-rtt": MinRttSteerer,
     "ecf": EcfSteerer,
     "flow-pinned": FlowPinnedSteerer,
@@ -96,7 +95,6 @@ __all__ = [
     "Steerer",
     "SingleChannelSteerer",
     "RoundRobinSteerer",
-    "RateWeightedSteerer",
     "MinRttSteerer",
     "EcfSteerer",
     "DChannelSteerer",

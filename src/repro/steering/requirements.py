@@ -218,7 +218,7 @@ class RequirementPinnedSteerer(Steerer):
     hybrid-vs-packet validation suite depends on.
 
     Flows are registered up front (``flow_classes``: flow id -> class
-    name); unregistered flows fall back to ``default_class``. The pin is
+    name); unregistered flows fall back to ``"throughput"``. The pin is
     re-evaluated only when the pinned channel is down, mirroring the
     fluid engine's outage reassignment.
     """
@@ -228,11 +228,9 @@ class RequirementPinnedSteerer(Steerer):
     def __init__(
         self,
         flow_classes: Optional[Dict[int, str]] = None,
-        default_class: str = "throughput",
         preferred_channels: Optional[Dict[str, Sequence[int]]] = None,
     ) -> None:
         self.flow_classes = dict(flow_classes or {})
-        self.default_class = requirement_class(default_class).name
         #: Optional operator pins: class name -> allowed channel indices.
         #: Validated eagerly — an empty set is a config error, not a
         #: silent fall-through to channel 0.
@@ -252,7 +250,7 @@ class RequirementPinnedSteerer(Steerer):
                 if view.index == pinned and view.up:
                     return (pinned,)
         rclass = requirement_class(
-            self.flow_classes.get(packet.flow_id, self.default_class)
+            self.flow_classes.get(packet.flow_id, "throughput")
         )
         chosen = rclass.choose(
             traits_of_views(views),

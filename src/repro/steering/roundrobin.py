@@ -1,9 +1,9 @@
-"""Heterogeneity-blind multipath baselines.
+"""Heterogeneity-blind multipath baseline.
 
-These represent the "aggregate bandwidth, ignore channel properties" class
-the paper criticizes: they spray packets without asking what each channel is
-good at, so a 2 Mbps URLLC link receives the same share (round robin) or a
-proportional share (rate-weighted) of bulk traffic and congests.
+This represents the "aggregate bandwidth, ignore channel properties" class
+the paper criticizes: it sprays packets without asking what each channel is
+good at, so a 2 Mbps URLLC link receives the same share of bulk traffic as
+the 60 Mbps eMBB and congests.
 """
 
 from __future__ import annotations
@@ -28,29 +28,3 @@ class RoundRobinSteerer(Steerer):
         view = alive[self._counter % len(alive)]
         self._counter += 1
         return (view.index,)
-
-
-class RateWeightedSteerer(Steerer):
-    """Weighted spraying proportional to each channel's current rate.
-
-    Deterministic (largest deficit first) so runs are reproducible: each
-    channel accumulates credit at its rate share and the packet goes to the
-    channel with the most credit.
-    """
-
-    name = "rate-weighted"
-
-    def __init__(self) -> None:
-        self._credit: dict = {}
-
-    def choose(self, packet: Packet, views: Sequence[ChannelView], now: float) -> Sequence[int]:
-        alive = up_views(views)
-        total_rate = sum(v.rate_bps for v in alive)
-        if total_rate <= 0:
-            return (alive[0].index,)
-        for view in alive:
-            share = view.rate_bps / total_rate
-            self._credit[view.index] = self._credit.get(view.index, 0.0) + share
-        best = max(alive, key=lambda v: self._credit.get(v.index, 0.0))
-        self._credit[best.index] -= 1.0
-        return (best.index,)

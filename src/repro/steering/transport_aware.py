@@ -30,38 +30,25 @@ from repro.steering.base import (
 )
 from repro.steering.dchannel import DChannelSteerer
 
+#: Messages at most this large are latency-bound (requests, RPCs).
+SMALL_MESSAGE_BYTES = 3000
+
 
 class TransportAwareSteerer(Steerer):
     """Segment-class-aware steering using transport-visible metadata."""
 
     name = "transport-aware"
 
-    def __init__(
-        self,
-        accelerate_tail: bool = True,
-        small_message_bytes: int = 3000,
-        inner: Optional[Steerer] = None,
-        hysteresis: float = 0.5,
-    ) -> None:
+    def __init__(self, inner: Optional[Steerer] = None) -> None:
         """
-        Parameters
-        ----------
-        accelerate_tail:
-            Steer each message's final segment to the low-latency channel
-            when its queue estimate still beats the bulk channel's.
-        small_message_bytes:
-            Messages at most this large are latency-bound (requests, RPCs);
-            steer them whole onto the low-latency channel when it wins.
-        inner:
-            Policy for bulk data (default: DChannel's delay comparison).
-        hysteresis:
-            Failback damping: a channel that just recovered from an outage
-            is distrusted for this many seconds.
+        Messages of at most :data:`SMALL_MESSAGE_BYTES` ride the low-latency
+        channel whole when it wins, and so does each message's final
+        segment. ``inner`` steers bulk data (default: DChannel's delay
+        comparison). Failback damping follows :class:`ChannelHealth`'s
+        default hysteresis.
         """
-        self.accelerate_tail = accelerate_tail
-        self.small_message_bytes = small_message_bytes
-        self.inner = inner if inner is not None else DChannelSteerer(hysteresis=hysteresis)
-        self.health = ChannelHealth(hysteresis=hysteresis)
+        self.inner = inner if inner is not None else DChannelSteerer()
+        self.health = ChannelHealth()
 
     def _reliable_choice(self, alive: Sequence[ChannelView]) -> Optional[int]:
         """Control/repair traffic prefers a reliability guarantee — but not
@@ -108,13 +95,13 @@ class TransportAwareSteerer(Steerer):
         # Small messages ride the low-latency channel whole.
         if (
             message_size is not None
-            and message_size <= self.small_message_bytes
+            and message_size <= SMALL_MESSAGE_BYTES
             and ll_wins
         ):
             return (ll.index,)
 
         # Tail acceleration: the last segment unblocks the receiver.
-        if self.accelerate_tail and packet.message_last and ll_wins:
+        if packet.message_last and ll_wins:
             return (ll.index,)
 
         return self.inner.choose(packet, views, now)

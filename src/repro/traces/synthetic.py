@@ -46,7 +46,6 @@ class TraceSpec:
     degraded_delay: float = ms(100)  # one-way delay plateau while degraded
     # AR(1) smoothing coefficient for the rate process.
     smoothing: float = 0.7
-    rate_floor_bps: float = mbps(0.1)
 
     def validate(self) -> None:
         if self.duration <= 0 or self.dt <= 0:
@@ -90,7 +89,7 @@ def generate_trace(spec: TraceSpec, seed: int = 0) -> NetworkTrace:
         rate = spec.smoothing * rate + (1.0 - spec.smoothing) * target_rate
         delay = spec.smoothing * delay + (1.0 - spec.smoothing) * target_delay
         times.append(round(t, 9))
-        rates.append(max(spec.rate_floor_bps, rate))
+        rates.append(max(mbps(0.1), rate))
         delays.append(max(ms(1), delay))
 
     return NetworkTrace(times, rates, delays, name=spec.name)
@@ -159,9 +158,6 @@ def starlink_leo(
     seed: int = 5,
     duration: float = 120.0,
     handoff_period: float = 15.0,
-    handoff_phase: float = 4.0,
-    outage_mean: float = 0.3,
-    dt: float = 0.1,
 ) -> NetworkTrace:
     """Starlink-like LEO access: periodic handoff micro-outages, high jitter.
 
@@ -174,27 +170,28 @@ def starlink_leo(
     zeros, not merely low rates, so :meth:`FaultSchedule.from_trace`
     recovers them exactly as outage faults.
 
-    ``handoff_phase`` places the first handoff early enough that even a
-    short (quick-mode) run meets at least one disruption.
+    The first handoff, at 4 s, lands early enough that even a short
+    (quick-mode) run meets at least one disruption.
     """
-    if duration <= 0 or dt <= 0 or dt >= duration:
-        raise TraceError("duration and dt must be positive with dt < duration")
-    if handoff_period <= 0 or handoff_phase < 0:
-        raise TraceError("handoff_period must be positive, handoff_phase >= 0")
+    dt = 0.1
+    if duration <= dt:
+        raise TraceError(f"duration must exceed the {dt} s sample step")
+    if handoff_period <= 0:
+        raise TraceError("handoff_period must be positive")
     rng = random.Random(seed)
     steps = int(round(duration / dt))
     times, rates, delays = [], [], []
     # Handoff instants, snapped to the sample grid so dead intervals are
     # exact sample runs (what from_trace recovers).
-    next_handoff = handoff_phase
+    next_handoff = 4.0
     outage_left = 0
     rate_level = mbps(140)
     delay_level = ms(28)
     for i in range(steps):
         t = i * dt
         if outage_left == 0 and next_handoff <= t:
-            # Enter a micro-outage: 1..n dead samples (~outage_mean s).
-            outage_left = max(1, int(round(rng.expovariate(1.0 / outage_mean) / dt)))
+            # Enter a micro-outage: 1..n dead samples (~0.3 s).
+            outage_left = max(1, int(round(rng.expovariate(1.0 / 0.3) / dt)))
             outage_left = min(outage_left, max(1, int(1.2 / dt)))
             next_handoff += handoff_period
             # The new satellite: a fresh link budget and path length.
@@ -216,8 +213,6 @@ def wifi_5g_handoff(
     seed: int = 6,
     duration: float = 120.0,
     dwell_mean: float = 8.0,
-    gap_mean: float = 0.15,
-    dt: float = 0.05,
 ) -> NetworkTrace:
     """A device oscillating between Wi-Fi and 5G coverage.
 
@@ -229,10 +224,11 @@ def wifi_5g_handoff(
     runs, so the trace doubles as a fault campaign via
     :meth:`FaultSchedule.from_trace`.
     """
-    if duration <= 0 or dt <= 0 or dt >= duration:
-        raise TraceError("duration and dt must be positive with dt < duration")
-    if dwell_mean <= 0 or gap_mean <= 0:
-        raise TraceError("dwell_mean and gap_mean must be positive")
+    dt = 0.05
+    if duration <= dt:
+        raise TraceError(f"duration must exceed the {dt} s sample step")
+    if dwell_mean <= 0:
+        raise TraceError("dwell_mean must be positive")
     rng = random.Random(seed)
     steps = int(round(duration / dt))
     times, rates, delays = [], [], []
@@ -245,7 +241,7 @@ def wifi_5g_handoff(
     for i in range(steps):
         t = i * dt
         if gap_left == 0 and switch_at <= t:
-            gap_left = max(1, int(round(rng.expovariate(1.0 / gap_mean) / dt)))
+            gap_left = max(1, int(round(rng.expovariate(1.0 / 0.15) / dt)))
             gap_left = min(gap_left, max(1, int(0.8 / dt)))
             on_wifi = not on_wifi
             switch_at = t + rng.expovariate(1.0 / dwell_mean)

@@ -16,7 +16,6 @@ from repro.transport.cc.reno import Reno
 from repro.transport.cc.cubic import Cubic
 from repro.transport.cc.bbr import Bbr
 from repro.transport.cc.bbr2 import Bbr2
-from repro.transport.cc.copa import Copa
 from repro.transport.cc.vegas import Vegas
 from repro.transport.cc.vivace import Vivace
 from repro.transport.cc.hvc_aware import HvcAware
@@ -32,7 +31,6 @@ _REGISTRY: Dict[str, Callable[..., CongestionControl]] = {
     "bbr": Bbr,
     "bbr2": Bbr2,
     "bbr2+": _bbr2_plus,
-    "copa": Copa,
     "vegas": Vegas,
     "vivace": Vivace,
 }
@@ -73,7 +71,6 @@ __all__ = [
     "Cubic",
     "Bbr",
     "Bbr2",
-    "Copa",
     "Vegas",
     "Vivace",
     "HvcAware",

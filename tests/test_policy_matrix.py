@@ -37,7 +37,7 @@ def test_policy_delivers_datagrams(policy):
 
 
 @pytest.mark.parametrize("scheduler", ["hvc", "minrtt"])
-@pytest.mark.parametrize("cc", ["cubic", "bbr", "copa", "vegas", "vivace", "reno"])
+@pytest.mark.parametrize("cc", ["cubic", "bbr", "vegas", "vivace", "reno"])
 def test_multipath_cc_matrix(scheduler, cc):
     """Every CCA runs under both multipath schedulers."""
     net = HvcNetwork([fixed_embb_spec(), urllc_spec()], steering="single")

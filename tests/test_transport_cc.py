@@ -36,8 +36,9 @@ class TestRegistry:
             assert cc.cwnd_bytes > 0
 
     def test_unknown_name_raises(self):
-        with pytest.raises(TransportError):
-            make_cc("hystart++")
+        for name in ("hystart++", "copa", "hvc-copa"):
+            with pytest.raises(TransportError, match="known: bbr, "):
+                make_cc(name)
 
     def test_hvc_prefix_wraps(self):
         cc = make_cc("hvc-bbr", mss=MSS)

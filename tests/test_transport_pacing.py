@@ -70,7 +70,7 @@ class TestPacing:
 
 
 class TestMultipathPacer:
-    @pytest.mark.parametrize("cc", ["copa", "bbr"])
+    @pytest.mark.parametrize("cc", ["bbr2", "bbr"])
     def test_wakeup_is_never_later_than_a_gated_subflow_asks(self, cc):
         """One wake-up event serves every subflow's pacer, so it must sit at
         the earliest deadline: a subflow gating after another one whose
