@@ -1,7 +1,7 @@
 """Result containers with paper-style text rendering.
 
-Benchmarks print these so the regenerated tables/figures can be eyeballed
-against the paper; EXPERIMENTS.md records the comparison.
+``python -m repro <name>`` prints these so the regenerated tables/figures
+can be eyeballed against the paper; EXPERIMENTS.md records the comparison.
 """
 
 from __future__ import annotations
@@ -116,6 +116,12 @@ class ExperimentResult:
     notes: List[str] = field(default_factory=list)
     #: Free-form numeric outputs for programmatic assertions.
     values: Dict[str, float] = field(default_factory=dict)
+    #: The paper's shape claims, each a predicate over ``values`` evaluated
+    #: by the run that produced them: claim -> held.
+    shapes: Dict[str, bool] = field(default_factory=dict)
+    #: Known divergences from the paper that this repo's mechanism pins,
+    #: kept apart from ``shapes``: claim -> held.
+    pins: Dict[str, bool] = field(default_factory=dict)
     #: Total kernel events across every simulation unit this experiment ran.
     #: Deterministic for a given seed, so it doubles as a replay checksum;
     #: benchmarks divide it by wall-clock for events/sec.
@@ -138,6 +144,14 @@ class ExperimentResult:
             parts.extend(f"  {c.render()}" for c in self.comparisons)
         for note in self.notes:
             parts.append(f"note: {note}")
+        for label, checks in (("shape", self.shapes), ("divergence pin", self.pins)):
+            if checks:
+                parts.append(
+                    "\n".join(
+                        f"{label}: {claim}: {'held' if held else 'FAILED'}"
+                        for claim, held in checks.items()
+                    )
+                )
         if self.artifacts:
             listed = "\n".join(
                 f"  {label}: {path}" for label, path in sorted(self.artifacts.items())

@@ -2,9 +2,10 @@
 
 Each experiment is a ``run_*`` function returning an
 :class:`~repro.core.results.ExperimentResult`; :data:`EXPERIMENTS` below is
-the list (``python -m repro --help`` prints the names), the benchmarks in
-``benchmarks/`` call the functions and print the rendered output, and
-``python -m repro <name>`` runs them from the CLI.
+the list (``python -m repro --help`` prints the names), and
+``python -m repro <name>`` runs one and prints its rendered output. A run
+states the paper's shape claims it checks as ``result.shapes`` (claim ->
+held), evaluated over its own ``values`` and printed as ``shape:`` lines.
 
 What the CLI needs to know about an experiment lives on its run function:
 the keyword parameters it declares say which scale flags it takes
@@ -36,6 +37,8 @@ EXPERIMENTS = {
     "resilience": "repro.experiments.resilience:run_resilience",
     "fleet": "repro.experiments.fleet:run_fleet",
     "baselines": "repro.experiments.baselines:run_baselines",
+    "general": "repro.experiments.baselines:run_general",
+    "h1-vs-h2": "repro.experiments.baselines:run_h1_vs_h2",
     "cc-matrix": "repro.experiments.cc_matrix:run_cc_matrix",
     "ablate": "repro.experiments.ablation_harness:run_ablation_harness",
     "sweep-urllc-bw": "repro.experiments.sensitivity:run_urllc_bandwidth_sweep",

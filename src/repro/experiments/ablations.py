@@ -65,10 +65,12 @@ def run_cc_ablation(
         result.values[f"{cc}:aware"] = aware_mbps
         table.add_row(cc, plain_mbps, aware_mbps, f"{aware_mbps / plain_mbps:.1f}x")
     result.tables.append(table)
-    result.notes.append(
-        "shape check: hvc-aware throughput should exceed plain for every "
-        "delay-based CCA"
-    )
+    mbps = result.values
+    result.shapes.update({
+        "bbr hvc-aware > 1.5x plain": mbps["bbr:aware"] > 1.5 * mbps["bbr:plain"],
+        "vivace hvc-aware > 1.5x plain": mbps["vivace:aware"] > 1.5 * mbps["vivace:plain"],
+        "vegas hvc-aware > plain": mbps["vegas:aware"] > mbps["vegas:plain"],
+    })
     return result
 
 
@@ -190,9 +192,11 @@ def run_ack_ablation(
         result.values[f"{label}:p95_ms"] = to_ms(cdf.percentile(95))
         table.add_row(label, to_ms(cdf.median), to_ms(cdf.percentile(95)))
     result.tables.append(table)
-    result.notes.append(
-        "shape check: transport-aware <= dchannel <= dchannel fat-acks at p95"
-    )
+    p95 = {label: result.values[f"{label}:p95_ms"] for label, _, _ in configs}
+    result.shapes.update({
+        "p95 transport-aware <= dchannel": p95["transport-aware"] <= p95["dchannel"],
+        "p95 dchannel fat-acks >= dchannel": p95["dchannel fat-acks"] >= p95["dchannel"],
+    })
     return result
 
 
@@ -276,10 +280,9 @@ def run_mlo_ablation(
             label, f"{100 * payload['delivered']:.1f}", payload["goodput_mbps"]
         )
     result.tables.append(table)
-    result.notes.append(
-        "shape check: replicate has the highest delivery rate; spray has the "
-        "highest offered-load tolerance (goodput) on clean periods"
-    )
+    delivered = {label: result.values[f"{label}:delivered"] for label in MLO_POLICIES}
+    for other in ("single-link", "spray (min-rtt)"):
+        result.shapes[f"delivery replicate > {other}"] = delivered["replicate"] > delivered[other]
     return result
 
 
@@ -394,10 +397,11 @@ def run_multipath_ablation(
             scheduler, payload["goodput_mbps"], to_ms(cdf.percentile(95))
         )
     result.tables.append(table)
-    result.notes.append(
-        "shape check: the hvc scheduler should match minRTT's goodput while "
-        "cutting the RPC latency tail (messages ride URLLC, bulk rides eMBB)"
-    )
+    v = result.values
+    result.shapes.update({
+        "hvc rpc p95 < 0.3x minRTT": v["hvc:rpc_p95_ms"] < 0.3 * v["minrtt:rpc_p95_ms"],
+        "hvc goodput > 0.8x minRTT": v["hvc:goodput_mbps"] > 0.8 * v["minrtt:goodput_mbps"],
+    })
     return result
 
 
@@ -488,10 +492,8 @@ def run_tsn_ablation(
         result.values[f"{express_mbps}:p95_ms"] = payload["p95_ms"]
         table.add_row(express_mbps, payload["p95_ms"])
     result.tables.append(table)
-    result.notes.append(
-        "shape check: the bystander's latency grows with the express load — "
-        "TSN's determinism for one user is multiplexing loss for the rest"
-    )
+    p95 = [result.values[f"{express_mbps}:p95_ms"] for express_mbps in loads]
+    result.shapes["bystander p95 at 0 < 8 < 24 Mbps express load"] = p95[0] < p95[1] < p95[2]
     return result
 
 
@@ -556,12 +558,8 @@ def run_resequencer_ablation(
         result.values[f"{label}:rtx"] = payload["rtx"]
         table.add_row(label, payload["mbps"], payload["rtx"])
     result.tables.append(table)
-    result.notes.append(
-        "shape check: disabling the resequencer collapses throughput — "
-        "reordering-induced SACK holes read as loss, so the window keeps "
-        "halving (the 'on' run's retransmissions are CUBIC's ordinary "
-        "buffer-overflow sawtooth at full rate)"
-    )
+    mbps = {label: result.values[f"{label}:mbps"] for label, _ in settings}
+    result.shapes["throughput on > 5x off"] = mbps["on"] > 5 * mbps["off"]
     return result
 
 
@@ -630,7 +628,10 @@ def run_cost_ablation(
         result.values[f"{willingness}:spend"] = payload["spend"]
         table.add_row(willingness, payload["p95_ms"], f"{payload['spend']:.4f}")
     result.tables.append(table)
-    result.notes.append(
-        "shape check: latency falls and spend rises as willingness-to-pay grows"
-    )
+    values = result.values
+    result.shapes.update({
+        "spend at willingness 0 is 0": values["0.0:spend"] == 0.0,
+        "p95 at willingness 10 < at 0": values["10.0:p95_ms"] < values["0.0:p95_ms"],
+        "spend at willingness 10 >= at 0.1": values["10.0:spend"] >= values["0.1:spend"],
+    })
     return result

@@ -185,11 +185,17 @@ def run_fig1a(
         series.add(cc, [(t, r) for t, r in payload["series"]])
     result.tables.append(table)
     result.series.append(series)
-    ordering = sorted(result.values, key=result.values.get, reverse=True)
-    result.notes.append(
-        "shape check: expected cubic > bbr > vegas >= vivace; measured "
-        + " > ".join(ordering)
-    )
+    if set(DEFAULT_CCAS) <= set(ccas):
+        tp = result.values
+        result.shapes.update({
+            "cubic > bbr > vegas > vivace": tp["cubic"] > tp["bbr"] > tp["vegas"] > tp["vivace"],
+            "cubic > 3x bbr": tp["cubic"] > 3 * tp["bbr"],
+            "cubic >= 5x vivace": tp["cubic"] >= 5 * tp["vivace"],
+            "cubic > 45 Mbps": tp["cubic"] > 45,
+            "bbr < 31 Mbps": tp["bbr"] < 31,
+            "vegas < 10 Mbps": tp["vegas"] < 10,
+            "vivace < 4 Mbps": tp["vivace"] < 4,
+        })
     return result
 
 
@@ -274,6 +280,7 @@ def run_fig1b(
         median = ordered[len(ordered) // 2]
         result.values[f"data_ch{channel}_samples"] = len(samples)
         result.values[f"data_ch{channel}_median_ms"] = median
+        result.values[f"data_ch{channel}_min_ms"] = ordered[0]
         result.notes.append(
             f"data on channel {channel}: {len(samples)} samples, "
             f"median {median:.1f} ms (range {min(samples):.1f}–{max(samples):.1f})"
@@ -284,6 +291,19 @@ def run_fig1b(
         f"min RTT sample {min(rtts_ms):.1f} ms vs eMBB propagation RTT 50 ms — "
         "the min-RTT poisoning behind Fig. 1a's BBR collapse"
     )
+    values = result.values
+    result.shapes.update({
+        "more than 200 RTT samples": values["samples"] > 200,
+        "data on each channel yields >= 100 samples": all(
+            values.get(f"data_ch{channel}_samples", 0) >= 100 for channel in (0, 1)
+        ),
+        "some samples cross channels (data and ACK apart)": values["cross_channel_samples"] > 0,
+        "URLLC-data mode reaches below 15 ms": values.get("data_ch1_min_ms", 15) < 15,
+        "eMBB-data mode median >= 20 ms": values.get("data_ch0_median_ms", 0) >= 20,
+    })
+    # The paper's Fig. 1b samples reach well past 50 ms; here ACKs almost
+    # never return on eMBB, so no sample sees its 50 ms propagation RTT.
+    result.pins["max RTT sample < 45 ms (paper: samples past 50 ms)"] = values["max_rtt_ms"] < 45
     return result
 
 

@@ -9,7 +9,8 @@
   eMBB's ~50 ms?
 
 Each sweep returns an :class:`~repro.core.results.ExperimentResult` with a
-series per metric, printed by ``benchmarks/test_bench_sensitivity.py``.
+series per metric and the shape its sweep should show, printed by
+``python -m repro sweep-*``.
 """
 
 from __future__ import annotations
@@ -177,7 +178,18 @@ def run_urllc_bandwidth_sweep(
     runner: Optional[ParallelRunner] = None,
 ) -> ExperimentResult:
     """Web PLT vs URLLC bandwidth under DChannel steering."""
-    return _run_plt_sweep("sweep-urllc-bw", rates_mbps, page_count, seed, runner)
+    result = _run_plt_sweep("sweep-urllc-bw", rates_mbps, page_count, seed, runner)
+    rates = sorted(rates_mbps)
+    plt = {rate: result.values[f"{rate}"] for rate in rates}
+    result.shapes.update({
+        "PLT at each URLLC rate <= 1.02x the next-lower rate's": all(
+            plt[higher] <= plt[lower] * 1.02 for lower, higher in zip(rates, rates[1:])
+        ),
+        f"PLT at {rates[-1]} Mbps < 0.85x at {rates[0]} Mbps": (
+            plt[rates[-1]] < 0.85 * plt[rates[0]]
+        ),
+    })
+    return result
 
 
 run_urllc_bandwidth_sweep.quick = {"page_count": 3}
@@ -189,7 +201,10 @@ def run_threshold_sweep(
     runner: Optional[ParallelRunner] = None,
 ) -> ExperimentResult:
     """Web PLT vs DChannel's savings threshold (reward hysteresis)."""
-    return _run_plt_sweep("sweep-threshold", THRESHOLDS_MS, page_count, seed, runner)
+    result = _run_plt_sweep("sweep-threshold", THRESHOLDS_MS, page_count, seed, runner)
+    plts = result.values.values()
+    result.shapes["worst threshold's PLT < 1.25x the best's"] = max(plts) < 1.25 * min(plts)
+    return result
 
 
 run_threshold_sweep.quick = {"page_count": 3}
@@ -202,7 +217,12 @@ def run_urllc_rtt_sweep(
     runner: Optional[ParallelRunner] = None,
 ) -> ExperimentResult:
     """Web PLT vs URLLC RTT: how fast must the fast channel be?"""
-    return _run_plt_sweep("sweep-urllc-rtt", rtts_ms, page_count, seed, runner)
+    result = _run_plt_sweep("sweep-urllc-rtt", rtts_ms, page_count, seed, runner)
+    fastest, slowest = min(rtts_ms), max(rtts_ms)
+    result.shapes[f"PLT at {fastest} ms URLLC RTT < at {slowest} ms"] = (
+        result.values[f"{fastest}"] < result.values[f"{slowest}"]
+    )
+    return result
 
 
 run_urllc_rtt_sweep.quick = {"page_count": 3}
@@ -255,4 +275,14 @@ def run_decode_wait_sweep(
         "paper's claim: no wait → base-layer-only quality; long waits → "
         "stale frames; ~60 ms balances the two"
     )
+    values = result.values
+    result.shapes.update({
+        "p95 at 0 ms wait < at 60 ms": values["0.0:p95_ms"] < values["60.0:p95_ms"],
+        "SSIM at 0 ms wait < at 60 ms": values["0.0:ssim"] < values["60.0:ssim"],
+        "SSIM at 500 ms wait >= at 60 ms": values["500.0:ssim"] >= values["60.0:ssim"],
+        "p95 at 500 ms wait within 5% of 200 ms": (
+            abs(values["500.0:p95_ms"] - values["200.0:p95_ms"])
+            <= 0.05 * values["200.0:p95_ms"]
+        ),
+    })
     return result

@@ -258,12 +258,19 @@ def run_table1(
             f"({100 * (1 - means['dchannel+flowprio'] / baseline):.1f}%)",
         ]
         table.add_row(condition.capitalize()[:5] + ".", *cells)
-        ordering = sorted(means, key=means.get)
-        result.notes.append(
-            f"{condition} shape check: expected dchannel+flowprio < dchannel < "
-            f"embb-only; measured " + " < ".join(ordering)
-        )
+        prio = means["dchannel+flowprio"]
+        result.shapes.update({
+            f"{condition}: mean PLT dchannel < embb-only": means["dchannel"] < baseline,
+            f"{condition}: mean PLT dchannel+flowprio < dchannel": prio < means["dchannel"],
+            f"{condition}: dchannel+flowprio cuts mean PLT > 10% vs embb-only": (
+                1 - prio / baseline > 0.10
+            ),
+        })
     result.tables.append(table)
+    plt = result.values
+    result.shapes["driving embb-only mean PLT > stationary's"] = (
+        plt["driving:embb-only:mean_plt_ms"] > plt["stationary:embb-only:mean_plt_ms"]
+    )
     return result
 
 

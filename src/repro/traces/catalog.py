@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
 from repro.errors import TraceError
 from repro.traces.model import NetworkTrace, constant_trace
@@ -38,18 +38,20 @@ def list_traces() -> List[str]:
     return sorted(_CATALOG)
 
 
-def get_trace(name: str, seed: int = 0, duration: float = 120.0) -> NetworkTrace:
+def get_trace(
+    name: str, seed: Optional[int] = None, duration: float = 120.0
+) -> NetworkTrace:
     """Instantiate a catalog trace by name.
 
     ``seed`` selects the realization for synthetic profiles (ignored for the
-    constant URLLC profile).
+    constant URLLC profile); ``None`` is the profile's own default
+    realization, and every int — 0 included — is passed on.
     """
     try:
         factory = _CATALOG[name]
     except KeyError:
         known = ", ".join(list_traces())
         raise TraceError(f"unknown trace {name!r}; known traces: {known}") from None
-    if name == "urllc":
-        return factory(seed=seed, duration=duration)
-    # Synthetic profiles default their own seeds; honor an explicit one.
-    return factory(seed=seed, duration=duration) if seed else factory(duration=duration)
+    if seed is None:
+        return factory(duration=duration)
+    return factory(seed=seed, duration=duration)

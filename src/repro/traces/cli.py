@@ -40,12 +40,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     show = sub.add_parser("show", help="summarize a catalog trace")
     show.add_argument("name")
-    show.add_argument("--seed", type=int, default=0)
+    show.add_argument("--seed", type=int, default=None)
 
     export = sub.add_parser("export", help="write a catalog trace as Mahimahi")
     export.add_argument("name")
     export.add_argument("path")
-    export.add_argument("--seed", type=int, default=0)
+    export.add_argument("--seed", type=int, default=None)
     export.add_argument("--duration", type=float, default=None)
 
     imp = sub.add_parser("import", help="summarize a Mahimahi trace file")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import pytest
 
 from repro.net.channel import Channel, ChannelSpec
@@ -20,6 +22,22 @@ def _isolated_result_cache(tmp_path, monkeypatch):
     regressions in the experiment code under test.
     """
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro-cache"))
+
+
+@pytest.fixture(scope="session")
+def quick_result():
+    """``quick_result(name)``: experiment ``name`` at its own ``--quick``
+    scale on a two-worker runner, run once per session and shared by every
+    test that reads its ``values`` or ``shapes``."""
+    from repro.experiments import EXPERIMENTS
+    from repro.runner import ParallelRunner, resolve_fn
+
+    @lru_cache(maxsize=None)
+    def run(name):
+        fn = resolve_fn(EXPERIMENTS[name])
+        return fn(runner=ParallelRunner(jobs=2), **getattr(fn, "quick", {}))
+
+    return run
 
 
 @pytest.fixture

@@ -131,7 +131,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv, option, takers",
         [
-            (["fig1a", "--pages", "3"], "--pages", "baselines, sweep-threshold"),
+            (["fig1a", "--pages", "3"], "--pages", "baselines, general, h1-vs-h2, sweep-threshold"),
             (["fig1a", "--tenants", "5"], "--tenants", "fleet, resilience"),
             (["table1", "--shards", "2"], "--shards", "fleet"),
         ],

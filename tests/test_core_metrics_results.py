@@ -135,3 +135,17 @@ class TestSeriesSetAndResult:
         result.notes.append("shape holds")
         text = result.render()
         assert "fig1a" in text and "cubic" in text and "shape holds" in text
+
+    def test_shapes_and_pins_render_their_verdicts(self):
+        result = ExperimentResult(
+            name="fig1b",
+            shapes={"cubic > bbr": True, "bbr > vegas": False},
+            pins={"max RTT < 45 ms": True},
+        )
+        lines = result.render().splitlines()
+        assert "shape: cubic > bbr: held" in lines
+        assert "shape: bbr > vegas: FAILED" in lines
+        assert "divergence pin: max RTT < 45 ms: held" in lines
+        assert lines.index("shape: bbr > vegas: FAILED") < lines.index(
+            "divergence pin: max RTT < 45 ms: held"
+        )

@@ -1,13 +1,32 @@
-"""Smoke-scale tests for the experiment harness (full scale runs in benchmarks/)."""
+"""The experiment harness: the registry, smoke-scale cells, and every
+experiment's shape claims (``ExperimentResult.shapes``) at ``--quick``."""
 
 import pytest
 
 from repro.experiments import EXPERIMENTS
-from repro.experiments.fig1 import run_fig1a, run_fig1b, run_single_cca
+from repro.experiments.fig1 import run_fig1a, run_single_cca
 from repro.experiments.fig2 import run_fig2_cell, video_network
 from repro.experiments.table1 import run_table1_cell, web_network
-from repro.runner import resolve_fn
+from repro.runner import ParallelRunner, resolve_fn
 from repro.units import to_mbps
+
+#: Experiments that state no ``shapes`` yet; ``cc-matrix`` and ``ablate``
+#: pin their claims in their own test files.
+NO_SHAPES = {"faults", "resilience", "fleet", "cc-matrix", "ablate"}
+SHAPE_EXPERIMENTS = sorted(set(EXPERIMENTS) - NO_SHAPES)
+
+#: Claims that fail at ``--quick`` (10 s) and hold at 30 s: no BBR flow
+#: reaches PROBE_RTT within 10 s, so the hvc-aware wrapper has nothing to
+#: correct yet; the hvc scheduler's bulk connection marks ~1,800 losses in
+#: its first 10 s.
+QUICK_FAILURES = {
+    "ab-cc": {"bbr hvc-aware > 1.5x plain"},
+    "ab-mp": {"hvc goodput > 0.8x minRTT"},
+}
+
+
+def _run(name, **kwargs):
+    return resolve_fn(EXPERIMENTS[name])(runner=ParallelRunner(jobs=2), **kwargs)
 
 
 class TestRegistry:
@@ -25,6 +44,8 @@ class TestRegistry:
             "ab-reseq",
             "ab-tsn",
             "baselines",
+            "general",
+            "h1-vs-h2",
             "cc-matrix",
             "ablate",
             "faults",
@@ -60,8 +81,8 @@ class TestFig1Harness:
         text = result.render()
         assert "Fig. 1a" in text
 
-    def test_fig1b_smoke(self):
-        result = run_fig1b(duration=8.0)
+    def test_fig1b_smoke(self, quick_result):
+        result = quick_result("fig1b")
         assert result.values["samples"] > 50
         assert result.values["min_rtt_ms"] < result.values["max_rtt_ms"]
         assert result.series[0].series["rtt"]
@@ -132,3 +153,20 @@ class TestTable1Harness:
         net = web_network("5g-lowband-driving", "dchannel")
         embb = net.channel_named("embb")
         assert embb.uplink.spec.trace is not None
+
+
+class TestShapes:
+    @pytest.mark.parametrize("name", SHAPE_EXPERIMENTS)
+    def test_every_shape_holds_at_quick_scale(self, name, quick_result):
+        result = quick_result(name)
+        checks = {**result.shapes, **result.pins}
+        text = result.render()
+        assert result.shapes
+        assert all(f": {claim}: " in text for claim in checks)
+        failed = {claim for claim, held in checks.items() if not held}
+        assert failed == QUICK_FAILURES.get(name, set()), text
+
+    @pytest.mark.parametrize("name", sorted(QUICK_FAILURES))
+    def test_quick_failures_hold_at_30_s(self, name):
+        shapes = _run(name, duration=30.0).shapes
+        assert all(shapes[claim] for claim in QUICK_FAILURES[name]), shapes

@@ -298,6 +298,16 @@ class TestCatalog:
             "5g-lowband-driving", seed=6
         ).rates_bps
 
+    def test_seed_zero_is_a_seed(self):
+        assert get_trace("starlink-leo", seed=0).rates_bps != get_trace(
+            "starlink-leo", seed=5
+        ).rates_bps
+
+    def test_no_seed_is_the_profiles_own_realization(self):
+        from repro.traces.synthetic import starlink_leo
+
+        assert get_trace("starlink-leo").rates_bps == starlink_leo().rates_bps
+
     def test_disruption_presets_resolve_with_duration(self):
         trace = get_trace("starlink-leo", duration=30.0)
         assert trace.duration == pytest.approx(30.0)
