@@ -36,10 +36,6 @@ class BulkTransfer:
         size = total_bytes if total_bytes is not None else BACKLOG_BYTES
         self.pair.client.send_message(size, message_id=1)
 
-    @property
-    def bytes_acked(self) -> int:
-        return self.pair.client.stats.bytes_acked
-
     def mean_throughput_bps(self, start: float = 0.0, end: Optional[float] = None) -> float:
         """Average goodput between ``start`` and ``end`` (bits/s)."""
         timeline = self.pair.client.stats.delivered_timeline

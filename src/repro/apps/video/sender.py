@@ -65,6 +65,3 @@ class VideoSender:
                 priority=layer_index,
             )
         self.frames_sent += 1
-
-    def stop(self) -> None:
-        self._timer.stop()

@@ -25,11 +25,6 @@ class VideoSessionResult:
     def frames_decoded(self) -> int:
         return sum(1 for f in self.frames if f.decoded)
 
-    @property
-    def frames_missing(self) -> int:
-        """Frames that never produced output (base layer lost/too late)."""
-        return self.frames_sent - len(self.frames)
-
     def latency_cdf(self) -> Cdf:
         """Latency distribution of decoded frames (seconds)."""
         return Cdf([f.latency for f in self.frames if f.decoded])

@@ -9,7 +9,7 @@ the ``onLoad`` event the paper measures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import List
 
 from repro.errors import ScenarioError
 
@@ -60,16 +60,6 @@ class WebPage:
     @property
     def object_count(self) -> int:
         return len(self.objects)
-
-    def depth(self) -> int:
-        """Longest dependency chain (levels of discovery)."""
-        depths: Dict[int, int] = {}
-        for obj in self.objects:
-            if not obj.depends_on:
-                depths[obj.object_id] = 1
-            else:
-                depths[obj.object_id] = 1 + max(depths[d] for d in obj.depends_on)
-        return max(depths.values())
 
     def size_of(self, object_id: int) -> int:
         try:

@@ -40,10 +40,6 @@ class ConnectionPair:
     client: Connection
     server: Connection
 
-    def close(self) -> None:
-        self.client.close()
-        self.server.close()
-
 
 @dataclass
 class DatagramPair:
@@ -51,10 +47,6 @@ class DatagramPair:
 
     client: DatagramSocket
     server: DatagramSocket
-
-    def close(self) -> None:
-        self.client.close()
-        self.server.close()
 
 
 class HvcNetwork:

@@ -30,16 +30,9 @@ class Cdf:
         if not self.samples:
             raise ValueError("CDF needs at least one sample")
 
-    def __len__(self) -> int:
-        return len(self.samples)
-
     @property
     def mean(self) -> float:
         return sum(self.samples) / len(self.samples)
-
-    @property
-    def min(self) -> float:
-        return self.samples[0]
 
     @property
     def max(self) -> float:
@@ -51,12 +44,6 @@ class Cdf:
     @property
     def median(self) -> float:
         return self.percentile(50)
-
-    def probability_below(self, value: float) -> float:
-        """P(X <= value)."""
-        import bisect
-
-        return bisect.bisect_right(self.samples, value) / len(self.samples)
 
     def points(self, count: int = 100) -> List[Tuple[float, float]]:
         """(value, cumulative probability) pairs for plotting/printing."""
@@ -71,7 +58,7 @@ class Cdf:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<Cdf n={len(self)} p50={self.median:.4g} p95={self.percentile(95):.4g} "
+            f"<Cdf n={len(self.samples)} p50={self.median:.4g} p95={self.percentile(95):.4g} "
             f"max={self.max:.4g}>"
         )
 

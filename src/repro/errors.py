@@ -23,16 +23,8 @@ class NetworkError(ReproError):
     """Raised for invalid network configuration or packet handling."""
 
 
-class ChannelDownError(NetworkError):
-    """Raised when a packet is sent to a channel that is administratively down."""
-
-
 class TransportError(ReproError):
     """Raised for transport-layer protocol violations or misuse."""
-
-
-class ConnectionClosedError(TransportError):
-    """Raised when writing to or reading from a closed connection."""
 
 
 class SteeringError(ReproError):

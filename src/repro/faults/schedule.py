@@ -11,7 +11,7 @@ Fault kinds (severity semantics per kind):
 ========== =========================================================
 kind        meaning
 ========== =========================================================
-outage      channel administratively down for ``duration``
+outage      channel down for ``duration``
 blackout    outage that also *flushes* the channel's queued packets on
             entry (handover semantics: the old cell's buffers are gone)
 loss_burst  extra Bernoulli loss of ``severity`` on both directions
@@ -159,16 +159,7 @@ class FaultSchedule:
             self._add(Fault(start + i * stagger, channel, kind, duration, severity))
         return self
 
-    def merge(self, other: "FaultSchedule") -> "FaultSchedule":
-        """In-place union with another schedule; returns self."""
-        for fault in other.faults:
-            self._add(fault)
-        return self
-
     # -- inspection ------------------------------------------------------
-    def for_channel(self, channel: str) -> List[Fault]:
-        return [f for f in self.faults if f.channel == channel]
-
     @property
     def horizon(self) -> float:
         """Time by which every fault has been reverted."""
@@ -216,7 +207,7 @@ class FaultSchedule:
 
         Experiments with short (quick-mode) durations use this to avoid
         arming faults whose revert events would land past the simulation
-        end and leave channels administratively down at teardown.
+        end and leave channels down at teardown.
         """
         if horizon <= 0:
             raise ScenarioError(f"clip horizon must be positive, got {horizon}")

@@ -204,9 +204,3 @@ class TenantPopulation:
             classes=np.asarray(class_names, dtype=object)[classes[order]].tolist(),
             ccas=np.asarray(cca_names, dtype=object)[ccas[order]].tolist(),
         )
-
-    def class_names(self) -> List[str]:
-        return sorted({name for name, _ in self.spec.class_mix})
-
-    def cca_names(self) -> List[str]:
-        return sorted({name for name, _ in self.spec.cca_mix})

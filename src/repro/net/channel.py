@@ -96,8 +96,6 @@ class Channel:
         rng = rng if rng is not None else random.Random(index)
         self.uplink = Link(sim, spec.up.to_link_spec(), name=f"{spec.name}.up", rng=rng)
         self.downlink = Link(sim, spec.down.to_link_spec(), name=f"{spec.name}.down", rng=rng)
-        #: Administrative master switch (:meth:`set_up`).
-        self._admin_up = True
         #: Active fault holds (:meth:`fail`/:meth:`restore`). Reference
         #: counting is what makes overlapping outages compose: the channel
         #: is up only when *every* hold has been released.
@@ -137,25 +135,14 @@ class Channel:
 
     @property
     def up(self) -> bool:
-        """Up iff administratively enabled *and* no fault holds it down."""
-        return self._admin_up and self._down_refs == 0
+        """Up iff no fault holds it down."""
+        return self._down_refs == 0
 
     @property
     def fault_holds(self) -> int:
         """Outstanding :meth:`fail` holds (the invariant monitor audits
         this against the injector's set of active outage faults)."""
         return self._down_refs
-
-    def set_up(self, up: bool) -> None:
-        """Administratively enable/disable both directions.
-
-        This is the master switch; it composes with fault holds — an
-        administratively-disabled channel stays down however many holds
-        are released.
-        """
-        was_up = self.up
-        self._admin_up = up
-        self._apply_state(was_up)
 
     def fail(self) -> None:
         """Acquire one fault hold (the channel goes down if it was up)."""

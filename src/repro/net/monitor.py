@@ -95,17 +95,6 @@ class ChannelSeries:
             value = 1.0
         return value
 
-    def peak_backlog_bytes(self, direction: str = "down") -> int:
-        if not self.samples:
-            return 0
-        if direction == "down":
-            return max(s.down_backlog_bytes for s in self.samples)
-        return max(s.up_backlog_bytes for s in self.samples)
-
-    def backlog_series(self, direction: str = "down") -> List[tuple]:
-        key = "down_backlog_bytes" if direction == "down" else "up_backlog_bytes"
-        return [(s.time, getattr(s, key)) for s in self.samples]
-
 
 class ChannelMonitor:
     """Samples a set of channels on a fixed period.
@@ -200,6 +189,3 @@ class ChannelMonitor:
     def stop(self) -> None:
         """Stop sampling (existing series remain readable)."""
         self._timer.stop()
-
-    def __getitem__(self, channel_name: str) -> ChannelSeries:
-        return self.series[channel_name]

@@ -86,15 +86,6 @@ class ChannelView:
         return self._out.capacity_bps()
 
     @property
-    def backlog_bytes(self) -> int:
-        """Outbound bytes queued or in service on this host's side."""
-        out = self._out
-        serving = out._serving
-        return out.queue.backlog_bytes + (
-            serving.size_bytes if serving is not None else 0
-        )
-
-    @property
     def loss_rate(self) -> float:
         """Stationary outbound loss probability."""
         return self._out.loss.long_run_rate
@@ -194,7 +185,7 @@ class ChannelView:
         return delay, rate, risk, bits / rate
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<ChannelView {self.index}:{self.name} backlog={self.backlog_bytes}B>"
+        return f"<ChannelView {self.index}:{self.name} up={self.up}>"
 
 
 @dataclass

@@ -59,15 +59,8 @@ class DropTailQueue:
         self.stats.dequeued += 1
         return packet
 
-    def peek(self) -> Optional[Packet]:
-        """The head packet without removing it, or ``None``."""
-        return self._packets[0] if self._packets else None
-
     def __len__(self) -> int:
         return len(self._packets)
-
-    def __bool__(self) -> bool:
-        return bool(self._packets)
 
 
 class PriorityDropTailQueue(DropTailQueue):
@@ -106,13 +99,5 @@ class PriorityDropTailQueue(DropTailQueue):
         self.stats.dequeued += 1
         return packet
 
-    def peek(self) -> Optional[Packet]:
-        if self._express:
-            return self._express[0]
-        return self._packets[0] if self._packets else None
-
     def __len__(self) -> int:
         return len(self._express) + len(self._packets)
-
-    def __bool__(self) -> bool:
-        return bool(self._express) or bool(self._packets)

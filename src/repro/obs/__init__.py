@@ -38,7 +38,7 @@ from repro.obs.probes import (
     probe_for,
 )
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.summarize import TraceSummary, summarize, summarize_file
+from repro.obs.summarize import TraceSummary, summarize_file
 from repro.obs.trace import (
     DeviceObs,
     LinkObs,
@@ -62,7 +62,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "TraceSummary",
-    "summarize",
     "summarize_file",
     "DeviceObs",
     "LinkObs",

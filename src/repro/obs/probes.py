@@ -42,15 +42,6 @@ class TransportSeries:
     subflow: Optional[int] = None
     samples: List[TransportSample] = field(default_factory=list)
 
-    def max_cwnd_bytes(self) -> float:
-        return max((s.cwnd_bytes for s in self.samples), default=0.0)
-
-    def srtt_series(self) -> List[tuple]:
-        return [(s.time, s.srtt) for s in self.samples if s.srtt is not None]
-
-    def timeouts(self) -> int:
-        return sum(1 for s in self.samples if s.event == "timeout")
-
 
 class ConnectionProbe:
     """Probe for a transport endpoint: samples one loss key's sender state

@@ -95,10 +95,6 @@ class Histogram:
         exponent = math.frexp(value)[1] if value > 0 else 0
         self.buckets[exponent] = self.buckets.get(exponent, 0) + 1
 
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
 
 class MetricsRegistry:
     """All metrics of one observability context.

@@ -217,8 +217,3 @@ def summarize_file(path: Union[str, "object"]) -> TraceSummary:
     from repro.obs.export import read_jsonl
 
     return TraceSummary(read_jsonl(path))
-
-
-def summarize(obs) -> TraceSummary:
-    """Summarize a live :class:`~repro.obs.Observability` context."""
-    return TraceSummary(obs.export_records())

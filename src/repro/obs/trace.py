@@ -46,9 +46,6 @@ class TraceBuffer:
         else:
             self.dropped += 1
 
-    def __len__(self) -> int:
-        return len(self.records)
-
 
 class Observability:
     """One run's observability context: registry + trace + probe config.

@@ -27,7 +27,6 @@ from repro.resilience.derive import (
 from repro.resilience.slo import (
     RECOVERY_SLOS,
     RecoverySLO,
-    slo_for_class,
     violation_rate,
 )
 
@@ -39,6 +38,5 @@ __all__ = [
     "dead_intervals",
     "delay_spike_intervals",
     "schedule_from_trace",
-    "slo_for_class",
     "violation_rate",
 ]

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Dict, Sequence
 
 from repro.errors import ScenarioError
-from repro.steering.requirements import REQUIREMENT_CLASSES
 
 
 @dataclass(frozen=True)
@@ -29,17 +28,6 @@ class RecoverySLO:
     requirement: str
     ttr_target_s: float
     description: str
-
-    def validate(self) -> None:
-        if self.requirement not in REQUIREMENT_CLASSES:
-            known = ", ".join(sorted(REQUIREMENT_CLASSES))
-            raise ScenarioError(
-                f"unknown requirement class {self.requirement!r}; known: {known}"
-            )
-        if self.ttr_target_s <= 0:
-            raise ScenarioError(
-                f"ttr_target_s must be positive, got {self.ttr_target_s}"
-            )
 
 
 #: The default SLO catalogue, keyed by requirement class.
@@ -68,19 +56,6 @@ RECOVERY_SLOS: Dict[str, RecoverySLO] = {
         ),
     )
 }
-
-
-def slo_for_class(requirement: str) -> RecoverySLO:
-    """The catalogue entry for ``requirement`` (validated)."""
-    try:
-        slo = RECOVERY_SLOS[requirement]
-    except KeyError:
-        known = ", ".join(sorted(RECOVERY_SLOS))
-        raise ScenarioError(
-            f"no recovery SLO for class {requirement!r}; known: {known}"
-        ) from None
-    slo.validate()
-    return slo
 
 
 def violation_rate(samples: Sequence[float], target_s: float) -> float:

@@ -33,10 +33,6 @@ class RandomStreams:
             self._streams[name] = random.Random(self._derive(name))
         return self._streams[name]
 
-    def fork(self, name: str) -> "RandomStreams":
-        """A child factory whose streams are independent of this one's."""
-        return RandomStreams(self._derive(f"fork:{name}"))
-
     def _derive(self, name: str) -> int:
         digest = hashlib.sha256(f"{self.seed}:{name}".encode("utf-8")).digest()
         return int.from_bytes(digest[:8], "big")

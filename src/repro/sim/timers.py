@@ -45,8 +45,3 @@ class PeriodicTimer:
         if self._event is not None and not self._event.cancelled:
             self.sim.cancel(self._event)
         self._event = None
-
-    @property
-    def active(self) -> bool:
-        """Whether the timer will fire again."""
-        return not self._stopped

@@ -107,7 +107,7 @@ class Steerer:
 
 
 def up_views(views: Sequence[ChannelView]) -> List[ChannelView]:
-    """Only the administratively-up channels; error when none remain."""
+    """Only the up channels; error when none remain."""
     alive = [view for view in views if view.up]
     if not alive:
         raise SteeringError("no channel is up")

@@ -40,7 +40,3 @@ class FlowPinnedSteerer(Steerer):
         )
         self._pins[packet.flow_id] = best.index
         return (best.index,)
-
-    def pinned_channel(self, flow_id: int):
-        """The channel a flow was assigned, or None (for tests/inspection)."""
-        return self._pins.get(flow_id)

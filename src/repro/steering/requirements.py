@@ -11,11 +11,11 @@ channels and congestion behaviour. This module is that catalogue:
 * ``background``  — prefetch, telemetry: cheapest channel, back off early.
 
 A class carries (a) the channel preference used when a tenant (fluid or
-packet-level) is assigned to a channel, (b) the mapping onto the existing
-cross-layer intent vocabulary (:mod:`repro.transport.intents` categories /
-flow priorities), and (c) the congestion "manners" the fluid background
-engine applies (how much of the link the class lets itself consume, and
-how hard it backs off when the channel is loaded past that target).
+packet-level) is assigned to a channel, (b) the flow priority its foreground
+flows are opened with (the ``flow_priority=`` hint of §3.3), and (c) the
+congestion "manners" the fluid background engine applies (how much of the
+link the class lets itself consume, and how hard it backs off when the
+channel is loaded past that target).
 """
 
 from __future__ import annotations
@@ -25,7 +25,16 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SteeringError
 from repro.steering.base import Steerer
-from repro.transport.intents import FLOW_PRIORITIES
+
+#: Flow category -> flow priority (lower = more important). ``background``
+#: never takes the scarce low-latency channel: Table 1's "DChannel w.
+#: priority" hint.
+FLOW_PRIORITIES = {
+    "interactive": 0,
+    "realtime": 0,
+    "bulk": 1,
+    "background": 2,
+}
 
 
 @dataclass(frozen=True)
@@ -52,8 +61,8 @@ class RequirementClass:
     """One Hercules-style requirement class."""
 
     name: str
-    #: Intent category (:data:`repro.transport.intents.FLOW_PRIORITIES`)
-    #: foreground flows of this class are opened with.
+    #: Flow category (a :data:`FLOW_PRIORITIES` key) whose priority
+    #: foreground flows of this class pass as ``flow_priority=``.
     intent_category: str
     #: Ranking key: smaller tuple = better channel.
     rank: Callable[[ChannelTraits], Tuple]

@@ -7,7 +7,7 @@ published statistics; :mod:`repro.traces.mahimahi` can load real
 Mahimahi-format traces when available.
 """
 
-from repro.traces.model import NetworkTrace, constant_trace
+from repro.traces.model import NetworkTrace
 from repro.traces.synthetic import (
     TraceSpec,
     generate_trace,
@@ -21,7 +21,6 @@ from repro.traces.mahimahi import read_mahimahi, write_mahimahi
 
 __all__ = [
     "NetworkTrace",
-    "constant_trace",
     "TraceSpec",
     "generate_trace",
     "lowband_stationary",

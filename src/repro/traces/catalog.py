@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import TraceError
-from repro.traces.model import NetworkTrace, constant_trace
+from repro.traces.model import NetworkTrace
 from repro.traces.synthetic import (
     lowband_driving,
     lowband_stationary,
@@ -19,7 +19,7 @@ from repro.units import mbps, ms
 
 def _urllc(seed: int = 0, duration: float = 120.0) -> NetworkTrace:
     """URLLC per the paper's emulation: 2 Mbps, 5 ms RTT (2.5 ms one-way)."""
-    return constant_trace(mbps(2), ms(2.5), name="urllc")
+    return NetworkTrace([0.0], [mbps(2)], [ms(2.5)], name="urllc")
 
 
 _CATALOG: Dict[str, Callable[..., NetworkTrace]] = {

@@ -42,8 +42,11 @@ def read_mahimahi(
         Mahimahi traces carry no latency information; this constant one-way
         delay is attached to every sample.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [line.strip() for line in handle if line.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = [line.strip() for line in handle if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise TraceError(f"mahimahi trace {path!r} is not UTF-8 text") from exc
     if not lines:
         raise TraceError(f"mahimahi trace {path!r} is empty")
     try:

@@ -14,6 +14,7 @@ duration, so a 120 s trace can drive an arbitrarily long experiment.
 from __future__ import annotations
 
 import bisect
+import math
 from typing import List, Sequence, Tuple
 
 from repro.core import metrics
@@ -43,11 +44,11 @@ class NetworkTrace:
             if times[i] <= times[i - 1]:
                 raise TraceError(f"times must be strictly increasing at index {i}")
         for rate in rates_bps:
-            if rate < 0:
-                raise TraceError(f"rates must be non-negative, got {rate}")
+            if not math.isfinite(rate) or rate < 0:
+                raise TraceError(f"rates must be finite and non-negative, got {rate}")
         for delay in delays:
-            if delay < 0:
-                raise TraceError(f"delays must be non-negative, got {delay}")
+            if not math.isfinite(delay) or delay < 0:
+                raise TraceError(f"delays must be finite and non-negative, got {delay}")
         self.times: List[float] = list(times)
         self.rates_bps: List[float] = [float(r) for r in rates_bps]
         self.delays: List[float] = [float(d) for d in delays]
@@ -70,10 +71,6 @@ class NetworkTrace:
     def rate_at(self, t: float) -> float:
         """Instantaneous rate (bits/s) at simulation time ``t``."""
         return self.rates_bps[self._index_at(t)]
-
-    def delay_at(self, t: float) -> float:
-        """Instantaneous one-way delay (seconds) at simulation time ``t``."""
-        return self.delays[self._index_at(t)]
 
     def step_at(self, t: float) -> Tuple[float, float, float, float]:
         """The sample step in force at ``t``: ``(start, end, rate_bps, delay)``.
@@ -119,17 +116,8 @@ class NetworkTrace:
             name=f"{self.name}*",
         )
 
-    def samples(self) -> List[Tuple[float, float, float]]:
-        """List of (time, rate_bps, delay) tuples."""
-        return list(zip(self.times, self.rates_bps, self.delays))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<NetworkTrace {self.name} n={len(self.times)} dur={self.duration:.1f}s "
             f"mean={self.mean_rate() / 1e6:.1f}Mbps>"
         )
-
-
-def constant_trace(rate_bps: float, delay: float, name: str = "constant") -> NetworkTrace:
-    """A degenerate single-sample trace (fixed rate and delay)."""
-    return NetworkTrace([0.0], [rate_bps], [delay], name=name)

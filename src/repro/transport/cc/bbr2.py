@@ -126,10 +126,6 @@ class Bbr2(Bbr):
     # ------------------------------------------------------------------
     # Filters
     # ------------------------------------------------------------------
-    @property
-    def in_probe_bw(self) -> bool:
-        return self.state in self._PROBE_BW_STATES
-
     def _update_bw(self, sample: AckSample) -> None:
         if sample.delivery_rate is None:
             return
@@ -226,7 +222,7 @@ class Bbr2(Bbr):
     # ------------------------------------------------------------------
     def _enter_probe_rtt(self, now: float) -> None:
         if self.state != self.PROBE_RTT:
-            if self.in_probe_bw:
+            if self.state in self._PROBE_BW_STATES:
                 self._state_before_probe = self.CRUISE
             elif self.state == self.DRAIN:
                 self._state_before_probe = self.CRUISE

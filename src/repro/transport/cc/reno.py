@@ -48,7 +48,3 @@ class Reno(CongestionControl):
     @property
     def cwnd_bytes(self) -> float:
         return max(self._cwnd, 2.0 * self.mss)
-
-    @property
-    def ssthresh_bytes(self) -> float:
-        return self._ssthresh

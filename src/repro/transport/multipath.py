@@ -101,10 +101,9 @@ class MultipathConnection(Endpoint):
     # Channel roles
     # ------------------------------------------------------------------
     def _roles(self) -> Roles:
-        """``(live, ll, hb)``: the subflows whose channel is administratively
-        up (all of them, if none is) and, of those, the one on the
-        lowest-base-delay and the one on the highest-rate channel (the
-        first, on a tie).
+        """``(live, ll, hb)``: the subflows whose channel is up (all of
+        them, if none is) and, of those, the one on the lowest-base-delay
+        and the one on the highest-rate channel (the first, on a tie).
 
         Computed once per send opportunity and never kept across events, so
         a channel flap, a fault's delay offset or rate factor and a

@@ -22,22 +22,10 @@ DEFAULT_HEADER_BYTES = 40
 #: Default maximum segment size: MTU minus header overhead (bytes).
 DEFAULT_MSS = DEFAULT_MTU - DEFAULT_HEADER_BYTES
 
-BITS_PER_BYTE = 8
-
 
 def ms(value: float) -> float:
     """Milliseconds to seconds."""
     return value * 1e-3
-
-
-def us(value: float) -> float:
-    """Microseconds to seconds."""
-    return value * 1e-6
-
-
-def seconds(value: float) -> float:
-    """Identity, for symmetry in scenario code."""
-    return float(value)
 
 
 def to_ms(value_seconds: float) -> float:
@@ -55,11 +43,6 @@ def mbps(value: float) -> float:
     return value * 1e6
 
 
-def gbps(value: float) -> float:
-    """Gigabits/s to bits/s."""
-    return value * 1e9
-
-
 def to_mbps(bits_per_second: float) -> float:
     """Bits/s to megabits/s."""
     return bits_per_second / 1e6
@@ -73,29 +56,3 @@ def kib(value: float) -> int:
 def kb(value: float) -> int:
     """Kilobytes (10^3) to bytes."""
     return int(value * 1000)
-
-
-def mib(value: float) -> int:
-    """Mebibytes to bytes."""
-    return int(value * 1024 * 1024)
-
-
-def bytes_to_bits(num_bytes: float) -> float:
-    """Bytes to bits."""
-    return num_bytes * BITS_PER_BYTE
-
-
-def bits_to_bytes(num_bits: float) -> float:
-    """Bits to bytes."""
-    return num_bits / BITS_PER_BYTE
-
-
-def transmission_time(num_bytes: float, rate_bps: float) -> float:
-    """Serialization delay of ``num_bytes`` at ``rate_bps`` (seconds).
-
-    Raises :class:`ValueError` for non-positive rates; an unserviceable link
-    should be modelled explicitly (e.g. link down), never as rate 0.
-    """
-    if rate_bps <= 0:
-        raise ValueError(f"rate must be positive, got {rate_bps}")
-    return bytes_to_bits(num_bytes) / rate_bps

@@ -1,10 +1,10 @@
 """The host's channel view before liveness was a slot and fixed and traced
 links shared one read path.
 
-:class:`NaiveView` derives ``up`` from the channel's admin switch and fault
-holds on every read, takes a precomputed static path for rate and delay on
-a fixed link, and goes through ``Link.current_rate()``/``current_delay()``
-on a traced one — the reference for :class:`repro.net.node.ChannelView`.
+:class:`NaiveView` derives ``up`` from the channel's fault holds on every
+read, takes a precomputed static path for rate and delay on a fixed link,
+and goes through ``Link.current_rate()``/``current_delay()`` on a traced
+one — the reference for :class:`repro.net.node.ChannelView`.
 It registers nothing with the channel, so it can sit beside a real view on
 the same link.
 """
@@ -30,8 +30,7 @@ class NaiveView:
 
     @property
     def up(self):
-        channel = self._channel
-        return channel._admin_up and channel._down_refs == 0
+        return self._channel._down_refs == 0
 
     @property
     def rate_bps(self):
@@ -55,10 +54,6 @@ class NaiveView:
     @property
     def capacity_bps(self):
         return self._out.capacity_bps()
-
-    @property
-    def backlog_bytes(self):
-        return self._out.backlog_bytes
 
     @property
     def loss_rate(self):

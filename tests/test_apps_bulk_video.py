@@ -39,7 +39,7 @@ class TestBulkTransfer:
         net = HvcNetwork([fixed_embb_spec(rate_bps=mbps(20))], steering="single")
         bulk = BulkTransfer(net, cc="cubic", total_bytes=100_000)
         net.run(until=10.0)
-        assert bulk.bytes_acked == 100_000
+        assert bulk.pair.client.stats.bytes_acked == 100_000
 
     def test_rtt_records_available(self):
         net = HvcNetwork([fixed_embb_spec()], steering="single")
@@ -118,7 +118,7 @@ class TestVideoSession:
     def test_clean_network_decodes_everything_at_top_layer(self):
         result = run_video_session(self.wide_net(), duration=5.0)
         assert result.frames_sent in (150, 151)  # boundary tick may land
-        assert result.frames_missing <= 2  # tail frames may be in flight
+        assert result.frames_sent - len(result.frames) <= 2  # tail frames may be in flight
         top = sum(1 for f in result.frames if f.decoded_layer == 2)
         assert top / len(result.frames) > 0.95
 
@@ -127,7 +127,7 @@ class TestVideoSession:
         cdf = result.latency_cdf()
         # Frames wait for lookahead/60 ms; latency ≈ network + wait bound.
         assert cdf.max <= 0.08 + 0.01
-        assert cdf.min >= ms(10)
+        assert cdf.samples[0] >= ms(10)
 
     def test_ssim_high_on_clean_network(self):
         result = run_video_session(self.wide_net(), duration=5.0)

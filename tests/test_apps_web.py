@@ -30,7 +30,6 @@ class TestWebPage:
         page.validate()
         assert page.total_bytes == 75_000
         assert page.object_count == 4
-        assert page.depth() == 3
 
     def test_size_of(self):
         assert tiny_page().size_of(1) == 30_000
@@ -64,10 +63,16 @@ class TestCorpus:
         pages = generate_corpus(count=30, seed=1)
         counts = [p.object_count for p in pages]
         sizes = [p.total_bytes for p in pages]
-        depths = [p.depth() for p in pages]
         assert 5 <= sum(counts) / len(counts) <= 60  # tens of objects
         assert 100_000 <= sum(sizes) / len(sizes) <= 3_000_000
-        assert max(depths) >= 3  # discovery chains exist
+        # Discovery chains exist: some object waits on an object that
+        # itself waited on another (three levels).
+        assert any(
+            p.objects[dep].depends_on
+            for p in pages
+            for obj in p.objects
+            for dep in obj.depends_on
+        )
 
     def test_landing_pages_are_heavier(self):
         pages = generate_corpus(count=30, seed=1)

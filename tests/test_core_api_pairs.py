@@ -1,7 +1,5 @@
 """Tests for HvcNetwork pair handles and misc API surface."""
 
-import pytest
-
 from repro.core.api import HvcNetwork
 from repro.net.hvc import fixed_embb_spec, urllc_spec
 from repro.units import kb
@@ -12,26 +10,6 @@ def net():
 
 
 class TestPairs:
-    def test_connection_pair_close_closes_both(self):
-        network = net()
-        pair = network.open_connection()
-        pair.client.send_message(kb(50))
-        network.run(until=0.02)
-        pair.close()
-        network.run(until=10.0)
-        assert network.sim.pending_events == 0
-
-    def test_datagram_pair_close(self):
-        network = net()
-        pair = network.open_datagram()
-        pair.client.send_message(kb(2), message_id=1)
-        network.run(until=1.0)
-        pair.close()
-        from repro.errors import TransportError
-
-        with pytest.raises(TransportError):
-            pair.client.send_message(kb(1), message_id=2)
-
     def test_on_client_message_direction(self):
         network = net()
         got = []

@@ -34,15 +34,8 @@ class TestCdf:
         cdf = Cdf([1.0, 2.0, 3.0, 4.0, 5.0])
         assert cdf.mean == 3.0
         assert cdf.median == 3.0
-        assert cdf.min == 1.0
         assert cdf.max == 5.0
-        assert len(cdf) == 5
-
-    def test_probability_below(self):
-        cdf = Cdf([1.0, 2.0, 3.0, 4.0])
-        assert cdf.probability_below(2.0) == 0.5
-        assert cdf.probability_below(0.5) == 0.0
-        assert cdf.probability_below(10.0) == 1.0
+        assert cdf.samples == [1.0, 2.0, 3.0, 4.0, 5.0]
 
     def test_points_monotonic(self):
         cdf = Cdf(range(100))

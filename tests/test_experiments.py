@@ -72,7 +72,7 @@ class TestRegistry:
 class TestFig1Harness:
     def test_single_cca_runs(self):
         bulk = run_single_cca("cubic", duration=3.0)
-        assert bulk.bytes_acked > 0
+        assert bulk.pair.client.stats.bytes_acked > 0
 
     def test_fig1a_smoke(self):
         result = run_fig1a(duration=5.0, ccas=("cubic", "vegas"))
@@ -107,7 +107,7 @@ class TestFig2Harness:
         cell = run_fig2_cell("5g-lowband-driving", "priority", duration=4.0)
         assert cell.frames_sent >= 119
         assert len(cell.frames) > 100
-        assert cell.latency_cdf().min > 0
+        assert cell.latency_cdf().samples[0] > 0
 
     def test_embb_only_uses_one_channel(self):
         net = video_network("5g-lowband-driving", "embb-only")

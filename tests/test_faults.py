@@ -144,7 +144,7 @@ class TestFaultSchedule:
         )
         assert [f.kind for f in sched] == ["outage", "loss_burst"]
         assert sched.horizon == 6.0
-        assert len(sched.for_channel("embb")) == 1
+        assert [f.channel for f in sched] == ["embb", "urllc"]
 
     def test_params_round_trip(self):
         sched = (
@@ -169,11 +169,6 @@ class TestFaultSchedule:
         assert a.faults == b.faults
         assert a.faults != c.faults
         assert len(a) > 0
-
-    def test_merge(self):
-        a = FaultSchedule().outage("embb", 1.0, 1.0)
-        b = FaultSchedule().outage("urllc", 2.0, 1.0)
-        assert len(a.merge(b)) == 2
 
 
 class TestFaultLossOverlay:

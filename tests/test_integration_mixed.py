@@ -72,7 +72,7 @@ class TestBulkPlusInteractive:
         monitor = ChannelMonitor(net.sim, net.channels, period=0.1)
         BackgroundFlows(net)
         net.run(until=5.0)
-        assert monitor["urllc"].utilization("up") > 0.05
+        assert monitor.series["urllc"].utilization("up") > 0.05
 
 
 class TestMultipathCoexistence:

@@ -31,14 +31,14 @@ class TestChannel:
         with pytest.raises(NetworkError):
             channel.out_link(2)
 
-    def test_set_up_disables_both_links(self, sim):
+    def test_fail_disables_both_links(self, sim):
         channel = Channel(sim, ChannelSpec.symmetric("c", mbps(10), ms(5)))
-        channel.set_up(False)
+        channel.fail()
         assert not channel.uplink.up and not channel.downlink.up
-        channel.set_up(True)
+        channel.restore()
         assert channel.uplink.up and channel.downlink.up
 
-    def test_fault_holds_compose_with_admin_switch(self, sim):
+    def test_fault_holds_compose(self, sim):
         channel = Channel(sim, ChannelSpec.symmetric("c", mbps(10), ms(5)))
         # Two identical holds: both must be released before re-up.
         channel.fail()
@@ -46,13 +46,6 @@ class TestChannel:
         channel.restore()
         assert not channel.up
         channel.restore()
-        assert channel.up
-        # Administrative down wins over fault-hold release.
-        channel.set_up(False)
-        channel.fail()
-        channel.restore()
-        assert not channel.up
-        channel.set_up(True)
         assert channel.up
 
 

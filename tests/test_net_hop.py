@@ -162,7 +162,7 @@ def test_fused_read_equals_separate_accessors(traced):
 
 def view_reads(view, size):
     """Everything a steering policy may read off one view, as bit patterns."""
-    return [view.up, view.backlog_bytes] + bits(
+    return [view.up] + bits(
         [
             view.rate_bps,
             view.base_delay,
@@ -312,7 +312,7 @@ def test_network_run_is_identical_under_the_naive_steerer():
         bulk = BulkTransfer(net, cc="cubic")
         net.run(until=1.0)
         lowlat = net.channels[1].uplink.stats.bytes_delivered
-        return net.sim.events_processed, bulk.bytes_acked, lowlat
+        return net.sim.events_processed, bulk.pair.client.stats.bytes_acked, lowlat
 
     assert run(DChannelSteerer()) == run(NaiveDChannel())
 
@@ -325,7 +325,7 @@ def test_wan_network_run_is_identical_under_the_naive_min_rtt():
         flows = [BulkTransfer(net, cc=cc) for cc in ("bbr", "bbr2+")]
         net.run(until=0.6)
         leo = net.channels[1].uplink.stats.bytes_delivered
-        return net.sim.events_processed, [f.bytes_acked for f in flows], leo
+        return net.sim.events_processed, [f.pair.client.stats.bytes_acked for f in flows], leo
 
     assert run(MinRttSteerer()) == run(NaiveMinRtt())
 
@@ -336,7 +336,7 @@ def test_network_run_is_identical_under_the_naive_ecf():
         bulk = BulkTransfer(net, cc="cubic")
         net.run(until=1.0)
         lowlat = net.channels[1].uplink.stats.bytes_delivered
-        return net.sim.events_processed, bulk.bytes_acked, lowlat
+        return net.sim.events_processed, bulk.pair.client.stats.bytes_acked, lowlat
 
     assert run(EcfSteerer()) == run(NaiveEcf())
 
@@ -694,7 +694,7 @@ def test_any_channel_up_tracks_every_transition(seed, sim):
     assert check()
     for _ in range(300):
         index = rng.randrange(len(channels))
-        action = rng.choice(["fail", "fail", "restore", "restore", "restore", "admin"])
+        action = rng.choice(["fail", "fail", "restore", "restore", "restore"])
         if action == "fail":
             channels[index].fail()
             holds[index] += 1
@@ -702,8 +702,6 @@ def test_any_channel_up_tracks_every_transition(seed, sim):
         elif action == "restore" and holds[index]:
             channels[index].restore()
             holds[index] -= 1
-        elif action == "admin":
-            channels[index].set_up(rng.random() < 0.6)
         check()
     assert len(seen_in_hooks) >= 20 and all(seen_in_hooks)
     assert len(seen_by_early_hooks) == len(seen_in_hooks) // 2

@@ -10,7 +10,7 @@ from repro.net.link import Link, LinkSpec
 from repro.net.loss import BernoulliLoss
 from repro.net.packet import Packet, PacketType
 from repro.sim.kernel import Simulator
-from repro.traces.model import NetworkTrace, constant_trace
+from repro.traces.model import NetworkTrace
 from repro.units import mbps, ms
 
 
@@ -116,7 +116,7 @@ class TestLinkDelivery:
     def test_trace_driven_rate(self):
         """Doubled trace rate halves serialization time."""
         sim = Simulator()
-        link = Link(sim, LinkSpec(trace=constant_trace(mbps(24), ms(10))))
+        link = Link(sim, LinkSpec(trace=NetworkTrace([0.0], [mbps(24)], [ms(10)])))
         arrivals = []
         link.connect(lambda p: arrivals.append(sim.now))
         link.send(pkt())

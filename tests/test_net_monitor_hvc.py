@@ -68,7 +68,7 @@ class TestChannelMonitor:
         net = HvcNetwork([fixed_embb_spec()], steering="single")
         monitor = ChannelMonitor(net.sim, net.channels, period=0.5)
         net.run(until=2.0)
-        series = monitor["embb"]
+        series = monitor.series["embb"]
         assert len(series.samples) == 5  # t = 0.0, 0.5, 1.0, 1.5, 2.0
 
     def test_utilization_reflects_load(self):
@@ -76,31 +76,30 @@ class TestChannelMonitor:
         monitor = ChannelMonitor(net.sim, net.channels, period=0.2)
         BulkTransfer(net, cc="cubic")
         net.run(until=8.0)
-        assert monitor["embb"].utilization("up") > 0.7
+        assert monitor.series["embb"].utilization("up") > 0.7
 
     def test_idle_channel_utilization_zero(self):
         net = HvcNetwork([fixed_embb_spec()], steering="single")
         monitor = ChannelMonitor(net.sim, net.channels, period=0.2)
         net.run(until=2.0)
-        assert monitor["embb"].utilization("down") == 0.0
+        assert monitor.series["embb"].utilization("down") == 0.0
 
     def test_backlog_series_shows_queueing(self):
         net = HvcNetwork([fixed_embb_spec(rate_bps=mbps(10))], steering="single")
         monitor = ChannelMonitor(net.sim, net.channels, period=0.05)
         BulkTransfer(net, cc="cubic")
         net.run(until=3.0)
-        assert monitor["embb"].peak_backlog_bytes("up") > 10_000
-        series = monitor["embb"].backlog_series("up")
-        assert any(backlog > 0 for _, backlog in series)
+        series = [s.up_backlog_bytes for s in monitor.series["embb"].samples]
+        assert max(series) > 10_000
 
     def test_stop_halts_sampling(self):
         net = HvcNetwork([fixed_embb_spec()], steering="single")
         monitor = ChannelMonitor(net.sim, net.channels, period=0.1)
         net.run(until=0.5)
         monitor.stop()
-        count = len(monitor["embb"].samples)
+        count = len(monitor.series["embb"].samples)
         net.run(until=2.0)
-        assert len(monitor["embb"].samples) == count
+        assert len(monitor.series["embb"].samples) == count
 
     def test_validation(self):
         net = HvcNetwork([fixed_embb_spec()], steering="single")
@@ -108,7 +107,7 @@ class TestChannelMonitor:
             ChannelMonitor(net.sim, net.channels, period=0)
         monitor = ChannelMonitor(net.sim, net.channels)
         with pytest.raises(ValueError):
-            monitor["embb"].utilization("sideways")
+            monitor.series["embb"].utilization("sideways")
 
 
 class TestUtilizationBounds:
@@ -160,7 +159,7 @@ class TestUtilizationBounds:
         monitor = ChannelMonitor(net.sim, net.channels, period=0.05)
         BulkTransfer(net, cc="cubic")
         net.run(until=6.0)
-        series = monitor["embb"]
+        series = monitor.series["embb"]
         assert 0.0 < series.utilization("up") <= 1.0
         assert series.clamp_warnings == 0
 
@@ -175,7 +174,7 @@ class TestUtilizationBounds:
         BulkTransfer(net, cc="cubic")
         net.run(until=20.0)
         for direction in ("up", "down"):
-            assert monitor[net.channels[0].name].utilization(direction) <= 1.0
+            assert monitor.series[net.channels[0].name].utilization(direction) <= 1.0
 
 
 class TestFailureInjection:
@@ -185,7 +184,7 @@ class TestFailureInjection:
         received = []
         pair = net.open_connection(on_server_message=received.append)
         net.sim.schedule(0.0, lambda: pair.client.send_message(kb(300), message_id=1))
-        net.sim.schedule(0.05, lambda: net.channel_named("urllc").set_up(False))
+        net.sim.schedule(0.05, lambda: net.channel_named("urllc").fail())
         net.run(until=20.0)
         assert len(received) == 1
 
@@ -195,8 +194,8 @@ class TestFailureInjection:
         received = []
         pair = net.open_connection(on_server_message=received.append)
         pair.client.send_message(kb(500), message_id=1)
-        net.sim.schedule(0.1, lambda: net.channel_named("urllc").set_up(False))
-        net.sim.schedule(0.4, lambda: net.channel_named("urllc").set_up(True))
+        net.sim.schedule(0.1, lambda: net.channel_named("urllc").fail())
+        net.sim.schedule(0.4, lambda: net.channel_named("urllc").restore())
         net.run(until=30.0)
         assert len(received) == 1
 
@@ -207,8 +206,8 @@ class TestFailureInjection:
         received = []
         pair = net.open_connection(on_server_message=received.append)
         pair.client.send_message(kb(20), message_id=1)
-        net.sim.schedule(0.01, lambda: net.channels[0].set_up(False))
-        net.sim.schedule(1.0, lambda: net.channels[0].set_up(True))
+        net.sim.schedule(0.01, lambda: net.channels[0].fail())
+        net.sim.schedule(1.0, lambda: net.channels[0].restore())
         net.run(until=30.0)
         assert len(received) == 1
         # RTOs fired while every channel is down are classified as blackout

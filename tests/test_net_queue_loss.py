@@ -42,13 +42,6 @@ class TestDropTailQueue:
     def test_dequeue_empty_returns_none(self):
         assert DropTailQueue(100).dequeue() is None
 
-    def test_peek_does_not_remove(self):
-        queue = DropTailQueue(10_000)
-        packet = pkt()
-        queue.try_enqueue(packet)
-        assert queue.peek() is packet
-        assert len(queue) == 1
-
     def test_max_backlog_recorded(self):
         queue = DropTailQueue(10_000)
         queue.try_enqueue(pkt(960))

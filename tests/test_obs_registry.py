@@ -49,7 +49,7 @@ class TestGaugesAndHistograms:
         for value in (1.0, 2.0, 3.0):
             hist.observe(value)
         assert hist.count == 3
-        assert hist.mean == pytest.approx(2.0)
+        assert hist.total == pytest.approx(6.0)
         assert hist.min == 1.0
         assert hist.max == 3.0
         assert sum(hist.buckets.values()) == 3

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.api import HvcNetwork
 from repro.apps.bulk import BulkTransfer
 from repro.net.hvc import fixed_embb_spec, urllc_spec
-from repro.obs import Observability, TraceSummary, summarize, summarize_file
+from repro.obs import Observability, TraceSummary, summarize_file
 from repro.obs.cli import main as obs_main
 from repro.units import kb
 
@@ -35,14 +35,14 @@ class TestMonitorEquivalence:
         monitor = net.obs_monitor
         for channel in net.channels:
             for direction in ("up", "down"):
-                live = monitor[channel.name].utilization(direction)
+                live = monitor.series[channel.name].utilization(direction)
                 from_trace = summary.utilization(channel.name, direction)
                 # Identical math over identical samples: exact, not approx.
                 assert from_trace == live, (channel.name, direction)
 
     def test_summary_link_counts_match_stats(self):
         net, obs = traced_bulk_net()
-        summary = summarize(obs)
+        summary = TraceSummary(obs.export_records())
         for channel in net.channels:
             for direction, link in (("up", channel.uplink), ("down", channel.downlink)):
                 counts = summary.link_counts[(channel.name, direction)]
@@ -55,7 +55,7 @@ class TestMonitorEquivalence:
 
     def test_latency_spans_positive_and_ordered(self):
         _net, obs = traced_bulk_net(duration=4.0)
-        summary = summarize(obs)
+        summary = TraceSummary(obs.export_records())
         embb_up = summary.latencies[("embb", "up")]
         assert embb_up
         assert all(lat > 0 for lat in embb_up)
@@ -63,7 +63,7 @@ class TestMonitorEquivalence:
 
     def test_to_dict_and_render_cover_all_sections(self):
         _net, obs = traced_bulk_net(duration=4.0)
-        summary = summarize(obs)
+        summary = TraceSummary(obs.export_records())
         data = summary.to_dict()
         assert data["meta"]["version"] == 1
         assert any(key.startswith("embb/") for key in data["channels"])
@@ -175,8 +175,8 @@ class TestCounterReconciliation:
         pair.client.send_message(kb(message_kb), message_id=1)
         dgram.client.send_message(kb(datagram_kb), message_id=2)
         if flap_urllc:
-            net.sim.schedule(0.2, lambda: net.channel_named("urllc").set_up(False))
-            net.sim.schedule(1.0, lambda: net.channel_named("urllc").set_up(True))
+            net.sim.schedule(0.2, lambda: net.channel_named("urllc").fail())
+            net.sim.schedule(1.0, lambda: net.channel_named("urllc").restore())
         net.run(until=15.0)
         assert received  # the reliable message completed
         self._reconcile(net, obs)

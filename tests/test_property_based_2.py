@@ -94,7 +94,7 @@ class TestCorpusProperties:
     def test_generated_pages_always_valid(self, seed, landing):
         page = generate_page("prop", seed=seed, landing=landing)
         page.validate()  # raises on any structural violation
-        assert page.depth() >= 2
+        assert any(obj.depends_on for obj in page.objects)  # two levels
         assert page.total_bytes > 0
 
 

@@ -15,7 +15,6 @@ from repro.resilience import (
     collapse_intervals,
     dead_intervals,
     delay_spike_intervals,
-    slo_for_class,
     violation_rate,
 )
 from repro.resilience.slo import RECOVERY_SLOS
@@ -130,11 +129,8 @@ class TestRecoverySLOs:
         from repro.steering.requirements import REQUIREMENT_CLASSES
 
         assert set(RECOVERY_SLOS) == set(REQUIREMENT_CLASSES)
-        assert slo_for_class("latency").ttr_target_s < slo_for_class(
-            "background"
-        ).ttr_target_s
-        with pytest.raises(ScenarioError):
-            slo_for_class("best-effort-ish")
+        assert all(slo.ttr_target_s > 0 for slo in RECOVERY_SLOS.values())
+        assert RECOVERY_SLOS["latency"].ttr_target_s < RECOVERY_SLOS["background"].ttr_target_s
 
     def test_violation_rate(self):
         assert violation_rate([], 1.0) == 0.0

@@ -26,16 +26,6 @@ class TestRandomStreams:
         b = RandomStreams(seed=2).stream("x").random()
         assert a != b
 
-    def test_fork_is_independent_of_parent(self):
-        parent = RandomStreams(seed=7)
-        child = parent.fork("child")
-        assert parent.stream("x").random() != child.stream("x").random()
-
-    def test_fork_is_deterministic(self):
-        a = RandomStreams(seed=7).fork("c").stream("x").random()
-        b = RandomStreams(seed=7).fork("c").stream("x").random()
-        assert a == b
-
 
 class TestPeriodicTimer:
     def test_fires_every_interval(self):
@@ -59,7 +49,6 @@ class TestPeriodicTimer:
         sim.schedule(1.1, timer.stop)
         sim.run(until=3.0)
         assert ticks == [0.5, 1.0]
-        assert not timer.active
 
     def test_callback_may_stop_timer(self):
         sim = Simulator()

@@ -10,7 +10,7 @@ from repro.net.link import Link, LinkSpec
 from repro.net.packet import Packet, PacketType
 from repro.sim.kernel import Simulator
 from repro.traces.mahimahi import read_mahimahi, write_mahimahi
-from repro.traces.model import NetworkTrace, constant_trace
+from repro.traces.model import NetworkTrace
 from repro.traces.catalog import get_trace, list_traces
 from repro.traces.synthetic import (
     TraceSpec,
@@ -30,7 +30,7 @@ class TestNetworkTrace:
         trace = NetworkTrace([0.0, 1.0, 2.0], [1e6, 2e6, 3e6], [0.01, 0.02, 0.03])
         assert trace.rate_at(0.5) == 1e6
         assert trace.rate_at(1.0) == 2e6
-        assert trace.delay_at(2.9) == 0.03
+        assert trace.step_at(2.9)[3] == 0.03
 
     def test_wraps_around(self):
         trace = NetworkTrace([0.0, 1.0], [1e6, 2e6], [0.01, 0.02])
@@ -39,10 +39,10 @@ class TestNetworkTrace:
         assert trace.rate_at(3.5) == 2e6
 
     def test_constant_trace(self):
-        trace = constant_trace(mbps(2), ms(2.5))
+        trace = NetworkTrace([0.0], [mbps(2)], [ms(2.5)])
         assert trace.rate_at(0) == mbps(2)
         assert trace.rate_at(1234.5) == mbps(2)
-        assert trace.delay_at(99.9) == ms(2.5)
+        assert trace.step_at(99.9)[3] == ms(2.5)
 
     def test_mean_rate_is_time_weighted(self):
         trace = NetworkTrace([0.0, 1.0], [1e6, 3e6], [0.01, 0.01])
@@ -57,9 +57,9 @@ class TestNetworkTrace:
         assert trace.percentile_delay(50) == pytest.approx(0.03)
 
     def test_scaled(self):
-        trace = constant_trace(1e6, 0.01).scaled(rate_factor=2, delay_factor=0.5)
+        trace = NetworkTrace([0.0], [1e6], [0.01]).scaled(rate_factor=2, delay_factor=0.5)
         assert trace.rate_at(0) == 2e6
-        assert trace.delay_at(0) == 0.005
+        assert trace.step_at(0)[3] == 0.005
 
     def test_validation(self):
         with pytest.raises(TraceError):
@@ -72,11 +72,18 @@ class TestNetworkTrace:
             NetworkTrace([0.0], [-1.0], [0.01])
         with pytest.raises(TraceError):
             NetworkTrace([0.0], [1e6], [-0.01])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(TraceError):
+                NetworkTrace([0.0], [bad], [0.01])
+            with pytest.raises(TraceError):
+                NetworkTrace([0.0], [1e6], [bad])
+        with pytest.raises(TraceError):
+            NetworkTrace([0, 1], [math.nan, math.inf], [math.nan, 0.01])
         with pytest.raises(TraceError):
             NetworkTrace([0.0, 1.0], [1e6], [0.01, 0.01])
 
     def test_negative_query_rejected(self):
-        trace = constant_trace(1e6, 0.01)
+        trace = NetworkTrace([0.0], [1e6], [0.01])
         with pytest.raises(TraceError):
             trace.rate_at(-1)
 
@@ -287,7 +294,7 @@ class TestCatalog:
     def test_get_trace_by_name(self):
         trace = get_trace("urllc")
         assert trace.rate_at(0) == mbps(2)
-        assert trace.delay_at(0) == ms(2.5)
+        assert trace.step_at(0)[3] == ms(2.5)
 
     def test_unknown_name_raises(self):
         with pytest.raises(TraceError):
@@ -316,13 +323,13 @@ class TestCatalog:
 
 class TestMahimahi:
     def test_round_trip_preserves_mean_rate(self, tmp_path):
-        trace = constant_trace(mbps(12), ms(25))
+        trace = NetworkTrace([0.0], [mbps(12)], [ms(25)])
         path = tmp_path / "trace.txt"
         count = write_mahimahi(trace, str(path), duration=5.0)
         assert count == pytest.approx(5.0 * mbps(12) / (1500 * 8), rel=0.01)
         loaded = read_mahimahi(str(path), delay=ms(25))
         assert loaded.mean_rate() == pytest.approx(mbps(12), rel=0.05)
-        assert loaded.delay_at(0) == ms(25)
+        assert loaded.step_at(0)[3] == ms(25)
 
     def test_read_rejects_empty(self, tmp_path):
         path = tmp_path / "empty.txt"
@@ -333,6 +340,12 @@ class TestMahimahi:
     def test_read_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1\ntwo\n3\n")
+        with pytest.raises(TraceError):
+            read_mahimahi(str(path))
+
+    def test_read_rejects_undecodable_bytes(self, tmp_path):
+        path = tmp_path / "binary.txt"
+        path.write_bytes(b"\xff\xfe\x00\n")
         with pytest.raises(TraceError):
             read_mahimahi(str(path))
 

@@ -1,12 +1,14 @@
-"""Tests for the datagram socket and the intents interface."""
+"""Tests for the datagram socket and the flow/message priority hints."""
 
 import pytest
 
 from repro.errors import TransportError
 from repro.net.channel import ChannelSpec, DirectionSpec
 from repro.net.loss import BernoulliLoss
+from repro.steering.requirements import FLOW_PRIORITIES, requirement_class
+from repro.transport import next_flow_id
+from repro.transport.connection import Connection
 from repro.transport.datagram import DatagramSocket
-from repro.transport.intents import Intent, open_connection, open_datagram
 from repro.units import mbps, ms
 
 from tests.conftest import make_pair
@@ -95,28 +97,24 @@ class TestDatagramSocket:
 
 
 class TestIntents:
+    """The §3.3 hints travel as ``flow_priority=`` and message priority."""
+
     def test_category_priorities(self):
-        assert Intent(category="interactive").resolved_priority() == 0
-        assert Intent(category="realtime").resolved_priority() == 0
-        assert Intent(category="bulk").resolved_priority() == 1
-        assert Intent(category="background").resolved_priority() == 2
-
-    def test_explicit_priority_overrides(self):
-        assert Intent(category="background", flow_priority=0).resolved_priority() == 0
-
-    def test_unknown_category_raises(self):
-        with pytest.raises(TransportError):
-            Intent(category="turbo").resolved_priority()
+        assert FLOW_PRIORITIES == {
+            "interactive": 0, "realtime": 0, "bulk": 1, "background": 2,
+        }
+        assert requirement_class("background").flow_priority == 2
+        assert requirement_class("latency").flow_priority == 0
 
     def test_open_connection_applies_tags(self, sim):
         client, server, _ = make_pair(
             sim, [ChannelSpec.symmetric("c", mbps(20), ms(10))]
         )
-        conn = open_connection(sim, client, Intent(category="background"), flow_id=4)
+        conn = Connection(sim, client, 4, flow_priority=FLOW_PRIORITIES["background"])
         assert conn.flow_priority == 2
         assert conn.flow_id == 4
         # Packets inherit the tag.
-        peer = open_connection(sim, server, Intent(), flow_id=4)
+        Connection(sim, server, 4)
         seen = []
         server.on_receive_hooks.append(lambda p: seen.append(p.flow_priority))
         conn.send_message(1_000)
@@ -124,12 +122,19 @@ class TestIntents:
         assert 2 in seen
 
     def test_open_datagram_applies_tags(self, sim):
-        client, _, _ = make_pair(sim, [ChannelSpec.symmetric("c", mbps(20), ms(10))])
-        sock = open_datagram(sim, client, Intent(category="realtime"), flow_id=8)
+        client, server, _ = make_pair(
+            sim, [ChannelSpec.symmetric("c", mbps(20), ms(10))]
+        )
+        sock = DatagramSocket(sim, client, 8, flow_priority=0, blackout="drop")
         assert sock.flow_priority == 0
+        seen = []
+        server.on_receive_hooks.append(lambda p: seen.append((p.flow_priority, p.message_priority)))
+        sock.send_message(1_000, message_id=1, priority=1)
+        sim.run(until=1.0)
+        assert seen == [(0, 1)]
 
     def test_auto_flow_ids_unique(self, sim):
         client, _, _ = make_pair(sim, [ChannelSpec.symmetric("c", mbps(20), ms(10))])
-        a = open_datagram(sim, client, Intent())
-        b = open_datagram(sim, client, Intent())
+        a = DatagramSocket(sim, client, next_flow_id())
+        b = DatagramSocket(sim, client, next_flow_id())
         assert a.flow_id != b.flow_id

@@ -158,7 +158,7 @@ class TestMultipathRecovery:
         receipts = []
         sender, _ = make_mp_pair(net, on_message=receipts.append)
         sender.send_message(kb(300), message_id=1)
-        net.sim.schedule(0.05, lambda: net.channel_named("embb").set_up(False))
+        net.sim.schedule(0.05, lambda: net.channel_named("embb").fail())
         net.run(until=40.0)
         assert len(receipts) == 1
         # Post-outage traffic rode URLLC.
@@ -169,8 +169,8 @@ class TestMultipathRecovery:
         net = dual_net()
         sender, _ = make_mp_pair(net)
         sender.send_message(50_000_000, message_id=1)
-        net.sim.schedule(1.0, lambda: net.channel_named("embb").set_up(False))
-        net.sim.schedule(2.0, lambda: net.channel_named("embb").set_up(True))
+        net.sim.schedule(1.0, lambda: net.channel_named("embb").fail())
+        net.sim.schedule(2.0, lambda: net.channel_named("embb").restore())
         net.run(until=3.0)
         before = net.channel_named("embb").uplink.stats.delivered
         net.run(until=6.0)

@@ -179,18 +179,26 @@ def scheduler_rig(rng, scheduler):
     return sim, channels, conn
 
 
+def set_channel_up(channel, up):
+    """Take a channel down with one fault hold, or release it."""
+    if up and channel.fault_holds:
+        channel.restore()
+    elif not up and not channel.fault_holds:
+        channel.fail()
+
+
 def mutate(rng, sim, channels, conn):
     """One random change to what a scheduling decision reads."""
     sb = conn._sb
     roll = rng.random()
     if roll < 0.12:
-        rng.choice(channels).set_up(rng.random() < 0.5)
+        set_channel_up(rng.choice(channels), rng.random() < 0.5)
     elif roll < 0.15:
         for channel in channels:
-            channel.set_up(False)
+            set_channel_up(channel, False)
     elif roll < 0.19:
         for channel in channels:
-            channel.set_up(True)
+            set_channel_up(channel, True)
     elif roll < 0.29:  # what a fault injector writes
         link = rng.choice(channels).out_link(END_A)
         link.delay_offset = rng.choice([0.0, 0.0, ms(22.5), ms(3.5)])

@@ -64,7 +64,7 @@ class TestPacing:
             pair = net.open_connection(cc=cc)
             pair.client.send_message(10_000_000, message_id=1)
             net.run(until=8.0)
-            return monitor["embb"].peak_backlog_bytes("up")
+            return max(s.up_backlog_bytes for s in monitor.series["embb"].samples)
 
         assert peak_backlog("bbr") < peak_backlog("cubic") / 3
 

@@ -1,42 +1,22 @@
 """Unit tests for unit helpers."""
 
-import pytest
-
 from repro import units
 
 
 def test_time_conversions():
     assert units.ms(250) == 0.25
-    assert units.us(500) == 0.0005
-    assert units.seconds(3) == 3.0
     assert units.to_ms(0.075) == 75.0
 
 
 def test_rate_conversions():
     assert units.kbps(400) == 400_000
     assert units.mbps(60) == 60_000_000
-    assert units.gbps(2) == 2_000_000_000
     assert units.to_mbps(26_500_000) == 26.5
 
 
 def test_size_conversions():
     assert units.kib(64) == 65_536
     assert units.kb(5) == 5_000
-    assert units.mib(1) == 1_048_576
-    assert units.bytes_to_bits(10) == 80
-    assert units.bits_to_bytes(80) == 10
-
-
-def test_transmission_time():
-    # 1500 bytes at 12 Mbps = 1 ms.
-    assert units.transmission_time(1500, units.mbps(12)) == pytest.approx(0.001)
-
-
-def test_transmission_time_rejects_nonpositive_rate():
-    with pytest.raises(ValueError):
-        units.transmission_time(1500, 0)
-    with pytest.raises(ValueError):
-        units.transmission_time(1500, -1)
 
 
 def test_mss_is_mtu_minus_headers():
